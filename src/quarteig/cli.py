@@ -103,7 +103,7 @@ def _parse_config(spec: str) -> SolveConfig:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             if key in ("scale", "balance", "deflate"):
-                kwargs[key] = val == "on"
+                kwargs[key] = _onoff(val)
             elif key in ("balance_iters",):
                 kwargs[key] = int(val)
             elif key == "tol":
@@ -129,8 +129,6 @@ def _cmd_solve(args):
         eigvec_mode=args.eigvec_mode,
         want_left=not args.right_only,
         threads=args.threads,
-        output=args.output,
-        fmt=args.format,
     )
     try:
         config.validate()
@@ -190,7 +188,7 @@ def _cmd_compare(args):
         return _fail(EXIT_USAGE, "usage", "compare requires at least two --config entries")
     try:
         configs = [_parse_config(spec) for spec in args.config]
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))
     try:
         bundle = read_bundle(args.bundle)

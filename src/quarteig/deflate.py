@@ -3,8 +3,10 @@
 The decision tree branches on the numerical ranks of the extreme
 coefficients A and E:
 
-* both regular: one structured transformation triangularizes the lambda-side
-  of the linearization (the first QZ step); nothing is deflated.
+* both regular: nothing is deflated and the linearization reaches QZ
+  unchanged (identity transforms); the backend (LAPACK zggev) starts with
+  its own QR of the lambda coefficient, so a triangularization here would be
+  repeated work.
 * exactly one singular: a structured transformation exposes n - r_E zero
   rows built from the factors of E (the reversed problem is processed when A
   is the singular one); a second-level matrix Psi = [Q_E2* D; R_E Pi_E^T]
@@ -86,17 +88,14 @@ class RankProfile:
 
 
 def analyze_ranks(q: QuarticPencil, strategy=None) -> RankProfile:
-    """Rank-revealing QR of A and E, with the structured M/K factors cached."""
+    """Rank-revealing QR of A and E."""
     strategy = strategy or NormThreshold()
-    rp = RankProfile(
+    return RankProfile(
         qr_a=rrqr(q.a, strategy),
         qr_e=rrqr(q.e, strategy),
         strategy=strategy,
         source=q,
     )
-    rp.structured_m()
-    rp.structured_k()
-    return rp
 
 
 @dataclass
@@ -158,7 +157,11 @@ class DeflationStep:
 
 @dataclass
 class DeflationResult:
-    """Deflated regular pencil plus the accumulated equivalence transforms."""
+    """Deflated regular pencil plus the accumulated equivalence transforms.
+
+    ``size == full_size`` means nothing was deflated and the transforms are
+    the identity: ``pencil`` is the linearization itself.
+    """
 
     pencil: LinearPencil
     p: np.ndarray
@@ -221,20 +224,16 @@ class _Reducer:
         self.wb[:, :m] = self.wb[:, :m] @ r
         self.q[:, :m] = self.q[:, :m] @ r
 
-    def apply_structured(self, l, r, wa_active=None, wb_active=None):
-        """Apply (l, r) and optionally overwrite the active blocks with their
-        exactly assembled images (identity/zero blocks exact)."""
+    def apply_structured(self, l, r, wa_active, wb_active):
+        """Apply (l, r), writing the active blocks as their exactly assembled
+        images (identity/zero blocks exact)."""
         m = self.m
-        if wa_active is None:
-            self.left(l)
-            self.right(r)
-        else:
-            self.p[:m, :] = l @ self.p[:m, :]
-            self.q[:, :m] = self.q[:, :m] @ r
-            self.wa[:m, m:] = l @ self.wa[:m, m:]
-            self.wb[:m, m:] = l @ self.wb[:m, m:]
-            self.wa[:m, :m] = wa_active
-            self.wb[:m, :m] = wb_active
+        self.p[:m, :] = l @ self.p[:m, :]
+        self.q[:, :m] = self.q[:, :m] @ r
+        self.wa[:m, m:] = l @ self.wa[:m, m:]
+        self.wb[:m, m:] = l @ self.wb[:m, m:]
+        self.wa[:m, :m] = wa_active
+        self.wb[:m, :m] = wb_active
 
     def truncate(self, k, kind, side, zeros=0, infs=0, rank=None, evidence=None):
         m = self.m
@@ -269,39 +268,6 @@ class _Reducer:
 
 def _blocks(n):
     return np.eye(n, dtype=np.complex128), np.zeros((n, n), dtype=np.complex128)
-
-
-def _case_regular(red: _Reducer, q: QuarticPencil, rp: RankProfile):
-    """Both A and E regular: triangularize the lambda coefficient."""
-    n = q.n
-    eye, zero = _blocks(n)
-    q_m, pi_m, _ = rp.structured_m()
-    i2n = np.eye(2 * n, dtype=np.complex128)
-    l = sla.block_diag(q_m.conj().T, i2n)
-    r = sla.block_diag(pi_m, i2n)
-    piv = rp.qr_a.perm
-    qa_h = rp.qr_a.q.conj().T
-    wa = np.block(
-        [
-            [zero, q.d[:, piv], zero, -eye],
-            [zero, qa_h @ q.b[:, piv], -qa_h, zero],
-            [-eye, zero, zero, zero],
-            [zero, q.e[:, piv], zero, zero],
-        ]
-    )
-    wb = np.block(
-        [
-            [-eye, -q.c[:, piv], zero, zero],
-            [zero, -rp.qr_a.r, zero, zero],
-            [zero, zero, -eye, zero],
-            [zero, zero, zero, -eye],
-        ]
-    )
-    red.apply_structured(l, r, wa, wb)
-    red.steps.append(
-        DeflationStep(kind="triangularize", deflated=0, rank=rp.r_a,
-                      evidence=dict(rp.qr_a.truncation_log))
-    )
 
 
 def _step1_zero(red: _Reducer, q: QuarticPencil, rp: RankProfile):
@@ -518,12 +484,34 @@ def deflate(
         )
         return res
 
+    if rp.r_a == n and rp.r_e == n:
+        # nothing to deflate; BB is block lower triangular with diagonal
+        # (-A, -I, -I, -I) and AA, with its block columns permuted, is block
+        # upper triangular with diagonal (-I, -I, -I, E), so both are regular
+        # exactly when A and E are
+        full = lin.size
+        return DeflationResult(
+            pencil=lin,
+            p=np.eye(full, dtype=np.complex128),
+            q=np.eye(full, dtype=np.complex128),
+            zeros_deflated=0,
+            infs_deflated=0,
+            steps=[
+                DeflationStep(kind="regular", deflated=0, rank=rp.r_a,
+                              evidence=dict(rp.qr_a.truncation_log))
+            ],
+            work_a=lin.aa,
+            work_b=lin.bb,
+            size=full,
+            n=n,
+            a_regular=True,
+            b_regular=True,
+        )
+
     red = _Reducer(lin)
     nsteps = 0
 
-    if rp.r_a == n and rp.r_e == n:
-        _case_regular(red, q, rp)
-    elif rp.r_e < n and rp.r_a == n:
+    if rp.r_e < n and rp.r_a == n:
         _step1_zero(red, q, rp)
         if sl is None:
             sl = second_level(q, rp)
@@ -607,30 +595,21 @@ def staircase_step(p: LinearPencil, known_block=None, strategy=None):
 
     Column-compresses the constant term (its rank decided by ``strategy``
     unless ``known_block`` fixes the nullity), row-compresses the trailing
-    rows of the lambda term, and splits off the nilpotent block. Returns
-    ``(reduced_pencil, transforms, deflated)``.
+    rows of the lambda term, and splits off the nilpotent block; this is the
+    decision tree's own staircase layer. When the trailing block is rank
+    deficient the layer is flagged and deflates nothing. Returns
+    ``(reduced_pencil, transforms, deflated)``; with nothing deflated the
+    input pencil comes back with identity transforms.
     """
-    strategy = strategy or NormThreshold()
-    m = p.size
-    f = rrqr(p.aa, strategy)
-    rank = m - known_block if known_block is not None else f.rank
-    if rank >= m:
-        eye = np.eye(m, dtype=np.complex128)
-        return p, StepTransforms(u=eye, v=eye), 0
-    u = f.q
-    a1 = u.conj().T @ p.aa
-    b1 = u.conj().T @ p.bb
-    flags = []
-    cod = urv(b1[rank:, :], strategy)
-    if cod.rank < m - rank:
-        flags.append("trailing_rank_deficient")
-    a2 = a1 @ cod.v
-    b2 = b1 @ cod.v
-    a2[rank:, :] = 0.0
-    b2[rank:, :rank] = 0.0
+    red = _Reducer(p)
+    k = _generic_layer(red, "zero", strategy or NormThreshold(), known=known_block)
+    if k == 0:
+        eye = np.eye(p.size, dtype=np.complex128)
+        return p, StepTransforms(u=eye, v=eye, flags=red.flags), 0
+    m = red.m
     reduced = LinearPencil(
-        aa=a2[:rank, :rank].copy(),
-        bb=b2[:rank, :rank].copy(),
-        block_map={"kind": "staircase", "base": p.block_map, "size": rank},
+        aa=red.wa[:m, :m].copy(),
+        bb=red.wb[:m, :m].copy(),
+        block_map={"kind": "staircase", "base": p.block_map, "size": m},
     )
-    return reduced, StepTransforms(u=u, v=cod.v, flags=flags), m - rank
+    return reduced, StepTransforms(u=red.p.conj().T, v=red.q, flags=red.flags), k

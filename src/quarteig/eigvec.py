@@ -44,15 +44,14 @@ class RecoveryContext:
     q: QuarticPencil
     tri_hess: TriHessPair
     norms: diagnostics.CoefficientNorms
-    svd_e: SVDFactors | None = None
+    svd_e: SVDFactors | None = None  # computed by the first least-squares recovery
     lu_e: tuple | None = None
     _ls_cache: dict = field(default_factory=dict)
 
 
-def build_context(q: QuarticPencil, norms=None, want_svd_e=True) -> RecoveryContext:
+def build_context(q: QuarticPencil, norms=None) -> RecoveryContext:
     norms = norms or diagnostics.CoefficientNorms(q)
     pair = tri_hess_reduce(q.a, q.b)
-    svd_e = svd(q.e) if want_svd_e else None
     lu_e = None
     ne = np.linalg.norm(q.e)
     if ne > 0:
@@ -62,7 +61,7 @@ def build_context(q: QuarticPencil, norms=None, want_svd_e=True) -> RecoveryCont
         dmin = np.abs(np.diag(lu[0])).min() if q.n else 0.0
         if dmin > q.n * EPS * ne:
             lu_e = lu
-    return RecoveryContext(q=q, tri_hess=pair, norms=norms, svd_e=svd_e, lu_e=lu_e)
+    return RecoveryContext(q=q, tri_hess=pair, norms=norms, lu_e=lu_e)
 
 
 def _split(z, n):
@@ -225,10 +224,11 @@ def recover_left(w, eig: HomogeneousEig):
 def recover_right_ls(z, eig: HomogeneousEig, ctx: RecoveryContext, weight=1.0):
     """Least-squares recovery min || [lambda I; E] x - [z1; -z4] ||.
 
-    Solved through the precomputed SVD of E in O(n^2) per eigenvalue; the
-    second block acts as a regularizer with the given weight. For |lambda|>1
-    the system is scaled by 1/lambda to keep the stack balanced. For
-    lambda = 0 the stacked systems with B or D are used instead.
+    Solved through the SVD of E (computed on the first call and cached in
+    the context) in O(n^2) per eigenvalue; the second block acts as a
+    regularizer with the given weight. For |lambda|>1 the system is scaled
+    by 1/lambda to keep the stack balanced. For lambda = 0 the stacked
+    systems with B or D are used instead.
     """
     q = ctx.q
     n = q.n
@@ -248,7 +248,7 @@ def recover_right_ls(z, eig: HomogeneousEig, ctx: RecoveryContext, weight=1.0):
                 best = (x, res)
         return unit(best[0])
     if ctx.svd_e is None:
-        raise ValueError("least-squares recovery needs the SVD of E in the context")
+        ctx.svd_e = svd(q.e)
     u_e, sig, v_e = ctx.svd_e.u, ctx.svd_e.sigma, ctx.svd_e.v
     sig = np.concatenate([sig, np.zeros(n - len(sig))]) if len(sig) < n else sig
     t1 = v_e.conj().T @ z1
@@ -284,9 +284,8 @@ def lift_left(w_til, eig: HomogeneousEig, d: DeflationResult):
         raise ValueError(f"expected a {d.size}-vector, got {w_til.shape[0]}")
     if np.linalg.norm(w_til) == 0.0:
         raise ValueError("left eigenvector must be nonzero")
-    full = d.full_size
-    if d.size == full:
-        return unit(d.p_adj @ w_til)
+    if d.size == d.full_size:  # nothing deflated: identity transforms
+        return unit(w_til)
     x, y = d.coupling(eig.alpha, eig.beta)
     cond = np.linalg.cond(y)
     if not np.isfinite(cond) or cond > 1.0 / EPS:

@@ -24,6 +24,7 @@ from .errors import (
     MalformedMatrixError,
     MissingCoefficientError,
 )
+from .numkit import as_matrix
 from .pencil import QuarticPencil
 
 COEFF_NAMES = ("A", "B", "C", "D", "E")
@@ -50,7 +51,10 @@ def read_bundle(path) -> ProblemBundle:
             raise MalformedMatrixError(name, fp, str(exc)) from exc
         if sp.issparse(m):
             m = m.toarray()
-        mats.append(np.asarray(m))
+        try:
+            mats.append(as_matrix(m))
+        except ValueError as exc:
+            raise MalformedMatrixError(name, fp, str(exc)) from exc
     shapes = [m.shape for m in mats]
     n = shapes[0][0]
     if any(s != (n, n) for s in shapes):

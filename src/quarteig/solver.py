@@ -39,15 +39,12 @@ class SolveConfig:
     scale: bool = True
     balance: bool = True
     balance_iters: int = 5
-    balance_aggregate: str = "sum"
     rank_strategy: str = "norm"
     tol: float | None = None
     deflate: bool = True
     eigvec_mode: str = "min_residual"
     want_left: bool = True
     threads: int = 1
-    output: str | None = None
-    fmt: str = "json"
 
     def validate(self):
         if self.tol is not None and not (0.0 < self.tol < 1.0):
@@ -56,8 +53,6 @@ class SolveConfig:
             raise ValueError(f"unknown rank strategy {self.rank_strategy!r}")
         if self.eigvec_mode not in ("min_residual", "least_squares"):
             raise ValueError(f"unknown eigvec mode {self.eigvec_mode!r}")
-        if self.fmt not in ("json", "csv", "both"):
-            raise ValueError(f"unknown format {self.fmt!r}")
         if self.balance_iters < 0 or self.threads < 1:
             raise ValueError("balance_iters must be >= 0 and threads >= 1")
         return self
@@ -89,25 +84,21 @@ class SolveResult:
 def _lift_all(gs, d, eigs, flags):
     """Lift every backend eigenvector to the full linearization.
 
-    Right vectors go through one matrix product; left vectors need the
-    per-eigenvalue coupling solve when deflation occurred.
+    Without deflation (or when it deflated nothing, so the transforms are
+    the identity) the backend vectors are already full-size. Otherwise right
+    vectors go through one matrix product and left vectors need the
+    per-eigenvalue coupling solve.
     """
-    if d is None:
-        zfull = gs.right
-    else:
-        zfull = d.q[:, : d.size] @ gs.right
+    untransformed = d is None or d.size == d.full_size
+    zfull = gs.right if untransformed else d.q[:, : d.size] @ gs.right
     nrm = np.linalg.norm(zfull, axis=0)
     nrm[nrm == 0.0] = 1.0
     zfull = zfull / nrm[None, :]
     wfull = [None] * len(eigs)
     if gs.left is not None:
-        if d is None:
+        if untransformed:
             for i in range(len(eigs)):
                 wfull[i] = unit(gs.left[:, i])
-        elif d.size == d.full_size:
-            lifted = d.p_adj @ gs.left
-            for i in range(len(eigs)):
-                wfull[i] = unit(lifted[:, i])
         else:
             for i, eig in enumerate(eigs):
                 if eig.cls != EIG_FINITE:
@@ -174,7 +165,7 @@ def solve_pencil(q0: QuarticPencil, config: SolveConfig = SolveConfig(), name="p
     n = q0.n
 
     qb, rec_bal = (
-        scaling.balance(q0, config.balance_iters, config.balance_aggregate)
+        scaling.balance(q0, config.balance_iters)
         if config.balance
         else (q0, scaling.ScalingRecord())
     )

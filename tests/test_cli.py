@@ -53,6 +53,18 @@ class TestSolveCommand:
         assert rep["config"]["deflate"] is False
         assert len(rep["eigenpairs"]) == 36
 
+    def test_nonfinite_entry_is_bundle_error(self, unit_bundle, tmp_path, capsys):
+        (unit_bundle / "C.mtx").write_text("%%MatrixMarket matrix array real general\n1 1\nnan\n")
+        for argv in (
+            ["solve", str(unit_bundle)],
+            ["compare", str(unit_bundle), "--config", "scale=on",
+             "--config", "scale=off", "--output-dir", str(tmp_path / "cmp")],
+        ):
+            assert main(argv) == EXIT_BUNDLE
+            err = json.loads(capsys.readouterr().out)["error"]
+            assert err["type"] == "MalformedMatrixError"
+            assert "C" in err["message"]
+
     def test_missing_bundle_exit_code(self, tmp_path, capsys):
         code = main(["solve", str(tmp_path / "nope")])
         assert code == EXIT_BUNDLE
@@ -163,6 +175,17 @@ class TestCompareCommand:
         assert len(lines) == 1 + 16
         assert (outd / "graded_cfg0.json").exists()
         assert (outd / "graded_cfg1.json").exists()
+
+    def test_bad_onoff_value_usage_error(self, unit_bundle, tmp_path):
+        code = main(
+            [
+                "compare", str(unit_bundle),
+                "--config", "scale=maybe,deflate=yes",
+                "--config", "scale=on",
+                "--output-dir", str(tmp_path / "cmp"),
+            ]
+        )
+        assert code == EXIT_USAGE
 
     def test_unknown_config_key(self, unit_bundle):
         code = main(

@@ -146,7 +146,24 @@ class TestDeflateCases:
         lin, rp, sl, d = run_deflate(q)
         assert d.size == 4 * n
         assert d.zeros_deflated == 0 and d.infs_deflated == 0
-        assert np.array_equal(np.tril(d.pencil.bb, -1), np.zeros((4 * n, 4 * n)))
+        assert d.pencil is lin
+        assert np.array_equal(d.p, np.eye(4 * n)) and np.array_equal(d.q, np.eye(4 * n))
+        assert [s.kind for s in d.steps] == ["regular"]
+        assert d.a_regular and d.b_regular
+
+    def test_regular_solve_same_with_deflation_off(self):
+        from quarteig import SolveConfig, build_report, solve_pencil
+
+        rng = np.random.default_rng(27)
+        q = random_regular_quartic(rng, 5)
+        on = solve_pencil(q, SolveConfig(deflate=True))
+        off = solve_pencil(q, SolveConfig(deflate=False))
+        match_values([e.lam for e in on.solution.eigs],
+                     [e.lam for e in off.solution.eigs], 1e-10)
+        rep = build_report(on)["deflation"]
+        assert isinstance(rep, dict)
+        assert rep["zeros"] == rep["infinities"] == 0
+        assert rep["size"] == 4 * q.n
 
     def test_single_zero_spectral_union(self):
         rng = np.random.default_rng(5)
