@@ -34,7 +34,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DeflationError
-from .numkit import NormThreshold, PivotedQR, rrqr, urv
+from .numkit import NormThreshold, PivotedQR, TriHessPair, rrqr, tri_hess_reduce, urv
 from .pencil import LinearPencil, QuarticPencil, linearize, reverse
 
 
@@ -156,6 +156,17 @@ class DeflationStep:
 
 
 @dataclass
+class TrailingSchur:
+    """Generalized Schur form of the deflated trailing pencil plus the
+    coupling blocks multiplied by its right factor (see
+    :attr:`DeflationResult.trailing_schur`)."""
+
+    pair: TriHessPair
+    xa: np.ndarray
+    xb: np.ndarray
+
+
+@dataclass
 class DeflationResult:
     """Deflated regular pencil plus the accumulated equivalence transforms.
 
@@ -189,12 +200,24 @@ class DeflationResult:
             self._p_adj = self.p.conj().T.copy()
         return self._p_adj
 
-    def coupling(self, alpha, beta):
-        """Blocks X, Y of P(beta*AA - alpha*BB)Q for left-vector lifting."""
-        m = self.size
-        x = beta * self.work_a[:m, m:] - alpha * self.work_b[:m, m:]
-        y = beta * self.work_a[m:, m:] - alpha * self.work_b[m:, m:]
-        return x, y
+    @property
+    def trailing_schur(self):
+        """Cached generalized Schur form of the trailing (deflated) pencil.
+
+        ``pair`` reduces work_a[m:, m:] = q t z* and work_b[m:, m:] = q h z*
+        with t, h upper triangular; ``xa``, ``xb`` are the coupling blocks
+        work_a[:m, m:] z and work_b[:m, m:] z. Left-vector lifting uses them
+        for every eigenvalue.
+        """
+        if getattr(self, "_trailing_schur", None) is None:
+            m = self.size
+            pair = tri_hess_reduce(self.work_a[m:, m:], self.work_b[m:, m:])
+            self._trailing_schur = TrailingSchur(
+                pair=pair,
+                xa=self.work_a[:m, m:] @ pair.z,
+                xb=self.work_b[:m, m:] @ pair.z,
+            )
+        return self._trailing_schur
 
 
 class _Reducer:

@@ -5,12 +5,14 @@ related to the quartic eigenvector x by
 
     z = (lambda x, lambda^2 (lambda A + B) x, lambda (lambda A + B) x, -E x),
 
-so x can be recovered from z1, from (lambda A + B)^{-1} z2 or z3 (through an
-O(n^2) shifted Hessenberg solve), or from E^{-1} z4; all available candidates
-are evaluated and the one with the smallest backward error wins. A left
-eigenvector is w = (lambda^3 y, lambda^2 y, lambda y, y) and y is read off
-the best-scaled block. Vectors of the deflated pencil are lifted back to the
-full linearization with the accumulated transformations.
+so x can be recovered from z1, from (lambda A + B)^{-1} z2 or z3 (an O(n^2)
+triangular solve on the generalized Schur form of (A, B)), or from E^{-1} z4;
+all available candidates are evaluated and the one with the smallest
+backward error wins. A left eigenvector is w = (lambda^3 y, lambda^2 y,
+lambda y, y) and y is read off the best-scaled block. Vectors of the
+deflated pencil are lifted back to the full linearization with the
+accumulated transformations; left vectors also need one triangular solve on
+the generalized Schur form of the deflated trailing pencil.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .numkit import (
     TriHessPair,
     shifted_hess_solve,
     shifted_hess_solve_many,
+    singular_diag,
     svd,
     tri_hess_reduce,
     unit,
@@ -87,16 +90,14 @@ def recover_right(z, eig: HomogeneousEig, ctx: RecoveryContext, q=None):
     candidates = []
     if np.linalg.norm(z1) > 0:
         candidates.append(("z1", unit(z1)))
-    try:
-        # one Hessenberg elimination serves both shifted blocks
-        sols = shifted_hess_solve(ctx.tri_hess, lam, np.column_stack([z2, z3]))
-    except SingularShiftError:
-        sols = None
-    if sols is not None:
-        for name, x in (("z2_shifted", sols[:, 0]), ("z3_shifted", sols[:, 1])):
-            nx = np.linalg.norm(x)
-            if nx > 0 and np.all(np.isfinite(x)):
-                candidates.append((name, x / nx))
+    for name, blk in (("z2_shifted", z2), ("z3_shifted", z3)):
+        try:
+            x = shifted_hess_solve(ctx.tri_hess, lam, blk)
+        except SingularShiftError:
+            break  # the shift is the same for both blocks
+        nx = np.linalg.norm(x)
+        if nx > 0 and np.all(np.isfinite(x)):
+            candidates.append((name, x / nx))
     if ctx.lu_e is not None and np.linalg.norm(z4) > 0:
         x = sla.lu_solve(ctx.lu_e, -z4)
         nx = np.linalg.norm(x)
@@ -278,7 +279,14 @@ def lift_right(z_til, d: DeflationResult):
 
 
 def lift_left(w_til, eig: HomogeneousEig, d: DeflationResult):
-    """Lift a deflated-pencil left eigenvector through w2* Y = -w* X."""
+    """Lift a deflated-pencil left eigenvector through w2* Y = -w* X.
+
+    X and Y are the coupling and trailing blocks of P(beta*AA - alpha*BB)Q.
+    With the cached generalized Schur form Y = Qk (beta*Sa - alpha*Sb) Zk*
+    of the trailing pencil, w2 = Qk (beta*Sa - alpha*Sb)^{-*} Zk* (-X* w)
+    is one O(k^2) triangular solve; a numerically singular triangular
+    diagonal raises :class:`LiftError`.
+    """
     w_til = np.asarray(w_til).ravel()
     if w_til.shape[0] != d.size:
         raise ValueError(f"expected a {d.size}-vector, got {w_til.shape[0]}")
@@ -286,16 +294,19 @@ def lift_left(w_til, eig: HomogeneousEig, d: DeflationResult):
         raise ValueError("left eigenvector must be nonzero")
     if d.size == d.full_size:  # nothing deflated: identity transforms
         return unit(w_til)
-    x, y = d.coupling(eig.alpha, eig.beta)
-    cond = np.linalg.cond(y)
-    if not np.isfinite(cond) or cond > 1.0 / EPS:
+    alpha, beta = eig.alpha, eig.beta
+    ts = d.trailing_schur
+    y_tri = beta * ts.pair.t - alpha * ts.pair.h
+    if singular_diag(np.diagonal(y_tri)):
         raise LiftError(
-            f"trailing block is numerically singular (cond ~ {cond:.3e}); "
+            "trailing block is numerically singular at this eigenvalue; "
             "deflation did not produce the claimed structure"
         )
-    w2 = np.linalg.solve(y.conj().T, -(x.conj().T @ w_til))
-    w = np.concatenate([w_til, w2])
-    return unit(d.p_adj @ w)
+    # Zk* X* w = conj(beta) (Wa12 Zk)* w - conj(alpha) (Wb12 Zk)* w
+    wc = w_til.conj()
+    xw = np.conj(beta * (wc @ ts.xa) - alpha * (wc @ ts.xb))
+    w2 = ts.pair.q @ sla.solve_triangular(y_tri, -xw, trans="C", check_finite=False)
+    return unit(d.p_adj @ np.concatenate([w_til, w2]))
 
 
 def nullspace_vectors(rp: RankProfile, which, side="right"):

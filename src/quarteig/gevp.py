@@ -32,6 +32,8 @@ def solve_gevp(p: LinearPencil, want_left: bool = True) -> GevpSolution:
 
     Right vectors v satisfy (beta*aa - alpha*bb) v ~ 0, left vectors u
     satisfy u* (beta*aa - alpha*bb) ~ 0; all are normalized to unit 2-norm.
+    Raises :class:`GevpError` when QZ returns an exact (0, 0) pair, the mark
+    of a singular pencil.
     """
     aa = as_matrix(p.aa)
     bb = as_matrix(p.bb)
@@ -51,6 +53,13 @@ def solve_gevp(p: LinearPencil, want_left: bool = True) -> GevpSolution:
             vl = None
     except (sla.LinAlgError, np.linalg.LinAlgError) as exc:  # pragma: no cover
         raise GevpError(f"QZ backend failed: {exc}") from exc
+    null = np.flatnonzero((ab[0] == 0.0) & (ab[1] == 0.0))
+    if null.size:
+        raise GevpError(
+            f"the {m}x{m} pencil is singular: QZ returned {null.size} (0, 0) "
+            "eigenvalue pair(s), so det(beta*aa - alpha*bb) vanishes identically",
+            failing_index=int(null[0]),
+        )
     eigs = [classify_pair(ab[0, i], ab[1, i], m) for i in range(m)]
     vr = vr / np.linalg.norm(vr, axis=0, keepdims=True)
     if vl is not None:

@@ -2,9 +2,9 @@
 
 Everything downstream (rank analysis, deflation, eigenvector recovery) is
 built on the routines here: column-pivoted rank-revealing QR with pluggable
-truncation strategies, complete orthogonal (URV) decomposition, SVD, joint
-triangular/Hessenberg reduction of a matrix pair, and O(n^2) shifted
-Hessenberg solves.
+truncation strategies, complete orthogonal (URV) decomposition, SVD, the
+complex generalized Schur form of a matrix pair, and O(n^2) shifted
+triangular solves built on it.
 
 Matrices are plain ``numpy.ndarray``s promoted to complex128; inputs with
 NaN/Inf entries are rejected.
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import SingularShiftError
+from .errors import GevpError, SingularShiftError
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -288,7 +288,7 @@ def svd(m) -> SVDFactors:
 
 
 # ---------------------------------------------------------------------------
-# joint triangular / Hessenberg reduction and shifted solves
+# generalized Schur form and shifted solves
 # ---------------------------------------------------------------------------
 
 
@@ -296,8 +296,11 @@ def svd(m) -> SVDFactors:
 class TriHessPair:
     """Two-sided unitary reduction a = q t z*, b = q h z*.
 
-    ``t`` is upper triangular and ``h`` upper Hessenberg, so lambda*t + h is
-    Hessenberg and (lambda*a + b)^-1 v costs O(n^2) per shift.
+    ``t`` is upper triangular and ``h`` upper Hessenberg. The generalized
+    Schur form returned by :func:`tri_hess_reduce` makes ``h`` upper
+    triangular as well, which the shifted solves rely on: lambda*t + h is
+    then triangular and (lambda*a + b)^-1 v costs one O(n^2) back
+    substitution per shift.
     """
 
     q: np.ndarray
@@ -315,186 +318,80 @@ class TriHessPair:
         return self.t.shape[0]
 
 
-def _left_givens(f, g):
-    """2x2 unitary G with G @ [f, g]^T = [r, 0]^T."""
-    rho = np.hypot(abs(f), abs(g))
-    if rho == 0.0:
-        return np.eye(2, dtype=np.complex128)
-    return np.array([[np.conj(f), np.conj(g)], [-g, f]], dtype=np.complex128) / rho
-
-
-def _right_givens(f, g):
-    """2x2 unitary M with [f, g] @ M = [0, r]."""
-    rho = np.hypot(abs(f), abs(g))
-    if rho == 0.0:
-        return np.eye(2, dtype=np.complex128)
-    return np.array([[-g, np.conj(f)], [f, np.conj(g)]], dtype=np.complex128) / rho
-
-
 def tri_hess_reduce(a, b) -> TriHessPair:
-    """Reduce a pair to (upper triangular, upper Hessenberg) form.
+    """Complex generalized Schur form of a pair (LAPACK zgges).
 
-    Moler-Stewart style: QR of ``a`` first, then bottom-up Givens sweeps that
-    chase ``b`` to Hessenberg form while restoring the triangle of ``a``.
+    The QZ reduction of Moler and Stewart: a = q t z*, b = q h z* with
+    unitary q, z and both ``t`` and ``h`` upper triangular. A QZ iteration
+    that fails to converge raises :class:`GevpError`.
     """
-    t = as_matrix(a).copy()
-    h = as_matrix(b).copy()
+    t = as_matrix(a)
+    h = as_matrix(b)
     if t.shape != h.shape or t.shape[0] != t.shape[1]:
         raise ValueError(f"expected equal square matrices, got {t.shape} and {h.shape}")
     n = t.shape[0]
     if n <= 1:
         eye = np.eye(n, dtype=np.complex128)
-        return TriHessPair(q=eye, t=t, h=h, z=eye.copy())
-    q, t = sla.qr(t)
-    h = q.conj().T @ h
-    z = np.eye(n, dtype=np.complex128)
-    for j in range(n - 2):
-        for i in range(n - 1, j + 1, -1):
-            g = _left_givens(h[i - 1, j], h[i, j])
-            h[[i - 1, i], j:] = g @ h[[i - 1, i], j:]
-            h[i, j] = 0.0
-            t[[i - 1, i], i - 1 :] = g @ t[[i - 1, i], i - 1 :]
-            q[:, [i - 1, i]] = q[:, [i - 1, i]] @ g.conj().T
-            g2 = _right_givens(t[i, i - 1], t[i, i])
-            t[: i + 1, [i - 1, i]] = t[: i + 1, [i - 1, i]] @ g2
-            t[i, i - 1] = 0.0
-            h[:, [i - 1, i]] = h[:, [i - 1, i]] @ g2
-            z[:, [i - 1, i]] = z[:, [i - 1, i]] @ g2
-    return TriHessPair(q=q, t=np.triu(t), h=h, z=z)
+        return TriHessPair(q=eye, t=t.copy(), h=h.copy(), z=eye.copy())
+    try:
+        t, h, q, z = sla.qz(t, h, output="complex", check_finite=False)
+    except sla.LinAlgError as exc:  # pragma: no cover
+        raise GevpError(f"generalized Schur reduction failed: {exc}") from exc
+    return TriHessPair(q=q, t=t, h=h, z=z)
 
 
-def hessenberg_solve(m, rhs, count_ops=False):
-    """Solve an upper-Hessenberg system by one-subdiagonal elimination.
+def singular_diag(d):
+    """Mask of triangular systems that are numerically singular.
 
-    ``rhs`` may hold several right-hand sides as columns (the elimination is
-    shared). Returns the solution, or ``(solution, ops)`` with a per-column
-    multiply-add count when ``count_ops`` is set. Raises
-    :class:`SingularShiftError` when the eliminated diagonal indicates
-    (near-)singularity.
+    ``d`` holds the diagonals along its last axis; a system counts as
+    singular when its smallest diagonal entry is zero or the ratio of the
+    largest to the smallest reaches 1/eps.
     """
-    u = as_matrix(m).copy()
-    rhs = np.asarray(rhs)
-    single = rhs.ndim == 1
-    b = rhs.reshape(-1, 1).astype(np.complex128) if single else rhs.astype(np.complex128)
-    b = b.copy()
-    n = u.shape[0]
-    if u.shape[1] != n or b.shape[0] != n:
-        raise ValueError("hessenberg_solve expects a square system")
-    ops = 0
-    for k in range(n - 1):
-        if abs(u[k + 1, k]) > abs(u[k, k]):
-            u[[k, k + 1], k:] = u[[k + 1, k], k:]
-            b[[k, k + 1]] = b[[k + 1, k]]
-        if u[k, k] == 0.0:
-            raise SingularShiftError("exactly singular shifted system", np.inf)
-        f = u[k + 1, k] / u[k, k]
-        u[k + 1, k:] -= f * u[k, k:]
-        u[k + 1, k] = 0.0
-        b[k + 1] -= f * b[k]
-        ops += 2 * (n - k) + 2
-    d = np.abs(np.diag(u))
-    if n:
-        dmin, dmax = d.min(), d.max()
-        cond_est = np.inf if dmin == 0.0 else dmax / dmin
-        if cond_est >= 1.0 / EPS:
-            raise SingularShiftError(
-                f"shifted system condition estimate {cond_est:.3e} exceeds 1/eps",
-                cond_est,
-            )
-        x = sla.solve_triangular(u, b)
-    else:
-        x = b
-    ops += n * (n + 1)  # back substitution
-    x = x[:, 0] if single else x
-    if count_ops:
-        return x, ops
-    return x
-
-
-def shifted_hess_solve(pair: TriHessPair, lam, v, count_ops=False):
-    """Evaluate (lambda*a + b)^-1 v through the reduced pair.
-
-    ``v`` may hold several columns. Cost per shift is O(n^2): two dense
-    mat-vecs with the unitary factors and one Hessenberg elimination.
-    """
-    v = np.asarray(v)
-    w = pair.qh @ (v.astype(np.complex128, copy=False))
-    m = lam * pair.t + pair.h
-    if count_ops:
-        y, ops = hessenberg_solve(m, w, count_ops=True)
-        return pair.z @ y, ops
-    return pair.z @ hessenberg_solve(m, w)
-
-
-def hessenberg_solve_many(t, h, lams, rhs, chunk=48):
-    """Solve (lam_j t + h) x_j = rhs_j for a batch of shifts.
-
-    Same elimination as :func:`hessenberg_solve` but vectorized across the
-    shift index in chunks, which keeps the per-shift cost quadratic while
-    amortizing the interpreter overhead of the row sweeps. ``rhs`` has shape
-    (j, n, r). Returns ``(x, ok)`` where ``ok[j]`` is False for shifts whose
-    eliminated diagonal fails the 1/eps condition estimate (those columns of
-    ``x`` are not meaningful).
-    """
-    t = np.asarray(t)
-    h = np.asarray(h)
-    lams = np.asarray(lams, dtype=np.complex128)
-    rhs = np.asarray(rhs, dtype=np.complex128)
-    nj, n, nr = rhs.shape
-    if lams.shape[0] != nj or t.shape != (n, n) or h.shape != (n, n):
-        raise ValueError("inconsistent batch shapes")
-    x = np.empty_like(rhs)
-    ok = np.ones(nj, dtype=bool)
-    for s in range(0, nj, chunk):
-        sl = slice(s, min(s + chunk, nj))
-        u = lams[sl, None, None] * t[None, :, :] + h[None, :, :]
-        b = rhs[sl].copy()
-        okc = ok[sl]
-        for k in range(n - 1):
-            swap = np.abs(u[:, k + 1, k]) > np.abs(u[:, k, k])
-            if swap.any():
-                idx = np.nonzero(swap)[0]
-                tmp = u[idx, k, k:].copy()
-                u[idx, k, k:] = u[idx, k + 1, k:]
-                u[idx, k + 1, k:] = tmp
-                tmpb = b[idx, k, :].copy()
-                b[idx, k, :] = b[idx, k + 1, :]
-                b[idx, k + 1, :] = tmpb
-            piv = u[:, k, k]
-            bad = piv == 0.0
-            if bad.any():
-                okc[bad] = False
-                piv = np.where(bad, 1.0, piv)
-            f = u[:, k + 1, k] / piv
-            u[:, k + 1, k:] -= f[:, None] * u[:, k, k:]
-            u[:, k + 1, k] = 0.0
-            b[:, k + 1, :] -= f[:, None] * b[:, k, :]
-        diag = np.abs(np.diagonal(u, axis1=1, axis2=2))
-        dmin = diag.min(axis=1)
-        dmax = diag.max(axis=1)
-        okc[(dmin == 0.0) | (dmax >= dmin / EPS)] = False
-        xc = np.empty_like(b)
-        for k in range(n - 1, -1, -1):
-            if k + 1 < n:
-                acc = np.einsum("ci,cir->cr", u[:, k, k + 1 :], xc[:, k + 1 :, :])
-            else:
-                acc = 0.0
-            denom = u[:, k, k]
-            denom = np.where(denom == 0.0, 1.0, denom)
-            xc[:, k, :] = (b[:, k, :] - acc) / denom[:, None]
-        x[sl] = xc
-    return x, ok
+    d = np.abs(d)
+    dmin = d.min(axis=-1, initial=np.inf)
+    dmax = d.max(axis=-1, initial=0.0)
+    return (dmin == 0.0) | (dmax >= dmin / EPS)
 
 
 def shifted_hess_solve_many(pair: TriHessPair, lams, vs):
     """Batched (lam_j a + b)^-1 v_j for stacked right-hand sides.
 
-    ``vs`` has shape (j, n, r); returns ``(x, ok)`` like
-    :func:`hessenberg_solve_many` with the unitary factors applied.
+    ``vs`` has shape (j, n, r) and ``pair`` is the triangular form from
+    :func:`tri_hess_reduce`, so every shift is one O(n^2) back
+    substitution, run for all shifts and columns at once.
+    Returns ``(x, ok)`` where ``ok[j]`` is False for shifts whose diagonal
+    fails :func:`singular_diag` (those entries of ``x`` are not meaningful).
     """
+    lams = np.asarray(lams, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
     nj, n, nr = vs.shape
-    w = np.einsum("pq,jqr->jpr", pair.qh, vs)
-    y, ok = hessenberg_solve_many(pair.t, pair.h, lams, w)
-    x = np.einsum("pq,jqr->jpr", pair.z, y)
+    t, h = pair.t, pair.h
+    if lams.shape != (nj,) or t.shape != (n, n) or h.shape != (n, n):
+        raise ValueError("inconsistent batch shapes")
+    diag = np.diagonal(t)[None, :] * lams[:, None] + np.diagonal(h)[None, :]
+    ok = ~singular_diag(diag)
+    # columns are (shift, rhs) pairs: back substitution row by row
+    lam_cols = np.repeat(lams, nr)
+    diag_cols = np.repeat(np.where(diag == 0.0, 1.0, diag).T, nr, axis=1)
+    y = pair.qh @ vs.transpose(1, 0, 2).reshape(n, nj * nr)
+    for k in range(n - 1, -1, -1):
+        if k + 1 < n:
+            th = np.stack([t[k, k + 1 :], h[k, k + 1 :]]) @ y[k + 1 :]
+            y[k] -= lam_cols * th[0] + th[1]
+        y[k] /= diag_cols[k]
+    x = (pair.z @ y).reshape(n, nj, nr).transpose(1, 0, 2)
     return x, ok
+
+
+def shifted_hess_solve(pair: TriHessPair, lam, v):
+    """Evaluate (lambda*a + b)^-1 v through the reduced pair.
+
+    ``v`` may hold several columns. A one-shift call of
+    :func:`shifted_hess_solve_many`; raises :class:`SingularShiftError` when
+    the shifted system is numerically singular.
+    """
+    v = np.asarray(v)
+    x, ok = shifted_hess_solve_many(pair, [lam], v.reshape(1, v.shape[0], -1))
+    if not ok[0]:
+        raise SingularShiftError("shifted system is numerically singular")
+    return x[0].reshape(v.shape)

@@ -39,6 +39,16 @@ def random_regular_quartic(rng, n, cond=10.0):
     )
 
 
+def singular_quartic(rng, n=6, col=2):
+    """Dense coefficients sharing one exactly zero column: det P(lambda) == 0."""
+    from quarteig import QuarticPencil
+
+    mats = [rand_complex(rng, (n, n)) for _ in range(5)]
+    for m in mats:
+        m[:, col] = 0.0
+    return QuarticPencil.from_matrices(*mats)
+
+
 def det_poly_coeffs(mats):
     """Coefficients (ascending powers) of det(sum_k z^k M_k).
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from quarteig import ProblemBundle, QuarticPencil, gen_mirror_like, write_bundle
-from quarteig.cli import EXIT_BUNDLE, EXIT_OK, EXIT_USAGE, main
+from quarteig.cli import EXIT_BUNDLE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
 @pytest.fixture
@@ -64,6 +64,20 @@ class TestSolveCommand:
             err = json.loads(capsys.readouterr().out)["error"]
             assert err["type"] == "MalformedMatrixError"
             assert "C" in err["message"]
+
+    def test_singular_quartic_deflate_off_numerical_error(self, tmp_path, capsys):
+        import numpy as np
+        from oracles import singular_quartic
+
+        p = tmp_path / "singular"
+        write_bundle(ProblemBundle(name="singular",
+                                   pencil=singular_quartic(np.random.default_rng(61))), p)
+        code = main(["solve", str(p), "--deflate", "off"])
+        assert code == EXIT_NUMERICAL
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == EXIT_NUMERICAL
+        assert err["type"] == "GevpError"
+        assert "singular" in err["message"]
 
     def test_missing_bundle_exit_code(self, tmp_path, capsys):
         code = main(["solve", str(tmp_path / "nope")])

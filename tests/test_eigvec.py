@@ -289,6 +289,49 @@ class TestLift:
         with pytest.raises(ValueError):
             lift_left(np.zeros(d.size), from_lambda(1.0), d)
 
+    @pytest.mark.parametrize("kind", ["planted", "mirror"])
+    def test_matches_dense_coupling_solve(self, kind):
+        from quarteig import gen_mirror_like, gen_planted
+
+        b = gen_planted(6, 2, 1, seed=40) if kind == "planted" else gen_mirror_like(1)
+        q = b.pencil
+        rp = analyze_ranks(q)
+        d = deflate(linearize(q), q, rp, second_level(q, rp))
+        m = d.size
+        assert m < d.full_size
+        gs = solve_gevp(d.pencil)
+        checked = 0
+        for i, e in enumerate(gs.eigs):
+            if e.cls != EIG_FINITE:
+                continue
+            w_til = gs.left[:, i]
+            x = e.beta * d.work_a[:m, m:] - e.alpha * d.work_b[:m, m:]
+            y = e.beta * d.work_a[m:, m:] - e.alpha * d.work_b[m:, m:]
+            w2 = np.linalg.solve(y.conj().T, -x.conj().T @ w_til)
+            ref = unit(d.p.conj().T @ np.concatenate([w_til, w2]))
+            w = lift_left(w_til, e, d)
+            assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
+            checked += 1
+        assert checked > 0
+
+    def test_singular_trailing_pencil_raises(self):
+        import dataclasses
+
+        from quarteig.errors import LiftError
+
+        q, lin, d = self._planted()
+        m = d.size
+        wa = d.work_a.copy()
+        wb = d.work_b.copy()
+        # a shared zero column makes beta*Wa22 - alpha*Wb22 exactly singular
+        wa[m:, m] = 0.0
+        wb[m:, m] = 0.0
+        broken = dataclasses.replace(d, work_a=wa, work_b=wb)
+        gs = solve_gevp(d.pencil)
+        i = next(i for i, e in enumerate(gs.eigs) if e.cls == EIG_FINITE)
+        with pytest.raises(LiftError):
+            lift_left(gs.left[:, i], gs.eigs[i], broken)
+
 
 class TestNullspaceVectors:
     def test_exact_zero_columns(self):

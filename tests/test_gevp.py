@@ -5,7 +5,7 @@ from quarteig import solve_gevp
 from quarteig.errors import GevpError
 from quarteig.numkit import EPS
 from quarteig.pencil import EIG_FINITE, EIG_INFINITE, LinearPencil
-from oracles import haar_unitary, match_values, pencil_det_roots, rand_complex
+from oracles import haar_unitary, match_values, pencil_det_roots, rand_complex, singular_quartic
 
 
 def residuals(p, gs):
@@ -90,3 +90,10 @@ class TestSolveGevp:
     def test_backend_id_present(self):
         p = LinearPencil(aa=np.eye(2, dtype=complex), bb=np.eye(2, dtype=complex))
         assert "scipy" in solve_gevp(p).backend_id
+
+    def test_singular_quartic_undeflated_is_typed_error(self):
+        from quarteig import SolveConfig, solve_pencil
+
+        q = singular_quartic(np.random.default_rng(60))
+        with pytest.raises(GevpError, match="singular"):
+            solve_pencil(q, SolveConfig(deflate=False))
