@@ -46,12 +46,15 @@ def _onoff(value):
     raise argparse.ArgumentTypeError(f"expected 'on' or 'off', got {value!r}")
 
 
-def _threads_default():
+def _threads_from_env():
+    """QUARTEIG_THREADS as an integer, 1 when unset; SolveConfig checks the range."""
     env = os.environ.get("QUARTEIG_THREADS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
+    if not env:
         return 1
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"QUARTEIG_THREADS must be an integer, got {env!r}") from None
 
 
 def build_parser():
@@ -60,7 +63,8 @@ def build_parser():
 
     def add_common(sp):
         sp.add_argument("bundle", help="problem bundle directory (A.mtx .. E.mtx)")
-        sp.add_argument("--threads", type=int, default=_threads_default())
+        sp.add_argument("--threads", type=int, default=None,
+                        help="BLAS threads during the solve (default: QUARTEIG_THREADS or 1)")
 
     sp = sub.add_parser("solve", help="solve one problem bundle")
     add_common(sp)
@@ -90,7 +94,7 @@ def build_parser():
     return p
 
 
-def _parse_config(spec: str) -> SolveConfig:
+def _parse_config(spec: str, threads: int) -> SolveConfig:
     kwargs = {}
     if spec:
         for item in spec.split(","):
@@ -110,7 +114,7 @@ def _parse_config(spec: str) -> SolveConfig:
                 kwargs[key] = float(val)
             else:
                 kwargs[key] = val
-    return SolveConfig(**kwargs).validate()
+    return SolveConfig(threads=threads, **kwargs).validate()
 
 
 def _fail(code, kind, message):
@@ -187,7 +191,7 @@ def _cmd_compare(args):
     if len(args.config) < 2:
         return _fail(EXIT_USAGE, "usage", "compare requires at least two --config entries")
     try:
-        configs = [_parse_config(spec) for spec in args.config]
+        configs = [_parse_config(spec, args.threads) for spec in args.config]
     except (ValueError, argparse.ArgumentTypeError) as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))
     try:
@@ -225,6 +229,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
+    if args.threads is None:
+        try:
+            args.threads = _threads_from_env()
+        except ValueError as exc:
+            return _fail(EXIT_USAGE, "usage", str(exc))
     if args.command == "solve":
         return _cmd_solve(args)
     if args.command == "compare":

@@ -4,7 +4,8 @@ Everything downstream (rank analysis, deflation, eigenvector recovery) is
 built on the routines here: column-pivoted rank-revealing QR with pluggable
 truncation strategies, complete orthogonal (URV) decomposition, SVD, the
 complex generalized Schur form of a matrix pair, and O(n^2) shifted
-triangular solves built on it.
+triangular solves built on it. This module is also the one place that sets
+the BLAS thread count (:func:`blas_threads`).
 
 Matrices are plain ``numpy.ndarray``s promoted to complex128; inputs with
 NaN/Inf entries are rejected.
@@ -12,6 +13,9 @@ NaN/Inf entries are rejected.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -395,3 +399,65 @@ def shifted_hess_solve(pair: TriHessPair, lam, v):
     if not ok[0]:
         raise SingularShiftError("shifted system is numerically singular")
     return x[0].reshape(v.shape)
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread count
+# ---------------------------------------------------------------------------
+
+# (get, set) symbol names, first match per library: numpy's 64-bit-integer
+# build, scipy's build, then a plain OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def openblas_controls():
+    """(get, set) thread-count functions of every OpenBLAS in the process.
+
+    numpy and scipy may each load their own copy. Found on first use from
+    the shared objects mapped into the process; empty where none is found
+    (another BLAS, or no ``/proc``).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(p for p in paths if ".so" in p):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def blas_threads(k):
+    """Run the block with every loaded OpenBLAS at ``k`` threads.
+
+    Each library's previous count is put back on exit, also when the block
+    raises. The count is process-wide: other Python threads see it too.
+    Yields False when no OpenBLAS could be controlled (nothing is changed).
+    """
+    controls = openblas_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(k)
+    try:
+        yield bool(controls)
+    finally:
+        for (_, put), n in zip(controls, saved):
+            put(n)

@@ -139,6 +139,14 @@ class TestSolveCommand:
         rep = json.loads(out.read_text())
         assert rep["meta"]["threads"] == 3
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_threads_env_usage_error(self, unit_bundle, monkeypatch, capsys, value):
+        monkeypatch.setenv("QUARTEIG_THREADS", value)
+        assert main(["solve", str(unit_bundle)]) == EXIT_USAGE
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == EXIT_USAGE
+        assert err["type"] == "usage"
+
 
 class TestCompareCommand:
     def test_identical_configs_identical_columns(self, unit_bundle, tmp_path):
@@ -161,6 +169,21 @@ class TestCompareCommand:
         ncols = (len(header) - 1) // 2
         for cells in rows[1:]:
             assert cells[1 : 1 + ncols] == cells[1 + ncols : 1 + 2 * ncols]
+
+    def test_threads_reach_every_config(self, unit_bundle, tmp_path):
+        outd = tmp_path / "cmp"
+        code = main(
+            [
+                "compare", str(unit_bundle), "--threads", "2",
+                "--config", "scale=on",
+                "--config", "scale=off",
+                "--output-dir", str(outd),
+            ]
+        )
+        assert code == EXIT_OK
+        for k in (0, 1):
+            rep = json.loads((outd / f"unit_cfg{k}.json").read_text())
+            assert rep["meta"]["threads"] == 2
 
     def test_single_config_usage_error(self, unit_bundle, capsys):
         code = main(
