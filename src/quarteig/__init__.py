@@ -13,18 +13,15 @@ from .deflate import (
     analyze_ranks,
     deflate,
     second_level,
-    staircase_step,
 )
-from .diagnostics import PairDiagnostics, SummaryReport, eta, omega, omega_left, summarize
+from .diagnostics import PairDiagnostics, SummaryReport, summarize
 from .gevp import GevpSolution, solve_gevp
 from .pencil import (
     EigenSolution,
     HomogeneousEig,
     LinearPencil,
-    QuadPencil,
     QuarticPencil,
     linearize,
-    quadratify,
     reverse,
 )
 from .probio import (
@@ -50,7 +47,6 @@ __all__ = [
     "LinearPencil",
     "PairDiagnostics",
     "ProblemBundle",
-    "QuadPencil",
     "QuarticPencil",
     "RankProfile",
     "ScalingRecord",
@@ -63,23 +59,18 @@ __all__ = [
     "build_report",
     "deflate",
     "descale",
-    "eta",
     "gen_jordan_chain",
     "gen_mirror_like",
     "gen_planted",
     "grade_rows",
     "linearize",
-    "omega",
-    "omega_left",
     "param_scale",
-    "quadratify",
     "read_bundle",
     "reverse",
     "second_level",
     "solve_bundle",
     "solve_gevp",
     "solve_pencil",
-    "staircase_step",
     "summarize",
     "write_bundle",
     "write_report",

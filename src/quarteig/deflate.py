@@ -8,11 +8,12 @@ coefficients A and E:
   its own QR of the lambda coefficient, so a triangularization here would be
   repeated work.
 * exactly one singular: a structured transformation exposes n - r_E zero
-  rows built from the factors of E (the reversed problem is processed when A
-  is the singular one); a second-level matrix Psi = [Q_E2* D; R_E Pi_E^T]
-  decides whether another zero block exists, in which case a permutation,
-  a second rank-revealing factorization and a complete orthogonal
-  decomposition deflate it. Longer chains continue generically.
+  rows built from the factors of E (a quartic with only A singular is
+  reversed by the caller first); a second-level matrix
+  Psi = [Q_E2* D; R_E Pi_E^T] decides whether another zero block exists, in
+  which case a permutation, a second rank-revealing factorization and a
+  complete orthogonal decomposition deflate it. Longer chains continue
+  generically.
 * both singular: with the second-level matrices Phi and Psi both regular, a
   single structured transformation followed by one column compression
   removes the zero and the infinite block in one pass; otherwise zeros are
@@ -35,7 +36,7 @@ import scipy.linalg as sla
 
 from .errors import DeflationError
 from .numkit import NormThreshold, PivotedQR, TriHessPair, rrqr, tri_hess_reduce, urv
-from .pencil import LinearPencil, QuarticPencil, linearize, reverse
+from .pencil import LinearPencil, QuarticPencil
 
 
 @dataclass
@@ -45,7 +46,6 @@ class RankProfile:
     qr_a: PivotedQR
     qr_e: PivotedQR
     strategy: object
-    source: QuarticPencil | None = None
 
     @property
     def r_a(self):
@@ -59,32 +59,9 @@ class RankProfile:
     def n(self):
         return self.qr_a.rows
 
-    def swapped(self, source=None):
+    def swapped(self):
         """Profile of the reversed problem (A and E trade places)."""
-        return RankProfile(
-            qr_a=self.qr_e, qr_e=self.qr_a, strategy=self.strategy, source=source
-        )
-
-    def structured_m(self):
-        """Structure-preserving factors of M = [[A, 0], [C, I]]."""
-        q = self.source
-        n = self.n
-        eye = np.eye(n, dtype=np.complex128)
-        zero = np.zeros((n, n), dtype=np.complex128)
-        q_m = np.block([[zero, self.qr_a.q], [eye, zero]])
-        pi_m = np.block([[zero, self.qr_a.perm_matrix()], [eye, zero]])
-        r_m = np.block([[eye, q.c[:, self.qr_a.perm]], [zero, self.qr_a.r]])
-        return q_m, pi_m, r_m
-
-    def structured_k(self):
-        """Structure-preserving factors of K = [[0, -I], [E, 0]]."""
-        n = self.n
-        eye = np.eye(n, dtype=np.complex128)
-        zero = np.zeros((n, n), dtype=np.complex128)
-        q_k = np.block([[eye, zero], [zero, self.qr_e.q]])
-        pi_k = np.block([[zero, self.qr_e.perm_matrix()], [eye, zero]])
-        r_k = np.block([[-eye, zero], [zero, self.qr_e.r]])
-        return q_k, pi_k, r_k
+        return RankProfile(qr_a=self.qr_e, qr_e=self.qr_a, strategy=self.strategy)
 
 
 def analyze_ranks(q: QuarticPencil, strategy=None) -> RankProfile:
@@ -94,7 +71,6 @@ def analyze_ranks(q: QuarticPencil, strategy=None) -> RankProfile:
         qr_a=rrqr(q.a, strategy),
         qr_e=rrqr(q.e, strategy),
         strategy=strategy,
-        source=q,
     )
 
 
@@ -373,7 +349,7 @@ def _case_both_full(red: _Reducer, q: QuarticPencil, rp: RankProfile):
     n = q.n
     eye, zero = _blocks(n)
     qa_h = rp.qr_a.q.conj().T
-    q_m = rp.structured_m()[0]
+    q_m = np.block([[zero, rp.qr_a.q], [eye, zero]])
     q_k = np.block([[eye, zero], [zero, rp.qr_e.q]])
     l = sla.block_diag(q_m.conj().T, q_k.conj().T)
     r = sla.block_diag(np.eye(2 * n, dtype=np.complex128), q_k)
@@ -476,36 +452,24 @@ def deflate(
     sl: SecondLevel | None = None,
     *,
     strategy=None,
-    max_steps=None,
 ) -> DeflationResult:
-    """Run the full deflation decision tree on the 4n linearization."""
+    """Run the full deflation decision tree on the 4n linearization.
+
+    A quartic with only A singular is deflated through its reversal, whose
+    E is the singular one (:func:`solve_pencil` reverses such problems), so
+    that profile raises :class:`DeflationError` here.
+    """
     n = q.n
     if lin.size != 4 * n:
         raise DeflationError(f"linearization size {lin.size} != 4n = {4 * n}")
     _check_consistent(q, rp)
     strategy = strategy or rp.strategy
-    max_steps = max_steps if max_steps is not None else 4 * n
 
     if rp.r_a < n and rp.r_e == n:
-        # only A singular: process the reversed problem, single code path
-        q_rev = reverse(q)
-        res = deflate(
-            linearize(q_rev),
-            q_rev,
-            rp.swapped(source=q_rev),
-            None,
-            strategy=strategy,
-            max_steps=max_steps,
+        raise DeflationError(
+            "only A is singular: reverse the quartic first and deflate the "
+            "reversed problem, whose E is the singular coefficient"
         )
-        res.reversed = True
-        res.zeros_deflated, res.infs_deflated = (
-            res.infs_deflated,
-            res.zeros_deflated,
-        )
-        res.steps.insert(
-            0, DeflationStep(kind="reversed_problem", deflated=0, evidence={})
-        )
-        return res
 
     if rp.r_a == n and rp.r_e == n:
         # nothing to deflate; BB is block lower triangular with diagonal
@@ -531,36 +495,18 @@ def deflate(
             b_regular=True,
         )
 
+    if sl is None:
+        sl = second_level(q, rp)
     red = _Reducer(lin)
-    nsteps = 0
-
-    if rp.r_e < n and rp.r_a == n:
+    if rp.r_a < n and sl.r_phi == n and sl.r_psi == n:
+        _case_both_full(red, q, rp)
+    else:
         _step1_zero(red, q, rp)
-        if sl is None:
-            sl = second_level(q, rp)
         if sl.r_psi < n:
             _step2_zero(red, q, rp, sl)
-            while nsteps < max_steps:
-                nsteps += 1
-                if _generic_layer(red, "zero", strategy) == 0:
-                    break
-            else:
-                red.flags.append("staircase_budget_exceeded")
-    else:
-        if sl is None:
-            sl = second_level(q, rp)
-        if sl.r_phi == n and sl.r_psi == n:
-            _case_both_full(red, q, rp)
-        else:
-            _step1_zero(red, q, rp)
-            if sl.r_psi < n:
-                _step2_zero(red, q, rp, sl)
-                while nsteps < max_steps:
-                    nsteps += 1
-                    if _generic_layer(red, "zero", strategy) == 0:
-                        break
-                else:
-                    red.flags.append("staircase_budget_exceeded")
+            while _generic_layer(red, "zero", strategy):
+                pass
+        if rp.r_a < n:
             # infinite chain on the reversed pencil; the first block sizes
             # are known from the ranks of A and Phi
             _generic_layer(red, "inf", strategy, known=n - rp.r_a,
@@ -568,12 +514,8 @@ def deflate(
             if sl.r_phi < n:
                 _generic_layer(red, "inf", strategy, known=n - sl.r_phi,
                                kind="inf_block_2")
-                while nsteps < max_steps:
-                    nsteps += 1
-                    if _generic_layer(red, "inf", strategy) == 0:
-                        break
-                else:
-                    red.flags.append("staircase_budget_exceeded")
+                while _generic_layer(red, "inf", strategy):
+                    pass
 
     m = red.m
     fa = rrqr(red.wa[:m, :m], strategy)
@@ -584,11 +526,7 @@ def deflate(
         red.flags.append("deflated_pencil_bb_rank_deficient")
     if not a_regular and (red.zeros or red.infs):
         red.flags.append("deflated_pencil_aa_rank_deficient")
-    pencil = LinearPencil(
-        aa=red.wa[:m, :m].copy(),
-        bb=red.wb[:m, :m].copy(),
-        block_map={"kind": "deflated", "base": lin.block_map, "size": m},
-    )
+    pencil = LinearPencil(aa=red.wa[:m, :m].copy(), bb=red.wb[:m, :m].copy())
     return DeflationResult(
         pencil=pencil,
         p=red.p,
@@ -605,34 +543,3 @@ def deflate(
         flags=red.flags,
     )
 
-
-@dataclass
-class StepTransforms:
-    u: np.ndarray
-    v: np.ndarray
-    flags: list = field(default_factory=list)
-
-
-def staircase_step(p: LinearPencil, known_block=None, strategy=None):
-    """One generic reduction layer toward the upper triangular Kronecker form.
-
-    Column-compresses the constant term (its rank decided by ``strategy``
-    unless ``known_block`` fixes the nullity), row-compresses the trailing
-    rows of the lambda term, and splits off the nilpotent block; this is the
-    decision tree's own staircase layer. When the trailing block is rank
-    deficient the layer is flagged and deflates nothing. Returns
-    ``(reduced_pencil, transforms, deflated)``; with nothing deflated the
-    input pencil comes back with identity transforms.
-    """
-    red = _Reducer(p)
-    k = _generic_layer(red, "zero", strategy or NormThreshold(), known=known_block)
-    if k == 0:
-        eye = np.eye(p.size, dtype=np.complex128)
-        return p, StepTransforms(u=eye, v=eye, flags=red.flags), 0
-    m = red.m
-    reduced = LinearPencil(
-        aa=red.wa[:m, :m].copy(),
-        bb=red.wb[:m, :m].copy(),
-        block_map={"kind": "staircase", "base": p.block_map, "size": m},
-    )
-    return reduced, StepTransforms(u=red.p.conj().T, v=red.q, flags=red.flags), k

@@ -9,6 +9,8 @@ with spectral norms of the coefficients, and eta(inf, x) = ||Ax||/(||A|| ||x||).
 Both are evaluated in homogeneous (alpha, beta) form so no power of lambda is
 ever formed explicitly. The component-wise error omega uses row-wise
 absolute-value weights instead and is defined for finite eigenvalues only.
+Left eigenpairs use y* P(lambda) in the same way. :func:`diagnostics_many`
+evaluates all four errors for a whole solution at once.
 """
 
 from __future__ import annotations
@@ -25,46 +27,13 @@ from .pencil import (
     QuarticPencil,
 )
 
-_SVD_NORM_LIMIT = 512
-
-
-def spectral_norm(m, tol=1e-6, max_iter=500):
-    """Largest singular value; SVD up to 512, power iteration above."""
-    m = np.asarray(m)
-    if m.size == 0:
-        return 0.0, "empty"
-    if max(m.shape) <= _SVD_NORM_LIMIT:
-        return float(np.linalg.norm(m, 2)), "svd"
-    rng = np.random.default_rng(m.shape[0] * 7919 + m.shape[1])
-    v = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        u = m.conj().T @ w
-        sig = np.linalg.norm(w)
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return 0.0, "power"
-        v = u / nu
-        if abs(sig - prev) <= tol * max(sig, 1e-300):
-            return float(sig), "power"
-        prev = sig
-    return float(prev), "power_unconverged"
-
 
 class CoefficientNorms:
     """Cached spectral norms and entrywise magnitudes of the coefficients."""
 
     def __init__(self, q: QuarticPencil):
         self.q = q
-        norms, methods = [], []
-        for m in q.coeffs:
-            s, how = spectral_norm(m)
-            norms.append(s)
-            methods.append(how)
-        self.two = np.array(norms)  # ordered (A, B, C, D, E)
-        self.method = methods
+        self.two = np.array([np.linalg.norm(m, 2) for m in q.coeffs])  # (A, ..., E)
         self._abs = None
 
     @property
@@ -74,112 +43,8 @@ class CoefficientNorms:
         return self._abs
 
 
-def _powers(eig: HomogeneousEig):
-    """Homogeneous weights (a^4, a^3 b, a^2 b^2, a b^3, b^4)."""
-    a, b = eig.alpha, eig.beta
-    return np.array([a**4, a**3 * b, a**2 * b**2, a * b**3, b**4])
-
-
-def residual(eig: HomogeneousEig, x, q: QuarticPencil):
-    """Homogeneous residual (alpha^4 A + ... + beta^4 E) x."""
-    w = _powers(eig)
-    r = np.zeros(q.n, dtype=np.complex128)
-    for wk, m in zip(w, q.coeffs):
-        if wk != 0.0:
-            r += wk * (m @ x)
-    return r
-
-
-def eta(eig: HomogeneousEig, x, q: QuarticPencil, norms: CoefficientNorms | None = None):
-    """Norm-wise backward error of a right eigenpair."""
-    x = np.asarray(x).ravel()
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
-        raise ValueError("eigenvector must be nonzero")
-    norms = norms or CoefficientNorms(q)
-    w = np.abs(_powers(eig))
-    den = float(w @ norms.two) * nx
-    num = float(np.linalg.norm(residual(eig, x, q)))
-    if den == 0.0:
-        return 0.0 if num == 0.0 else np.inf
-    return num / den
-
-
-def eta_left(eig: HomogeneousEig, y, q: QuarticPencil, norms: CoefficientNorms | None = None):
-    """Norm-wise backward error of a left eigenpair (y* P(lambda) = 0)."""
-    y = np.asarray(y).ravel()
-    ny = np.linalg.norm(y)
-    if ny == 0.0:
-        raise ValueError("eigenvector must be nonzero")
-    norms = norms or CoefficientNorms(q)
-    w = _powers(eig)
-    r = np.zeros(q.n, dtype=np.complex128)
-    for wk, m in zip(w, q.coeffs):
-        if wk != 0.0:
-            r += np.conj(wk) * (m.conj().T @ y)
-    den = float(np.abs(w) @ norms.two) * ny
-    num = float(np.linalg.norm(r))
-    if den == 0.0:
-        return 0.0 if num == 0.0 else np.inf
-    return num / den
-
-
-def _omega_ratio(num_vec, den_vec):
-    out = 0.0
-    flagged = False
-    for rn, sd in zip(num_vec, den_vec):
-        if sd == 0.0:
-            if rn == 0.0:
-                continue
-            flagged = True
-            out = np.inf
-        else:
-            out = max(out, rn / sd)
-    return out, flagged
-
-
-def omega(eig: HomogeneousEig, x, q: QuarticPencil, norms: CoefficientNorms | None = None):
-    """Component-wise backward error of a finite right eigenpair."""
-    if eig.cls == EIG_INFINITE:
-        raise ValueError("omega is defined for finite eigenvalues only")
-    x = np.asarray(x).ravel()
-    if np.linalg.norm(x) == 0.0:
-        raise ValueError("eigenvector must be nonzero")
-    norms = norms or CoefficientNorms(q)
-    w = np.abs(_powers(eig))
-    r = np.abs(residual(eig, x, q))
-    s = np.zeros(q.n)
-    ax = np.abs(x)
-    for wk, am in zip(w, norms.abs_coeffs):
-        if wk != 0.0:
-            s += wk * (am @ ax)
-    val, _ = _omega_ratio(r, s)
-    return val
-
-
-def omega_left(eig: HomogeneousEig, y, q: QuarticPencil, norms: CoefficientNorms | None = None):
-    """Component-wise backward error of a finite left eigenpair."""
-    if eig.cls == EIG_INFINITE:
-        raise ValueError("omega is defined for finite eigenvalues only")
-    y = np.asarray(y).ravel()
-    if np.linalg.norm(y) == 0.0:
-        raise ValueError("eigenvector must be nonzero")
-    norms = norms or CoefficientNorms(q)
-    w = _powers(eig)
-    r = np.zeros(q.n, dtype=np.complex128)
-    for wk, m in zip(w, q.coeffs):
-        if wk != 0.0:
-            r += np.conj(wk) * (m.conj().T @ y)
-    s = np.zeros(q.n)
-    ay = np.abs(y)
-    for wk, am in zip(np.abs(w), norms.abs_coeffs):
-        if wk != 0.0:
-            s += wk * (am.T @ ay)
-    val, _ = _omega_ratio(np.abs(r), s)
-    return val
-
-
-def _weights(eigs):
+def homogeneous_weights(eigs):
+    """Rows (a^4, a^3 b, a^2 b^2, a b^3, b^4), one column per eigenvalue."""
     w = np.empty((5, len(eigs)), dtype=np.complex128)
     for j, e in enumerate(eigs):
         a, b = e.alpha, e.beta
@@ -188,65 +53,51 @@ def _weights(eigs):
 
 
 def diagnostics_many(eigs, rights, lefts, q: QuarticPencil, norms: CoefficientNorms | None = None):
-    """Per-pair diagnostics for a whole solution in a few matrix products.
+    """Per-pair backward errors for a whole solution in a few matrix products.
 
-    Entries of ``rights``/``lefts`` may be None (diagnostics come back None).
-    Same definitions as :func:`eta`, :func:`eta_left`, :func:`omega`,
-    :func:`omega_left`, evaluated batched.
+    Entries of ``rights``/``lefts`` may be None (their diagnostics come back
+    None); omega is None for infinite eigenvalues. A zero vector gets
+    eta = omega = inf, so it can never pass for an exact pair.
     """
     norms = norms or CoefficientNorms(q)
-    n = q.n
     nj = len(eigs)
-    w = _weights(eigs)
+    w = homogeneous_weights(eigs)
     wa = np.abs(w)
     den = wa.T @ norms.two
 
-    def batch(vectors, transpose):
+    def side(vectors, left):
+        """(eta, omega) per pair of one side; the left side is y* P(lambda)."""
+        etas, omegas = [None] * nj, [None] * nj
         cols = [j for j, v in enumerate(vectors) if v is not None]
         if not cols:
-            return cols, None, None, None
+            return etas, omegas
         x = np.column_stack([vectors[j] for j in cols])
-        wk = w[:, cols]
-        r = np.zeros((n, len(cols)), dtype=np.complex128)
-        s = np.zeros((n, len(cols)))
+        r = np.zeros(x.shape, dtype=np.complex128)
+        s = np.zeros(x.shape)
         ax = np.abs(x)
         for k, (m, am) in enumerate(zip(q.coeffs, norms.abs_coeffs)):
-            if transpose:
-                r += np.conj(wk[k])[None, :] * (m.conj().T @ x)
+            if left:
+                r += np.conj(w[k, cols])[None, :] * (m.conj().T @ x)
                 s += wa[k, cols][None, :] * (am.T @ ax)
             else:
-                r += wk[k][None, :] * (m @ x)
+                r += w[k, cols][None, :] * (m @ x)
                 s += wa[k, cols][None, :] * (am @ ax)
-        return cols, np.abs(r), s, np.linalg.norm(x, axis=0)
-
-    def omega_cols(rabs, s):
+        rabs = np.abs(r)
+        nums = np.linalg.norm(rabs, axis=0)
+        xn = np.linalg.norm(x, axis=0)
+        d = den[cols] * xn
+        eta = np.where(d > 0.0, nums / np.where(d > 0.0, d, 1.0), np.where(nums > 0.0, np.inf, 0.0))
         ratio = np.where(s > 0.0, rabs / np.where(s > 0.0, s, 1.0), np.where(rabs > 0.0, np.inf, 0.0))
-        return ratio.max(axis=0)
+        omega = ratio.max(axis=0)
+        eta[xn == 0.0] = omega[xn == 0.0] = np.inf
+        for i, j in enumerate(cols):
+            etas[j] = float(eta[i])
+            if eigs[j].cls != EIG_INFINITE:
+                omegas[j] = float(omega[i])
+        return etas, omegas
 
-    eta_r = [None] * nj
-    eta_l = [None] * nj
-    om_r = [None] * nj
-    om_l = [None] * nj
-    cols, rabs, s, xn = batch(rights, transpose=False)
-    if cols:
-        nums = np.linalg.norm(rabs, axis=0)
-        for i, j in enumerate(cols):
-            d = den[j] * xn[i]
-            eta_r[j] = float(nums[i] / d) if d > 0.0 else (0.0 if nums[i] == 0.0 else np.inf)
-        oms = omega_cols(rabs, s)
-        for i, j in enumerate(cols):
-            if eigs[j].cls != EIG_INFINITE:
-                om_r[j] = float(oms[i])
-    cols, rabs, s, yn = batch(lefts, transpose=True)
-    if cols:
-        nums = np.linalg.norm(rabs, axis=0)
-        for i, j in enumerate(cols):
-            d = den[j] * yn[i]
-            eta_l[j] = float(nums[i] / d) if d > 0.0 else (0.0 if nums[i] == 0.0 else np.inf)
-        oms = omega_cols(rabs, s)
-        for i, j in enumerate(cols):
-            if eigs[j].cls != EIG_INFINITE:
-                om_l[j] = float(oms[i])
+    eta_r, om_r = side(rights, left=False)
+    eta_l, om_l = side(lefts, left=True)
     return [
         PairDiagnostics(
             eta_right=eta_r[j],

@@ -25,19 +25,19 @@ import scipy.linalg as sla
 
 from . import diagnostics
 from .deflate import DeflationResult, RankProfile
-from .errors import DegenerateVectorError, LiftError, SingularShiftError
+from .errors import DegenerateVectorError, LiftError
 from .numkit import (
     EPS,
     SVDFactors,
     TriHessPair,
-    shifted_hess_solve,
+    shifted_hess_solve,  # only bench/tracer.py uses it here (ROADMAP item 1)
     shifted_hess_solve_many,
     singular_diag,
     svd,
     tri_hess_reduce,
     unit,
 )
-from .pencil import EIG_ZERO, HomogeneousEig, QuarticPencil
+from .pencil import EIG_FINITE, EIG_ZERO, HomogeneousEig, QuarticPencil
 
 
 @dataclass
@@ -74,57 +74,16 @@ def _split(z, n):
     return z[:n], z[n : 2 * n], z[2 * n : 3 * n], z[3 * n :]
 
 
-def recover_right(z, eig: HomogeneousEig, ctx: RecoveryContext, q=None):
-    """Smallest-residual recovery of the quartic right eigenvector.
-
-    Returns (x, method, eta) with x unit-norm. Requires a finite nonzero
-    eigenvalue; candidates whose solves fail are skipped, and if only the
-    first block survives the method is tagged as a fallback.
-    """
-    q = q or ctx.q
-    n = q.n
-    z1, z2, z3, z4 = _split(z, n)
-    lam = eig.lam
-    if eig.beta == 0.0 or eig.alpha == 0.0:
-        raise ValueError("recover_right requires a finite nonzero eigenvalue")
-    candidates = []
-    if np.linalg.norm(z1) > 0:
-        candidates.append(("z1", unit(z1)))
-    for name, blk in (("z2_shifted", z2), ("z3_shifted", z3)):
-        try:
-            x = shifted_hess_solve(ctx.tri_hess, lam, blk)
-        except SingularShiftError:
-            break  # the shift is the same for both blocks
-        nx = np.linalg.norm(x)
-        if nx > 0 and np.all(np.isfinite(x)):
-            candidates.append((name, x / nx))
-    if ctx.lu_e is not None and np.linalg.norm(z4) > 0:
-        x = sla.lu_solve(ctx.lu_e, -z4)
-        nx = np.linalg.norm(x)
-        if nx > 0 and np.all(np.isfinite(x)):
-            candidates.append(("z4_esolve", x / nx))
-    if not candidates:
-        raise DegenerateVectorError("all recovery candidates are degenerate")
-    best = None
-    for name, x in candidates:
-        val = diagnostics.eta(eig, x, q, ctx.norms)
-        if best is None or val < best[2]:
-            best = (name, x, val)
-    name, x, val = best
-    if len(candidates) == 1 and name == "z1":
-        name = "z1_fallback"
-    return x, name, val
-
-
 def recover_right_many(zs, eigs, ctx: RecoveryContext):
-    """Batched :func:`recover_right` for finite nonzero eigenvalues.
+    """Smallest-residual recovery of quartic right eigenvectors.
 
     ``zs`` holds one lifted 4n-vector per column; ``eigs`` the matching
-    eigenvalues. Candidate construction and smallest-backward-error selection
-    are identical to the per-eigenvalue routine, with the shifted solves and
-    the residual evaluations vectorized across the batch. Returns a list of
-    ``(x, method, eta)``; degenerate entries come back as ``(None,
-    'degenerate', inf)``.
+    finite nonzero eigenvalues. Every candidate (z1, the two shifted solves,
+    the E solve) is evaluated and the one with the smallest backward error
+    wins; the shifted solves and the residual evaluations are vectorized
+    across the batch. Returns a list of unit-norm ``(x, method, eta)``; when
+    only z1 is usable the method is ``z1_fallback``, and degenerate entries
+    come back as ``(None, 'degenerate', inf)``.
     """
     q = ctx.q
     n = q.n
@@ -134,6 +93,8 @@ def recover_right_many(zs, eigs, ctx: RecoveryContext):
         return []
     if zs.shape[0] != 4 * n or len(eigs) != nj:
         raise ValueError("batch shapes are inconsistent")
+    if any(e.cls != EIG_FINITE for e in eigs):
+        raise ValueError("recover_right_many requires finite nonzero eigenvalues")
     lams = np.array([e.lam for e in eigs], dtype=np.complex128)
     z1 = zs[:n, :]
     z4 = zs[3 * n :, :]
@@ -154,10 +115,7 @@ def recover_right_many(zs, eigs, ctx: RecoveryContext):
     valid[0] = finite_c[0]
     valid &= finite_c
     np.divide(cands, norms_c[:, None, :], out=cands, where=finite_c[:, None, :])
-    w = np.empty((5, nj), dtype=np.complex128)
-    for j, e in enumerate(eigs):
-        a, b = e.alpha, e.beta
-        w[:, j] = (a**4, a**3 * b, a**2 * b**2, a * b**3, b**4)
+    w = diagnostics.homogeneous_weights(eigs)
     etas = np.full((4, nj), np.inf)
     den = (np.abs(w).T @ ctx.norms.two)  # unit-norm candidates
     for c in range(4):
@@ -265,17 +223,6 @@ def recover_right_ls(z, eig: HomogeneousEig, ctx: RecoveryContext, weight=1.0):
     den = abs(r1) ** 2 + r2**2
     u = num / den
     return unit(v_e @ u)
-
-
-def lift_right(z_til, d: DeflationResult):
-    """Lift a deflated-pencil right eigenvector: z = Q [z_til; 0]."""
-    z_til = np.asarray(z_til).ravel()
-    if z_til.shape[0] != d.size:
-        raise ValueError(f"expected a {d.size}-vector, got {z_til.shape[0]}")
-    full = d.full_size
-    padded = np.zeros(full, dtype=np.complex128)
-    padded[: d.size] = z_til
-    return unit(d.q @ padded)
 
 
 def lift_left(w_til, eig: HomogeneousEig, d: DeflationResult):

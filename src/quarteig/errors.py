@@ -8,18 +8,13 @@ class QuarteigError(Exception):
 class SingularShiftError(QuarteigError):
     """Shifted system lambda*A + B is numerically singular."""
 
-    def __init__(self, message, cond_estimate=None):
-        super().__init__(message)
-        self.cond_estimate = cond_estimate
-
 
 class GevpError(QuarteigError):
     """Generalized eigensolver backend failure."""
 
-    def __init__(self, message, failing_index=None, partial=None):
+    def __init__(self, message, failing_index=None):
         super().__init__(message)
         self.failing_index = failing_index
-        self.partial = partial
 
 
 class DeflationError(QuarteigError):
@@ -54,5 +49,7 @@ class MalformedMatrixError(BundleError):
 
 class DimensionMismatchError(BundleError):
     def __init__(self, shapes):
-        super().__init__(f"coefficient matrices are not square/consistent: {shapes}")
+        super().__init__(
+            f"coefficient matrices must be square, equally sized and at least 1x1: {shapes}"
+        )
         self.shapes = shapes

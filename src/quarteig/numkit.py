@@ -36,13 +36,6 @@ def as_matrix(m) -> np.ndarray:
     return a.astype(np.complex128, copy=False)
 
 
-def as_vector(v) -> np.ndarray:
-    a = np.asarray(v).ravel()
-    if a.size and not np.all(np.isfinite(a)):
-        raise ValueError("vector contains NaN/Inf entries")
-    return a.astype(np.complex128, copy=False)
-
-
 def unit(v):
     """Return v normalized to unit 2-norm (zero vector is returned as-is)."""
     nrm = np.linalg.norm(v)
@@ -392,7 +385,8 @@ def shifted_hess_solve(pair: TriHessPair, lam, v):
 
     ``v`` may hold several columns. A one-shift call of
     :func:`shifted_hess_solve_many`; raises :class:`SingularShiftError` when
-    the shifted system is numerically singular.
+    the shifted system is numerically singular. The solver uses the batched
+    call; this one stays while bench/tracer.py patches it (ROADMAP item 1).
     """
     v = np.asarray(v)
     x, ok = shifted_hess_solve_many(pair, [lam], v.reshape(1, v.shape[0], -1))

@@ -13,7 +13,7 @@ eigenvalues with multiplicity, infinities included. Block placement is exact
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,18 +33,17 @@ class QuarticPencil:
     c: np.ndarray
     d: np.ndarray
     e: np.ndarray
-    provenance: object = None
 
     @classmethod
-    def from_matrices(cls, a, b, c, d, e, provenance=None):
+    def from_matrices(cls, a, b, c, d, e):
         mats = [as_matrix(m) for m in (a, b, c, d, e)]
         n = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (n, n):
-                raise ValueError(
-                    f"coefficients must be square and equally sized, got {[x.shape for x in mats]}"
-                )
-        return cls(*mats, provenance=provenance)
+        if n == 0 or any(m.shape != (n, n) for m in mats):
+            raise ValueError(
+                f"coefficients must be square, equally sized and at least 1x1, "
+                f"got {[x.shape for x in mats]}"
+            )
+        return cls(*mats)
 
     @property
     def n(self):
@@ -55,30 +54,13 @@ class QuarticPencil:
         """Coefficients ordered by descending power: (a, b, c, d, e)."""
         return (self.a, self.b, self.c, self.d, self.e)
 
-    def with_provenance(self, provenance):
-        return replace(self, provenance=provenance)
-
-
-@dataclass(frozen=True)
-class QuadPencil:
-    """Grade-2 second companion blocks of the quartic."""
-
-    m: np.ndarray
-    cc: np.ndarray
-    k: np.ndarray
-
-    @property
-    def size(self):
-        return self.m.shape[0]
-
 
 @dataclass(frozen=True)
 class LinearPencil:
-    """Square pencil aa - lambda * bb with block provenance metadata."""
+    """Square pencil aa - lambda * bb."""
 
     aa: np.ndarray
     bb: np.ndarray
-    block_map: dict = field(default_factory=dict)
 
     @property
     def size(self):
@@ -105,9 +87,6 @@ class HomogeneousEig:
         if self.cls == EIG_INFINITE or self.beta == 0.0:
             return np.inf
         return abs(self.alpha) / self.beta
-
-    def is_finite_nonzero(self):
-        return self.cls == EIG_FINITE
 
 
 def normalize_pair(alpha, beta):
@@ -187,17 +166,6 @@ class EigenSolution:
 # ---------------------------------------------------------------------------
 
 
-def quadratify(q: QuarticPencil) -> QuadPencil:
-    """Second companion form of grade 2 for the quartic."""
-    n = q.n
-    eye = np.eye(n, dtype=np.complex128)
-    zero = np.zeros((n, n), dtype=np.complex128)
-    m = np.block([[q.a, zero], [q.c, eye]])
-    cc = np.block([[q.b, zero], [q.d, zero]])
-    k = np.block([[zero, -eye], [q.e, zero]])
-    return QuadPencil(m=m, cc=cc, k=k)
-
-
 def linearize(q: QuarticPencil) -> LinearPencil:
     """4n x 4n strong linearization built on the grade-2 companion blocks."""
     n = q.n
@@ -219,27 +187,9 @@ def linearize(q: QuarticPencil) -> LinearPencil:
             [zero, zero, zero, -eye],
         ]
     )
-    block_map = {
-        "aa": [
-            ["B", "0", "-I", "0"],
-            ["D", "0", "0", "-I"],
-            ["0", "-I", "0", "0"],
-            ["E", "0", "0", "0"],
-        ],
-        "bb": [
-            ["-A", "0", "0", "0"],
-            ["-C", "-I", "0", "0"],
-            ["0", "0", "-I", "0"],
-            ["0", "0", "0", "-I"],
-        ],
-        "n": n,
-        "kind": "companion_grade2",
-    }
-    return LinearPencil(aa=aa, bb=bb, block_map=block_map)
+    return LinearPencil(aa=aa, bb=bb)
 
 
 def reverse(q: QuarticPencil) -> QuarticPencil:
     """Coefficient reversal: eigenvalues map to reciprocals (0 <-> inf)."""
-    return QuarticPencil(
-        a=q.e, b=q.d, c=q.c, d=q.b, e=q.a, provenance=q.provenance
-    )
+    return QuarticPencil(a=q.e, b=q.d, c=q.c, d=q.b, e=q.a)

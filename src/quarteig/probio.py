@@ -20,6 +20,7 @@ import scipy.sparse as sp
 from scipy.io import mmread, mmwrite
 
 from .errors import (
+    BundleError,
     DimensionMismatchError,
     MalformedMatrixError,
     MissingCoefficientError,
@@ -57,13 +58,16 @@ def read_bundle(path) -> ProblemBundle:
             raise MalformedMatrixError(name, fp, str(exc)) from exc
     shapes = [m.shape for m in mats]
     n = shapes[0][0]
-    if any(s != (n, n) for s in shapes):
+    if n == 0 or any(s != (n, n) for s in shapes):
         raise DimensionMismatchError(shapes)
     expected = None
     ep = os.path.join(path, "expected.json")
     if os.path.exists(ep):
-        with open(ep, encoding="utf-8") as fh:
-            expected = json.load(fh)
+        try:
+            with open(ep, encoding="utf-8") as fh:
+                expected = json.load(fh)
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+            raise BundleError(f"failed to parse {ep}: {exc}") from exc
     return ProblemBundle(
         name=os.path.basename(os.path.normpath(path)),
         pencil=QuarticPencil.from_matrices(*mats),

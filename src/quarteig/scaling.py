@@ -35,10 +35,6 @@ class ScalingRecord:
     dr: np.ndarray | None = None
     flags: tuple = ()
 
-    @classmethod
-    def identity(cls):
-        return cls()
-
     @property
     def is_identity(self):
         return (
@@ -84,7 +80,6 @@ def param_scale(q: QuarticPencil):
         c=gamma**2 * theta * q.c,
         d=gamma * theta * q.d,
         e=theta * q.e,
-        provenance=q.provenance,
     )
     return scaled, ScalingRecord(gamma=gamma, theta=theta)
 
@@ -138,23 +133,8 @@ def balance(q: QuarticPencil, max_iter: int = 5, aggregate: str = "sum"):
     _, dl, dr = best
     if np.all(dl == 1.0) and np.all(dr == 1.0):
         return q, ScalingRecord()
-    scaled = QuarticPencil(
-        *(dl[:, None] * m * dr[None, :] for m in q.coeffs),
-        provenance=q.provenance,
-    )
+    scaled = QuarticPencil(*(dl[:, None] * m * dr[None, :] for m in q.coeffs))
     return scaled, ScalingRecord(dl=dl, dr=dr)
-
-
-def unbalance(q: QuarticPencil, rec: ScalingRecord) -> QuarticPencil:
-    """Invert a balance record on the coefficients (exact for powers of two)."""
-    if rec.dl is None and rec.dr is None:
-        return q
-    dl = rec.dl if rec.dl is not None else np.ones(q.n)
-    dr = rec.dr if rec.dr is not None else np.ones(q.n)
-    return QuarticPencil(
-        *((1.0 / dl)[:, None] * m * (1.0 / dr)[None, :] for m in q.coeffs),
-        provenance=q.provenance,
-    )
 
 
 def descale(sol: EigenSolution, rec: ScalingRecord) -> EigenSolution:

@@ -86,9 +86,6 @@ class SolveResult:
     record: scaling.ScalingRecord
     flags: list = field(default_factory=list)
 
-    def report(self) -> dict:
-        return build_report(self)
-
 
 def _lift_all(gs, d, eigs, flags):
     """Lift every backend eigenvector to the full linearization.
@@ -199,7 +196,7 @@ def _solve(q0, config, name):
 
     reversed_problem = bool(config.deflate and rp.r_a < n and rp.r_e == n)
     qw = reverse(qs) if reversed_problem else qs
-    rp_w = rp.swapped(source=qw) if reversed_problem else rp
+    rp_w = rp.swapped() if reversed_problem else rp
     lin = linearize(qw)
 
     d = None

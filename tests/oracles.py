@@ -1,9 +1,10 @@
 """Independent oracles used to pin expected values in the tests.
 
-Nothing here reuses the package's deflation/recovery paths: determinants go
-through evaluation-interpolation plus np.roots, reference eigensolves call
-LAPACK directly on explicitly assembled matrices, and subspace comparisons
-use principal angles from the SVD.
+Nothing here reuses the package's deflation/recovery/diagnostics paths:
+determinants go through evaluation-interpolation plus np.roots, reference
+eigensolves call LAPACK directly on explicitly assembled matrices, subspace
+comparisons use principal angles from the SVD, and backward errors are
+evaluated with explicit powers of lambda.
 """
 
 import numpy as np
@@ -170,3 +171,24 @@ def quartic_with_eigenpair(rng, n, lam):
     resid = (lam**4 * a + lam**3 * b + lam**2 * c + lam * d + e) @ x
     e = e - np.outer(resid, x.conj())
     return QuarticPencil.from_matrices(a, b, c, d, e), x
+
+
+def backward_errors(q, lam, x, left=False):
+    """(eta, omega) of one eigenpair straight from the definitions.
+
+    Explicit powers of lambda and spectral norms; at lambda = inf eta is
+    ||A x|| / (||A|| ||x||) and omega is None. ``left`` measures y* P(lambda)
+    through P(lambda)* y. A zero vector gives (inf, inf).
+    """
+    mats = [m.conj().T if left else m for m in q.coeffs]
+    nx = np.linalg.norm(x)
+    if nx == 0.0:
+        return np.inf, None if np.isinf(lam) else np.inf
+    if np.isinf(lam):
+        return np.linalg.norm(mats[0] @ x) / (np.linalg.norm(mats[0], 2) * nx), None
+    lam = np.conj(lam) if left else lam
+    r = sum(lam ** (4 - k) * m for k, m in enumerate(mats)) @ x
+    s = sum(abs(lam) ** (4 - k) * np.abs(m) for k, m in enumerate(mats)) @ np.abs(x)
+    den = sum(abs(lam) ** (4 - k) * np.linalg.norm(m, 2) for k, m in enumerate(mats))
+    ratio = np.where(s > 0, np.abs(r) / np.where(s > 0, s, 1.0), np.where(r != 0, np.inf, 0.0))
+    return np.linalg.norm(r) / (den * nx), ratio.max()

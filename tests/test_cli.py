@@ -65,6 +65,29 @@ class TestSolveCommand:
             assert err["type"] == "MalformedMatrixError"
             assert "C" in err["message"]
 
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"])
+    def test_malformed_expected_json_is_bundle_error(self, unit_bundle, capsys, content):
+        (unit_bundle / "expected.json").write_bytes(content)
+        assert main(["solve", str(unit_bundle)]) == EXIT_BUNDLE
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == EXIT_BUNDLE
+        assert err["type"] == "BundleError"
+        assert "expected.json" in err["message"]
+
+    def test_empty_coefficients_are_bundle_error(self, tmp_path, capsys):
+        import numpy as np
+        from scipy.io import mmwrite
+
+        p = tmp_path / "empty"
+        p.mkdir()
+        for name in "ABCDE":
+            mmwrite(str(p / f"{name}.mtx"), np.zeros((0, 0)))
+        assert main(["solve", str(p)]) == EXIT_BUNDLE
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == EXIT_BUNDLE
+        assert err["type"] == "DimensionMismatchError"
+        assert "at least 1x1" in err["message"]
+
     def test_singular_quartic_deflate_off_numerical_error(self, tmp_path, capsys):
         import numpy as np
         from oracles import singular_quartic

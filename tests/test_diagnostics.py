@@ -3,21 +3,35 @@ import pytest
 
 from quarteig import QuarticPencil, SolveConfig, solve_pencil
 from quarteig.diagnostics import (
+    CoefficientNorms,
     PairDiagnostics,
-    eta_left,
-    eta,
-    omega,
-    omega_left,
-    spectral_norm,
+    diagnostics_many,
     summarize,
 )
 from quarteig.numkit import EPS, unit
 from quarteig.pencil import classify_pair, eig_infinite, eig_zero, from_lambda
-from oracles import quartic_with_eigenpair, rand_complex, random_regular_quartic
+from oracles import backward_errors, quartic_with_eigenpair, rand_complex, random_regular_quartic
 
 
 def scalar_quartic(a, b, c, d, e):
     return QuarticPencil.from_matrices([[a]], [[b]], [[c]], [[d]], [[e]])
+
+
+def one_pair(eig, x, q, left=False):
+    """diagnostics_many on a one-pair batch (x on the requested side)."""
+    return diagnostics_many([eig], [None if left else x], [x if left else None], q)[0]
+
+
+def eta(eig, x, q):
+    return one_pair(eig, x, q).eta_right
+
+
+def omega(eig, x, q):
+    return one_pair(eig, x, q).omega_right
+
+
+def omega_left(eig, y, q):
+    return one_pair(eig, y, q, left=True).omega_left
 
 
 class TestEta:
@@ -59,6 +73,7 @@ class TestEta:
         v1 = eta(e, x, q)
         v2 = eta(e, (3.0 - 4.0j) * x, q)
         assert abs(v1 - v2) <= 1e-13 * max(v1, 1e-300)
+        assert v1 == pytest.approx(backward_errors(q, e.lam, x)[0], rel=1e-6)
 
     def test_invariant_under_common_coefficient_scale(self):
         rng = np.random.default_rng(3)
@@ -79,9 +94,14 @@ class TestEta:
         assert np.isfinite(eta(e2, x, q))
 
     def test_zero_vector_rejected(self):
+        # a zero vector must never read as a perfect pair
         q = scalar_quartic(1, 0, 0, 0, 1)
-        with pytest.raises(ValueError):
-            eta(from_lambda(1.0), np.zeros(1), q)
+        for left in (False, True):
+            dg = one_pair(from_lambda(1.0), np.zeros(1), q, left=left)
+            errs = (dg.eta_left, dg.omega_left) if left else (dg.eta_right, dg.omega_right)
+            assert errs == (np.inf, np.inf)
+        dg = one_pair(eig_infinite(), np.zeros(1), q)
+        assert dg.eta_right == np.inf and dg.omega_right is None
 
 
 class TestOmega:
@@ -107,9 +127,10 @@ class TestOmega:
         assert val == pytest.approx(abs(p) / s, rel=1e-12)
 
     def test_infinite_rejected(self):
+        # omega is defined for finite eigenvalues only
         q = scalar_quartic(1, 0, 0, 0, 1)
-        with pytest.raises(ValueError):
-            omega(eig_infinite(), np.ones(1), q)
+        dg = one_pair(eig_infinite(), np.ones(1), q)
+        assert dg.omega_right is None and dg.eta_right is not None
 
     def test_zero_weight_rows(self):
         # row with all-zero coefficients and zero residual contributes 0
@@ -119,6 +140,7 @@ class TestOmega:
         x = np.array([1.0, 0.0], dtype=complex)
         val = omega(from_lambda(1.0j, 2), x, q)
         assert np.isfinite(val)
+        assert val == pytest.approx(backward_errors(q, 1.0j, x)[1], abs=1e-15)
 
 
 class TestOmegaLeft:
@@ -145,6 +167,7 @@ class TestOmegaLeft:
         v1 = omega(from_lambda(lam, n), x, q)
         v2 = omega_left(from_lambda(np.conj(lam), n), x, q)
         assert v1 == pytest.approx(v2, rel=1e-12)
+        assert v1 == pytest.approx(backward_errors(q, lam, x)[1], rel=1e-6)
 
 
 class TestSummarize:
@@ -187,23 +210,15 @@ class TestSummarize:
 class TestSpectralNorm:
     def test_matches_dense(self):
         rng = np.random.default_rng(9)
-        m = rand_complex(rng, (30, 30))
-        val, how = spectral_norm(m)
-        assert how == "svd"
-        assert val == pytest.approx(np.linalg.norm(m, 2))
-
-    def test_power_iteration_above_limit(self):
-        rng = np.random.default_rng(10)
-        m = rand_complex(rng, (600, 5))
-        val, how = spectral_norm(m)
-        assert how.startswith("power")
-        assert val == pytest.approx(np.linalg.norm(m, 2), rel=1e-5)
+        q = QuarticPencil.from_matrices(*(rand_complex(rng, (30, 30)) for _ in range(5)))
+        two = CoefficientNorms(q).two
+        for val, m in zip(two, q.coeffs):
+            # largest singular value from the eigenvalues of m* m
+            assert val == pytest.approx(np.sqrt(np.linalg.eigvalsh(m.conj().T @ m).max()))
 
 
 class TestBatchDiagnostics:
     def test_matches_scalar_definitions(self):
-        from quarteig.diagnostics import CoefficientNorms, diagnostics_many, eta, eta_left
-
         rng = np.random.default_rng(11)
         q = random_regular_quartic(rng, 4)
         norms = CoefficientNorms(q)
@@ -217,15 +232,15 @@ class TestBatchDiagnostics:
         lefts.append(None)
         diags = diagnostics_many(eigs, rights, lefts, q, norms)
         for e, x, y, dg in zip(eigs, rights, lefts, diags):
-            ref = eta(e, x, q, norms)
+            ref, ref_o = backward_errors(q, e.lam, x)
             assert abs(dg.eta_right - ref) <= 1e-13 + 1e-6 * ref
             if y is not None:
-                ref_l = eta_left(e, y, q, norms)
+                ref_l, ref_ol = backward_errors(q, e.lam, y, left=True)
                 assert abs(dg.eta_left - ref_l) <= 1e-13 + 1e-6 * ref_l
+                assert abs(dg.omega_left - ref_ol) <= 1e-13 + 1e-6 * ref_ol
             else:
                 assert dg.eta_left is None
             if e.cls != "infinite":
-                ref_o = omega(e, x, q, norms)
                 assert abs(dg.omega_right - ref_o) <= 1e-13 + 1e-6 * ref_o
             else:
                 assert dg.omega_right is None

@@ -3,21 +3,20 @@ import pytest
 import scipy.linalg as sla
 
 from quarteig import QuarticPencil, analyze_ranks, deflate, linearize, second_level, solve_gevp
-from quarteig.diagnostics import CoefficientNorms, eta, eta_left
 from quarteig.errors import DegenerateVectorError
 from quarteig.eigvec import (
     build_context,
     lift_left,
-    lift_right,
     nullspace_vectors,
     recover_left,
-    recover_right,
+    recover_right_many,
     recover_right_ls,
     recover_right_zero,
 )
 from quarteig.numkit import EPS, unit
 from quarteig.pencil import EIG_FINITE, eig_zero, from_lambda
 from oracles import (
+    backward_errors,
     haar_unitary,
     principal_angle,
     quartic_det_roots,
@@ -40,6 +39,15 @@ def build_w(lam, y):
     return w / np.linalg.norm(w)
 
 
+def recover_one(z, eig, ctx):
+    """recover_right_many on a one-element batch."""
+    return recover_right_many(np.asarray(z)[:, None], [eig], ctx)[0]
+
+
+def eta(lam, x, q, left=False):
+    return backward_errors(q, lam, x, left)[0]
+
+
 def aligned_distance(u, v):
     """Distance after optimal phase alignment."""
     phase = np.vdot(u, v)
@@ -55,7 +63,7 @@ class TestRecoverRight:
         q, x = quartic_with_eigenpair(rng, n, lam)
         ctx = build_context(q)
         z = build_z(q, lam, x)
-        got, method, val = recover_right(z, from_lambda(lam, n), ctx)
+        got, method, val = recover_one(z, from_lambda(lam, n), ctx)
         assert aligned_distance(got, x) <= 1e-12
         assert val <= 10 * n * EPS
 
@@ -63,7 +71,7 @@ class TestRecoverRight:
         q = QuarticPencil.from_matrices([[1.0]], [[0.0]], [[0.0]], [[0.0]], [[-1.0]])
         ctx = build_context(q)
         z = build_z(q, 1.0, np.array([1.0 + 0j]))
-        x, method, val = recover_right(z, from_lambda(1.0), ctx)
+        x, method, val = recover_one(z, from_lambda(1.0), ctx)
         assert abs(abs(x[0]) - 1.0) < 1e-14
         assert val <= 10 * EPS
 
@@ -76,7 +84,7 @@ class TestRecoverRight:
         z = build_z(q, lam, x)
         z = unit(z + 1e-8 * rand_complex(rng, (4 * n,)))
         eig = from_lambda(lam, n)
-        got, method, val = recover_right(z, eig, ctx)
+        got, method, val = recover_one(z, eig, ctx)
         # recompute every candidate's backward error
         from quarteig.numkit import shifted_hess_solve
 
@@ -84,7 +92,7 @@ class TestRecoverRight:
         for blk in (z[n : 2 * n], z[2 * n : 3 * n]):
             cands.append(unit(shifted_hess_solve(ctx.tri_hess, lam, blk)))
         cands.append(unit(sla.lu_solve(ctx.lu_e, -z[3 * n :])))
-        vals = [eta(eig, c, q, ctx.norms) for c in cands]
+        vals = [eta(lam, c, q) for c in cands]
         assert val <= min(vals) * (1 + 1e-12)
 
     def test_rejects_zero_and_infinite(self):
@@ -93,7 +101,7 @@ class TestRecoverRight:
         ctx = build_context(q)
         z = rand_complex(rng, (12,))
         with pytest.raises(ValueError):
-            recover_right(z, eig_zero(), ctx)
+            recover_one(z, eig_zero(), ctx)
 
     def test_shifted_and_dense_paths_agree(self):
         rng = np.random.default_rng(3)
@@ -102,14 +110,13 @@ class TestRecoverRight:
         q, x = quartic_with_eigenpair(rng, n, lam)
         ctx = build_context(q)
         z = build_z(q, lam, x)
-        eig = from_lambda(lam, n)
         from quarteig.numkit import shifted_hess_solve
 
         for blk in (z[n : 2 * n], z[2 * n : 3 * n]):
             fast = unit(shifted_hess_solve(ctx.tri_hess, lam, blk))
             dense = unit(np.linalg.solve(lam * q.a + q.b, blk))
-            e1 = eta(eig, fast, q, ctx.norms)
-            e2 = eta(eig, dense, q, ctx.norms)
+            e1 = eta(lam, fast, q)
+            e2 = eta(lam, dense, q)
             assert abs(e1 - e2) <= 1e3 * n * EPS
 
 
@@ -136,7 +143,7 @@ class TestRecoverRightZero:
         x[2] = 1.0
         z = np.concatenate([x, np.zeros(n, dtype=complex), q.b @ x, q.d @ x])
         got, _ = recover_right_zero(z, q)
-        val = eta(eig_zero(), got, q)
+        val = eta(0.0, got, q)
         assert val <= 10 * n * EPS
 
     def test_degenerate_flagged(self):
@@ -177,9 +184,8 @@ class TestRecoverLeft:
         got = recover_left(w, from_lambda(lam, n))
         # returned residual no worse than the best single block's, up to slack
         blocks = [w[:n], w[n : 2 * n], w[2 * n : 3 * n], w[3 * n :]]
-        eig = from_lambda(lam, n)
-        vals = [eta_left(eig, unit(b), qt, None) for b in blocks]
-        got_val = eta_left(eig, got, qt, None)
+        vals = [eta(lam, unit(b), qt, left=True) for b in blocks]
+        got_val = eta(lam, got, qt, left=True)
         assert got_val <= min(vals) * (1 + 1e-6)
 
     def test_all_zero_rejected(self):
@@ -219,7 +225,7 @@ class TestRecoverRightLS:
         z = unit(build_z(q, lam, x) + 1e-6 * rand_complex(rng, (4 * n,)))
         eig = from_lambda(lam, n)
         x_ls = recover_right_ls(z, eig, ctx)
-        x_plain, _, _ = recover_right(z, eig, ctx)
+        x_plain, _, _ = recover_one(z, eig, ctx)
         stack = np.vstack([lam * np.eye(n), q.e])
         rhs = np.concatenate([z[:n], -z[3 * n :]])
 
@@ -249,9 +255,7 @@ class TestLift:
         rp = analyze_ranks(q)
         d = deflate(linearize(q), q, rp)
         assert d.size == 12
-        z_til = unit(rand_complex(rng, (12,)))
-        z = lift_right(z_til, d)
-        assert np.linalg.norm(z - unit(d.q @ z_til)) <= 1e-13
+        assert np.array_equal(d.q, np.eye(12))
         w_til = unit(rand_complex(rng, (12,)))
         w = lift_left(w_til, from_lambda(0.5), d)
         assert np.linalg.norm(w - unit(d.p.conj().T @ w_til)) <= 1e-13
@@ -259,30 +263,30 @@ class TestLift:
     def test_planted_lift_residuals(self):
         q, lin, d = self._planted()
         gs = solve_gevp(d.pencil)
-        norms = CoefficientNorms(q)
-        ctx = build_context(q, norms=norms)
+        ctx = build_context(q)
         for i, e in enumerate(gs.eigs):
             if e.cls != EIG_FINITE:
                 continue
-            z = lift_right(gs.right[:, i], d)
+            z = unit(d.q[:, : d.size] @ gs.right[:, i])
             # residual on the full linearization
             res = np.linalg.norm((e.beta * lin.aa - e.alpha * lin.bb) @ z)
             scale = abs(e.alpha) * np.linalg.norm(lin.bb) + e.beta * np.linalg.norm(lin.aa)
             assert res <= 1e3 * 8 * EPS * scale
-            x, _, val = recover_right(z, e, ctx)
+            x, _, val = recover_one(z, e, ctx)
             assert val <= 1e-10
             w = lift_left(gs.left[:, i], e, d)
             res_l = np.linalg.norm(w.conj() @ (e.beta * lin.aa - e.alpha * lin.bb))
             assert res_l <= 1e3 * 8 * EPS * scale
             y = recover_left(w, e)
-            assert eta_left(e, y, q, norms) <= 1e-10
+            assert eta(e.lam, y, q, left=True) <= 1e-10
 
     def test_padding_length(self):
         q, lin, d = self._planted()
-        z = lift_right(np.ones(d.size, dtype=complex), d)
-        assert z.shape[0] == 8
+        e = from_lambda(1.0)
+        w = lift_left(np.ones(d.size, dtype=complex), e, d)
+        assert w.shape[0] == 8
         with pytest.raises(ValueError):
-            lift_right(np.ones(d.size + 1), d)
+            lift_left(np.ones(d.size + 1), e, d)
 
     def test_zero_left_vector_rejected(self):
         q, lin, d = self._planted()
@@ -395,7 +399,7 @@ class TestRoundTripInvariant:
             x = eigvec_from_lambda(q, lam)
             ctx = build_context(q)
             z = build_z(q, lam, x)
-            got, _, val = recover_right(z, from_lambda(lam, n), ctx)
+            got, _, val = recover_one(z, from_lambda(lam, n), ctx)
             assert principal_angle(got[:, None], x[:, None]) <= 1e-10
 
     def test_unit_norm_outputs(self):
@@ -405,14 +409,13 @@ class TestRoundTripInvariant:
         q, x = quartic_with_eigenpair(rng, n, lam)
         ctx = build_context(q)
         z = build_z(q, lam, x)
-        got, _, _ = recover_right(z, from_lambda(lam, n), ctx)
+        got, _, _ = recover_one(z, from_lambda(lam, n), ctx)
         assert abs(np.linalg.norm(got) - 1.0) <= 10 * n * EPS
 
 
 class TestBatchRecovery:
     def test_matches_per_pair_path(self):
-        from quarteig import gen_planted, solve_gevp
-        from quarteig.eigvec import recover_right_many
+        from quarteig import gen_planted
 
         b = gen_planted(5, 1, 0, seed=30)
         q = b.pencil
@@ -422,16 +425,17 @@ class TestBatchRecovery:
         gs = solve_gevp(d.pencil)
         ctx = build_context(q)
         finite = [i for i, e in enumerate(gs.eigs) if e.cls == EIG_FINITE]
-        zs = np.column_stack([lift_right(gs.right[:, i], d) for i in finite])
+        zs = d.q[:, : d.size] @ gs.right[:, finite]
         batch = recover_right_many(zs, [gs.eigs[i] for i in finite], ctx)
         for col, i in enumerate(finite):
-            x_ref, method_ref, val_ref = recover_right(zs[:, col], gs.eigs[i], ctx)
+            x_ref, method_ref, val_ref = recover_one(zs[:, col], gs.eigs[i], ctx)
             x, method, val = batch[col]
             # candidate etas are roundoff-sized, so near-ties may resolve to a
             # different candidate; the selected quality must agree though
             assert abs(val - val_ref) <= 1e-13 + 0.1 * val_ref
             if method == method_ref:
                 assert np.linalg.norm(x - x_ref) <= 1e-10
+            assert abs(val - eta(gs.eigs[i].lam, x, q)) <= 1e-13 + 1e-6 * val
 
     def test_fallback_when_all_solvers_fail(self):
         rng = np.random.default_rng(31)
@@ -442,12 +446,8 @@ class TestBatchRecovery:
         )
         ctx = build_context(q)
         z = unit(rand_complex(rng, (4 * n,)))
-        x, method, val = recover_right(z, from_lambda(1.0, n), ctx)
+        x, method, val = recover_one(z, from_lambda(1.0, n), ctx)
         assert method == "z1_fallback"
-        from quarteig.eigvec import recover_right_many
-
-        batch = recover_right_many(z[:, None], [from_lambda(1.0, n)], ctx)
-        assert batch[0][1] == "z1_fallback"
 
 
 class TestLeastSquaresPipeline:

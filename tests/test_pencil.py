@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from quarteig import QuarticPencil, linearize, quadratify, reverse
+from quarteig import QuarticPencil, linearize, reverse
 from quarteig.pencil import (
     EIG_FINITE,
     EIG_INFINITE,
@@ -28,33 +28,6 @@ def scalar_quartic(a, b, c, d, e):
 
 
 ROOTS4 = [1.0, -1.0, 1.0j, -1.0j]  # lambda^4 = 1
-
-
-class TestQuadratify:
-    def test_unit_scalar_blocks(self):
-        q = scalar_quartic(1, 0, 0, 0, -1)
-        qp = quadratify(q)
-        assert np.array_equal(qp.m, np.eye(2))
-        assert np.array_equal(qp.cc, np.zeros((2, 2)))
-        assert np.array_equal(qp.k, np.array([[0, -1], [-1, 0]], dtype=complex))
-
-    def test_quadratic_spectrum_matches_quartic(self):
-        q = scalar_quartic(1, 0, 0, 0, -1)
-        qp = quadratify(q)
-        # companion linearization of the quadratic, solved densely
-        n2 = qp.size
-        aa = np.block([[-qp.cc, -qp.k], [np.eye(n2), np.zeros((n2, n2))]])
-        bb = sla.block_diag(qp.m, np.eye(n2))
-        lam = sla.eig(aa, bb, right=False)
-        match_values(sorted(lam, key=lambda z: (z.real, z.imag)),
-                     sorted(ROOTS4, key=lambda z: (z.real, z.imag)), 1e-10)
-
-    def test_leading_block_bit_exact(self):
-        rng = np.random.default_rng(0)
-        mats = [rand_complex(rng, (3, 3)) for _ in range(5)]
-        q = QuarticPencil.from_matrices(*mats)
-        qp = quadratify(q)
-        assert np.array_equal(qp.m[:3, :3], q.a)
 
 
 class TestLinearize:
@@ -94,9 +67,6 @@ class TestLinearize:
         assert np.array_equal(lin.aa[n : 2 * n, n : 2 * n], np.zeros((n, n)))
         assert np.array_equal(lin.bb[2 * n : 3 * n, 2 * n : 3 * n], -eye)
         assert np.array_equal(lin.bb[:n, :n], -q.a)
-        qp = quadratify(q)
-        assert np.array_equal(qp.m[:n, n:], np.zeros((n, n)))
-        assert np.array_equal(qp.k[:n, n:], -eye)
 
     def test_strong_linearization_vs_det_oracle(self):
         for seed, n in ((10, 2), (11, 4), (12, 6)):
@@ -183,3 +153,8 @@ class TestValidation:
         bad = np.array([[np.nan]])
         with pytest.raises(ValueError):
             QuarticPencil.from_matrices(bad, [[0.0]], [[0.0]], [[0.0]], [[1.0]])
+
+    def test_empty_rejected(self):
+        z = np.zeros((0, 0))
+        with pytest.raises(ValueError, match="at least 1x1"):
+            QuarticPencil.from_matrices(z, z, z, z, z)
