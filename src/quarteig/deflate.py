@@ -4,7 +4,7 @@ The decision tree branches on the numerical ranks of the extreme
 coefficients A and E:
 
 * both regular: nothing is deflated and the linearization reaches QZ
-  unchanged (identity transforms); the backend (LAPACK zggev) starts with
+  unchanged (identity transforms); the backend (LAPACK zggev3) starts with
   its own QR of the lambda coefficient, so a triangularization here would be
   repeated work.
 * exactly one singular: a structured transformation exposes n - r_E zero

@@ -4,8 +4,10 @@ Everything downstream (rank analysis, deflation, eigenvector recovery) is
 built on the routines here: column-pivoted rank-revealing QR with pluggable
 truncation strategies, complete orthogonal (URV) decomposition, SVD, the
 complex generalized Schur form of a matrix pair, and O(n^2) shifted
-triangular solves built on it. This module is also the one place that sets
-the BLAS thread count (:func:`blas_threads`).
+triangular solves built on it, and the eigensolver of the final pencil
+(:func:`generalized_eig`). This module is also the one place that talks to
+OpenBLAS directly: it sets the BLAS thread count (:func:`blas_threads`) and
+finds LAPACK's blocked QZ driver, which scipy does not wrap.
 
 Matrices are plain ``numpy.ndarray``s promoted to complex128; inputs with
 NaN/Inf entries are rejected.
@@ -396,7 +398,7 @@ def shifted_hess_solve(pair: TriHessPair, lam, v):
 
 
 # ---------------------------------------------------------------------------
-# BLAS thread count
+# OpenBLAS entry points: thread count and the blocked QZ driver
 # ---------------------------------------------------------------------------
 
 # (get, set) symbol names, first match per library: numpy's 64-bit-integer
@@ -408,13 +410,20 @@ _OPENBLAS_SYMBOLS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
+# LAPACKE_zggev3 symbol names with their integer type: scipy's 32-bit build
+# first, then numpy's 64-bit-integer build
+_ZGGEV3_SYMBOLS = (
+    ("scipy_LAPACKE_zggev3", ctypes.c_int),
+    ("scipy_LAPACKE_zggev364_", ctypes.c_int64),
+)
+_LAPACK_COL_MAJOR = 102
+
 
 @functools.cache
-def openblas_controls():
-    """(get, set) thread-count functions of every OpenBLAS in the process.
+def _openblas_libs():
+    """Every OpenBLAS shared object mapped into the process, opened once.
 
-    numpy and scipy may each load their own copy. Found on first use from
-    the shared objects mapped into the process; empty where none is found
+    numpy and scipy may each load their own copy. Empty where none is found
     (another BLAS, or no ``/proc``).
     """
     try:
@@ -422,12 +431,20 @@ def openblas_controls():
             paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
     except OSError:
         return ()
-    controls = []
+    libs = []
     for path in sorted(p for p in paths if ".so" in p):
         try:
-            lib = ctypes.CDLL(path)
+            libs.append(ctypes.CDLL(path))
         except OSError:
             continue
+    return tuple(libs)
+
+
+@functools.cache
+def openblas_controls():
+    """(get, set) thread-count functions of every OpenBLAS in the process."""
+    controls = []
+    for lib in _openblas_libs():
         for get_name, set_name in _OPENBLAS_SYMBOLS:
             if hasattr(lib, get_name) and hasattr(lib, set_name):
                 get, put = getattr(lib, get_name), getattr(lib, set_name)
@@ -438,20 +455,80 @@ def openblas_controls():
     return tuple(controls)
 
 
+@functools.cache
+def lapacke_zggev3():
+    """LAPACKE's ``zggev3`` from a loaded OpenBLAS, or None where none has it.
+
+    scipy wraps only the unblocked ``zggev``; the OpenBLAS it loads also
+    exports the blocked multishift driver. Returns the ctypes function with
+    its argument types set.
+    """
+    for name, lapack_int in _ZGGEV3_SYMBOLS:
+        for lib in _openblas_libs():
+            if hasattr(lib, name):
+                fn = getattr(lib, name)
+                ptr = ctypes.c_void_p
+                fn.restype = lapack_int
+                fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, lapack_int,
+                               ptr, lapack_int, ptr, lapack_int, ptr, ptr,
+                               ptr, lapack_int, ptr, lapack_int]
+                return fn
+    return None
+
+
+def generalized_eig(a, b, want_left=True):
+    """All eigenvalues and eigenvectors of the pair (a, b), in homogeneous form.
+
+    Runs LAPACK's blocked multishift QZ driver ``zggev3`` (``zgghd3`` then
+    ``zlaqz0``, multishift QZ with aggressive early deflation) where a loaded
+    OpenBLAS exports it, and otherwise ``scipy.linalg.eig`` (``zggev``).
+    Returns ``(ab, vl, vr, driver)``: ``ab`` stacks alpha over beta, ``vl``
+    is None unless ``want_left``, the eigenvectors are unnormalized, and
+    ``driver`` names the routine that ran. A nonzero ``info`` from LAPACK
+    raises :class:`GevpError`.
+    """
+    n = a.shape[0]
+    if a.shape != (n, n) or b.shape != (n, n):
+        raise ValueError(f"expected equal square matrices, got {a.shape} and {b.shape}")
+    fn = lapacke_zggev3()
+    if fn is None:
+        try:
+            out = sla.eig(a, b, left=want_left, right=True, homogeneous_eigvals=True,
+                          check_finite=False)
+        except (sla.LinAlgError, np.linalg.LinAlgError) as exc:  # pragma: no cover
+            raise GevpError(f"QZ backend failed: {exc}") from exc
+        ab, vl, vr = out if want_left else (out[0], None, out[1])
+        return ab, vl, vr, "lapack.zggev (scipy.linalg.eig)"
+    a = np.array(a, dtype=np.complex128, order="F")
+    b = np.array(b, dtype=np.complex128, order="F")
+    ab = np.empty((2, n), dtype=np.complex128)
+    vr = np.empty((n, n), dtype=np.complex128, order="F")
+    vl = np.empty((n, n) if want_left else (1, 1), dtype=np.complex128, order="F")
+    ld = max(n, 1)
+    info = fn(_LAPACK_COL_MAJOR, b"V" if want_left else b"N", b"V", n,
+              a.ctypes.data, ld, b.ctypes.data, ld, ab[0].ctypes.data, ab[1].ctypes.data,
+              vl.ctypes.data, ld if want_left else 1, vr.ctypes.data, ld)
+    if info != 0:
+        raise GevpError(f"QZ backend failed: LAPACKE_zggev3 returned info={info}")
+    return ab, vl if want_left else None, vr, "lapack.zggev3"
+
+
 @contextlib.contextmanager
 def blas_threads(k):
     """Run the block with every loaded OpenBLAS at ``k`` threads.
 
     Each library's previous count is put back on exit, also when the block
     raises. The count is process-wide: other Python threads see it too.
-    Yields False when no OpenBLAS could be controlled (nothing is changed).
+    Yields the count read back after setting it (the largest over the
+    libraries, which all hold ``k`` unless one caps it), or None when no
+    OpenBLAS could be controlled (nothing is changed).
     """
     controls = openblas_controls()
     saved = [get() for get, _ in controls]
     for _, put in controls:
         put(k)
     try:
-        yield bool(controls)
+        yield max((get() for get, _ in controls), default=None)
     finally:
         for (_, put), n in zip(controls, saved):
             put(n)

@@ -85,6 +85,8 @@ class SolveResult:
     summary: diagnostics.SummaryReport
     record: scaling.ScalingRecord
     flags: list = field(default_factory=list)
+    backend: str = ""  # the QZ driver that ran (GevpSolution.backend_id)
+    blas_threads: int | None = None  # read back during the solve; None if not controllable
 
 
 def _lift_all(gs, d, eigs, flags):
@@ -167,13 +169,16 @@ def _recover_all(eigs, zfull, wfull, ctx, qw, config, flags):
 def solve_pencil(q0: QuarticPencil, config: SolveConfig = SolveConfig(), name="problem") -> SolveResult:
     """Solve the quartic eigenvalue problem for the given coefficients.
 
-    Runs with the BLAS at ``config.threads`` threads. Where no BLAS thread
-    count can be set, the result carries the flag ``blas_threads_not_set``.
+    Runs with the BLAS at ``config.threads`` threads and records the count
+    read back during the solve in ``blas_threads``. Where no BLAS thread
+    count can be set, that is None and the result carries the flag
+    ``blas_threads_not_set``.
     """
     config.validate()
-    with blas_threads(config.threads) as applied:
+    with blas_threads(config.threads) as count:
         res = _solve(q0, config, name)
-    if not applied:
+    res.blas_threads = count
+    if count is None:
         res.flags.append("blas_threads_not_set")
     return res
 
@@ -274,6 +279,7 @@ def _solve(q0, config, name):
         summary=summary,
         record=rec,
         flags=flags,
+        backend=gs.backend_id,
     )
 
 
@@ -344,5 +350,5 @@ def build_report(res: SolveResult) -> dict:
         "eigenpairs": pairs,
         "summary": res.summary.as_dict(),
         "flags": list(res.flags),
-        "meta": {"backend": gevp._BACKEND_ID, "package": _PKG_VERSION, "threads": cfg.threads},
+        "meta": {"backend": res.backend, "package": _PKG_VERSION, "threads": res.blas_threads},
     }

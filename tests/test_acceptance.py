@@ -160,14 +160,18 @@ def test_criterion_5_residual_property_suite():
         _solve(qe.gen_mirror_like(seed=0))
 
     def independent_eta(eig, x, q, norms):
-        # straight from the definition; shares no code with the package path
+        # straight from the definition; shares no code with the package path.
+        # The residual is formed in extended precision: at eta near 1e-17 a
+        # float64 residual carries rounding errors larger than the value.
+        ext = np.clongdouble
         nx = np.linalg.norm(x)
+        xe = x.astype(ext)
         if eig.cls == EIG_INFINITE:
-            return np.linalg.norm(q.a @ x) / (norms[0] * nx)
-        lam = eig.lam
-        p = lam**4 * q.a + lam**3 * q.b + lam**2 * q.c + lam * q.d + q.e
-        den = sum(abs(lam) ** (4 - k) * norms[k] for k in range(5)) * nx
-        return np.linalg.norm(p @ x) / den
+            return float(np.linalg.norm(q.a.astype(ext) @ xe)) / (norms[0] * nx)
+        lam = ext(eig.lam)
+        p = sum(lam ** (4 - k) * m.astype(ext) for k, m in enumerate(q.coeffs))
+        den = sum(abs(eig.lam) ** (4 - k) * norms[k] for k in range(5)) * nx
+        return float(np.linalg.norm(p @ xe)) / den
 
     pairs_checked = 0
     for label, bundle, res in RUNS:

@@ -1,11 +1,35 @@
 import numpy as np
 import pytest
 
-from quarteig import solve_gevp
+import quarteig.numkit
+from quarteig import SolveConfig, build_report, solve_gevp, solve_pencil
 from quarteig.errors import GevpError
 from quarteig.numkit import EPS
 from quarteig.pencil import EIG_FINITE, EIG_INFINITE, LinearPencil
-from oracles import haar_unitary, match_values, pencil_det_roots, rand_complex, singular_quartic
+from quarteig.probio import gen_jordan_chain, gen_planted
+from oracles import (
+    haar_unitary,
+    match_values,
+    pencil_det_roots,
+    rand_complex,
+    random_regular_quartic,
+    singular_quartic,
+)
+
+
+def force_zggev(monkeypatch):
+    """Hide LAPACKE_zggev3, so the QZ falls back to scipy.linalg.eig (zggev)."""
+    monkeypatch.setattr(quarteig.numkit, "lapacke_zggev3", lambda: None)
+
+
+@pytest.fixture(params=["zggev3", "zggev"])
+def driver(request, monkeypatch):
+    """Run the test under each QZ driver; returns the driver's LAPACK name."""
+    if request.param == "zggev":
+        force_zggev(monkeypatch)
+    elif quarteig.numkit.lapacke_zggev3() is None:
+        pytest.skip("no loaded OpenBLAS exports LAPACKE_zggev3")
+    return request.param
 
 
 def residuals(p, gs):
@@ -87,13 +111,54 @@ class TestSolveGevp:
         with pytest.raises(GevpError):
             solve_gevp(LinearPencil(aa=np.zeros((2, 3)), bb=np.zeros((2, 3))))
 
-    def test_backend_id_present(self):
+    def test_backend_id_present(self, driver):
         p = LinearPencil(aa=np.eye(2, dtype=complex), bb=np.eye(2, dtype=complex))
-        assert "scipy" in solve_gevp(p).backend_id
+        assert solve_gevp(p).backend_id.split()[0] == f"lapack.{driver}"
 
-    def test_singular_quartic_undeflated_is_typed_error(self):
-        from quarteig import SolveConfig, solve_pencil
-
+    def test_singular_quartic_undeflated_is_typed_error(self, driver):
         q = singular_quartic(np.random.default_rng(60))
         with pytest.raises(GevpError, match="singular"):
             solve_pencil(q, SolveConfig(deflate=False))
+
+
+class TestDrivers:
+    """The blocked multishift zggev3 and scipy's zggev solve the same problems.
+
+    The 4n pencils are at least 75 wide, where zggev3 switches from the
+    unblocked reduction and single-shift QZ to the blocked multishift ones.
+    """
+
+    CASES = {
+        "regular": (lambda: random_regular_quartic(np.random.default_rng(62), 20), True),
+        "planted": (lambda: gen_planted(20, 2, 3, seed=63).pencil, False),
+        "jordan": (lambda: gen_jordan_chain(24, 3, "zero", seed=64).pencil, True),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_eigenvalues_agree(self, case, monkeypatch):
+        if quarteig.numkit.lapacke_zggev3() is None:
+            pytest.skip("no loaded OpenBLAS exports LAPACKE_zggev3")
+        make, deflate = self.CASES[case]
+        q = make()
+        cfg = SolveConfig(deflate=deflate)
+        fast = solve_pencil(q, cfg)
+        force_zggev(monkeypatch)
+        ref = solve_pencil(q, cfg)
+        assert (fast.backend, ref.backend) == ("lapack.zggev3", "lapack.zggev (scipy.linalg.eig)")
+        for res in (fast, ref):
+            assert len(res.solution.eigs) == 4 * q.n
+            assert max(dg.eta_right for dg in res.solution.diags) <= 1e-12
+        classes = [sorted(e.cls for e in r.solution.eigs) for r in (fast, ref)]
+        assert classes[0] == classes[1]
+        finite = [[e.lam for e in r.solution.eigs if e.cls == EIG_FINITE] for r in (fast, ref)]
+        match_values(finite[0], finite[1], 1e-10)
+
+    def test_zggev3_info_is_typed_error(self, monkeypatch):
+        monkeypatch.setattr(quarteig.numkit, "lapacke_zggev3", lambda: lambda *args: 1)
+        p = LinearPencil(aa=np.eye(3, dtype=complex), bb=np.eye(3, dtype=complex))
+        with pytest.raises(GevpError, match="info=1"):
+            solve_gevp(p)
+
+    def test_report_names_driver(self, driver):
+        rep = build_report(solve_pencil(random_regular_quartic(np.random.default_rng(65), 3)))
+        assert rep["meta"]["backend"].split()[0] == f"lapack.{driver}"

@@ -99,3 +99,28 @@ def test_uncontrolled_blas_is_flagged(monkeypatch):
     res = solve_pencil(random_regular_quartic(np.random.default_rng(7), 3))
     assert res.flags[-1] == "blas_threads_not_set"
     assert "blas_threads_not_set" in build_report(res)["flags"]
+
+
+def test_report_threads_read_back(libs):
+    q = random_regular_quartic(np.random.default_rng(8), 3)
+    for k in (1, 2):
+        res = solve_pencil(q, SolveConfig(threads=k))
+        assert res.blas_threads == k
+        assert build_report(res)["meta"]["threads"] == k
+
+
+def test_report_threads_null_when_uncontrolled(monkeypatch):
+    monkeypatch.setattr(quarteig.numkit, "openblas_controls", lambda: ())
+    res = solve_pencil(random_regular_quartic(np.random.default_rng(9), 3), SolveConfig(threads=2))
+    assert res.blas_threads is None
+    assert build_report(res)["meta"]["threads"] is None
+
+
+def test_report_threads_are_read_back(monkeypatch):
+    # a library that caps the count: the report shows what it holds, not the request
+    held = [4]
+    capped = (lambda: held[0], lambda k: held.__setitem__(0, min(k, 1)))
+    monkeypatch.setattr(quarteig.numkit, "openblas_controls", lambda: (capped,))
+    res = solve_pencil(random_regular_quartic(np.random.default_rng(10), 3), SolveConfig(threads=2))
+    assert res.blas_threads == 1
+    assert "blas_threads_not_set" not in res.flags
