@@ -111,11 +111,21 @@ class TestSolveGevp:
         with pytest.raises(GevpError):
             solve_gevp(LinearPencil(aa=np.zeros((2, 3)), bb=np.zeros((2, 3))))
 
-    def test_backend_id_present(self, driver):
+    def test_backend_id_present(self):
+        p = LinearPencil(aa=np.eye(2, dtype=complex), bb=np.eye(2, dtype=complex))
+        expect = "zggev" if quarteig.numkit.lapacke_zggev3() is None else "zggev3"
+        assert solve_gevp(p).backend_id.split()[0] == f"lapack.{expect}"
+
+    def test_backend_id_names_driver(self, driver):
         p = LinearPencil(aa=np.eye(2, dtype=complex), bb=np.eye(2, dtype=complex))
         assert solve_gevp(p).backend_id.split()[0] == f"lapack.{driver}"
 
-    def test_singular_quartic_undeflated_is_typed_error(self, driver):
+    def test_singular_quartic_undeflated_is_typed_error(self):
+        q = singular_quartic(np.random.default_rng(60))
+        with pytest.raises(GevpError, match="singular"):
+            solve_pencil(q, SolveConfig(deflate=False))
+
+    def test_singular_quartic_undeflated_is_typed_error_per_driver(self, driver):
         q = singular_quartic(np.random.default_rng(60))
         with pytest.raises(GevpError, match="singular"):
             solve_pencil(q, SolveConfig(deflate=False))
