@@ -132,17 +132,6 @@ class DeflationStep:
 
 
 @dataclass
-class TrailingSchur:
-    """Generalized Schur form of the deflated trailing pencil plus the
-    coupling blocks multiplied by its right factor (see
-    :attr:`DeflationResult.trailing_schur`)."""
-
-    pair: TriHessPair
-    xa: np.ndarray
-    xb: np.ndarray
-
-
-@dataclass
 class DeflationResult:
     """Deflated regular pencil plus the accumulated equivalence transforms.
 
@@ -170,29 +159,14 @@ class DeflationResult:
         return self.work_a.shape[0]
 
     @property
-    def p_adj(self):
-        """Cached adjoint of the left transformation (used per eigenvalue)."""
-        if getattr(self, "_p_adj", None) is None:
-            self._p_adj = self.p.conj().T.copy()
-        return self._p_adj
-
-    @property
-    def trailing_schur(self):
-        """Cached generalized Schur form of the trailing (deflated) pencil.
-
-        ``pair`` reduces work_a[m:, m:] = q t z* and work_b[m:, m:] = q h z*
-        with t, h upper triangular; ``xa``, ``xb`` are the coupling blocks
-        work_a[:m, m:] z and work_b[:m, m:] z. Left-vector lifting uses them
-        for every eigenvalue.
+    def trailing_schur(self) -> TriHessPair:
+        """Cached generalized Schur form of the trailing (deflated) pencil:
+        work_a[m:, m:] = q t z* and work_b[m:, m:] = q h z* with t, h upper
+        triangular. Left-vector lifting solves with it for all eigenvalues.
         """
         if getattr(self, "_trailing_schur", None) is None:
             m = self.size
-            pair = tri_hess_reduce(self.work_a[m:, m:], self.work_b[m:, m:])
-            self._trailing_schur = TrailingSchur(
-                pair=pair,
-                xa=self.work_a[:m, m:] @ pair.z,
-                xb=self.work_b[:m, m:] @ pair.z,
-            )
+            self._trailing_schur = tri_hess_reduce(self.work_a[m:, m:], self.work_b[m:, m:])
         return self._trailing_schur
 
 
@@ -211,28 +185,32 @@ class _Reducer:
         self.steps = []
         self.flags = []
 
-    def left(self, l):
+    def left(self, l, start=0):
+        """Multiply the active rows from ``start`` on by l from the left."""
         m = self.m
-        self.wa[:m, :] = l @ self.wa[:m, :]
-        self.wb[:m, :] = l @ self.wb[:m, :]
-        self.p[:m, :] = l @ self.p[:m, :]
+        for w in (self.wa, self.wb, self.p):
+            w[start:m, :] = l @ w[start:m, :]
+
+    def permute_rows(self, order):
+        """Reorder the active rows: new row i is old row ``order[i]``."""
+        m = self.m
+        for w in (self.wa, self.wb, self.p):
+            w[:m, :] = w[order, :]
 
     def right(self, r):
+        """Multiply the active columns by r; below the active rows they are
+        exact zeros (left so by :meth:`truncate`) and stay untouched."""
         m = self.m
-        self.wa[:, :m] = self.wa[:, :m] @ r
-        self.wb[:, :m] = self.wb[:, :m] @ r
+        self.wa[:m, :m] = self.wa[:m, :m] @ r
+        self.wb[:m, :m] = self.wb[:m, :m] @ r
         self.q[:, :m] = self.q[:, :m] @ r
 
-    def apply_structured(self, l, r, wa_active, wb_active):
-        """Apply (l, r), writing the active blocks as their exactly assembled
-        images (identity/zero blocks exact)."""
-        m = self.m
-        self.p[:m, :] = l @ self.p[:m, :]
-        self.q[:, :m] = self.q[:, :m] @ r
-        self.wa[:m, m:] = l @ self.wa[:m, m:]
-        self.wb[:m, m:] = l @ self.wb[:m, m:]
-        self.wa[:m, :m] = wa_active
-        self.wb[:m, :m] = wb_active
+    def apply_structured(self, l, r, wa, wb):
+        """First step: (l, r) transform the untouched linearization, whose
+        images wa = l AA r and wb = l BB r are assembled exactly
+        (identity/zero blocks exact); P and Q are still the identity."""
+        assert not self.steps
+        self.p, self.q, self.wa, self.wb = l, r, wa, wb
 
     def truncate(self, k, kind, side, zeros=0, infs=0, rank=None, evidence=None):
         m = self.m
@@ -320,11 +298,8 @@ def _step2_zero(red: _Reducer, q: QuarticPencil, rp: RankProfile, sl: SecondLeve
             np.arange(3 * n, 3 * n + r_e),
         ]
     )
-    perm = np.eye(m, dtype=np.complex128)[order, :]
-    l = sla.block_diag(
-        np.eye(2 * n + r_e, dtype=np.complex128), sl.qr_psi.q.conj().T
-    ) @ perm
-    red.left(l)
+    red.permute_rows(order)
+    red.left(sl.qr_psi.q.conj().T, start=2 * n + r_e)
     # the bottom n rows of the constant term are Q_psi* Psi = R Pi^T exactly
     psi_rows = sl.qr_psi.r_hat_unpermuted(pad=True)
     red.wa[2 * n + r_e : 3 * n + r_e, :n] = psi_rows
@@ -388,9 +363,7 @@ def _case_both_full(red: _Reducer, q: QuarticPencil, rp: RankProfile):
     if cod.rank < n - rp.r_a:
         red.flags.append("inf_block_trailing_rank_deficient")
     red.right(cod.v)
-    keep = np.array([i for i in range(m) if i not in set(rows)])
-    order = np.concatenate([keep, rows])
-    red.left(np.eye(m, dtype=np.complex128)[order, :])
+    red.permute_rows(np.concatenate([np.delete(np.arange(m), rows), rows]))
     red.truncate(
         n - rp.r_a,
         kind="inf_block_1",

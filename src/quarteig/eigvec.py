@@ -11,8 +11,9 @@ all available candidates are evaluated and the one with the smallest
 backward error wins. A left eigenvector is w = (lambda^3 y, lambda^2 y,
 lambda y, y) and y is read off the best-scaled block. Vectors of the
 deflated pencil are lifted back to the full linearization with the
-accumulated transformations; left vectors also need one triangular solve on
-the generalized Schur form of the deflated trailing pencil.
+accumulated transformations; left vectors also need a solve with the
+deflated trailing pencil, done for all eigenvalues by one batched forward
+substitution on its generalized Schur form.
 """
 
 from __future__ import annotations
@@ -25,14 +26,13 @@ import scipy.linalg as sla
 
 from . import diagnostics
 from .deflate import DeflationResult, RankProfile
-from .errors import DegenerateVectorError, LiftError
+from .errors import DegenerateVectorError
 from .numkit import (
     EPS,
     SVDFactors,
     TriHessPair,
     shifted_hess_solve,  # only bench/tracer.py uses it here (ROADMAP item 1)
     shifted_hess_solve_many,
-    singular_diag,
     svd,
     tri_hess_reduce,
     unit,
@@ -163,21 +163,26 @@ def recover_right_zero(z, q: QuarticPencil):
     return x, mismatch
 
 
-def recover_left(w, eig: HomogeneousEig):
-    """Left eigenvector from a block of w = (l^3 y, l^2 y, l y, y).
+def recover_left(ws):
+    """Left eigenvectors from the blocks of w = (l^3 y, l^2 y, l y, y).
 
-    All four blocks are y up to the scale family (l^3, l^2, l, 1); the block
-    with the largest norm carries the most signal relative to additive noise,
-    so it is selected (and logged by the caller), then normalized.
+    ``ws`` holds one 4n-vector per column. All four blocks are y up to the
+    scale family (l^3, l^2, l, 1); the block with the largest norm carries
+    the most signal relative to additive noise, so it is selected per column,
+    for the whole batch at once, and normalized. Returns ``(y, ok)``:
+    ``ok[j]`` is False for an all-zero column, whose column of ``y`` is zero.
     """
-    n = np.asarray(w).ravel().shape[0] // 4
-    blocks = _split(w, n)
-    norms = [np.linalg.norm(b) for b in blocks]
-    y = blocks[int(np.argmax(norms))]
-    ny = np.linalg.norm(y)
-    if ny == 0.0:
-        raise DegenerateVectorError("all blocks of the left eigenvector vanish")
-    return y / ny
+    ws = np.asarray(ws)
+    if ws.ndim != 2 or ws.shape[0] % 4:
+        raise ValueError(f"expected 4n-vectors as columns, got shape {ws.shape}")
+    blocks = ws.reshape(4, ws.shape[0] // 4, ws.shape[1])
+    norms = np.linalg.norm(blocks, axis=1)
+    best = np.argmax(norms, axis=0)
+    cols = np.arange(ws.shape[1])
+    ny = norms[best, cols]
+    ok = ny > 0.0
+    y = blocks[best, :, cols].T
+    return np.divide(y, ny, out=np.zeros_like(y), where=ok), ok
 
 
 def recover_right_ls(z, eig: HomogeneousEig, ctx: RecoveryContext, weight=1.0):
@@ -225,35 +230,36 @@ def recover_right_ls(z, eig: HomogeneousEig, ctx: RecoveryContext, weight=1.0):
     return unit(v_e @ u)
 
 
-def lift_left(w_til, eig: HomogeneousEig, d: DeflationResult):
-    """Lift a deflated-pencil left eigenvector through w2* Y = -w* X.
+def lift_left(ws, eigs, d: DeflationResult):
+    """Lift deflated-pencil left eigenvectors, one per column of ``ws``.
 
-    X and Y are the coupling and trailing blocks of P(beta*AA - alpha*BB)Q.
-    With the cached generalized Schur form Y = Qk (beta*Sa - alpha*Sb) Zk*
-    of the trailing pencil, w2 = Qk (beta*Sa - alpha*Sb)^{-*} Zk* (-X* w)
-    is one O(k^2) triangular solve; a numerically singular triangular
-    diagonal raises :class:`LiftError`.
+    X and Y are the coupling and trailing blocks of P(beta*AA - alpha*BB)Q;
+    the lifted vector is P* (w, w2) with w2* Y = -w* X. One batched forward
+    substitution on the generalized Schur form of the trailing pencil
+    (:attr:`DeflationResult.trailing_schur`) solves Y* w2 = -X* w for all
+    eigenvalues, followed by one product with P* and one column
+    normalization. Returns ``(w, ok)`` with unit columns; ``ok[j]`` is False
+    (and that column zero) where the trailing block is numerically singular
+    at the eigenvalue, so deflation did not produce the claimed structure,
+    or where ``ws[:, j]`` is zero.
     """
-    w_til = np.asarray(w_til).ravel()
-    if w_til.shape[0] != d.size:
-        raise ValueError(f"expected a {d.size}-vector, got {w_til.shape[0]}")
-    if np.linalg.norm(w_til) == 0.0:
-        raise ValueError("left eigenvector must be nonzero")
-    if d.size == d.full_size:  # nothing deflated: identity transforms
-        return unit(w_til)
-    alpha, beta = eig.alpha, eig.beta
-    ts = d.trailing_schur
-    y_tri = beta * ts.pair.t - alpha * ts.pair.h
-    if singular_diag(np.diagonal(y_tri)):
-        raise LiftError(
-            "trailing block is numerically singular at this eigenvalue; "
-            "deflation did not produce the claimed structure"
-        )
-    # Zk* X* w = conj(beta) (Wa12 Zk)* w - conj(alpha) (Wb12 Zk)* w
-    wc = w_til.conj()
-    xw = np.conj(beta * (wc @ ts.xa) - alpha * (wc @ ts.xb))
-    w2 = ts.pair.q @ sla.solve_triangular(y_tri, -xw, trans="C", check_finite=False)
-    return unit(d.p_adj @ np.concatenate([w_til, w2]))
+    ws = np.asarray(ws, dtype=np.complex128)
+    if ws.shape != (d.size, len(eigs)):
+        raise ValueError(f"expected {d.size}-vectors as {len(eigs)} columns, got {ws.shape}")
+    ok = np.ones(ws.shape[1], dtype=bool)
+    if d.size < d.full_size:
+        m = d.size
+        alpha = np.array([e.alpha for e in eigs], dtype=np.complex128)
+        beta = np.array([e.beta for e in eigs], dtype=np.complex128)
+        # X* w = conj(beta) Wa12* w - conj(alpha) Wb12* w
+        xw = (beta.conj() * (d.work_a[:m, m:].conj().T @ ws)
+              - alpha.conj() * (d.work_b[:m, m:].conj().T @ ws))
+        w2, ok = shifted_hess_solve_many(d.trailing_schur, beta, -xw.T[:, :, None],
+                                         s2=-alpha, adjoint=True)
+        ws = d.p.conj().T @ np.vstack([ws, w2[:, :, 0].T])
+    nrm = np.linalg.norm(ws, axis=0)
+    ok &= np.isfinite(nrm) & (nrm > 0.0)
+    return np.divide(ws, nrm, out=np.zeros_like(ws), where=ok), ok
 
 
 def nullspace_vectors(rp: RankProfile, which, side="right"):

@@ -21,10 +21,6 @@ class DeflationError(QuarteigError):
     """Deflation could not complete consistently."""
 
 
-class LiftError(QuarteigError):
-    """Eigenvector lifting through the deflation transforms failed."""
-
-
 class DegenerateVectorError(QuarteigError):
     """Recovered eigenvector block is numerically negligible."""
 

@@ -3,11 +3,12 @@
 Everything downstream (rank analysis, deflation, eigenvector recovery) is
 built on the routines here: column-pivoted rank-revealing QR with pluggable
 truncation strategies, complete orthogonal (URV) decomposition, SVD, the
-complex generalized Schur form of a matrix pair, and O(n^2) shifted
-triangular solves built on it, and the eigensolver of the final pencil
-(:func:`generalized_eig`). This module is also the one place that talks to
-OpenBLAS directly: it sets the BLAS thread count (:func:`blas_threads`) and
-finds LAPACK's blocked QZ driver, which scipy does not wrap.
+complex generalized Schur form of a matrix pair, batched O(n^2) shifted
+triangular solves built on it (plain and adjoint), and the eigensolver of
+the final pencil (:func:`generalized_eig`). This module is also the one
+place that talks to OpenBLAS directly: it sets the BLAS thread count
+(:func:`blas_threads`) and finds LAPACK's blocked QZ driver, which scipy
+does not wrap.
 
 Matrices are plain ``numpy.ndarray``s promoted to complex128; inputs with
 NaN/Inf entries are rejected.
@@ -352,33 +353,44 @@ def singular_diag(d):
     return (dmin == 0.0) | (dmax >= dmin / EPS)
 
 
-def shifted_hess_solve_many(pair: TriHessPair, lams, vs):
-    """Batched (lam_j a + b)^-1 v_j for stacked right-hand sides.
+def shifted_hess_solve_many(pair: TriHessPair, s1, vs, s2=None, adjoint=False):
+    """Batched solves with the shifted matrices s1_j a + s2_j b.
 
-    ``vs`` has shape (j, n, r) and ``pair`` is the triangular form from
-    :func:`tri_hess_reduce`, so every shift is one O(n^2) back
-    substitution, run for all shifts and columns at once.
+    ``vs`` has shape (j, n, r): r right-hand sides for each of the j shifts.
+    ``pair`` is the triangular form from :func:`tri_hess_reduce`, so
+    s1_j a + s2_j b = q (s1_j t + s2_j h) z* and every solve is one O(n^2)
+    substitution, run for all shifts and columns at once: back substitution
+    for (s1_j a + s2_j b) x = v, or forward substitution for the adjoint
+    system (s1_j a + s2_j b)* x = v when ``adjoint`` is set. ``s2`` defaults
+    to ones, which gives (lam_j a + b)^-1 v for ``s1 = lam``.
     Returns ``(x, ok)`` where ``ok[j]`` is False for shifts whose diagonal
     fails :func:`singular_diag` (those entries of ``x`` are not meaningful).
     """
-    lams = np.asarray(lams, dtype=np.complex128)
+    s1 = np.asarray(s1, dtype=np.complex128)
+    s2 = np.ones_like(s1) if s2 is None else np.asarray(s2, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
     nj, n, nr = vs.shape
     t, h = pair.t, pair.h
-    if lams.shape != (nj,) or t.shape != (n, n) or h.shape != (n, n):
+    if s1.shape != (nj,) or s2.shape != (nj,) or t.shape != (n, n) or h.shape != (n, n):
         raise ValueError("inconsistent batch shapes")
-    diag = np.diagonal(t)[None, :] * lams[:, None] + np.diagonal(h)[None, :]
+    diag = s1[:, None] * np.diagonal(t)[None, :] + s2[:, None] * np.diagonal(h)[None, :]
     ok = ~singular_diag(diag)
-    # columns are (shift, rhs) pairs: back substitution row by row
-    lam_cols = np.repeat(lams, nr)
+    if adjoint:  # (s1 t + s2 h)* is lower triangular
+        th = np.stack([t.conj().T, h.conj().T])
+        s1, s2, diag = s1.conj(), s2.conj(), diag.conj()
+        rot_in, rot_out, rows = pair.z.conj().T, pair.q, range(n)
+    else:
+        th = np.stack([t, h])
+        rot_in, rot_out, rows = pair.qh, pair.z, range(n - 1, -1, -1)
+    # columns are (shift, rhs) pairs: substitution row by row
+    s_cols = np.repeat(np.stack([s1, s2]), nr, axis=1)
     diag_cols = np.repeat(np.where(diag == 0.0, 1.0, diag).T, nr, axis=1)
-    y = pair.qh @ vs.transpose(1, 0, 2).reshape(n, nj * nr)
-    for k in range(n - 1, -1, -1):
-        if k + 1 < n:
-            th = np.stack([t[k, k + 1 :], h[k, k + 1 :]]) @ y[k + 1 :]
-            y[k] -= lam_cols * th[0] + th[1]
+    y = rot_in @ vs.transpose(1, 0, 2).reshape(n, nj * nr)
+    for k in rows:
+        done = slice(0, k) if adjoint else slice(k + 1, n)  # empty on the first row
+        y[k] -= (s_cols * (th[:, k, done] @ y[done])).sum(axis=0)
         y[k] /= diag_cols[k]
-    x = (pair.z @ y).reshape(n, nj, nr).transpose(1, 0, 2)
+    x = (rot_out @ y).reshape(n, nj, nr).transpose(1, 0, 2)
     return x, ok
 
 

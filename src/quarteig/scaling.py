@@ -142,7 +142,8 @@ def descale(sol: EigenSolution, rec: ScalingRecord) -> EigenSolution:
 
     Finite eigenvalues pick up the factor gamma (alpha <- gamma*alpha on the
     homogeneous pair, exact for the zero/infinite classes); right vectors are
-    rescaled by Dr and left vectors by Dl, then renormalized.
+    rescaled by Dr and left vectors by Dl, then renormalized, each side as
+    one array.
     """
     if rec.is_identity:
         return sol
@@ -155,16 +156,16 @@ def descale(sol: EigenSolution, rec: ScalingRecord) -> EigenSolution:
             eigs.append(eig)
 
     def remap(vecs, diag):
-        if diag is None:
-            return list(vecs)
-        out = []
-        for v in vecs:
-            if v is None:
-                out.append(None)
-            else:
-                w = diag * v
-                nrm = np.linalg.norm(w)
-                out.append(w / nrm if nrm > 0 else w)
+        """Scale every vector by diag and renormalize, as one array."""
+        idx = [i for i, v in enumerate(vecs) if v is not None]
+        out = list(vecs)
+        if diag is None or not idx:
+            return out
+        w = np.stack([vecs[i] for i in idx]) * diag[None, :]
+        nrm = np.linalg.norm(w, axis=1, keepdims=True)
+        w = np.divide(w, nrm, out=w, where=nrm > 0.0)
+        for row, i in enumerate(idx):
+            out[i] = w[row]
         return out
 
     return EigenSolution(

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diagnostics, eigvec, gevp, probio, scaling
 from .deflate import analyze_ranks, deflate, second_level
-from .errors import DegenerateVectorError, LiftError
+from .errors import DegenerateVectorError
 from .numkit import blas_threads, make_strategy, unit
 from .pencil import (
     EIG_FINITE,
@@ -93,32 +93,28 @@ def _lift_all(gs, d, eigs, flags):
     """Lift every backend eigenvector to the full linearization.
 
     Without deflation (or when it deflated nothing, so the transforms are
-    the identity) the backend vectors are already full-size. Otherwise right
-    vectors go through one matrix product and left vectors need the
-    per-eigenvalue coupling solve.
+    the identity) the backend's unit vectors are already full-size.
+    Otherwise right vectors go through one product with Q (unitary, so they
+    stay unit), and the left vectors of the finite eigenvalues through one
+    batched :func:`eigvec.lift_left`. Returns ``(zfull, wfull, has_left)``,
+    where ``has_left`` marks the columns of ``wfull`` that hold a left
+    vector (``wfull`` is None without left vectors).
     """
-    untransformed = d is None or d.size == d.full_size
-    zfull = gs.right if untransformed else d.q[:, : d.size] @ gs.right
-    nrm = np.linalg.norm(zfull, axis=0)
-    nrm[nrm == 0.0] = 1.0
-    zfull = zfull / nrm[None, :]
-    wfull = [None] * len(eigs)
-    if gs.left is not None:
-        if untransformed:
-            for i in range(len(eigs)):
-                wfull[i] = unit(gs.left[:, i])
-        else:
-            for i, eig in enumerate(eigs):
-                if eig.cls != EIG_FINITE:
-                    continue
-                try:
-                    wfull[i] = eigvec.lift_left(gs.left[:, i], eig, d)
-                except LiftError:
-                    flags.append(f"lift_left_failed_index_{i}")
-    return zfull, wfull
+    if d is None or d.size == d.full_size:
+        return gs.right, gs.left, np.full(len(eigs), gs.left is not None)
+    zfull = d.q[:, : d.size] @ gs.right
+    has_left = np.zeros(len(eigs), dtype=bool)
+    idx = np.flatnonzero([e.cls == EIG_FINITE for e in eigs])
+    if gs.left is None or not idx.size:
+        return zfull, None, has_left
+    wfull = np.zeros((d.full_size, len(eigs)), dtype=np.complex128)
+    wfull[:, idx], ok = eigvec.lift_left(gs.left[:, idx], [eigs[i] for i in idx], d)
+    flags.extend(f"lift_left_failed_index_{i}" for i in idx[~ok])
+    has_left[idx[ok]] = True
+    return zfull, wfull, has_left
 
 
-def _recover_all(eigs, zfull, wfull, ctx, qw, config, flags):
+def _recover_all(eigs, zfull, wfull, has_left, ctx, qw, config, flags):
     """Quartic eigenvectors for every backend eigenpair."""
     n = qw.n
     nj = len(eigs)
@@ -140,9 +136,14 @@ def _recover_all(eigs, zfull, wfull, ctx, qw, config, flags):
                 methods[i] = method
                 if x is None:
                     flags.append(f"recover_right_degenerate_index_{i}")
-        for i in finite_idx:
-            if wfull[i] is not None:
-                left[i] = eigvec.recover_left(wfull[i], eigs[i])
+        left_idx = [i for i in finite_idx if has_left[i]]
+        if left_idx:
+            ys, ok = eigvec.recover_left(wfull[:, left_idx])
+            for col, i in enumerate(left_idx):
+                if ok[col]:
+                    left[i] = ys[:, col]
+                else:
+                    flags.append(f"recover_left_degenerate_index_{i}")
     for i, eig in enumerate(eigs):
         if eig.cls == EIG_ZERO:
             try:
@@ -150,9 +151,8 @@ def _recover_all(eigs, zfull, wfull, ctx, qw, config, flags):
                 methods[i] = "zero_class_z1"
             except DegenerateVectorError:
                 methods[i] = "zero_class_degenerate"
-            w = wfull[i]
-            if w is not None and np.linalg.norm(w[3 * n :]) > 0:
-                left[i] = unit(w[3 * n :])
+            if has_left[i] and np.linalg.norm(wfull[3 * n :, i]) > 0:
+                left[i] = unit(wfull[3 * n :, i])
         elif eig.cls == EIG_INFINITE:
             z1 = zfull[:n, i]
             if np.linalg.norm(z1) > 0:
@@ -160,9 +160,8 @@ def _recover_all(eigs, zfull, wfull, ctx, qw, config, flags):
                 methods[i] = "inf_class_z1"
             else:
                 methods[i] = "inf_class_degenerate"
-            w = wfull[i]
-            if w is not None and np.linalg.norm(w[:n]) > 0:
-                left[i] = unit(w[:n])
+            if has_left[i] and np.linalg.norm(wfull[:n, i]) > 0:
+                left[i] = unit(wfull[:n, i])
     return right, left, methods
 
 
@@ -224,8 +223,8 @@ def _solve(q0, config, name):
     ctx = eigvec.build_context(qw, norms=norms_w) if needs_ctx else None
 
     eigs = list(gs.eigs)
-    zfull, wfull = _lift_all(gs, d, eigs, flags)
-    right, left, methods = _recover_all(eigs, zfull, wfull, ctx, qw, config, flags)
+    zfull, wfull, has_left = _lift_all(gs, d, eigs, flags)
+    right, left, methods = _recover_all(eigs, zfull, wfull, has_left, ctx, qw, config, flags)
 
     if d is not None:
         # counts in the working (possibly reversed) problem's orientation
@@ -259,8 +258,6 @@ def _solve(q0, config, name):
 
     sol = EigenSolution(eigs=eigs, right=right, left=left, methods=methods)
     sol = scaling.descale(sol, rec)
-    sol.right = [unit(v) if v is not None else None for v in sol.right]
-    sol.left = [unit(v) if v is not None else None for v in sol.left]
 
     norms0 = diagnostics.CoefficientNorms(q0)
     diags = diagnostics.diagnostics_many(sol.eigs, sol.right, sol.left, q0, norms0)

@@ -205,6 +205,24 @@ class TestDeflateCases:
             assert np.linalg.norm(d.work_a[m:, :m]) == 0.0
             assert np.linalg.norm(d.work_b[m:, :m]) == 0.0
 
+    def test_case_both_full_transforms(self):
+        # the row permutation of the infinite block is applied by index
+        b = gen_planted(10, 3, 2, seed=60)
+        lin, rp, sl, d = run_deflate(b.pencil)
+        assert [s.kind for s in d.steps] == ["zero_block_1", "inf_block_1"]
+        for w0, w in ((lin.aa, d.work_a), (lin.bb, d.work_b)):
+            assert np.linalg.norm(d.p @ w0 @ d.q - w) <= 1e-13 * np.linalg.norm(w0)
+        # exact zeros below each deflated block, and on its diagonal in the
+        # coefficient that vanishes there
+        top = d.full_size
+        for step in d.steps:
+            lo = top - step.deflated
+            assert not d.work_a[lo:top, :lo].any() and not d.work_b[lo:top, :lo].any()
+            vanishing = d.work_a if step.zeros else d.work_b
+            assert not vanishing[lo:top, lo:top].any()
+            top = lo
+        assert top == d.size
+
     def test_spectral_conservation_planted(self):
         for seed, n, ke, ka in ((10, 3, 1, 0), (11, 4, 2, 1), (12, 5, 1, 2), (13, 8, 3, 3)):
             b = gen_planted(n, ke, ka, seed=seed)

@@ -154,19 +154,26 @@ class TestRecoverRightZero:
             recover_right_zero(z, q)
 
 
+def recover_left_one(w):
+    """recover_left on a one-column batch."""
+    ys, ok = recover_left(np.asarray(w)[:, None])
+    assert ok[0]
+    return ys[:, 0]
+
+
 class TestRecoverLeft:
     def test_exact_blocks(self):
         rng = np.random.default_rng(7)
         y = unit(rand_complex(rng, (4,)))
         w = build_w(2.0, y)
-        got = recover_left(w, from_lambda(2.0))
+        got = recover_left_one(w)
         assert aligned_distance(got, y) <= 1e-13
 
     def test_lambda_one_any_block(self):
         rng = np.random.default_rng(8)
         y = unit(rand_complex(rng, (3,)))
         w = build_w(1.0, y)
-        got = recover_left(w, from_lambda(1.0))
+        got = recover_left_one(w)
         assert aligned_distance(got, y) <= 1e-13
 
     def test_noisy_choice_near_best(self):
@@ -181,7 +188,7 @@ class TestRecoverLeft:
         # build from the left display directly
         w = build_w(lam, y)
         w = unit(w + 1e-8 * rand_complex(rng, (4 * n,)))
-        got = recover_left(w, from_lambda(lam, n))
+        got = recover_left_one(w)
         # returned residual no worse than the best single block's, up to slack
         blocks = [w[:n], w[n : 2 * n], w[2 * n : 3 * n], w[3 * n :]]
         vals = [eta(lam, unit(b), qt, left=True) for b in blocks]
@@ -189,8 +196,31 @@ class TestRecoverLeft:
         assert got_val <= min(vals) * (1 + 1e-6)
 
     def test_all_zero_rejected(self):
-        with pytest.raises(DegenerateVectorError):
-            recover_left(np.zeros(8), from_lambda(2.0))
+        rng = np.random.default_rng(10)
+        ws = np.zeros((8, 3), dtype=complex)
+        ws[:, 0] = build_w(2.0, unit(rand_complex(rng, (2,))))
+        ws[:, 2] = build_w(0.5, unit(rand_complex(rng, (2,))))
+        ys, ok = recover_left(ws)
+        assert ok.tolist() == [True, False, True]
+        assert np.array_equal(ys[:, 1], np.zeros(2))
+        # the batch picks each column's block as a one-column call does
+        for j in (0, 2):
+            assert np.array_equal(ys[:, j], recover_left_one(ws[:, j]))
+
+    def test_per_column_block_choice(self):
+        rng = np.random.default_rng(11)
+        n = 3
+        lams = [4.0, 0.25, 1.0 + 1.0j, -0.1]
+        ys = [unit(rand_complex(rng, (n,))) for _ in lams]
+        ws = np.column_stack([build_w(lam, y) for lam, y in zip(lams, ys)])
+        got, ok = recover_left(ws)
+        assert ok.all()
+        for j, y in enumerate(ys):
+            assert aligned_distance(got[:, j], y) <= 1e-13
+
+    def test_shape_rejected(self):
+        with pytest.raises(ValueError):
+            recover_left(np.ones((7, 2)))
 
 
 class TestRecoverRightLS:
@@ -237,6 +267,17 @@ class TestRecoverRightLS:
         assert best_scaled_objective(x_ls) <= best_scaled_objective(x_plain) * (1 + 1e-10)
 
 
+def per_pair_lift(w_til, e, d):
+    """One eigenvalue's lift as a dense triangular solve on the trailing
+    Schur form: the per-pair reference for the batched lift."""
+    m = d.size
+    pair = d.trailing_schur
+    y_tri = e.beta * pair.t - e.alpha * pair.h
+    xw = (e.beta * d.work_a[:m, m:] - e.alpha * d.work_b[:m, m:]).conj().T @ w_til
+    w2 = pair.q @ sla.solve_triangular(y_tri, -(pair.z.conj().T @ xw), trans="C")
+    return unit(d.p.conj().T @ np.concatenate([w_til, w2]))
+
+
 class TestLift:
     def _planted(self, seed=13):
         from quarteig import gen_planted
@@ -256,17 +297,23 @@ class TestLift:
         d = deflate(linearize(q), q, rp)
         assert d.size == 12
         assert np.array_equal(d.q, np.eye(12))
-        w_til = unit(rand_complex(rng, (12,)))
-        w = lift_left(w_til, from_lambda(0.5), d)
-        assert np.linalg.norm(w - unit(d.p.conj().T @ w_til)) <= 1e-13
+        w_til = rand_complex(rng, (12, 2))
+        w, ok = lift_left(w_til, [from_lambda(0.5), from_lambda(2.0)], d)
+        assert ok.all()
+        ref = d.p.conj().T @ w_til
+        assert np.linalg.norm(w - ref / np.linalg.norm(ref, axis=0)) <= 1e-13
 
     def test_planted_lift_residuals(self):
         q, lin, d = self._planted()
         gs = solve_gevp(d.pencil)
         ctx = build_context(q)
-        for i, e in enumerate(gs.eigs):
-            if e.cls != EIG_FINITE:
-                continue
+        finite = [i for i, e in enumerate(gs.eigs) if e.cls == EIG_FINITE]
+        eigs = [gs.eigs[i] for i in finite]
+        ws, ok = lift_left(gs.left[:, finite], eigs, d)
+        assert ok.all()
+        ys, ok = recover_left(ws)
+        assert ok.all()
+        for col, (i, e) in enumerate(zip(finite, eigs)):
             z = unit(d.q[:, : d.size] @ gs.right[:, i])
             # residual on the full linearization
             res = np.linalg.norm((e.beta * lin.aa - e.alpha * lin.bb) @ z)
@@ -274,24 +321,27 @@ class TestLift:
             assert res <= 1e3 * 8 * EPS * scale
             x, _, val = recover_one(z, e, ctx)
             assert val <= 1e-10
-            w = lift_left(gs.left[:, i], e, d)
-            res_l = np.linalg.norm(w.conj() @ (e.beta * lin.aa - e.alpha * lin.bb))
+            res_l = np.linalg.norm(ws[:, col].conj() @ (e.beta * lin.aa - e.alpha * lin.bb))
             assert res_l <= 1e3 * 8 * EPS * scale
-            y = recover_left(w, e)
-            assert eta(e.lam, y, q, left=True) <= 1e-10
+            assert eta(e.lam, ys[:, col], q, left=True) <= 1e-10
 
     def test_padding_length(self):
         q, lin, d = self._planted()
         e = from_lambda(1.0)
-        w = lift_left(np.ones(d.size, dtype=complex), e, d)
-        assert w.shape[0] == 8
+        w, ok = lift_left(np.ones((d.size, 1), dtype=complex), [e], d)
+        assert w.shape == (8, 1) and ok[0]
         with pytest.raises(ValueError):
-            lift_left(np.ones(d.size + 1), e, d)
+            lift_left(np.ones((d.size + 1, 1)), [e], d)
+        with pytest.raises(ValueError):
+            lift_left(np.ones((d.size, 2)), [e], d)
 
     def test_zero_left_vector_rejected(self):
         q, lin, d = self._planted()
-        with pytest.raises(ValueError):
-            lift_left(np.zeros(d.size), from_lambda(1.0), d)
+        w_til = np.zeros((d.size, 2), dtype=complex)
+        w_til[:, 1] = 1.0
+        w, ok = lift_left(w_til, [from_lambda(1.0), from_lambda(1.0)], d)
+        assert ok.tolist() == [False, True]
+        assert np.array_equal(w[:, 0], np.zeros(d.full_size))
 
     @pytest.mark.parametrize("kind", ["planted", "mirror"])
     def test_matches_dense_coupling_solve(self, kind):
@@ -304,24 +354,26 @@ class TestLift:
         m = d.size
         assert m < d.full_size
         gs = solve_gevp(d.pencil)
-        checked = 0
-        for i, e in enumerate(gs.eigs):
-            if e.cls != EIG_FINITE:
-                continue
+        finite = [i for i, e in enumerate(gs.eigs) if e.cls == EIG_FINITE]
+        assert finite
+        eigs = [gs.eigs[i] for i in finite]
+        ws, ok = lift_left(gs.left[:, finite], eigs, d)
+        assert ok.all()
+        for col, (i, e) in enumerate(zip(finite, eigs)):
             w_til = gs.left[:, i]
             x = e.beta * d.work_a[:m, m:] - e.alpha * d.work_b[:m, m:]
             y = e.beta * d.work_a[m:, m:] - e.alpha * d.work_b[m:, m:]
             w2 = np.linalg.solve(y.conj().T, -x.conj().T @ w_til)
             ref = unit(d.p.conj().T @ np.concatenate([w_til, w2]))
-            w = lift_left(w_til, e, d)
-            assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
-            checked += 1
-        assert checked > 0
+            assert np.linalg.norm(ws[:, col] - ref) <= 1e-10 * np.linalg.norm(ref)
+            # the batched lift repeats the per-pair triangular solve
+            ref = per_pair_lift(w_til, e, d)
+            assert np.linalg.norm(ws[:, col] - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_singular_trailing_pencil_raises(self):
+    def test_singular_trailing_pencil_masked(self):
         import dataclasses
 
-        from quarteig.errors import LiftError
+        from quarteig.solver import _lift_all
 
         q, lin, d = self._planted()
         m = d.size
@@ -332,9 +384,14 @@ class TestLift:
         wb[m:, m] = 0.0
         broken = dataclasses.replace(d, work_a=wa, work_b=wb)
         gs = solve_gevp(d.pencil)
-        i = next(i for i, e in enumerate(gs.eigs) if e.cls == EIG_FINITE)
-        with pytest.raises(LiftError):
-            lift_left(gs.left[:, i], gs.eigs[i], broken)
+        finite = [i for i, e in enumerate(gs.eigs) if e.cls == EIG_FINITE]
+        _, ok = lift_left(gs.left[:, finite], [gs.eigs[i] for i in finite], broken)
+        assert not ok.any()
+        flags = []
+        _, wfull, has_left = _lift_all(gs, broken, list(gs.eigs), flags)
+        assert flags == [f"lift_left_failed_index_{i}" for i in finite]
+        assert not has_left.any()
+        assert np.array_equal(wfull, np.zeros_like(wfull))
 
 
 class TestNullspaceVectors:

@@ -308,6 +308,25 @@ class TestBatchedSolve:
         ref = shifted_hess_solve(pair, 1.0, np.ones(2))
         assert np.allclose(xs[1, :, 0], ref)
 
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_homogeneous_shifts_match_dense(self, adjoint):
+        rng = np.random.default_rng(19)
+        n = 6
+        a = well_conditioned(rng, n)
+        b = well_conditioned(rng, n)
+        pair = tri_hess_reduce(a, b)
+        from quarteig.numkit import shifted_hess_solve_many
+
+        s1 = rand_complex(rng, (5,))
+        s2 = rand_complex(rng, (5,))
+        rhs = rand_complex(rng, (5, n, 2))
+        xs, ok = shifted_hess_solve_many(pair, s1, rhs, s2=s2, adjoint=adjoint)
+        assert ok.all()
+        for j in range(5):
+            m = s1[j] * a + s2[j] * b
+            ref = np.linalg.solve(m.conj().T if adjoint else m, rhs[j])
+            assert np.linalg.norm(xs[j] - ref) <= 1e-11 * np.linalg.norm(ref)
+
 
 class TestRefactorInvariants:
     def test_urv_refactor(self):
