@@ -24,7 +24,14 @@ coefficients A and E:
 All transformations are accumulated as explicit unitary-times-permutation
 factors P, Q so that P @ AA0 @ Q and P @ BB0 @ Q are block upper triangular
 with the deflated part trailing; the retained work matrices are exactly what
-eigenvector assembly needs later.
+eigenvector assembly needs later. Every step that deflates k eigenvalues
+puts a k x k diagonal block on top of the trailing staircase, with exact
+zeros to its left and, in AA after a zero step or in BB after an infinite
+step, on the block itself; ``DeflationResult.steps`` records the sizes and
+sides, from which left-vector lifting solves the staircase block by block.
+
+Rank decisions read only the R factor of a pivoted QR; its Q is formed only
+where a step transforms with it (:class:`numkit.PivotedQR`).
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DeflationError
-from .numkit import NormThreshold, PivotedQR, TriHessPair, rrqr, tri_hess_reduce, urv
+from .numkit import NormThreshold, PivotedQR, rrqr, urv
 from .pencil import LinearPencil, QuarticPencil
 
 
@@ -158,41 +165,37 @@ class DeflationResult:
     def full_size(self):
         return self.work_a.shape[0]
 
-    @property
-    def trailing_schur(self) -> TriHessPair:
-        """Cached generalized Schur form of the trailing (deflated) pencil:
-        work_a[m:, m:] = q t z* and work_b[m:, m:] = q h z* with t, h upper
-        triangular. Left-vector lifting solves with it for all eigenvalues.
-        """
-        if getattr(self, "_trailing_schur", None) is None:
-            m = self.size
-            self._trailing_schur = tri_hess_reduce(self.work_a[m:, m:], self.work_b[m:, m:])
-        return self._trailing_schur
-
 
 class _Reducer:
     """Accumulates equivalence transformations on the 4n linearization."""
 
     def __init__(self, lin: LinearPencil):
-        full = lin.size
-        self.wa = lin.aa.astype(np.complex128).copy()
-        self.wb = lin.bb.astype(np.complex128).copy()
-        self.p = np.eye(full, dtype=np.complex128)
-        self.q = np.eye(full, dtype=np.complex128)
-        self.m = full
+        self.wa = lin.aa.astype(np.complex128)  # astype copies
+        self.wb = lin.bb.astype(np.complex128)
+        self.p = self.q = None  # the identity until a step sets them
+        self.m = lin.size
         self.zeros = 0
         self.infs = 0
         self.steps = []
         self.flags = []
 
+    def _start_from_identity(self):
+        """P = Q = I, for a reducer whose first step is a generic layer
+        (the deflation tree always starts with :meth:`apply_structured`)."""
+        if self.p is None:
+            self.p = np.eye(self.wa.shape[0], dtype=np.complex128)
+            self.q = np.eye(self.wa.shape[0], dtype=np.complex128)
+
     def left(self, l, start=0):
         """Multiply the active rows from ``start`` on by l from the left."""
+        self._start_from_identity()
         m = self.m
         for w in (self.wa, self.wb, self.p):
             w[start:m, :] = l @ w[start:m, :]
 
     def permute_rows(self, order):
         """Reorder the active rows: new row i is old row ``order[i]``."""
+        self._start_from_identity()
         m = self.m
         for w in (self.wa, self.wb, self.p):
             w[:m, :] = w[order, :]
@@ -200,6 +203,7 @@ class _Reducer:
     def right(self, r):
         """Multiply the active columns by r; below the active rows they are
         exact zeros (left so by :meth:`truncate`) and stay untouched."""
+        self._start_from_identity()
         m = self.m
         self.wa[:m, :m] = self.wa[:m, :m] @ r
         self.wb[:m, :m] = self.wb[:m, :m] @ r
@@ -208,8 +212,8 @@ class _Reducer:
     def apply_structured(self, l, r, wa, wb):
         """First step: (l, r) transform the untouched linearization, whose
         images wa = l AA r and wb = l BB r are assembled exactly
-        (identity/zero blocks exact); P and Q are still the identity."""
-        assert not self.steps
+        (identity/zero blocks exact); P and Q are still unset (the identity)."""
+        assert self.p is None
         self.p, self.q, self.wa, self.wb = l, r, wa, wb
 
     def truncate(self, k, kind, side, zeros=0, infs=0, rank=None, evidence=None):
@@ -409,10 +413,10 @@ def _check_consistent(q: QuarticPencil, rp: RankProfile):
     if rp.qr_a.rows != q.n or rp.qr_e.rows != q.n:
         raise DeflationError("rank profile dimensions do not match the pencil")
     rng = np.random.default_rng(12345)
-    v = rng.standard_normal(q.n) + 1j * rng.standard_normal(q.n)
+    v = (rng.standard_normal(q.n) + 1j * rng.standard_normal(q.n))[:, None]
     for mat, f, name in ((q.a, rp.qr_a, "A"), (q.e, rp.qr_e, "E")):
         lhs = mat[:, f.perm] @ v
-        rhs = f.q @ (f.r @ v)
+        rhs = f.q_times(f.r @ v)  # forms no Q, which a regular problem never needs
         scale = max(np.linalg.norm(mat), 1.0) * np.linalg.norm(v)
         if np.linalg.norm(lhs - rhs) > 1e-6 * scale:
             raise DeflationError(f"rank profile inconsistent with coefficient {name}")

@@ -133,36 +133,36 @@ class SummaryReport:
         return {"counts": dict(self.counts), **{k: dict(v) for k, v in self.stats.items()}}
 
 
-def _stat(values):
-    vals = [v for v in values if v is not None and np.isfinite(v)]
-    if not vals:
+def _stat(vals):
+    """min/max/median of the finite entries of a float array (None where
+    there are none)."""
+    vals = vals[np.isfinite(vals)]
+    if not vals.size:
         return {"min": None, "max": None, "median": None}
-    arr = np.array(vals)
     return {
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "median": float(np.median(arr)),
+        "min": float(vals.min()),
+        "max": float(vals.max()),
+        "median": float(np.median(vals)),
     }
 
 
 def summarize(diags) -> SummaryReport:
-    """Aggregate per-pair diagnostics: min/max/median, class counts, order."""
+    """Aggregate per-pair diagnostics: min/max/median, class counts, order.
+
+    The order sorts pairs by eigenvalue modulus (infinite and unknown ones
+    last), ties broken by index.
+    """
     diags = list(diags)
     if not diags:
         raise ValueError("summarize requires at least one eigenpair")
-    counts = {EIG_ZERO: 0, EIG_FINITE: 0, EIG_INFINITE: 0}
-    for d in diags:
-        counts[d.cls] += 1
-
-    def key(i):
-        d = diags[i]
-        if d.eig is None:
-            return (np.inf, i)
-        return (d.eig.modulus, i)
-
-    order = sorted(range(len(diags)), key=key)
-    stats = {
-        name: _stat(getattr(d, name) for d in diags)
-        for name in ("eta_right", "eta_left", "omega_right", "omega_left")
-    }
+    classes = [d.cls for d in diags]
+    counts = {c: classes.count(c) for c in (EIG_ZERO, EIG_FINITE, EIG_INFINITE)}
+    modulus = np.array([np.inf if d.eig is None else d.eig.modulus for d in diags])
+    order = np.lexsort((np.arange(len(diags)), modulus)).tolist()
+    # one column per error; None (not computed) becomes NaN and drops out
+    errors = np.array(
+        [(d.eta_right, d.eta_left, d.omega_right, d.omega_left) for d in diags], dtype=float
+    )
+    names = ("eta_right", "eta_left", "omega_right", "omega_left")
+    stats = {name: _stat(errors[:, k]) for k, name in enumerate(names)}
     return SummaryReport(counts=counts, stats=stats, order=order)

@@ -8,12 +8,15 @@ related to the quartic eigenvector x by
 so x can be recovered from z1, from (lambda A + B)^{-1} z2 or z3 (an O(n^2)
 triangular solve on the generalized Schur form of (A, B)), or from E^{-1} z4;
 all available candidates are evaluated and the one with the smallest
-backward error wins. A left eigenvector is w = (lambda^3 y, lambda^2 y,
+residual wins. A left eigenvector is w = (lambda^3 y, lambda^2 y,
 lambda y, y) and y is read off the best-scaled block. Vectors of the
 deflated pencil are lifted back to the full linearization with the
 accumulated transformations; left vectors also need a solve with the
-deflated trailing pencil, done for all eigenvalues by one batched forward
-substitution on its generalized Schur form.
+deflated trailing pencil. That pencil is the staircase left by deflation,
+block upper triangular with one block per deflation step, each diagonal
+block vanishing in one coefficient by construction; it is solved by block
+forward substitution over the steps, one QR per block shared by all
+eigenvalues, with no QZ of its own.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .numkit import (
     TriHessPair,
     shifted_hess_solve,  # only bench/tracer.py uses it here (ROADMAP item 1)
     shifted_hess_solve_many,
+    singular_diag,
     svd,
     tri_hess_reduce,
     unit,
@@ -46,14 +50,12 @@ class RecoveryContext:
 
     q: QuarticPencil
     tri_hess: TriHessPair
-    norms: diagnostics.CoefficientNorms
     svd_e: SVDFactors | None = None  # computed by the first least-squares recovery
     lu_e: tuple | None = None
     _ls_cache: dict = field(default_factory=dict)
 
 
-def build_context(q: QuarticPencil, norms=None) -> RecoveryContext:
-    norms = norms or diagnostics.CoefficientNorms(q)
+def build_context(q: QuarticPencil) -> RecoveryContext:
     pair = tri_hess_reduce(q.a, q.b)
     lu_e = None
     ne = np.linalg.norm(q.e)
@@ -64,7 +66,7 @@ def build_context(q: QuarticPencil, norms=None) -> RecoveryContext:
         dmin = np.abs(np.diag(lu[0])).min() if q.n else 0.0
         if dmin > q.n * EPS * ne:
             lu_e = lu
-    return RecoveryContext(q=q, tri_hess=pair, norms=norms, lu_e=lu_e)
+    return RecoveryContext(q=q, tri_hess=pair, lu_e=lu_e)
 
 
 def _split(z, n):
@@ -79,11 +81,13 @@ def recover_right_many(zs, eigs, ctx: RecoveryContext):
 
     ``zs`` holds one lifted 4n-vector per column; ``eigs`` the matching
     finite nonzero eigenvalues. Every candidate (z1, the two shifted solves,
-    the E solve) is evaluated and the one with the smallest backward error
-    wins; the shifted solves and the residual evaluations are vectorized
-    across the batch. Returns a list of unit-norm ``(x, method, eta)``; when
-    only z1 is usable the method is ``z1_fallback``, and degenerate entries
-    come back as ``(None, 'degenerate', inf)``.
+    the E solve) is normalized and the one with the smallest residual
+    ||P(lambda) x|| wins, which is the smallest backward error, since all
+    candidates of an eigenvalue share its denominator; the shifted solves
+    and the residual evaluations are vectorized across the batch. Returns a
+    list of ``(x, method, residual)`` with unit-norm x and its residual
+    norm; when only z1 is usable the method is ``z1_fallback``, and
+    degenerate entries come back as ``(None, 'degenerate', inf)``.
     """
     q = ctx.q
     n = q.n
@@ -116,18 +120,15 @@ def recover_right_many(zs, eigs, ctx: RecoveryContext):
     valid &= finite_c
     np.divide(cands, norms_c[:, None, :], out=cands, where=finite_c[:, None, :])
     w = diagnostics.homogeneous_weights(eigs)
-    etas = np.full((4, nj), np.inf)
-    den = (np.abs(w).T @ ctx.norms.two)  # unit-norm candidates
+    res = np.full((4, nj), np.inf)
     for c in range(4):
         if not valid[c].any():
             continue
         r = np.zeros((n, nj), dtype=np.complex128)
         for k, m in enumerate(q.coeffs):
             r += w[k][None, :] * (m @ cands[c])
-        num = np.linalg.norm(r, axis=0)
-        vals = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
-        etas[c] = np.where(valid[c], vals, np.inf)
-    sel = np.argmin(etas, axis=0)
+        res[c] = np.where(valid[c], np.linalg.norm(r, axis=0), np.inf)
+    sel = np.argmin(res, axis=0)
     out = []
     nvalid = valid.sum(axis=0)
     for j in range(nj):
@@ -138,7 +139,7 @@ def recover_right_many(zs, eigs, ctx: RecoveryContext):
         name = names[c]
         if name == "z1" and nvalid[j] == 1:
             name = "z1_fallback"
-        out.append((cands[c, :, j].copy(), name, float(etas[c, j])))
+        out.append((cands[c, :, j].copy(), name, float(res[c, j])))
     return out
 
 
@@ -234,29 +235,51 @@ def lift_left(ws, eigs, d: DeflationResult):
     """Lift deflated-pencil left eigenvectors, one per column of ``ws``.
 
     X and Y are the coupling and trailing blocks of P(beta*AA - alpha*BB)Q;
-    the lifted vector is P* (w, w2) with w2* Y = -w* X. One batched forward
-    substitution on the generalized Schur form of the trailing pencil
-    (:attr:`DeflationResult.trailing_schur`) solves Y* w2 = -X* w for all
-    eigenvalues, followed by one product with P* and one column
-    normalization. Returns ``(w, ok)`` with unit columns; ``ok[j]`` is False
-    (and that column zero) where the trailing block is numerically singular
-    at the eigenvalue, so deflation did not produce the claimed structure,
-    or where ``ws[:, j]`` is zero.
+    the lifted vector is P* (w, w2) with w2* Y = -w* X. Y is the deflation
+    staircase: block upper triangular with one diagonal block per step of
+    ``d.steps`` that deflated something, the first step's block last. A
+    zero step leaves Wa_ii = 0, so Y_ii = -alpha Wb_ii; an infinite step
+    leaves Wb_ii = 0, so Y_ii = beta Wa_ii. Y* w2 = -X* w is solved by block
+    forward substitution for all eigenvalues at once: per block, two
+    products with the blocks solved so far (w included), then one QR of the
+    nonzero diagonal block, shared by every eigenvalue, whose shift enters
+    only as the column scale -conj(alpha_j) or conj(beta_j). One product
+    with P* and one column normalization follow. Returns ``(w, ok)`` with
+    unit columns; ``ok`` is False (and the column zero) for every column
+    when a diagonal block is numerically singular (deflation did not
+    produce the claimed structure), for column j when its scale is zero,
+    and where ``ws[:, j]`` is zero.
     """
     ws = np.asarray(ws, dtype=np.complex128)
-    if ws.shape != (d.size, len(eigs)):
-        raise ValueError(f"expected {d.size}-vectors as {len(eigs)} columns, got {ws.shape}")
-    ok = np.ones(ws.shape[1], dtype=bool)
+    nj = len(eigs)
+    if ws.shape != (d.size, nj):
+        raise ValueError(f"expected {d.size}-vectors as {nj} columns, got {ws.shape}")
+    ok = np.ones(nj, dtype=bool)
     if d.size < d.full_size:
-        m = d.size
-        alpha = np.array([e.alpha for e in eigs], dtype=np.complex128)
-        beta = np.array([e.beta for e in eigs], dtype=np.complex128)
-        # X* w = conj(beta) Wa12* w - conj(alpha) Wb12* w
-        xw = (beta.conj() * (d.work_a[:m, m:].conj().T @ ws)
-              - alpha.conj() * (d.work_b[:m, m:].conj().T @ ws))
-        w2, ok = shifted_hess_solve_many(d.trailing_schur, beta, -xw.T[:, :, None],
-                                         s2=-alpha, adjoint=True)
-        ws = d.p.conj().T @ np.vstack([ws, w2[:, :, 0].T])
+        alpha_c = np.array([e.alpha for e in eigs], dtype=np.complex128).conj()
+        beta_c = np.array([e.beta for e in eigs], dtype=np.complex128).conj()
+        v = np.zeros((d.full_size, nj), dtype=np.complex128)
+        v[: d.size] = ws
+        start = d.size
+        for step in reversed(d.steps):
+            if not step.deflated:
+                continue
+            blk = slice(start, start + step.deflated)
+            # right-hand side -(Y_{:, i})* v over the rows solved so far
+            rhs = (alpha_c * (d.work_b[:start, blk].conj().T @ v[:start])
+                   - beta_c * (d.work_a[:start, blk].conj().T @ v[:start]))
+            zero_step = step.zeros > 0
+            qf, rf = sla.qr((d.work_b if zero_step else d.work_a)[blk, blk], check_finite=False)
+            if singular_diag(np.diagonal(rf)):
+                ok[:] = False
+                break
+            scale = -alpha_c if zero_step else beta_c
+            ok &= scale != 0.0
+            # (scale M*) x = rhs with M = qf rf: x = qf rf^-* rhs / scale
+            x = qf @ sla.solve_triangular(rf, rhs, trans="C", check_finite=False)
+            v[blk] = x / np.where(scale != 0.0, scale, 1.0)
+            start = blk.stop
+        ws = d.p.conj().T @ v
     nrm = np.linalg.norm(ws, axis=0)
     ok &= np.isfinite(nrm) & (nrm > 0.0)
     return np.divide(ws, nrm, out=np.zeros_like(ws), where=ok), ok

@@ -4,11 +4,12 @@ Everything downstream (rank analysis, deflation, eigenvector recovery) is
 built on the routines here: column-pivoted rank-revealing QR with pluggable
 truncation strategies, complete orthogonal (URV) decomposition, SVD, the
 complex generalized Schur form of a matrix pair, batched O(n^2) shifted
-triangular solves built on it (plain and adjoint), and the eigensolver of
-the final pencil (:func:`generalized_eig`). This module is also the one
-place that talks to OpenBLAS directly: it sets the BLAS thread count
-(:func:`blas_threads`) and finds LAPACK's blocked QZ driver, which scipy
-does not wrap.
+back substitutions built on it, and the eigensolver of the final pencil
+(:func:`generalized_eig`). A pivoted QR keeps LAPACK's Householder
+reflectors and forms its Q factor on first use, since rank decisions read
+only R. This module is also the one place that talks to OpenBLAS
+directly: it sets the BLAS thread count (:func:`blas_threads`) and finds
+LAPACK's blocked QZ driver, which scipy does not wrap.
 
 Matrices are plain ``numpy.ndarray``s promoted to complex128; inputs with
 NaN/Inf entries are rejected.
@@ -126,19 +127,41 @@ def make_strategy(name, value=None):
 class PivotedQR:
     """Column-pivoted QR with a numerical-rank decision.
 
-    ``q`` and ``r`` are the full untruncated factors (m @ perm_matrix = q @ r);
-    ``rank`` and ``truncation_log`` record how the diagonal was cut.
+    ``r`` is the full untruncated triangular factor and ``q`` the unitary one
+    (m @ perm_matrix = q @ r); ``rank`` and ``truncation_log`` record how the
+    diagonal was cut. ``q`` is formed from zgeqp3's Householder reflectors
+    on first access, so a caller that reads only the rank never forms it.
     """
 
-    q: np.ndarray
     r: np.ndarray
     perm: np.ndarray
     rank: int
     truncation_log: dict = field(default_factory=dict)
+    reflectors: tuple | None = field(default=None, repr=False)  # (qr, tau); None once q is formed
+    _q: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def q(self):
+        if self._q is None:
+            self._q = _form_q(*self.reflectors)
+            self.reflectors = None
+        return self._q
+
+    def q_times(self, x):
+        """q @ x for a matrix x; through the reflectors (zunmqr) while q is
+        not formed."""
+        if self._q is not None:
+            return self._q @ x
+        qr, tau = self.reflectors
+        unmqr, = sla.get_lapack_funcs(("ormqr",), (qr,))
+        out, _, info = unmqr("L", "N", qr[:, : tau.shape[0]], tau, x, lwork=max(1, x.shape[1]))
+        if info < 0:  # pragma: no cover
+            raise ValueError(f"illegal value in argument {-info} of zunmqr")
+        return out
 
     @property
     def rows(self):
-        return self.q.shape[0]
+        return self.r.shape[0]
 
     @property
     def cols(self):
@@ -181,6 +204,23 @@ class PivotedQR:
         return self.q @ self.r[:, self.inv_perm]
 
 
+def _form_q(qr, tau):
+    """The square Q of zgeqp3's reflectors, by the same workspace-queried
+    zungqr call that ``scipy.linalg.qr`` makes (so the result is identical)."""
+    rows, cols = qr.shape
+    ungqr, = sla.get_lapack_funcs(("orgqr",), (qr,))
+    if rows < cols:
+        a = qr[:, :rows]
+    else:
+        a = np.empty((rows, rows), dtype=qr.dtype)
+        a[:, :cols] = qr
+    lwork = ungqr(a, tau, lwork=-1, overwrite_a=1)[-2][0].real.astype(np.int_)
+    q, _, info = ungqr(a, tau, lwork=lwork, overwrite_a=1)
+    if info < 0:  # pragma: no cover
+        raise ValueError(f"illegal value in argument {-info} of zungqr")
+    return q
+
+
 def rrqr(m, strategy=None) -> PivotedQR:
     """Rank-revealing QR with Businger-Golub column pivoting."""
     a = as_matrix(m)
@@ -189,16 +229,18 @@ def rrqr(m, strategy=None) -> PivotedQR:
     if rows == 0 or cols == 0:
         rank, log = strategy.decide(np.zeros(0), 0.0, a.shape)
         return PivotedQR(
-            q=np.eye(rows, dtype=np.complex128),
             r=np.zeros((rows, cols), dtype=np.complex128),
             perm=np.arange(cols, dtype=np.intp),
             rank=0,
             truncation_log=log,
+            _q=np.eye(rows, dtype=np.complex128),
         )
-    q, r, perm = sla.qr(a, pivoting=True)
+    (qr, tau), _, perm = sla.qr(a, pivoting=True, mode="raw")
+    r = np.triu(qr)
     diag_abs = np.abs(np.diag(r))
     rank, log = strategy.decide(diag_abs, float(np.linalg.norm(a)), a.shape)
-    return PivotedQR(q=q, r=r, perm=perm.astype(np.intp), rank=rank, truncation_log=log)
+    return PivotedQR(r=r, perm=perm.astype(np.intp), rank=rank, truncation_log=log,
+                     reflectors=(qr, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +254,19 @@ class URVFactors:
 
     The nonsingular triangular core sits in the *trailing* columns, so that
     applying ``v`` to a row-rank-deficient block yields the column-compressed
-    form (0 | B) consumed by the deflation steps.
+    form (0 | B) consumed by the deflation steps. ``u`` is the Q factor of
+    the pivoted QR ``qr`` of m, formed on first access (deflation reads only
+    ``v`` and the rank).
     """
 
-    u: np.ndarray
+    qr: PivotedQR
     r: np.ndarray
     v: np.ndarray
     rank: int
+
+    @property
+    def u(self):
+        return self.qr.q
 
     def core_embedded(self, rows, cols):
         out = np.zeros((rows, cols), dtype=np.complex128)
@@ -235,23 +283,16 @@ class URVFactors:
 def urv(m, strategy=None) -> URVFactors:
     """Two-sided orthogonal reduction exposing row rank."""
     a = as_matrix(m)
-    rows, cols = a.shape
+    cols = a.shape[1]
     f = rrqr(a, strategy)
     rho = f.rank
-    if rho == 0:
-        return URVFactors(
-            u=np.eye(rows, dtype=np.complex128),
-            r=np.zeros((0, 0), dtype=np.complex128),
-            v=np.eye(cols, dtype=np.complex128),
-            rank=0,
-        )
     # m = Q [Rhat; 0] P^T ; factor (Rhat P^T)* = Z [R2; 0] and flip the
-    # column blocks of Z so the core lands in the trailing columns.
+    # column blocks of Z so the core lands in the trailing columns (with
+    # rank 0, Z is the identity and the core is empty).
     w = f.r_hat[:, f.inv_perm].conj().T  # cols x rho
     z, r2 = sla.qr(w)
     order = np.concatenate([np.arange(rho, cols), np.arange(rho)])
-    v = z[:, order]
-    return URVFactors(u=f.q, r=r2[:rho, :].conj().T, v=v, rank=rho)
+    return URVFactors(qr=f, r=r2[:rho, :].conj().T, v=z[:, order], rank=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -353,44 +394,35 @@ def singular_diag(d):
     return (dmin == 0.0) | (dmax >= dmin / EPS)
 
 
-def shifted_hess_solve_many(pair: TriHessPair, s1, vs, s2=None, adjoint=False):
-    """Batched solves with the shifted matrices s1_j a + s2_j b.
+def shifted_hess_solve_many(pair: TriHessPair, lams, vs):
+    """Batched solves (lam_j a + b) x = v.
 
     ``vs`` has shape (j, n, r): r right-hand sides for each of the j shifts.
     ``pair`` is the triangular form from :func:`tri_hess_reduce`, so
-    s1_j a + s2_j b = q (s1_j t + s2_j h) z* and every solve is one O(n^2)
-    substitution, run for all shifts and columns at once: back substitution
-    for (s1_j a + s2_j b) x = v, or forward substitution for the adjoint
-    system (s1_j a + s2_j b)* x = v when ``adjoint`` is set. ``s2`` defaults
-    to ones, which gives (lam_j a + b)^-1 v for ``s1 = lam``.
+    lam_j a + b = q (lam_j t + h) z* and every solve is one O(n^2) back
+    substitution, run for all shifts and columns at once.
     Returns ``(x, ok)`` where ``ok[j]`` is False for shifts whose diagonal
     fails :func:`singular_diag` (those entries of ``x`` are not meaningful).
     """
-    s1 = np.asarray(s1, dtype=np.complex128)
-    s2 = np.ones_like(s1) if s2 is None else np.asarray(s2, dtype=np.complex128)
+    lams = np.asarray(lams, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
     nj, n, nr = vs.shape
     t, h = pair.t, pair.h
-    if s1.shape != (nj,) or s2.shape != (nj,) or t.shape != (n, n) or h.shape != (n, n):
+    if lams.shape != (nj,) or t.shape != (n, n) or h.shape != (n, n):
         raise ValueError("inconsistent batch shapes")
-    diag = s1[:, None] * np.diagonal(t)[None, :] + s2[:, None] * np.diagonal(h)[None, :]
+    diag = lams[:, None] * np.diagonal(t)[None, :] + np.diagonal(h)[None, :]
     ok = ~singular_diag(diag)
-    if adjoint:  # (s1 t + s2 h)* is lower triangular
-        th = np.stack([t.conj().T, h.conj().T])
-        s1, s2, diag = s1.conj(), s2.conj(), diag.conj()
-        rot_in, rot_out, rows = pair.z.conj().T, pair.q, range(n)
-    else:
-        th = np.stack([t, h])
-        rot_in, rot_out, rows = pair.qh, pair.z, range(n - 1, -1, -1)
-    # columns are (shift, rhs) pairs: substitution row by row
-    s_cols = np.repeat(np.stack([s1, s2]), nr, axis=1)
+    # columns are (shift, rhs) pairs: back substitution row by row, with
+    # lam_j t + h applied as the weighted sum of the two row products
+    th = np.stack([t, h])
+    s_cols = np.repeat(np.stack([lams, np.ones_like(lams)]), nr, axis=1)
     diag_cols = np.repeat(np.where(diag == 0.0, 1.0, diag).T, nr, axis=1)
-    y = rot_in @ vs.transpose(1, 0, 2).reshape(n, nj * nr)
-    for k in rows:
-        done = slice(0, k) if adjoint else slice(k + 1, n)  # empty on the first row
+    y = pair.qh @ vs.transpose(1, 0, 2).reshape(n, nj * nr)
+    for k in range(n - 1, -1, -1):
+        done = slice(k + 1, n)  # empty on the first row
         y[k] -= (s_cols * (th[:, k, done] @ y[done])).sum(axis=0)
         y[k] /= diag_cols[k]
-    x = (rot_out @ y).reshape(n, nj, nr).transpose(1, 0, 2)
+    x = (pair.z @ y).reshape(n, nj, nr).transpose(1, 0, 2)
     return x, ok
 
 

@@ -114,6 +114,13 @@ def _lift_all(gs, d, eigs, flags):
     return zfull, wfull, has_left
 
 
+def _basis_column(basis, k):
+    """Column k (cyclically) of a nullspace basis; None for no basis."""
+    if basis is None or not basis.shape[1]:
+        return None
+    return basis[:, k % basis.shape[1]]
+
+
 def _recover_all(eigs, zfull, wfull, has_left, ctx, qw, config, flags):
     """Quartic eigenvectors for every backend eigenpair."""
     n = qw.n
@@ -218,9 +225,8 @@ def _solve(q0, config, name):
     else:
         gs = gevp.solve_gevp(lin, want_left=config.want_left)
 
-    norms_w = diagnostics.CoefficientNorms(qw)
     needs_ctx = any(e.cls == EIG_FINITE for e in gs.eigs)
-    ctx = eigvec.build_context(qw, norms=norms_w) if needs_ctx else None
+    ctx = eigvec.build_context(qw) if needs_ctx else None
 
     eigs = list(gs.eigs)
     zfull, wfull, has_left = _lift_all(gs, d, eigs, flags)
@@ -230,28 +236,16 @@ def _solve(q0, config, name):
         # counts in the working (possibly reversed) problem's orientation
         zeros_w = d.infs_deflated if d.reversed else d.zeros_deflated
         infs_w = d.zeros_deflated if d.reversed else d.infs_deflated
-        null_r_zero = eigvec.nullspace_vectors(rp_w, "zero_class", "right")
-        null_l_zero = eigvec.nullspace_vectors(rp_w, "zero_class", "left")
-        null_r_inf = eigvec.nullspace_vectors(rp_w, "inf_class", "right")
-        null_l_inf = eigvec.nullspace_vectors(rp_w, "inf_class", "left")
-        for k in range(zeros_w):
-            eigs.append(eig_zero())
-            right.append(
-                null_r_zero[:, k % null_r_zero.shape[1]] if null_r_zero.shape[1] else None
-            )
-            left.append(
-                null_l_zero[:, k % null_l_zero.shape[1]] if null_l_zero.shape[1] else None
-            )
-            methods.append("deflated_nullspace")
-        for k in range(infs_w):
-            eigs.append(eig_infinite())
-            right.append(
-                null_r_inf[:, k % null_r_inf.shape[1]] if null_r_inf.shape[1] else None
-            )
-            left.append(
-                null_l_inf[:, k % null_l_inf.shape[1]] if null_l_inf.shape[1] else None
-            )
-            methods.append("deflated_nullspace")
+        for count, which, make in ((zeros_w, "zero_class", eig_zero),
+                                   (infs_w, "inf_class", eig_infinite)):
+            right_b = eigvec.nullspace_vectors(rp_w, which, "right")
+            # a right-only solve gives no pair a left vector
+            left_b = eigvec.nullspace_vectors(rp_w, which, "left") if config.want_left else None
+            for k in range(count):
+                eigs.append(make())
+                right.append(_basis_column(right_b, k))
+                left.append(_basis_column(left_b, k))
+                methods.append("deflated_nullspace")
 
     if reversed_problem:
         eigs = [reciprocal_eig(e) for e in eigs]

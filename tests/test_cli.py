@@ -151,6 +151,15 @@ class TestSolveCommand:
         assert rep["config"]["rank_strategy"] == "dropoff"
         assert all(p["eta_left"] is None for p in rep["eigenpairs"])
 
+    def test_right_only_deflated_pairs_have_no_left_fields(self, mirror_bundle, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["solve", str(mirror_bundle), "--right-only", "--output", str(out)]) == EXIT_OK
+        rep = json.loads(out.read_text())
+        assert rep["deflation"]["zeros"] == 9 and rep["deflation"]["infinities"] == 9
+        assert any(p["method"] == "deflated_nullspace" for p in rep["eigenpairs"])
+        assert all(p["eta_left"] is None and p["omega_left"] is None for p in rep["eigenpairs"])
+        assert all(p["eta_right"] is not None for p in rep["eigenpairs"])
+
     def test_bad_tol_usage_error(self, unit_bundle, capsys):
         code = main(["solve", str(unit_bundle), "--tol", "2.0"])
         assert code == EXIT_USAGE

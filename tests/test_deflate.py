@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -15,7 +17,7 @@ from quarteig import (
 )
 from quarteig.deflate import _generic_layer, _Reducer
 from quarteig.errors import DeflationError
-from quarteig.numkit import EPS, NormThreshold
+from quarteig.numkit import EPS, NormThreshold, rrqr
 from quarteig.pencil import EIG_FINITE, EIG_INFINITE, EIG_ZERO, LinearPencil
 from oracles import (
     classify_dense,
@@ -223,6 +225,17 @@ class TestDeflateCases:
             top = lo
         assert top == d.size
 
+    def test_rank_only_factors_form_no_q(self):
+        # a regular problem reads only the ranks of A and E; the both-full
+        # case only the ranks of Phi and Psi
+        q = random_regular_quartic(np.random.default_rng(61), 5)
+        _, rp, _, d = run_deflate(q)
+        assert d.size == d.full_size
+        assert rp.qr_a._q is None and rp.qr_e._q is None
+        _, rp, sl, d = run_deflate(gen_planted(10, 3, 2, seed=60).pencil)
+        assert [s.kind for s in d.steps] == ["zero_block_1", "inf_block_1"]
+        assert sl.qr_phi._q is None and sl.qr_psi._q is None
+
     def test_spectral_conservation_planted(self):
         for seed, n, ke, ka in ((10, 3, 1, 0), (11, 4, 2, 1), (12, 5, 1, 2), (13, 8, 3, 3)):
             b = gen_planted(n, ke, ka, seed=seed)
@@ -292,6 +305,21 @@ class TestStaircaseStep:
         assert k == 0
         assert red.m == 4 and not red.steps
         assert np.array_equal(red.wa, p.aa) and np.array_equal(red.wb, p.bb)
+
+    def test_probe_that_deflates_nothing_forms_no_q(self, monkeypatch):
+        deflate_module = importlib.import_module("quarteig.deflate")
+        made = []
+
+        def recorded(*args, **kwargs):
+            made.append(rrqr(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(deflate_module, "rrqr", recorded)
+        rng = np.random.default_rng(24)
+        p = LinearPencil(aa=haar_unitary(rng, 4), bb=rand_complex(rng, (4, 4)))
+        red, k = staircase_layer(p)
+        assert k == 0 and len(made) == 1
+        assert made[0]._q is None  # only the rank was read
 
     def test_jordan_two_block(self):
         # pencil J_2(0) - lambda I: two layers, one zero deflated in each

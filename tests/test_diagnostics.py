@@ -196,6 +196,37 @@ class TestSummarize:
         rep = summarize(ds)
         assert rep.order == [2, 3, 1, 0]
 
+    def test_matches_loop_reference(self):
+        # ties in modulus (several infinities, repeated eigenvalues, pairs
+        # without an eigenvalue) keep index order; None, inf and NaN errors
+        # drop out of the statistics
+        rng = np.random.default_rng(10)
+        eigs = [eig_infinite(), from_lambda(2.0), eig_zero(), None, from_lambda(-2.0),
+                eig_infinite(), from_lambda(0.5j), eig_zero(), None, from_lambda(2.0)]
+        pool = [None, np.inf, np.nan, 0.0, 1e-16, 3e-15, 2e-14]
+        ds = []
+        for e in eigs:
+            errs = [pool[k] for k in rng.integers(0, len(pool), 4)]
+            ds.append(PairDiagnostics(*errs, "finite" if e is None else e.cls, e))
+        rep = summarize(ds)
+
+        def key(i):
+            return (np.inf if ds[i].eig is None else ds[i].eig.modulus, i)
+
+        assert rep.order == sorted(range(len(ds)), key=key)
+        assert rep.order[-4:] == [0, 3, 5, 8]
+        for name in ("eta_right", "eta_left", "omega_right", "omega_left"):
+            vals = [getattr(d, name) for d in ds]
+            vals = [v for v in vals if v is not None and np.isfinite(v)]
+            want = {"min": None, "max": None, "median": None}
+            if vals:
+                want = {"min": min(vals), "max": max(vals), "median": float(np.median(vals))}
+            assert rep.stats[name] == want
+        counts = {"zero": 0, "finite": 0, "infinite": 0}
+        for d in ds:
+            counts[d.cls] += 1
+        assert rep.counts == counts
+
     def test_mirror_counts(self):
         from quarteig import gen_mirror_like, solve_bundle
 

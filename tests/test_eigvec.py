@@ -40,8 +40,10 @@ def build_w(lam, y):
 
 
 def recover_one(z, eig, ctx):
-    """recover_right_many on a one-element batch."""
-    return recover_right_many(np.asarray(z)[:, None], [eig], ctx)[0]
+    """recover_right_many on a one-element batch: ``(x, method, eta)`` with
+    the oracle's backward error of the chosen vector."""
+    x, method, _ = recover_right_many(np.asarray(z)[:, None], [eig], ctx)[0]
+    return x, method, (np.inf if x is None else eta(eig.lam, x, ctx.q))
 
 
 def eta(lam, x, q, left=False):
@@ -85,12 +87,12 @@ class TestRecoverRight:
         z = unit(z + 1e-8 * rand_complex(rng, (4 * n,)))
         eig = from_lambda(lam, n)
         got, method, val = recover_one(z, eig, ctx)
-        # recompute every candidate's backward error
+        # the oracle's backward error of every candidate; the two shifted
+        # solves run as one two-column call, as in the batch
         from quarteig.numkit import shifted_hess_solve
 
-        cands = [unit(z[:n])]
-        for blk in (z[n : 2 * n], z[2 * n : 3 * n]):
-            cands.append(unit(shifted_hess_solve(ctx.tri_hess, lam, blk)))
+        z23 = shifted_hess_solve(ctx.tri_hess, lam, np.column_stack([z[n : 2 * n], z[2 * n : 3 * n]]))
+        cands = [unit(z[:n]), unit(z23[:, 0]), unit(z23[:, 1])]
         cands.append(unit(sla.lu_solve(ctx.lu_e, -z[3 * n :])))
         vals = [eta(lam, c, q) for c in cands]
         assert val <= min(vals) * (1 + 1e-12)
@@ -267,17 +269,6 @@ class TestRecoverRightLS:
         assert best_scaled_objective(x_ls) <= best_scaled_objective(x_plain) * (1 + 1e-10)
 
 
-def per_pair_lift(w_til, e, d):
-    """One eigenvalue's lift as a dense triangular solve on the trailing
-    Schur form: the per-pair reference for the batched lift."""
-    m = d.size
-    pair = d.trailing_schur
-    y_tri = e.beta * pair.t - e.alpha * pair.h
-    xw = (e.beta * d.work_a[:m, m:] - e.alpha * d.work_b[:m, m:]).conj().T @ w_til
-    w2 = pair.q @ sla.solve_triangular(y_tri, -(pair.z.conj().T @ xw), trans="C")
-    return unit(d.p.conj().T @ np.concatenate([w_til, w2]))
-
-
 class TestLift:
     def _planted(self, seed=13):
         from quarteig import gen_planted
@@ -343,16 +334,25 @@ class TestLift:
         assert ok.tolist() == [False, True]
         assert np.array_equal(w[:, 0], np.zeros(d.full_size))
 
-    @pytest.mark.parametrize("kind", ["planted", "mirror"])
+    @pytest.mark.parametrize("kind", ["planted", "mirror", "mirror_wide", "jordan"])
     def test_matches_dense_coupling_solve(self, kind):
-        from quarteig import gen_mirror_like, gen_planted
+        from quarteig import gen_jordan_chain, gen_mirror_like, gen_planted
 
-        b = gen_planted(6, 2, 1, seed=40) if kind == "planted" else gen_mirror_like(1)
+        b = {
+            "planted": lambda: gen_planted(6, 2, 1, seed=40),
+            "mirror": lambda: gen_mirror_like(1),
+            "mirror_wide": lambda: gen_mirror_like(2, n=9, rank=1, second_level_zeros=3),
+            "jordan": lambda: gen_jordan_chain(5, 3, "zero", seed=51),
+        }[kind]()
         q = b.pencil
         rp = analyze_ranks(q)
         d = deflate(linearize(q), q, rp, second_level(q, rp))
         m = d.size
         assert m < d.full_size
+        blocks = [s for s in d.steps if s.deflated]
+        if kind != "planted":  # staircases of four blocks, zero and infinite
+            assert len(blocks) == 4
+            assert any(s.zeros for s in blocks) and any(s.infs for s in blocks)
         gs = solve_gevp(d.pencil)
         finite = [i for i, e in enumerate(gs.eigs) if e.cls == EIG_FINITE]
         assert finite
@@ -366,9 +366,23 @@ class TestLift:
             w2 = np.linalg.solve(y.conj().T, -x.conj().T @ w_til)
             ref = unit(d.p.conj().T @ np.concatenate([w_til, w2]))
             assert np.linalg.norm(ws[:, col] - ref) <= 1e-10 * np.linalg.norm(ref)
-            # the batched lift repeats the per-pair triangular solve
-            ref = per_pair_lift(w_til, e, d)
+            # the block substitution repeats the dense per-pair solve
             assert np.linalg.norm(ws[:, col] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_zero_shift_masked_on_its_block(self):
+        # alpha = 0 makes the zero-step blocks -alpha*Wb_ii singular, and
+        # beta = 0 the infinite-step blocks beta*Wa_ii
+        from quarteig import gen_mirror_like
+        from quarteig.pencil import eig_infinite
+
+        q = gen_mirror_like(1).pencil
+        rp = analyze_ranks(q)
+        d = deflate(linearize(q), q, rp, second_level(q, rp))
+        rng = np.random.default_rng(41)
+        eigs = [from_lambda(0.5), eig_zero(), eig_infinite(), from_lambda(2.0)]
+        w, ok = lift_left(rand_complex(rng, (d.size, 4)), eigs, d)
+        assert ok.tolist() == [True, False, False, True]
+        assert np.array_equal(w[:, 1:3], np.zeros((d.full_size, 2)))
 
     def test_singular_trailing_pencil_masked(self):
         import dataclasses
@@ -486,13 +500,14 @@ class TestBatchRecovery:
         batch = recover_right_many(zs, [gs.eigs[i] for i in finite], ctx)
         for col, i in enumerate(finite):
             x_ref, method_ref, val_ref = recover_one(zs[:, col], gs.eigs[i], ctx)
-            x, method, val = batch[col]
+            x, method, _ = batch[col]
+            val = eta(gs.eigs[i].lam, x, q)
             # candidate etas are roundoff-sized, so near-ties may resolve to a
             # different candidate; the selected quality must agree though
             assert abs(val - val_ref) <= 1e-13 + 0.1 * val_ref
+            assert val <= 1e-13
             if method == method_ref:
                 assert np.linalg.norm(x - x_ref) <= 1e-10
-            assert abs(val - eta(gs.eigs[i].lam, x, q)) <= 1e-13 + 1e-6 * val
 
     def test_fallback_when_all_solvers_fail(self):
         rng = np.random.default_rng(31)

@@ -1,5 +1,6 @@
-"""Vector handling of the solve pipeline: unit norms, one batched lift per
-solve, and per-pair flags instead of exceptions."""
+"""Vector handling of the solve pipeline: unit norms, no left vectors in a
+right-only solve, one batched lift per solve, and per-pair flags instead of
+exceptions."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from oracles import random_regular_quartic
 
 import quarteig.eigvec
 from quarteig import SolveConfig, gen_jordan_chain, gen_mirror_like, gen_planted, solve_pencil
+from quarteig.pencil import from_lambda
 
 PROBLEMS = {
     "planted": lambda: gen_planted(8, 3, 2, seed=50).pencil,
@@ -31,14 +33,17 @@ def test_returned_vectors_are_unit(kind, config):
     rights = [v for v in sol.right if v is not None]
     lefts = [v for v in sol.left if v is not None]
     assert len(rights) == len(sol.eigs)
-    assert lefts or not CONFIGS[config].want_left
+    if CONFIGS[config].want_left:
+        assert lefts
+    else:  # no pair, deflated or not, gets a left vector
+        assert not lefts
     for v in rights + lefts:
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", ["planted", "mirror"])
 def test_one_lift_and_no_triangular_solve_per_eigenvalue(kind, monkeypatch):
-    calls = {"lift_left": 0, "solve_triangular": 0}
+    calls = {"lift_left": 0, "solve_triangular": 0, "qz": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -51,9 +56,24 @@ def test_one_lift_and_no_triangular_solve_per_eigenvalue(kind, monkeypatch):
                         counted("lift_left", quarteig.eigvec.lift_left))
     monkeypatch.setattr(scipy.linalg, "solve_triangular",
                         counted("solve_triangular", scipy.linalg.solve_triangular))
+    monkeypatch.setattr(scipy.linalg, "qz", counted("qz", scipy.linalg.qz))
     res = solve_pencil(PROBLEMS[kind]())
-    assert res.deflation.size < res.deflation.full_size
-    assert calls == {"lift_left": 1, "solve_triangular": 0}
+    d = res.deflation
+    assert d.size < d.full_size
+    blocks = sum(1 for s in d.steps if s.deflated)
+    finite = sum(e.cls == "finite" for e in res.solution.eigs)
+    # one lift; the only QZ besides the 4n eigensolver is the recovery context's
+    assert calls["lift_left"] == 1 and calls["qz"] == 1
+    assert 1 <= calls["solve_triangular"] <= blocks < finite
+    # the lift's triangular solves do not grow with the eigenvalue count
+    rng = np.random.default_rng(53)
+    for k in (1, finite):
+        calls["solve_triangular"] = 0
+        eigs = [from_lambda(complex(*rng.standard_normal(2))) for _ in range(k)]
+        ws = rng.standard_normal((d.size, k)) + 1j * rng.standard_normal((d.size, k))
+        _, ok = quarteig.eigvec.lift_left(ws, eigs, d)
+        assert ok.all()
+        assert calls["solve_triangular"] == blocks
 
 
 def test_degenerate_left_vector_is_flagged(monkeypatch):
