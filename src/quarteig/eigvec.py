@@ -269,14 +269,14 @@ def lift_left(ws, eigs, d: DeflationResult):
             rhs = (alpha_c * (d.work_b[:start, blk].conj().T @ v[:start])
                    - beta_c * (d.work_a[:start, blk].conj().T @ v[:start]))
             zero_step = step.zeros > 0
-            qf, rf = sla.qr((d.work_b if zero_step else d.work_a)[blk, blk], check_finite=False)
+            qf, rf = sla.qr((d.work_b if zero_step else d.work_a)[blk, blk])
             if singular_diag(np.diagonal(rf)):
                 ok[:] = False
                 break
             scale = -alpha_c if zero_step else beta_c
             ok &= scale != 0.0
             # (scale M*) x = rhs with M = qf rf: x = qf rf^-* rhs / scale
-            x = qf @ sla.solve_triangular(rf, rhs, trans="C", check_finite=False)
+            x = qf @ sla.solve_triangular(rf, rhs, trans="C")
             v[blk] = x / np.where(scale != 0.0, scale, 1.0)
             start = blk.stop
         ws = d.p.conj().T @ v
