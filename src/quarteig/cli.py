@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
 
 from .errors import BundleError, QuarteigError
-from .probio import read_bundle, write_report
+from .probio import read_bundle, write_file, write_report
 from .solver import SolveConfig, build_report, solve_bundle
 
 EXIT_OK = 0
@@ -57,7 +58,9 @@ def _threads_from_env():
         raise ValueError(f"QUARTEIG_THREADS must be an integer, got {env!r}") from None
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process (nothing in it depends on argv)."""
     p = argparse.ArgumentParser(prog="quarteig", description="Quartic eigenvalue solver")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -208,25 +211,19 @@ def _cmd_compare(args):
     except QuarteigError as exc:
         return _fail(EXIT_NUMERICAL, type(exc).__name__, str(exc))
     try:
-        os.makedirs(args.output_dir, exist_ok=True)
         for k, rep in enumerate(reports):
             write_report(rep, os.path.join(args.output_dir, f"{bundle.name}_cfg{k}.json"))
         merged = _merged_csv(labels, reports)
-        with open(
-            os.path.join(args.output_dir, f"{bundle.name}_compare.csv"),
-            "w",
-            encoding="utf-8",
-        ) as fh:
-            fh.write(merged)
+        write_file(os.path.join(args.output_dir, f"{bundle.name}_compare.csv"),
+                   merged.encode("utf-8"))
     except OSError as exc:
         return _fail(EXIT_IO, "io", str(exc))
     return EXIT_OK
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     if args.threads is None:

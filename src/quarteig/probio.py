@@ -4,6 +4,12 @@ A problem bundle is a directory with the five coefficient files ``A.mtx`` ..
 ``E.mtx`` in Matrix Market format (coordinate or array, real or complex) and
 an optional ``expected.json`` holding verifiable ground-truth claims (class
 counts, known eigenvalues) that the solver itself never reads.
+
+Every file the package writes (bundles, reports, ``compare``'s merged CSV)
+goes through :func:`write_file`: a changed file is written to a temp file
+next to the target and renamed over it, so readers never see a partial
+file; a file whose bytes would not change is left in place with a fresh
+mtime.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import csv
 import io
 import json
 import os
-import tempfile
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +72,9 @@ def read_bundle(path) -> ProblemBundle:
         try:
             with open(ep, encoding="utf-8") as fh:
                 expected = json.load(fh)
-        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
-            raise BundleError(f"failed to parse {ep}: {exc}") from exc
+        # unreadable (a directory, no permission), bad JSON or not UTF-8
+        except (OSError, ValueError) as exc:
+            raise BundleError(f"failed to read {ep}: {exc}") from exc
     return ProblemBundle(
         name=os.path.basename(os.path.normpath(path)),
         pencil=QuarticPencil.from_matrices(*mats),
@@ -76,14 +83,69 @@ def read_bundle(path) -> ProblemBundle:
 
 
 def write_bundle(bundle: ProblemBundle, path):
-    """Write the quintuple (and expected.json when present) to a directory."""
+    """Write the quintuple (and expected.json when present) to a directory.
+
+    Each file is written atomically by :func:`write_file`; one whose bytes
+    would not change is left in place with a fresh mtime.
+    """
     path = os.fspath(path)
-    os.makedirs(path, exist_ok=True)
     for name, m in zip(COEFF_NAMES, bundle.pencil.coeffs):
-        mmwrite(os.path.join(path, f"{name}.mtx"), np.asarray(m), precision=17)
+        buf = io.BytesIO()
+        mmwrite(buf, np.asarray(m), precision=17)
+        write_file(os.path.join(path, f"{name}.mtx"), buf.getvalue())
     if bundle.expected is not None:
-        with open(os.path.join(path, "expected.json"), "w", encoding="utf-8") as fh:
-            json.dump(bundle.expected, fh, indent=1, sort_keys=True)
+        text = json.dumps(bundle.expected, indent=1, sort_keys=True)
+        write_file(os.path.join(path, "expected.json"), text.encode("utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# file output
+# ---------------------------------------------------------------------------
+
+
+def _holds(path, data: bytes) -> bool:
+    """True when path is a regular file (not a link) whose bytes are data."""
+    try:
+        st = os.lstat(path)
+        if not stat.S_ISREG(st.st_mode) or st.st_size != len(data):
+            return False
+        # a link or FIFO swapped in since the lstat fails to open or reads
+        # empty, instead of being followed or blocking
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+        with open(fd, "rb") as fh:
+            return fh.read(len(data) + 1) == data
+    except OSError:
+        return False
+
+
+def write_file(path, data: bytes):
+    """Write data to path atomically; leave a file already holding it in place.
+
+    When path is a regular file whose bytes equal data, only its mtime is
+    refreshed. Otherwise data goes to a temp file in the target's directory
+    (created there if missing), which is renamed over path, so a reader or a
+    crash never sees a partial file. Created files get mode 0666 less the
+    umask.
+    """
+    path = os.fspath(path)
+    if _holds(path, data):
+        try:
+            os.utime(path)
+            return
+        except OSError:
+            pass  # e.g. a file of another owner: replace it as below
+    d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
+    tmp = os.path.join(d, f".quarteig-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +323,13 @@ CSV_COLUMNS = (
 )
 
 
-def _atomic_write(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".report-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_report(report: dict, path, fmt="json"):
     """Serialize a solve report (JSON and/or a per-eigenpair CSV companion).
 
-    JSON is written atomically; repeated runs on identical input produce
-    byte-identical files (the report carries no timestamps).
+    Both files are written atomically by :func:`write_file`. Repeated runs
+    on identical input produce byte-identical files (the report carries no
+    timestamps), so a re-run into the same path leaves them in place with a
+    fresh mtime.
     """
     path = os.fspath(path)
     if fmt not in ("json", "csv", "both"):
@@ -291,7 +341,7 @@ def write_report(report: dict, path, fmt="json"):
             break
     if fmt in ("json", "both"):
         jp = base + ".json"
-        _atomic_write(jp, json.dumps(report, indent=1) + "\n")
+        write_file(jp, (json.dumps(report, indent=1) + "\n").encode("utf-8"))
     if fmt in ("csv", "both"):
         cp = base + ".csv"
         rows = []
@@ -313,4 +363,4 @@ def write_report(report: dict, path, fmt="json"):
         w = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
         w.writeheader()
         w.writerows(rows)
-        _atomic_write(cp, buf.getvalue())
+        write_file(cp, buf.getvalue().encode("utf-8"))

@@ -1,9 +1,15 @@
+import csv
 import json
+import os
 
 import pytest
 
 from quarteig import ProblemBundle, QuarticPencil, gen_mirror_like, write_bundle
-from quarteig.cli import EXIT_BUNDLE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from quarteig.cli import EXIT_BUNDLE, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+
+
+def inodes(directory):
+    return {e.name: e.stat().st_ino for e in os.scandir(directory)}
 
 
 @pytest.fixture
@@ -121,6 +127,39 @@ class TestSolveCommand:
         assert main(["solve", str(unit_bundle), "--output", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_rerun_replaces_nothing(self, mirror_bundle, tmp_path, replace_calls):
+        outd = tmp_path / "out"
+        argv = ["solve", str(mirror_bundle), "--output", str(outd / "r.json"),
+                "--format", "both"]
+        assert main(argv) == EXIT_OK
+        first = inodes(outd)
+        assert sorted(first) == ["r.csv", "r.json"] and len(replace_calls) == 2
+        for path in outd.iterdir():
+            os.utime(path, ns=(10**9, 10**9))
+        assert main(argv) == EXIT_OK
+        assert inodes(outd) == first
+        assert len(replace_calls) == 2
+        assert all(p.stat().st_mtime_ns > 10**9 for p in outd.iterdir())
+        # another config changes both files, so both are replaced
+        assert main([*argv, "--scale", "off"]) == EXIT_OK
+        assert sorted(replace_calls[2:]) == [str(outd / "r.csv"), str(outd / "r.json")]
+        assert sorted(inodes(outd)) == ["r.csv", "r.json"]
+
+    def test_output_directory_is_io_error(self, unit_bundle, tmp_path, capsys):
+        (tmp_path / "r.json").mkdir()
+        assert main(["solve", str(unit_bundle), "--output", str(tmp_path / "r.json")]) == EXIT_IO
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == EXIT_IO and err["type"] == "io"
+        assert sorted(os.listdir(tmp_path)) == ["r.json", "unit"]
+
+    def test_expected_json_directory_is_bundle_error(self, unit_bundle, capsys):
+        (unit_bundle / "expected.json").mkdir()
+        assert main(["solve", str(unit_bundle)]) == EXIT_BUNDLE
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == EXIT_BUNDLE
+        assert err["type"] == "BundleError"
+        assert "expected.json" in err["message"]
+
     def test_csv_format(self, unit_bundle, tmp_path):
         out = tmp_path / "r"
         code = main(
@@ -216,6 +255,41 @@ class TestCompareCommand:
         for k in (0, 1):
             rep = json.loads((outd / f"unit_cfg{k}.json").read_text())
             assert rep["meta"]["threads"] == 2
+
+    def test_rerun_leaves_every_file_in_place(self, unit_bundle, tmp_path, replace_calls):
+        outd = tmp_path / "cmp"
+        argv = ["compare", str(unit_bundle), "--config", "scale=on", "--config", "scale=off",
+                "--output-dir", str(outd)]
+        assert main(argv) == EXIT_OK
+        first = inodes(outd)
+        assert sorted(first) == ["unit_cfg0.json", "unit_cfg1.json", "unit_compare.csv"]
+        assert len(replace_calls) == 3
+        assert main(argv) == EXIT_OK
+        assert inodes(outd) == first
+        assert len(replace_calls) == 3
+
+    def test_repeated_calls_keep_their_own_arguments(self, unit_bundle, tmp_path):
+        for k, specs in enumerate((["scale=on", "scale=off"], ["balance=on", "balance=off"])):
+            outd = tmp_path / f"cmp{k}"
+            argv = ["compare", str(unit_bundle), "--output-dir", str(outd)]
+            for spec in specs:
+                argv += ["--config", spec]
+            assert main(argv) == EXIT_OK
+            with open(outd / "unit_compare.csv", newline="") as fh:
+                header = next(csv.reader(fh))
+            labels = sorted({col.split(":")[0] for col in header[1:]})
+            assert len(labels) == 2
+            assert sorted(os.listdir(outd)) == ["unit_cfg0.json", "unit_cfg1.json",
+                                                "unit_compare.csv"]
+            for j, spec in enumerate(specs):
+                key, val = spec.split("=")
+                rep = json.loads((outd / f"unit_cfg{j}.json").read_text())
+                assert rep["config"][key] is (val == "on")
+        out = tmp_path / "r.json"
+        assert main(["solve", str(unit_bundle), "--output", str(out)]) == EXIT_OK
+        config = json.loads(out.read_text())["config"]
+        assert config["scale"] is True and config["balance"] is True
+        assert config["deflate"] is True and config["rank_strategy"] == "norm"
 
     def test_single_config_usage_error(self, unit_bundle, capsys):
         code = main(

@@ -1,8 +1,11 @@
 import json
 import os
+import stat
+import threading
 
 import numpy as np
 import pytest
+from scipy.io import mmwrite
 
 from quarteig import (
     ProblemBundle,
@@ -21,6 +24,7 @@ from quarteig.errors import (
     MalformedMatrixError,
     MissingCoefficientError,
 )
+from quarteig.probio import write_file
 from oracles import classify_dense, rand_complex
 
 
@@ -88,6 +92,29 @@ class TestBundleIO:
         got = read_bundle(tmp_path / "m")
         assert got.expected["zeros"] == 9
         assert got.expected["infs"] == 9
+
+    def test_bundle_bytes_match_direct_writes(self, tmp_path):
+        b = gen_mirror_like(0)
+        write_bundle(b, tmp_path / "m")
+        for name, m in zip("ABCDE", b.pencil.coeffs):
+            ref = tmp_path / f"ref_{name}.mtx"
+            mmwrite(str(ref), np.asarray(m), precision=17)
+            assert (tmp_path / "m" / f"{name}.mtx").read_bytes() == ref.read_bytes()
+        with open(tmp_path / "ref.json", "w", encoding="utf-8") as fh:
+            json.dump(b.expected, fh, indent=1, sort_keys=True)
+        assert (tmp_path / "m" / "expected.json").read_bytes() == (
+            tmp_path / "ref.json"
+        ).read_bytes()
+
+    def test_rewrite_leaves_bundle_in_place(self, tmp_path, replace_calls):
+        b = gen_mirror_like(0)
+        write_bundle(b, tmp_path / "m")
+        before = {e.name: e.stat().st_ino for e in os.scandir(tmp_path / "m")}
+        assert len(before) == 6 and len(replace_calls) == 6
+        write_bundle(b, tmp_path / "m")
+        after = {e.name: e.stat().st_ino for e in os.scandir(tmp_path / "m")}
+        assert after == before
+        assert len(replace_calls) == 6
 
 
 class TestGenerators:
@@ -222,3 +249,121 @@ class TestWriteReport:
         write_report(rep, str(p1))
         write_report(rep, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestWriteFile:
+    def _aged(self, path, data):
+        """Writes data to path with an mtime far in the past."""
+        path.write_bytes(data)
+        os.utime(path, ns=(10**9, 10**9))
+        return os.lstat(path)
+
+    def test_identical_bytes_left_in_place(self, tmp_path, replace_calls):
+        p = tmp_path / "r.json"
+        old = self._aged(p, b"same bytes\n")
+        write_file(p, b"same bytes\n")
+        new = os.lstat(p)
+        assert new.st_ino == old.st_ino
+        assert new.st_mtime_ns > old.st_mtime_ns
+        assert replace_calls == []
+        assert os.listdir(tmp_path) == ["r.json"]
+
+    @pytest.mark.parametrize("old", [b"abc", b"abd\n", b"", b"abc\nmore"])
+    def test_changed_bytes_replaced(self, tmp_path, replace_calls, old):
+        p = tmp_path / "r.json"
+        self._aged(p, old)
+        write_file(p, b"abc\n")
+        assert p.read_bytes() == b"abc\n"
+        assert replace_calls == [str(p)]
+        assert os.listdir(tmp_path) == ["r.json"]
+
+    def test_new_file_and_missing_directory(self, tmp_path):
+        p = tmp_path / "a" / "b" / "r.csv"
+        write_file(p, b"x\n")
+        assert p.read_bytes() == b"x\n"
+        assert os.listdir(p.parent) == ["r.csv"]
+
+    def test_symlink_replaced_by_regular_file(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_bytes(b"data")
+        link = tmp_path / "r.json"
+        link.symlink_to(target)
+        write_file(link, b"data")
+        assert stat.S_ISREG(os.lstat(link).st_mode)
+        assert link.read_bytes() == b"data"
+        assert target.read_bytes() == b"data"
+        assert sorted(os.listdir(tmp_path)) == ["r.json", "target.json"]
+
+    def test_directory_target_raises(self, tmp_path):
+        (tmp_path / "r.json").mkdir()
+        with pytest.raises(OSError):
+            write_file(tmp_path / "r.json", b"data")
+        assert os.listdir(tmp_path) == ["r.json"]
+        assert (tmp_path / "r.json").is_dir()
+
+    def test_fifo_replaced_without_blocking(self, tmp_path):
+        p = tmp_path / "r.json"
+        os.mkfifo(p)
+        t = threading.Thread(target=write_file, args=(p, b"data"), daemon=True)
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert stat.S_ISREG(os.lstat(p).st_mode)
+        assert p.read_bytes() == b"data"
+
+    def test_unreadable_file_replaced(self, tmp_path, monkeypatch, replace_calls):
+        p = tmp_path / "r.json"
+        self._aged(p, b"data")
+        real_open = os.open
+
+        def no_read(path, flags, *args, **kwargs):
+            if not flags & os.O_CREAT:
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", no_read)
+        write_file(p, b"data")
+        assert p.read_bytes() == b"data"
+        assert len(replace_calls) == 1
+        assert os.listdir(tmp_path) == ["r.json"]
+
+    def test_utime_failure_falls_back_to_replace(self, tmp_path, monkeypatch, replace_calls):
+        p = tmp_path / "r.json"
+        old = self._aged(p, b"data")
+
+        def deny(*args, **kwargs):
+            raise PermissionError(1, "Operation not permitted")
+
+        monkeypatch.setattr(os, "utime", deny)
+        write_file(p, b"data")
+        assert len(replace_calls) == 1
+        assert os.lstat(p).st_ino != old.st_ino
+        assert p.read_bytes() == b"data"
+        assert os.listdir(tmp_path) == ["r.json"]
+
+    @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o027, 0o640)])
+    def test_created_files_follow_umask(self, tmp_path, mask, mode):
+        from quarteig.cli import main
+
+        bundle = tmp_path / "b"
+        saved = os.umask(mask)
+        try:
+            write_bundle(gen_mirror_like(0), bundle)
+            assert main(["solve", str(bundle), "--output", str(tmp_path / "r" / "rep"),
+                         "--format", "both"]) == 0
+            assert main(["compare", str(bundle), "--config", "scale=on",
+                         "--config", "scale=off", "--output-dir", str(tmp_path / "c")]) == 0
+        finally:
+            os.umask(saved)
+        files = [e for d in ("b", "r", "c") for e in os.scandir(tmp_path / d)]
+        assert len(files) == 6 + 2 + 3
+        assert {stat.S_IMODE(e.stat().st_mode) for e in files} == {mode}
+
+    def test_write_error_leaves_no_temp(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            write_file(tmp_path / "r.json", b"data")
+        assert os.listdir(tmp_path) == []
