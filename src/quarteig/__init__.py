@@ -14,11 +14,10 @@ from .deflate import (
     deflate,
     second_level,
 )
-from .diagnostics import PairDiagnostics, SummaryReport, summarize
+from .diagnostics import SummaryReport, summarize
 from .gevp import GevpSolution, solve_gevp
 from .pencil import (
     EigenSolution,
-    HomogeneousEig,
     LinearPencil,
     QuarticPencil,
     linearize,
@@ -43,9 +42,7 @@ __all__ = [
     "DeflationResult",
     "EigenSolution",
     "GevpSolution",
-    "HomogeneousEig",
     "LinearPencil",
-    "PairDiagnostics",
     "ProblemBundle",
     "QuarticPencil",
     "RankProfile",

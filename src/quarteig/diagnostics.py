@@ -10,7 +10,10 @@ Both are evaluated in homogeneous (alpha, beta) form so no power of lambda is
 ever formed explicitly. The component-wise error omega uses row-wise
 absolute-value weights instead and is defined for finite eigenvalues only.
 Left eigenpairs use y* P(lambda) in the same way. :func:`diagnostics_many`
-evaluates all four errors for a whole solution at once.
+evaluates all four errors for a whole solution at once and returns one
+array per error; the residual norms are taken by :func:`numkit.safe_norm`,
+so eta neither overflows nor underflows on coefficients of extreme scale.
+:func:`summarize` reads those arrays straight off the solution.
 """
 
 from __future__ import annotations
@@ -19,13 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pencil import (
-    EIG_FINITE,
-    EIG_INFINITE,
-    EIG_ZERO,
-    HomogeneousEig,
-    QuarticPencil,
-)
+from .numkit import safe_norm
+from .pencil import CLASS_NAMES, EIG_INFINITE, QuarticPencil, complex_array, cprod
+
+ERRORS = ("eta_right", "eta_left", "omega_right", "omega_left")
 
 
 class CoefficientNorms:
@@ -43,84 +43,65 @@ class CoefficientNorms:
         return self._abs
 
 
-def homogeneous_weights(eigs):
-    """Rows (a^4, a^3 b, a^2 b^2, a b^3, b^4), one column per eigenvalue."""
-    w = np.empty((5, len(eigs)), dtype=np.complex128)
-    for j, e in enumerate(eigs):
-        a, b = e.alpha, e.beta
-        w[:, j] = (a**4, a**3 * b, a**2 * b**2, a * b**3, b**4)
-    return w
+def homogeneous_weights(alpha, beta):
+    """Rows (a^4, a^3 b, a^2 b^2, a b^3, b^4), one column per eigenvalue.
+
+    The powers of alpha are formed by repeated squaring and those of the
+    real beta by the C library's pow, the roundings of Python's scalar
+    powers.
+    """
+    ar, ai = alpha.real, alpha.imag
+    sq = cprod(ar, ai, ar, ai)
+    a2 = cprod(1.0, 0.0, *sq)
+    a3 = cprod(*cprod(1.0, 0.0, ar, ai), *sq)
+    a4 = cprod(1.0, 0.0, *cprod(*sq, *sq))
+    b2, b3, b4 = (np.float_power(beta, k) for k in (2, 3, 4))
+    rows = (a4, cprod(*a3, beta, 0.0), cprod(*a2, b2, 0.0), cprod(ar, ai, b3, 0.0), (b4, 0.0))
+    return np.stack([complex_array(*r) for r in rows])
 
 
-def diagnostics_many(eigs, rights, lefts, q: QuarticPencil, norms: CoefficientNorms | None = None):
-    """Per-pair backward errors for a whole solution in a few matrix products.
+def diagnostics_many(sol, q: QuarticPencil, norms: CoefficientNorms | None = None):
+    """Backward errors of every pair of a solution in a few matrix products.
 
-    Entries of ``rights``/``lefts`` may be None (their diagnostics come back
-    None); omega is None for infinite eigenvalues. A zero vector gets
-    eta = omega = inf, so it can never pass for an exact pair.
+    ``sol`` is an :class:`~quarteig.pencil.EigenSolution`. Returns a dict of
+    the four arrays named in ``ERRORS``, NaN where the side has no vector and
+    for omega of an infinite eigenvalue. A zero vector gets eta = omega =
+    inf, so it can never pass for an exact pair.
     """
     norms = norms or CoefficientNorms(q)
-    nj = len(eigs)
-    w = homogeneous_weights(eigs)
+    w = homogeneous_weights(sol.alpha, sol.beta)
     wa = np.abs(w)
     den = wa.T @ norms.two
-
-    def side(vectors, left):
-        """(eta, omega) per pair of one side; the left side is y* P(lambda)."""
-        etas, omegas = [None] * nj, [None] * nj
-        cols = [j for j, v in enumerate(vectors) if v is not None]
-        if not cols:
-            return etas, omegas
-        x = np.column_stack([vectors[j] for j in cols])
-        r = np.zeros(x.shape, dtype=np.complex128)
-        s = np.zeros(x.shape)
-        ax = np.abs(x)
-        for k, (m, am) in enumerate(zip(q.coeffs, norms.abs_coeffs)):
-            if left:
-                r += np.conj(w[k, cols])[None, :] * (m.conj().T @ x)
-                s += wa[k, cols][None, :] * (am.T @ ax)
-            else:
-                r += w[k, cols][None, :] * (m @ x)
-                s += wa[k, cols][None, :] * (am @ ax)
-        rabs = np.abs(r)
-        nums = np.linalg.norm(rabs, axis=0)
-        xn = np.linalg.norm(x, axis=0)
-        d = den[cols] * xn
-        eta = np.where(d > 0.0, nums / np.where(d > 0.0, d, 1.0), np.where(nums > 0.0, np.inf, 0.0))
-        ratio = np.where(s > 0.0, rabs / np.where(s > 0.0, s, 1.0), np.where(rabs > 0.0, np.inf, 0.0))
-        omega = ratio.max(axis=0)
-        eta[xn == 0.0] = omega[xn == 0.0] = np.inf
-        for i, j in enumerate(cols):
-            etas[j] = float(eta[i])
-            if eigs[j].cls != EIG_INFINITE:
-                omegas[j] = float(omega[i])
-        return etas, omegas
-
-    eta_r, om_r = side(rights, left=False)
-    eta_l, om_l = side(lefts, left=True)
-    return [
-        PairDiagnostics(
-            eta_right=eta_r[j],
-            eta_left=eta_l[j],
-            omega_right=om_r[j],
-            omega_left=om_l[j],
-            cls=eigs[j].cls,
-            eig=eigs[j],
-        )
-        for j in range(nj)
-    ]
-
-
-@dataclass
-class PairDiagnostics:
-    """Per-eigenpair backward errors (None where undefined/not computed)."""
-
-    eta_right: float | None
-    eta_left: float | None
-    omega_right: float | None
-    omega_left: float | None
-    cls: str
-    eig: HomogeneousEig | None = None
+    out = {}
+    for side, vectors, has in (("right", sol.x, sol.has_right), ("left", sol.y, sol.has_left)):
+        eta = np.full(len(sol), np.nan)
+        omega = np.full(len(sol), np.nan)
+        cols = np.flatnonzero(has)
+        if cols.size:
+            x = np.ascontiguousarray(vectors[:, cols])
+            r = np.zeros(x.shape, dtype=np.complex128)
+            s = np.zeros(x.shape)
+            ax = np.abs(x)
+            for k, (m, am) in enumerate(zip(q.coeffs, norms.abs_coeffs)):
+                if side == "left":  # y* P(lambda)
+                    r += np.conj(w[k, cols])[None, :] * (m.conj().T @ x)
+                    s += wa[k, cols][None, :] * (am.T @ ax)
+                else:
+                    r += w[k, cols][None, :] * (m @ x)
+                    s += wa[k, cols][None, :] * (am @ ax)
+            rabs = np.abs(r)
+            nums = safe_norm(rabs, axis=0)
+            xn = np.linalg.norm(x, axis=0)
+            d = den[cols] * xn
+            eta[cols] = np.where(d > 0.0, nums / np.where(d > 0.0, d, 1.0),
+                                 np.where(nums > 0.0, np.inf, 0.0))
+            ratio = np.where(s > 0.0, rabs / np.where(s > 0.0, s, 1.0),
+                             np.where(rabs > 0.0, np.inf, 0.0))
+            omega[cols] = ratio.max(axis=0)
+            eta[cols[xn == 0.0]] = omega[cols[xn == 0.0]] = np.inf
+        omega[sol.cls == EIG_INFINITE] = np.nan
+        out[f"eta_{side}"], out[f"omega_{side}"] = eta, omega
+    return out
 
 
 @dataclass
@@ -146,23 +127,19 @@ def _stat(vals):
     }
 
 
-def summarize(diags) -> SummaryReport:
-    """Aggregate per-pair diagnostics: min/max/median, class counts, order.
+def summarize(sol) -> SummaryReport:
+    """Class counts, min/max/median of each backward error, and the order.
 
-    The order sorts pairs by eigenvalue modulus (infinite and unknown ones
-    last), ties broken by index.
+    The order sorts pairs by eigenvalue modulus (infinite ones last), ties
+    broken by index. Errors that are NaN (not computed) or inf drop out of
+    the statistics.
     """
-    diags = list(diags)
-    if not diags:
+    if not len(sol):
         raise ValueError("summarize requires at least one eigenpair")
-    classes = [d.cls for d in diags]
-    counts = {c: classes.count(c) for c in (EIG_ZERO, EIG_FINITE, EIG_INFINITE)}
-    modulus = np.array([np.inf if d.eig is None else d.eig.modulus for d in diags])
-    order = np.lexsort((np.arange(len(diags)), modulus)).tolist()
-    # one column per error; None (not computed) becomes NaN and drops out
-    errors = np.array(
-        [(d.eta_right, d.eta_left, d.omega_right, d.omega_left) for d in diags], dtype=float
-    )
-    names = ("eta_right", "eta_left", "omega_right", "omega_left")
-    stats = {name: _stat(errors[:, k]) for k, name in enumerate(names)}
+    counts = dict(zip(CLASS_NAMES, np.bincount(sol.cls, minlength=3).tolist()))
+    with np.errstate(divide="ignore"):
+        modulus = np.where(sol.cls == EIG_INFINITE, np.inf,
+                           np.hypot(sol.alpha.real, sol.alpha.imag) / sol.beta)
+    order = np.lexsort((np.arange(len(sol)), modulus)).tolist()
+    stats = {name: _stat(getattr(sol, name)) for name in ERRORS}
     return SummaryReport(counts=counts, stats=stats, order=order)

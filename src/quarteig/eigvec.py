@@ -22,26 +22,26 @@ eigenvalues, with no QZ of its own.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import diagnostics
 from .deflate import DeflationResult, RankProfile
-from .errors import DegenerateVectorError
 from .numkit import (
     EPS,
     SVDFactors,
     TriHessPair,
+    col_norms,
     shifted_hess_solve,  # only bench/tracer.py uses it here (ROADMAP item 1)
     shifted_hess_solve_many,
     singular_diag,
     svd,
     tri_hess_reduce,
-    unit,
+    unit_columns,
 )
-from .pencil import EIG_FINITE, EIG_ZERO, HomogeneousEig, QuarticPencil
+from .pencil import QuarticPencil, affine
 
 
 @dataclass
@@ -52,7 +52,6 @@ class RecoveryContext:
     tri_hess: TriHessPair
     svd_e: SVDFactors | None = None  # computed by the first least-squares recovery
     lu_e: tuple | None = None
-    _ls_cache: dict = field(default_factory=dict)
 
 
 def build_context(q: QuarticPencil) -> RecoveryContext:
@@ -69,37 +68,33 @@ def build_context(q: QuarticPencil) -> RecoveryContext:
     return RecoveryContext(q=q, tri_hess=pair, lu_e=lu_e)
 
 
-def _split(z, n):
-    z = np.asarray(z).ravel()
-    if z.shape[0] != 4 * n:
-        raise ValueError(f"expected a 4n-vector with n={n}, got length {z.shape[0]}")
-    return z[:n], z[n : 2 * n], z[2 * n : 3 * n], z[3 * n :]
-
-
-def recover_right_many(zs, eigs, ctx: RecoveryContext):
+def recover_right_many(zs, alpha, beta, ctx: RecoveryContext):
     """Smallest-residual recovery of quartic right eigenvectors.
 
-    ``zs`` holds one lifted 4n-vector per column; ``eigs`` the matching
-    finite nonzero eigenvalues. Every candidate (z1, the two shifted solves,
-    the E solve) is normalized and the one with the smallest residual
-    ||P(lambda) x|| wins, which is the smallest backward error, since all
-    candidates of an eigenvalue share its denominator; the shifted solves
-    and the residual evaluations are vectorized across the batch. Returns a
-    list of ``(x, method, residual)`` with unit-norm x and its residual
-    norm; when only z1 is usable the method is ``z1_fallback``, and
-    degenerate entries come back as ``(None, 'degenerate', inf)``.
+    ``zs`` holds one lifted 4n-vector per column; ``alpha`` and ``beta`` the
+    matching finite nonzero eigenvalues in homogeneous form. Every candidate
+    (z1, the two shifted solves, the E solve) is normalized and the one with
+    the smallest residual ||P(lambda) x|| wins, which is the smallest
+    backward error, since all candidates of an eigenvalue share its
+    denominator; the shifted solves and the residual evaluations are
+    vectorized across the batch. Returns a list of ``(x, method, residual)``
+    with unit-norm x and its residual norm; when only z1 is usable the
+    method is ``z1_fallback``, and degenerate entries come back as
+    ``(None, 'degenerate', inf)``.
     """
     q = ctx.q
     n = q.n
     zs = np.asarray(zs, dtype=np.complex128)
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    beta = np.asarray(beta, dtype=np.float64)
     nj = zs.shape[1]
     if nj == 0:
         return []
-    if zs.shape[0] != 4 * n or len(eigs) != nj:
+    if zs.shape[0] != 4 * n or alpha.shape != (nj,) or beta.shape != (nj,):
         raise ValueError("batch shapes are inconsistent")
-    if any(e.cls != EIG_FINITE for e in eigs):
+    if np.any(alpha == 0.0) or np.any(beta == 0.0):
         raise ValueError("recover_right_many requires finite nonzero eigenvalues")
-    lams = np.array([e.lam for e in eigs], dtype=np.complex128)
+    lams = affine(alpha, beta)
     z1 = zs[:n, :]
     z4 = zs[3 * n :, :]
     rhs = np.stack([zs[n : 2 * n, :].T, zs[2 * n : 3 * n, :].T], axis=2)
@@ -119,7 +114,7 @@ def recover_right_many(zs, eigs, ctx: RecoveryContext):
     valid[0] = finite_c[0]
     valid &= finite_c
     np.divide(cands, norms_c[:, None, :], out=cands, where=finite_c[:, None, :])
-    w = diagnostics.homogeneous_weights(eigs)
+    w = diagnostics.homogeneous_weights(alpha, beta)
     res = np.full((4, nj), np.inf)
     for c in range(4):
         if not valid[c].any():
@@ -129,39 +124,26 @@ def recover_right_many(zs, eigs, ctx: RecoveryContext):
             r += w[k][None, :] * (m @ cands[c])
         res[c] = np.where(valid[c], np.linalg.norm(r, axis=0), np.inf)
     sel = np.argmin(res, axis=0)
-    out = []
+    cols = np.arange(nj)
+    x = cands[sel, :, cols].T
     nvalid = valid.sum(axis=0)
-    for j in range(nj):
-        if nvalid[j] == 0:
-            out.append((None, "degenerate", np.inf))
-            continue
-        c = int(sel[j])
-        name = names[c]
-        if name == "z1" and nvalid[j] == 1:
-            name = "z1_fallback"
-        out.append((cands[c, :, j].copy(), name, float(res[c, j])))
-    return out
+    method = np.array(names, dtype=object)[sel]
+    method[(sel == 0) & (nvalid == 1)] = "z1_fallback"
+    method[nvalid == 0] = "degenerate"
+    return [(x[:, j] if m != "degenerate" else None, m, r)
+            for j, (m, r) in enumerate(zip(method.tolist(), res[sel, cols].tolist()))]
 
 
-def recover_right_zero(z, q: QuarticPencil):
-    """Right eigenvector for lambda = 0: the first block of z.
+def recover_right_zero(zs, q: QuarticPencil):
+    """Right eigenvectors for lambda = 0: the first blocks of the columns of zs.
 
-    The remaining blocks should reproduce (0, Bx, Dx); their mismatch is
-    returned as a consistency diagnostic.
+    Returns ``(x, ok)`` with unit columns; ``ok`` is False, and the column
+    zero, where the first block is negligible (n*eps relative to the column).
     """
-    n = q.n
-    z1, z2, z3, z4 = _split(z, n)
-    z = np.asarray(z).ravel()
-    nz = np.linalg.norm(z)
-    n1 = np.linalg.norm(z1)
-    if n1 <= q.n * EPS * nz:
-        raise DegenerateVectorError("leading block of the zero-class eigenvector vanishes")
-    x = z1 / n1
-    model = np.concatenate([z1, np.zeros(n, dtype=np.complex128), q.b @ z1, q.d @ z1])
-    mismatch = float(
-        np.linalg.norm(z - model) / max(np.linalg.norm(model), nz, EPS)
-    )
-    return x, mismatch
+    zs = np.asarray(zs)
+    if zs.ndim != 2 or zs.shape[0] != 4 * q.n:
+        raise ValueError(f"expected 4n-vectors as columns with n={q.n}, got shape {zs.shape}")
+    return unit_columns(zs[: q.n], q.n * EPS * col_norms(zs))
 
 
 def recover_left(ws):
@@ -186,53 +168,39 @@ def recover_left(ws):
     return np.divide(y, ny, out=np.zeros_like(y), where=ok), ok
 
 
-def recover_right_ls(z, eig: HomogeneousEig, ctx: RecoveryContext, weight=1.0):
-    """Least-squares recovery min || [lambda I; E] x - [z1; -z4] ||.
+def recover_right_ls(zs, alpha, beta, ctx: RecoveryContext):
+    """Least-squares recovery min || [lambda I; E] x - [z1; -z4] || per column.
 
-    Solved through the SVD of E (computed on the first call and cached in
-    the context) in O(n^2) per eigenvalue; the second block acts as a
-    regularizer with the given weight. For |lambda|>1 the system is scaled
-    by 1/lambda to keep the stack balanced. For lambda = 0 the stacked
-    systems with B or D are used instead.
+    ``zs`` holds one lifted 4n-vector per column, ``alpha`` and ``beta`` the
+    matching finite nonzero eigenvalues. Solved through the SVD of E
+    (computed on the first call and cached in the context) in O(n^2) per
+    eigenvalue, one column at a time; the second block acts as a
+    regularizer. For |lambda|>1 the system is scaled by 1/lambda to keep
+    the stack balanced. Returns unit vectors as the columns of an array.
     """
     q = ctx.q
     n = q.n
-    z1, z2, z3, z4 = _split(z, n)
-    lam = eig.lam
-    if eig.cls == EIG_ZERO or eig.alpha == 0.0:
-        best = None
-        for key, mat, rhs2 in (("ls_zero_b", q.b, z3), ("ls_zero_d", q.d, z4)):
-            if key not in ctx._ls_cache:
-                stack = np.vstack([np.eye(n, dtype=np.complex128), weight * mat])
-                ctx._ls_cache[key] = stack
-            stack = ctx._ls_cache[key]
-            rhs = np.concatenate([z1, weight * rhs2])
-            x, *_ = np.linalg.lstsq(stack, rhs, rcond=None)
-            res = np.linalg.norm(stack @ x - rhs)
-            if best is None or res < best[1]:
-                best = (x, res)
-        return unit(best[0])
     if ctx.svd_e is None:
         ctx.svd_e = svd(q.e)
-    u_e, sig, v_e = ctx.svd_e.u, ctx.svd_e.sigma, ctx.svd_e.v
-    sig = np.concatenate([sig, np.zeros(n - len(sig))]) if len(sig) < n else sig
-    t1 = v_e.conj().T @ z1
-    t2 = -(u_e.conj().T @ z4)
-    if abs(lam) > 1.0:
-        r1 = 1.0 + 0.0j
-        rhs1 = t1 / lam
-    else:
-        r1 = complex(lam)
-        rhs1 = t1
-    r2 = weight * sig
-    num = np.conj(r1) * rhs1 + r2 * (weight * t2)
-    den = abs(r1) ** 2 + r2**2
-    u = num / den
-    return unit(v_e @ u)
+    u_e, sig, v_e = ctx.svd_e.u, ctx.svd_e.sigma, ctx.svd_e.v  # E is square: n values
+    x = np.empty((n, zs.shape[1]), dtype=np.complex128)
+    for j, lam in enumerate(affine(alpha, beta).tolist()):
+        t1 = v_e.conj().T @ zs[:n, j]
+        t2 = -(u_e.conj().T @ zs[3 * n :, j])
+        if abs(lam) > 1.0:
+            r1 = 1.0 + 0.0j
+            rhs1 = t1 / lam
+        else:
+            r1 = complex(lam)
+            rhs1 = t1
+        u = (np.conj(r1) * rhs1 + sig * t2) / (abs(r1) ** 2 + sig**2)
+        x[:, j] = v_e @ u
+    return unit_columns(x)[0]
 
 
-def lift_left(ws, eigs, d: DeflationResult):
-    """Lift deflated-pencil left eigenvectors, one per column of ``ws``.
+def lift_left(ws, alpha, beta, d: DeflationResult):
+    """Lift deflated-pencil left eigenvectors, one per column of ``ws``,
+    for the eigenvalues (``alpha``, ``beta``).
 
     X and Y are the coupling and trailing blocks of P(beta*AA - alpha*BB)Q;
     the lifted vector is P* (w, w2) with w2* Y = -w* X. Y is the deflation
@@ -251,13 +219,13 @@ def lift_left(ws, eigs, d: DeflationResult):
     and where ``ws[:, j]`` is zero.
     """
     ws = np.asarray(ws, dtype=np.complex128)
-    nj = len(eigs)
+    nj = len(alpha)
     if ws.shape != (d.size, nj):
         raise ValueError(f"expected {d.size}-vectors as {nj} columns, got {ws.shape}")
     ok = np.ones(nj, dtype=bool)
     if d.size < d.full_size:
-        alpha_c = np.array([e.alpha for e in eigs], dtype=np.complex128).conj()
-        beta_c = np.array([e.beta for e in eigs], dtype=np.complex128).conj()
+        alpha_c = np.asarray(alpha, dtype=np.complex128).conj()
+        beta_c = np.asarray(beta, dtype=np.complex128).conj()
         v = np.zeros((d.full_size, nj), dtype=np.complex128)
         v[: d.size] = ws
         start = d.size

@@ -21,10 +21,6 @@ class DeflationError(QuarteigError):
     """Deflation could not complete consistently."""
 
 
-class DegenerateVectorError(QuarteigError):
-    """Recovered eigenvector block is numerically negligible."""
-
-
 class BundleError(QuarteigError):
     """Base class for problem-bundle I/O failures."""
 

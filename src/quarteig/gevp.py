@@ -8,24 +8,21 @@ import numpy as np
 
 from .errors import GevpError
 from .numkit import as_matrix, generalized_eig
-from .pencil import LinearPencil, classify_pair
+from .pencil import LinearPencil, Spectrum, classify
 
 
-@dataclass
-class GevpSolution:
+@dataclass(eq=False)
+class GevpSolution(Spectrum):
     """Homogeneous eigenvalues of aa - lambda*bb with unit eigenvectors.
 
-    ``backend_id`` names the LAPACK driver that ran (see
-    :func:`quarteig.numkit.generalized_eig`).
+    Column j of ``right`` (``left``) belongs to pair j of the arrays
+    ``alpha``, ``beta`` and ``cls``. ``backend_id`` names the LAPACK driver
+    that ran (see :func:`quarteig.numkit.generalized_eig`).
     """
 
-    eigs: list
     right: np.ndarray
     left: np.ndarray | None
     backend_id: str
-
-    def __len__(self):
-        return len(self.eigs)
 
 
 def solve_gevp(p: LinearPencil, want_left: bool = True) -> GevpSolution:
@@ -51,8 +48,8 @@ def solve_gevp(p: LinearPencil, want_left: bool = True) -> GevpSolution:
             "eigenvalue pair(s), so det(beta*aa - alpha*bb) vanishes identically",
             failing_index=int(null[0]),
         )
-    eigs = [classify_pair(ab[0, i], ab[1, i], m) for i in range(m)]
+    alpha, beta, cls = classify(ab[0], ab[1], m)
     vr = vr / np.linalg.norm(vr, axis=0, keepdims=True)
     if vl is not None:
         vl = vl / np.linalg.norm(vl, axis=0, keepdims=True)
-    return GevpSolution(eigs=eigs, right=vr, left=vl, backend_id=driver)
+    return GevpSolution(alpha=alpha, beta=beta, cls=cls, right=vr, left=vl, backend_id=driver)

@@ -40,10 +40,41 @@ def as_matrix(m) -> np.ndarray:
     return a.astype(np.complex128, copy=False)
 
 
-def unit(v):
-    """Return v normalized to unit 2-norm (zero vector is returned as-is)."""
-    nrm = np.linalg.norm(v)
-    return v / nrm if nrm > 0 else v
+def col_norms(z):
+    """2-norms of the columns of z, each rounded as ``np.linalg.norm`` of
+    that column alone rounds it (one BLAS dot per real and imaginary part)."""
+    z = np.asarray(z)
+    return np.sqrt(np.vecdot(z.real, z.real, axis=0) + np.vecdot(z.imag, z.imag, axis=0))
+
+
+def unit_columns(z, floor=0.0):
+    """Columns of z scaled to unit 2-norm, and the mask of those whose norm
+    exceeds ``floor``; the others come back zero."""
+    z = np.asarray(z)
+    nrm = col_norms(z)
+    ok = nrm > floor
+    return np.divide(z, nrm, out=np.zeros(z.shape, dtype=np.complex128), where=ok), ok
+
+
+def safe_norm(m, axis=None):
+    """``np.linalg.norm(m, axis=axis)`` (Frobenius or 2-norms) that neither
+    overflows nor underflows.
+
+    Where the plain norm is finite and above 2^-470, so that its squares
+    neither overflowed nor lost a significant part to underflow, it is the
+    result. Otherwise the norm of m * 2^-e is multiplied back by 2^e, with
+    e the binary exponent of max|m| (per norm along ``axis``); powers of
+    two scale exactly.
+    """
+    m = np.asarray(m)
+    with np.errstate(over="ignore", under="ignore"):
+        nrm = np.linalg.norm(m, axis=axis)
+    if ((nrm > 2.0**-470) & (nrm < np.inf)).all():
+        return nrm
+    big = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=axis, initial=0.0)
+    e = np.minimum(np.maximum(np.frexp(big)[1], -1020), 1024)
+    scale = np.ldexp(1.0, -(e if axis is None else np.expand_dims(e, axis)))
+    return np.ldexp(np.linalg.norm(m * scale, axis=axis), e)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +269,7 @@ def rrqr(m, strategy=None) -> PivotedQR:
     (qr, tau), _, perm = sla.qr(a, pivoting=True, mode="raw")
     r = np.triu(qr)
     diag_abs = np.abs(np.diag(r))
-    rank, log = strategy.decide(diag_abs, float(np.linalg.norm(a)), a.shape)
+    rank, log = strategy.decide(diag_abs, float(safe_norm(a)), a.shape)
     return PivotedQR(r=r, perm=perm.astype(np.intp), rank=rank, truncation_log=log,
                      reflectors=(qr, tau))
 

@@ -9,19 +9,30 @@ and the quadratic lambda^2 M + lambda Cq + K is then linearized into the
 4n x 4n pencil AA - lambda BB whose generalized eigenvalues are the quartic
 eigenvalues with multiplicity, infinities included. Block placement is exact
 (identities and zeros are exact, coefficient blocks are the original arrays).
+
+Eigenvalues travel through the pipeline as arrays, one per field
+(:class:`Spectrum`, :class:`EigenSolution`): homogeneous pairs (alpha, beta)
+normalized to |alpha|^2 + beta^2 = 1 with beta real >= 0, class codes, and
+eigenvectors as the columns of n x 4n arrays with masks. :func:`classify`,
+:func:`reciprocal` and :func:`affine` act on whole arrays.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numkit import EPS, as_matrix
 
-EIG_ZERO = "zero"
-EIG_FINITE = "finite"
-EIG_INFINITE = "infinite"
+# eigenvalue classes as small-integer codes; CLASS_NAMES[code] is the report name
+EIG_ZERO, EIG_FINITE, EIG_INFINITE = 0, 1, 2
+CLASS_NAMES = ("zero", "finite", "infinite")
+
+# one entry of the per-pair view EigenSolution.eigs
+Eig = namedtuple("Eig", "alpha beta cls")
 
 
 @dataclass(frozen=True)
@@ -67,98 +78,134 @@ class LinearPencil:
         return self.aa.shape[0]
 
 
-@dataclass(frozen=True)
-class HomogeneousEig:
-    """Eigenvalue as a normalized pair (alpha, beta), |alpha|^2 + beta^2 = 1."""
+# ---------------------------------------------------------------------------
+# homogeneous eigenvalues as arrays
+# ---------------------------------------------------------------------------
+# The products and quotients below take real and imaginary parts separately
+# and round exactly as Python's complex scalars do (Smith's quotient, where
+# numpy multiplies by a reciprocal), so that results do not depend on
+# whether a pair was computed alone or in an array.
 
-    alpha: complex
-    beta: float
-    cls: str
+
+def cprod(ar, ai, br, bi):
+    """Parts of (ar + i ai)(br + i bi)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def cquot(ar, ai, br, bi):
+    """Parts of (ar + i ai)/(br + i bi) by Smith's algorithm."""
+    by_re = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_re, bi / br, br / bi)
+        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+        re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
+        im = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
+
+
+def complex_array(re, im):
+    """The complex array with the given parts (signed zeros kept)."""
+    z = np.empty(np.broadcast(re, im).shape, dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+def normalize(alpha, beta):
+    """Scale pairs so that |alpha|^2 + beta^2 = 1 with beta real >= 0."""
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    beta = np.asarray(beta, dtype=np.complex128)
+    mod = np.hypot(beta.real, beta.imag)
+    # alpha / (beta/|beta|) where beta is nonzero; beta becomes |beta|
+    ar, ai = cquot(alpha.real, alpha.imag, *cquot(beta.real, beta.imag, mod, 0.0))
+    ar = np.where(mod > 0.0, ar, alpha.real)
+    ai = np.where(mod > 0.0, ai, alpha.imag)
+    s = np.hypot(np.hypot(ar, ai), mod)
+    if np.any(s == 0.0):
+        raise ValueError("(0, 0) is not a valid homogeneous eigenvalue")
+    return complex_array(*cquot(ar, ai, s, 0.0)), mod / s
+
+
+def classify(alpha, beta, dim):
+    """Normalize homogeneous pairs and classify them as zero/finite/infinite.
+
+    Thresholds: beta <= dim*eps => infinite; |alpha| <= dim*eps with
+    beta > 1/2 => zero. Returns ``(alpha, beta, cls)`` arrays.
+    """
+    alpha, beta = normalize(alpha, beta)
+    thr = max(dim, 1) * EPS
+    zero = (np.hypot(alpha.real, alpha.imag) <= thr) & (beta > 0.5)
+    cls = np.where(beta <= thr, EIG_INFINITE, np.where(zero, EIG_ZERO, EIG_FINITE))
+    return alpha, beta, cls.astype(np.int8)
+
+
+def reciprocal(alpha, beta, cls):
+    """The reciprocal eigenvalues (beta, alpha); zero and infinite classes swap."""
+    alpha, beta = normalize(beta, alpha)
+    return alpha, beta, (EIG_INFINITE - cls).astype(np.int8)
+
+
+def affine(alpha, beta):
+    """lambda = alpha/beta, inf where beta is zero."""
+    lam = complex_array(*cquot(alpha.real, alpha.imag, beta, 0.0))
+    return np.where(beta == 0.0, np.inf, lam)
+
+
+@dataclass(eq=False)
+class Spectrum:
+    """Homogeneous eigenvalues, one array per field: complex ``alpha`` and
+    real ``beta`` >= 0 with |alpha|^2 + beta^2 = 1, and class codes ``cls``."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    cls: np.ndarray
+
+    def __len__(self):
+        return len(self.alpha)
 
     @property
     def lam(self):
-        """The affine eigenvalue alpha/beta (inf for the infinite class)."""
-        if self.cls == EIG_INFINITE or self.beta == 0.0:
-            return np.inf
-        return self.alpha / self.beta
-
-    @property
-    def modulus(self):
-        if self.cls == EIG_INFINITE or self.beta == 0.0:
-            return np.inf
-        return abs(self.alpha) / self.beta
+        """The affine eigenvalues alpha/beta (inf for the infinite class)."""
+        return np.where(self.cls == EIG_INFINITE, np.inf, affine(self.alpha, self.beta))
 
 
-def normalize_pair(alpha, beta):
-    """Scale (alpha, beta) so that |alpha|^2 + beta^2 = 1 with beta real >= 0."""
-    alpha = complex(alpha)
-    beta = complex(beta)
-    if abs(beta) > 0.0:
-        phase = beta / abs(beta)
-        alpha = alpha / phase
-        beta = float(abs(beta))
-    else:
-        beta = 0.0
-    s = float(np.hypot(abs(alpha), beta))
-    if s == 0.0:
-        raise ValueError("(0, 0) is not a valid homogeneous eigenvalue")
-    return alpha / s, beta / s
+@dataclass(eq=False)
+class EigenSolution(Spectrum):
+    """Full solver output: 4n homogeneous eigenvalues with eigenvectors.
 
+    Column j of ``x`` (right) and ``y`` (left) is the unit quartic
+    eigenvector of pair j where ``has_right[j]`` (``has_left[j]``) is set,
+    and zero elsewhere; ``methods[j]`` names how it was found. The four
+    backward-error arrays come from
+    :func:`quarteig.diagnostics.diagnostics_many`, NaN where not computed.
 
-def classify_pair(alpha, beta, dim) -> HomogeneousEig:
-    """Classify a homogeneous pair as zero/finite/infinite.
-
-    Thresholds: beta <= dim*eps => infinite; |alpha| <= dim*eps with
-    beta > 1/2 => zero.
+    ``eigs``, ``right`` and ``left`` are per-pair views derived from the
+    arrays on first read and kept, so an edit to one of these lists stays
+    visible: ``(alpha, beta, cls)`` named tuples with the class name, and
+    vectors (columns of ``x``, ``y``) with None where there is none.
     """
-    alpha, beta = normalize_pair(alpha, beta)
-    thr = max(dim, 1) * EPS
-    if beta <= thr:
-        return HomogeneousEig(alpha=alpha, beta=beta, cls=EIG_INFINITE)
-    if abs(alpha) <= thr and beta > 0.5:
-        return HomogeneousEig(alpha=alpha, beta=beta, cls=EIG_ZERO)
-    return HomogeneousEig(alpha=alpha, beta=beta, cls=EIG_FINITE)
 
+    methods: np.ndarray
+    x: np.ndarray
+    has_right: np.ndarray
+    y: np.ndarray
+    has_left: np.ndarray
+    eta_right: np.ndarray | None = None
+    eta_left: np.ndarray | None = None
+    omega_right: np.ndarray | None = None
+    omega_left: np.ndarray | None = None
 
-def eig_zero():
-    return HomogeneousEig(alpha=0.0 + 0.0j, beta=1.0, cls=EIG_ZERO)
+    @functools.cached_property
+    def eigs(self):
+        names = [CLASS_NAMES[c] for c in self.cls.tolist()]
+        return list(map(Eig, self.alpha.tolist(), self.beta.tolist(), names))
 
+    @functools.cached_property
+    def right(self):
+        return [v if ok else None for v, ok in zip(self.x.T, self.has_right.tolist())]
 
-def eig_infinite():
-    return HomogeneousEig(alpha=1.0 + 0.0j, beta=0.0, cls=EIG_INFINITE)
-
-
-def from_lambda(lam, dim=1):
-    """Homogeneous pair for an affine eigenvalue (inf allowed)."""
-    if np.isinf(lam):
-        return eig_infinite()
-    return classify_pair(lam, 1.0, dim)
-
-
-def reciprocal_eig(eig: HomogeneousEig) -> HomogeneousEig:
-    """Map (alpha, beta) to the reciprocal eigenvalue (beta, alpha)."""
-    alpha, beta = normalize_pair(eig.beta, eig.alpha)
-    if eig.cls == EIG_ZERO:
-        cls = EIG_INFINITE
-    elif eig.cls == EIG_INFINITE:
-        cls = EIG_ZERO
-    else:
-        cls = EIG_FINITE
-    return HomogeneousEig(alpha=alpha, beta=beta, cls=cls)
-
-
-@dataclass
-class EigenSolution:
-    """Full solver output: 4n homogeneous eigenvalues with eigenvectors."""
-
-    eigs: list
-    right: list
-    left: list
-    methods: list
-    diags: list | None = None
-
-    def __len__(self):
-        return len(self.eigs)
+    @functools.cached_property
+    def left(self):
+        return [v if ok else None for v, ok in zip(self.y.T, self.has_left.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -7,22 +7,19 @@ polynomial by theta so the coefficient norms are equilibrated:
     theta = 4 / (||E||_F + gamma ||D||_F + gamma^2 ||C||_F + gamma^3 ||B||_F)
 
 Balancing applies diagonal Dl (.) Dr with power-of-two entries chosen to
-equilibrate the row/column aggregates of S = |A|+|B|+|C|+|D|+|E|; powers of
+equilibrate the row/column sums of S = |A|+|B|+|C|+|D|+|E|; powers of
 two make the inverse map on eigenvectors exact.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pencil import (
-    EigenSolution,
-    HomogeneousEig,
-    QuarticPencil,
-    normalize_pair,
-)
+from .numkit import safe_norm
+from .pencil import EigenSolution, QuarticPencil, complex_array, cprod, normalize
 
 
 @dataclass(frozen=True)
@@ -58,9 +55,13 @@ class ScalingRecord:
 
 
 def param_scale(q: QuarticPencil):
-    """Fan-Lin-Van Dooren style parameter scaling of the coefficients."""
-    na = np.linalg.norm(q.a)
-    ne = np.linalg.norm(q.e)
+    """Fan-Lin-Van Dooren style parameter scaling of the coefficients.
+
+    The Frobenius norms are taken by :func:`numkit.safe_norm`, so they
+    neither overflow nor underflow at any coefficient scale.
+    """
+    na = safe_norm(q.a)
+    ne = safe_norm(q.e)
     if na == 0.0 or ne == 0.0:
         rec = ScalingRecord(flags=("scale_skipped_zero_extreme_coefficient",))
         return q, rec
@@ -69,9 +70,9 @@ def param_scale(q: QuarticPencil):
         4.0
         / (
             ne
-            + gamma * np.linalg.norm(q.d)
-            + gamma**2 * np.linalg.norm(q.c)
-            + gamma**3 * np.linalg.norm(q.b)
+            + gamma * safe_norm(q.d)
+            + gamma**2 * safe_norm(q.c)
+            + gamma**3 * safe_norm(q.b)
         )
     )
     scaled = QuarticPencil(
@@ -84,39 +85,32 @@ def param_scale(q: QuarticPencil):
     return scaled, ScalingRecord(gamma=gamma, theta=theta)
 
 
-def _aggregate(s, axis, how):
-    if how == "sum":
-        return s.sum(axis=axis)
-    if how == "max":
-        return s.max(axis=axis, initial=0.0)
-    raise ValueError(f"unknown aggregate {how!r}")
-
-
-def _spread(s, how):
-    """max/min over nonzero row and column aggregates of s."""
-    vals = np.concatenate([_aggregate(s, 1, how), _aggregate(s, 0, how)])
+def _spread(s):
+    """max/min over the nonzero row and column sums of s."""
+    vals = np.concatenate([s.sum(axis=1), s.sum(axis=0)])
     vals = vals[vals > 0.0]
     if vals.size == 0:
         return 1.0
     return float(vals.max() / vals.min())
 
 
-def balance(q: QuarticPencil, max_iter: int = 5, aggregate: str = "sum"):
+def balance(q: QuarticPencil, max_iter: int = 5):
     """Two-sided power-of-two equilibration of S = |A|+...+|E|.
 
-    Alternates row and column passes that scale each aggregate toward the
-    geometric mean of the nonzero aggregates; the iterate with the smallest
-    spread (the start included) is returned, so the spread never increases.
+    Alternates row and column passes that scale each row (column) sum
+    toward the geometric mean of the nonzero sums; the iterate with the
+    smallest spread (the start included) is returned, so the spread never
+    increases.
     """
     n = q.n
     s0 = sum(np.abs(m) for m in q.coeffs)
     dl = np.ones(n)
     dr = np.ones(n)
-    best = (_spread(s0, aggregate), dl.copy(), dr.copy())
+    best = (_spread(s0), dl.copy(), dr.copy())
     for _ in range(max_iter):
         s = dl[:, None] * s0 * dr[None, :]
         for axis, vec in ((1, dl), (0, dr)):
-            agg = _aggregate(s, axis, aggregate)
+            agg = s.sum(axis=axis)
             nz = agg > 0.0
             if not np.any(nz):
                 continue
@@ -125,7 +119,7 @@ def balance(q: QuarticPencil, max_iter: int = 5, aggregate: str = "sum"):
             expo[nz] = -np.round(np.log2(agg[nz] / g))
             vec *= 2.0**expo
             s = dl[:, None] * s0 * dr[None, :]
-        sp = _spread(s, aggregate)
+        sp = _spread(s)
         if sp < best[0]:
             best = (sp, dl.copy(), dr.copy())
         if sp <= 2.0:
@@ -137,41 +131,33 @@ def balance(q: QuarticPencil, max_iter: int = 5, aggregate: str = "sum"):
     return scaled, ScalingRecord(dl=dl, dr=dr)
 
 
+def _remap(v, has, diag):
+    """Columns of v marked in ``has`` scaled by diag and renormalized."""
+    if diag is None or not has.any():
+        return v
+    idx = np.flatnonzero(has)
+    w = np.ascontiguousarray(v[:, idx].T) * diag[None, :]
+    nrm = np.linalg.norm(w, axis=1, keepdims=True)
+    out = v.copy()
+    out[:, idx] = np.divide(w, nrm, out=w, where=nrm > 0.0).T
+    return out
+
+
 def descale(sol: EigenSolution, rec: ScalingRecord) -> EigenSolution:
     """Map a solution of the scaled/balanced problem back to the original.
 
     Finite eigenvalues pick up the factor gamma (alpha <- gamma*alpha on the
-    homogeneous pair, exact for the zero/infinite classes); right vectors are
-    rescaled by Dr and left vectors by Dl, then renormalized, each side as
-    one array.
+    homogeneous pair, renormalized; exact for the zero/infinite classes);
+    right vectors are rescaled by Dr and left vectors by Dl, then
+    renormalized.
     """
     if rec.is_identity:
         return sol
-    eigs = []
-    for eig in sol.eigs:
-        if rec.gamma != 1.0 and eig.beta != 0.0 and eig.alpha != 0.0:
-            alpha, beta = normalize_pair(rec.gamma * eig.alpha, eig.beta)
-            eigs.append(HomogeneousEig(alpha=alpha, beta=beta, cls=eig.cls))
-        else:
-            eigs.append(eig)
-
-    def remap(vecs, diag):
-        """Scale every vector by diag and renormalize, as one array."""
-        idx = [i for i, v in enumerate(vecs) if v is not None]
-        out = list(vecs)
-        if diag is None or not idx:
-            return out
-        w = np.stack([vecs[i] for i in idx]) * diag[None, :]
-        nrm = np.linalg.norm(w, axis=1, keepdims=True)
-        w = np.divide(w, nrm, out=w, where=nrm > 0.0)
-        for row, i in enumerate(idx):
-            out[i] = w[row]
-        return out
-
-    return EigenSolution(
-        eigs=eigs,
-        right=remap(sol.right, rec.dr),
-        left=remap(sol.left, rec.dl),
-        methods=list(sol.methods),
-        diags=sol.diags,
-    )
+    alpha, beta = sol.alpha, sol.beta
+    if rec.gamma != 1.0:
+        moved = (beta != 0.0) & (alpha != 0.0)
+        ga, gb = normalize(complex_array(*cprod(rec.gamma, 0.0, alpha.real, alpha.imag)), beta)
+        alpha, beta = np.where(moved, ga, alpha), np.where(moved, gb, beta)
+    return dataclasses.replace(sol, alpha=alpha, beta=beta,
+                               x=_remap(sol.x, sol.has_right, rec.dr),
+                               y=_remap(sol.y, sol.has_left, rec.dl))

@@ -4,28 +4,33 @@ Order: balance -> parameter scale -> rank analysis -> (reverse if only A is
 singular) -> linearize -> deflate -> QZ -> lift/recover eigenvectors ->
 descale -> diagnostics. Backward errors in the report are always evaluated
 against the original, unscaled coefficients.
+
+Every stage takes and returns the solution as arrays, one per field (see
+:class:`~quarteig.pencil.EigenSolution`): QZ's pairs are classified,
+recovered, extended by the deflated pairs, mapped back and diagnosed as
+whole arrays, and :func:`build_report` reads them off in modulus order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
 from . import diagnostics, eigvec, gevp, probio, scaling
 from .deflate import analyze_ranks, deflate, second_level
-from .errors import DegenerateVectorError
-from .numkit import blas_threads, make_strategy, unit
+from .numkit import blas_threads, make_strategy, unit_columns
 from .pencil import (
+    CLASS_NAMES,
     EIG_FINITE,
     EIG_INFINITE,
     EIG_ZERO,
     EigenSolution,
     QuarticPencil,
-    eig_infinite,
-    eig_zero,
     linearize,
-    reciprocal_eig,
+    reciprocal,
     reverse,
 )
 
@@ -89,87 +94,93 @@ class SolveResult:
     blas_threads: int | None = None  # read back during the solve; None if not controllable
 
 
-def _lift_all(gs, d, eigs, flags):
+def _lift_all(gs, d, flags):
     """Lift every backend eigenvector to the full linearization.
 
     Without deflation (or when it deflated nothing, so the transforms are
     the identity) the backend's unit vectors are already full-size.
     Otherwise right vectors go through one product with Q (unitary, so they
     stay unit), and the left vectors of the finite eigenvalues through one
-    batched :func:`eigvec.lift_left`. Returns ``(zfull, wfull, has_left)``,
-    where ``has_left`` marks the columns of ``wfull`` that hold a left
-    vector (``wfull`` is None without left vectors).
+    batched :func:`eigvec.lift_left`. Returns ``(zfull, wfull, lifted)``,
+    where ``lifted`` marks the columns of ``wfull`` that hold a left vector
+    (``wfull`` is None without left vectors).
     """
     if d is None or d.size == d.full_size:
-        return gs.right, gs.left, np.full(len(eigs), gs.left is not None)
+        return gs.right, gs.left, np.full(len(gs), gs.left is not None)
     zfull = d.q[:, : d.size] @ gs.right
-    has_left = np.zeros(len(eigs), dtype=bool)
-    idx = np.flatnonzero([e.cls == EIG_FINITE for e in eigs])
+    lifted = np.zeros(len(gs), dtype=bool)
+    idx = np.flatnonzero(gs.cls == EIG_FINITE)
     if gs.left is None or not idx.size:
-        return zfull, None, has_left
-    wfull = np.zeros((d.full_size, len(eigs)), dtype=np.complex128)
-    wfull[:, idx], ok = eigvec.lift_left(gs.left[:, idx], [eigs[i] for i in idx], d)
+        return zfull, None, lifted
+    wfull = np.zeros((d.full_size, len(gs)), dtype=np.complex128)
+    wfull[:, idx], ok = eigvec.lift_left(gs.left[:, idx], gs.alpha[idx], gs.beta[idx], d)
     flags.extend(f"lift_left_failed_index_{i}" for i in idx[~ok])
-    has_left[idx[ok]] = True
-    return zfull, wfull, has_left
+    lifted[idx[ok]] = True
+    return zfull, wfull, lifted
 
 
-def _basis_column(basis, k):
-    """Column k (cyclically) of a nullspace basis; None for no basis."""
-    if basis is None or not basis.shape[1]:
-        return None
-    return basis[:, k % basis.shape[1]]
+def _recover_all(gs, zfull, wfull, lifted, ctx, qw, config, flags):
+    """Quartic eigenvectors for every backend eigenpair.
+
+    Returns ``(methods, x, has_right, y, has_left)``: one column of the
+    n x m arrays ``x`` and ``y`` per pair, zero where its mask is unset.
+    """
+    n, m = qw.n, len(gs)
+    x, y = np.zeros((2, n, m), dtype=np.complex128)
+    has_right, has_left = np.zeros((2, m), dtype=bool)
+    methods = np.full(m, "unset", dtype=object)
+    fin, zero, inf = (np.flatnonzero(gs.cls == c) for c in (EIG_FINITE, EIG_ZERO, EIG_INFINITE))
+    if fin.size and config.eigvec_mode == "least_squares":
+        x[:, fin] = eigvec.recover_right_ls(zfull[:, fin], gs.alpha[fin], gs.beta[fin], ctx)
+        has_right[fin], methods[fin] = True, "least_squares"
+    elif fin.size:
+        batch = eigvec.recover_right_many(zfull[:, fin], gs.alpha[fin], gs.beta[fin], ctx)
+        xs, methods[fin], _ = zip(*batch)
+        ok = has_right[fin] = methods[fin] != "degenerate"
+        if ok.any():
+            x[:, fin[ok]] = np.column_stack(list(compress(xs, ok)))
+        flags.extend(f"recover_right_degenerate_index_{i}" for i in fin[~ok])
+    sel = fin[lifted[fin]]
+    if sel.size:
+        y[:, sel], has_left[sel] = eigvec.recover_left(wfull[:, sel])
+        flags.extend(f"recover_left_degenerate_index_{i}" for i in sel[~has_left[sel]])
+    if zero.size:
+        x[:, zero], has_right[zero] = eigvec.recover_right_zero(zfull[:, zero], qw)
+    x[:, inf], has_right[inf] = unit_columns(zfull[:n, inf])
+    # the left vector of a zero (infinite) eigenvalue is the last (first) block of w
+    for idx, name, blk in ((zero, "zero_class", slice(3 * n, None)), (inf, "inf_class", slice(n))):
+        methods[idx] = np.where(has_right[idx], f"{name}_z1", f"{name}_degenerate")
+        sel = idx[lifted[idx]]
+        if sel.size:
+            y[:, sel], has_left[sel] = unit_columns(wfull[blk, sel])
+    return methods, x, has_right, y, has_left
 
 
-def _recover_all(eigs, zfull, wfull, has_left, ctx, qw, config, flags):
-    """Quartic eigenvectors for every backend eigenpair."""
-    n = qw.n
-    nj = len(eigs)
-    right = [None] * nj
-    left = [None] * nj
-    methods = ["unset"] * nj
-    finite_idx = [i for i, e in enumerate(eigs) if e.cls == EIG_FINITE]
-    if finite_idx:
-        if config.eigvec_mode == "least_squares":
-            for i in finite_idx:
-                right[i] = eigvec.recover_right_ls(zfull[:, i], eigs[i], ctx)
-                methods[i] = "least_squares"
-        else:
-            batch = eigvec.recover_right_many(
-                zfull[:, finite_idx], [eigs[i] for i in finite_idx], ctx
-            )
-            for i, (x, method, _) in zip(finite_idx, batch):
-                right[i] = x
-                methods[i] = method
-                if x is None:
-                    flags.append(f"recover_right_degenerate_index_{i}")
-        left_idx = [i for i in finite_idx if has_left[i]]
-        if left_idx:
-            ys, ok = eigvec.recover_left(wfull[:, left_idx])
-            for col, i in enumerate(left_idx):
-                if ok[col]:
-                    left[i] = ys[:, col]
-                else:
-                    flags.append(f"recover_left_degenerate_index_{i}")
-    for i, eig in enumerate(eigs):
-        if eig.cls == EIG_ZERO:
-            try:
-                right[i], _ = eigvec.recover_right_zero(zfull[:, i], qw)
-                methods[i] = "zero_class_z1"
-            except DegenerateVectorError:
-                methods[i] = "zero_class_degenerate"
-            if has_left[i] and np.linalg.norm(wfull[3 * n :, i]) > 0:
-                left[i] = unit(wfull[3 * n :, i])
-        elif eig.cls == EIG_INFINITE:
-            z1 = zfull[:n, i]
-            if np.linalg.norm(z1) > 0:
-                right[i] = unit(z1)
-                methods[i] = "inf_class_z1"
-            else:
-                methods[i] = "inf_class_degenerate"
-            if has_left[i] and np.linalg.norm(wfull[:n, i]) > 0:
-                left[i] = unit(wfull[:n, i])
-    return right, left, methods
+def _deflated_pairs(d, rp_w, n, want_left):
+    """The zero and infinite pairs that deflation removed before QZ.
+
+    Their vectors cycle through orthonormal bases of the null spaces of the
+    working problem's E and A. Returns one tuple of arrays per class, in
+    the field order of :class:`EigenSolution`.
+    """
+    # counts in the working (possibly reversed) problem's orientation
+    zeros_w = d.infs_deflated if d.reversed else d.zeros_deflated
+    infs_w = d.zeros_deflated if d.reversed else d.infs_deflated
+    parts = []
+    for count, which, cls, alpha, beta in ((zeros_w, "zero_class", EIG_ZERO, 0.0, 1.0),
+                                           (infs_w, "inf_class", EIG_INFINITE, 1.0, 0.0)):
+        vectors = []
+        for side in ("right", "left"):
+            # a right-only solve gives no pair a left vector
+            basis = (eigvec.nullspace_vectors(rp_w, which, side) if side == "right" or want_left
+                     else np.zeros((n, 0)))
+            k = basis.shape[1]
+            vectors += [basis[:, np.arange(count) % k] if k else np.zeros((n, count)),
+                        np.full(count, k > 0)]
+        parts.append((np.full(count, alpha, dtype=np.complex128), np.full(count, beta),
+                      np.full(count, cls, dtype=np.int8),
+                      np.full(count, "deflated_nullspace", dtype=object), *vectors))
+    return parts
 
 
 def solve_pencil(q0: QuarticPencil, config: SolveConfig = SolveConfig(), name="problem") -> SolveResult:
@@ -225,41 +236,23 @@ def _solve(q0, config, name):
     else:
         gs = gevp.solve_gevp(lin, want_left=config.want_left)
 
-    needs_ctx = any(e.cls == EIG_FINITE for e in gs.eigs)
-    ctx = eigvec.build_context(qw) if needs_ctx else None
-
-    eigs = list(gs.eigs)
-    zfull, wfull, has_left = _lift_all(gs, d, eigs, flags)
-    right, left, methods = _recover_all(eigs, zfull, wfull, has_left, ctx, qw, config, flags)
-
+    ctx = eigvec.build_context(qw) if np.any(gs.cls == EIG_FINITE) else None
+    zfull, wfull, lifted = _lift_all(gs, d, flags)
+    parts = [(gs.alpha, gs.beta, gs.cls,
+              *_recover_all(gs, zfull, wfull, lifted, ctx, qw, config, flags))]
     if d is not None:
-        # counts in the working (possibly reversed) problem's orientation
-        zeros_w = d.infs_deflated if d.reversed else d.zeros_deflated
-        infs_w = d.zeros_deflated if d.reversed else d.infs_deflated
-        for count, which, make in ((zeros_w, "zero_class", eig_zero),
-                                   (infs_w, "inf_class", eig_infinite)):
-            right_b = eigvec.nullspace_vectors(rp_w, which, "right")
-            # a right-only solve gives no pair a left vector
-            left_b = eigvec.nullspace_vectors(rp_w, which, "left") if config.want_left else None
-            for k in range(count):
-                eigs.append(make())
-                right.append(_basis_column(right_b, k))
-                left.append(_basis_column(left_b, k))
-                methods.append("deflated_nullspace")
-
+        parts += _deflated_pairs(d, rp_w, n, config.want_left)
+    alpha, beta, cls, *rest = (np.concatenate(f, axis=-1) for f in zip(*parts))
     if reversed_problem:
-        eigs = [reciprocal_eig(e) for e in eigs]
-
-    sol = EigenSolution(eigs=eigs, right=right, left=left, methods=methods)
-    sol = scaling.descale(sol, rec)
+        alpha, beta, cls = reciprocal(alpha, beta, cls)
+    sol = scaling.descale(EigenSolution(alpha, beta, cls, *rest), rec)
 
     norms0 = diagnostics.CoefficientNorms(q0)
-    diags = diagnostics.diagnostics_many(sol.eigs, sol.right, sol.left, q0, norms0)
-    sol.diags = diags
-    summary = diagnostics.summarize(diags)
+    sol = dataclasses.replace(sol, **diagnostics.diagnostics_many(sol, q0, norms0))
+    summary = diagnostics.summarize(sol)
 
-    if len(sol.eigs) != 4 * n:
-        flags.append(f"eigenvalue_count_{len(sol.eigs)}_of_{4 * n}")
+    if len(sol) != 4 * n:
+        flags.append(f"eigenvalue_count_{len(sol)}_of_{4 * n}")
 
     return SolveResult(
         problem=name,
@@ -278,35 +271,30 @@ def solve_bundle(bundle: probio.ProblemBundle, config: SolveConfig = SolveConfig
     return solve_pencil(bundle.pencil, config, name=bundle.name)
 
 
-def _finite_or_none(val):
-    return None if val is None or not np.isfinite(val) else float(val)
-
-
 def build_report(res: SolveResult) -> dict:
     """JSON-able report document (deterministic: no timestamps)."""
     cfg = res.config
-    pairs = []
-    order = res.summary.order
-    for rank_pos, idx in enumerate(order):
-        eig = res.solution.eigs[idx]
-        dg = res.solution.diags[idx]
-        lam = eig.lam
-        pairs.append(
-            {
-                "index": rank_pos,
-                "alpha": [float(np.real(eig.alpha)), float(np.imag(eig.alpha))],
-                "beta": float(eig.beta),
-                "lambda": None
-                if eig.cls == EIG_INFINITE
-                else [float(np.real(lam)), float(np.imag(lam))],
-                "class": eig.cls,
-                "eta_right": _finite_or_none(dg.eta_right),
-                "eta_left": _finite_or_none(dg.eta_left),
-                "omega_right": _finite_or_none(dg.omega_right),
-                "omega_left": _finite_or_none(dg.omega_left),
-                "method": res.solution.methods[idx],
-            }
-        )
+    sol = res.solution
+    order = np.asarray(res.summary.order)
+    # errors that are NaN (not computed) or inf are reported as null
+    errors = [np.where(np.isfinite(e), e, None).tolist()
+              for e in (getattr(sol, name)[order] for name in diagnostics.ERRORS)]
+    lam = sol.lam[order]
+    pairs = [
+        {
+            "index": rank_pos,
+            "alpha": [ar, ai],
+            "beta": b,
+            "lambda": None if c == EIG_INFINITE else [lr, li],
+            "class": CLASS_NAMES[c],
+            **dict(zip(diagnostics.ERRORS, errs)),
+            "method": method,
+        }
+        for rank_pos, (ar, ai, b, c, lr, li, method, *errs) in enumerate(zip(
+            sol.alpha[order].real.tolist(), sol.alpha[order].imag.tolist(),
+            sol.beta[order].tolist(), sol.cls[order].tolist(), lam.real.tolist(),
+            lam.imag.tolist(), sol.methods[order].tolist(), *errors))
+    ]
     deflation = None
     if res.deflation is not None:
         d = res.deflation

@@ -106,12 +106,21 @@ def dense_gevp(aa, bb):
 
 
 def classify_dense(aa, bb):
-    """Classify a dense solve of (aa, bb) with the package thresholds."""
-    from quarteig.pencil import classify_pair
+    """Classify a dense solve of (aa, bb) with the package's thresholds.
 
-    alphas, betas = dense_gevp(aa, bb)
+    The rule is re-implemented here: with |alpha|^2 + |beta|^2 = 1, a pair
+    is infinite when |beta| <= m*eps and zero when |alpha| <= m*eps and
+    |beta| > 1/2. Returns ``(lam, cls)``: the affine eigenvalues (inf for the
+    infinite class) and the class names.
+    """
+    alpha, beta = dense_gevp(aa, bb)
     m = np.asarray(aa).shape[0]
-    return [classify_pair(alphas[i], betas[i], m) for i in range(m)]
+    s = np.hypot(np.abs(alpha), np.abs(beta))
+    thr = max(m, 1) * np.finfo(np.float64).eps
+    a, b = np.abs(alpha) / s, np.abs(beta) / s
+    cls = np.where(b <= thr, "infinite", np.where((a <= thr) & (b > 0.5), "zero", "finite"))
+    inf = cls == "infinite"
+    return np.where(inf, np.inf, alpha / np.where(inf, 1.0, beta)), cls
 
 
 def match_values(got, expected, rtol):

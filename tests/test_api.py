@@ -6,9 +6,7 @@ PUBLIC = [
     "DeflationResult",
     "EigenSolution",
     "GevpSolution",
-    "HomogeneousEig",
     "LinearPencil",
-    "PairDiagnostics",
     "ProblemBundle",
     "QuarticPencil",
     "RankProfile",

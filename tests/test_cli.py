@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from quarteig import ProblemBundle, QuarticPencil, gen_mirror_like, write_bundle
@@ -41,6 +42,20 @@ class TestSolveCommand:
 
         match_values(lams, [1.0, -1.0, 1.0j, -1.0j], 1e-12)
         assert all(p["eta_right"] <= 1e-14 for p in rep["eigenpairs"])
+
+    def test_extreme_coefficient_scale(self, tmp_path):
+        # squares of entries near 1e160 overflow a plain Frobenius norm; the
+        # parameter scaling must still find gamma and theta
+        rng = np.random.default_rng(8)
+        mats = [1e160 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+                for _ in range(5)]
+        bundle = tmp_path / "huge"
+        write_bundle(ProblemBundle(name="huge", pencil=QuarticPencil.from_matrices(*mats)), bundle)
+        out = tmp_path / "h.json"
+        assert main(["solve", str(bundle), "--output", str(out)]) == EXIT_OK
+        rep = json.loads(out.read_text())
+        assert rep["summary"]["counts"] == {"zero": 0, "finite": 16, "infinite": 0}
+        assert all(0.0 < p["eta_right"] <= 1e-14 for p in rep["eigenpairs"])
 
     def test_mirror_deflation_counts(self, mirror_bundle, tmp_path):
         out = tmp_path / "m.json"

@@ -18,7 +18,7 @@ from quarteig import (
 from quarteig.deflate import _generic_layer, _Reducer
 from quarteig.errors import DeflationError
 from quarteig.numkit import EPS, NormThreshold, rrqr
-from quarteig.pencil import EIG_FINITE, EIG_INFINITE, EIG_ZERO, LinearPencil
+from quarteig.pencil import LinearPencil
 from oracles import (
     classify_dense,
     haar_unitary,
@@ -29,12 +29,11 @@ from oracles import (
 
 
 def dense_counts(q):
+    """Class counts of a dense solve of the linearization, and its finite
+    eigenvalues."""
     lin = linearize(q)
-    eigs = classify_dense(lin.aa, lin.bb)
-    out = {EIG_ZERO: 0, EIG_FINITE: 0, EIG_INFINITE: 0}
-    for e in eigs:
-        out[e.cls] += 1
-    return out, eigs
+    lam, cls = classify_dense(lin.aa, lin.bb)
+    return {c: int(np.sum(cls == c)) for c in ("zero", "finite", "infinite")}, lam[cls == "finite"]
 
 
 def run_deflate(q, with_sl=True):
@@ -155,8 +154,7 @@ class TestDeflateCases:
         q = random_regular_quartic(rng, 5)
         on = solve_pencil(q, SolveConfig(deflate=True))
         off = solve_pencil(q, SolveConfig(deflate=False))
-        match_values([e.lam for e in on.solution.eigs],
-                     [e.lam for e in off.solution.eigs], 1e-10)
+        match_values(on.solution.lam, off.solution.lam, 1e-10)
         rep = build_report(on)["deflation"]
         assert isinstance(rep, dict)
         assert rep["zeros"] == rep["infinities"] == 0
@@ -176,9 +174,8 @@ class TestDeflateCases:
         assert d.zeros_deflated == 1 and d.infs_deflated == 0
         assert d.size == 3 * n + rp.r_e == 7
         lam_defl = sla.eig(d.pencil.aa, d.pencil.bb, right=False)
-        counts, eigs = dense_counts(q)
-        assert counts[EIG_ZERO] == 1
-        lam_full_finite = [e.lam for e in eigs if e.cls == EIG_FINITE]
+        counts, lam_full_finite = dense_counts(q)
+        assert counts["zero"] == 1
         match_values(lam_defl, lam_full_finite, 1e-8)
 
     def test_mirror_nine_plus_nine(self):
@@ -240,11 +237,10 @@ class TestDeflateCases:
         for seed, n, ke, ka in ((10, 3, 1, 0), (11, 4, 2, 1), (12, 5, 1, 2), (13, 8, 3, 3)):
             b = gen_planted(n, ke, ka, seed=seed)
             lin, rp, sl, d = run_deflate(b.pencil)
-            counts, eigs = dense_counts(b.pencil)
-            assert d.zeros_deflated == counts[EIG_ZERO]
-            assert d.infs_deflated == counts[EIG_INFINITE]
+            counts, lam_full_finite = dense_counts(b.pencil)
+            assert d.zeros_deflated == counts["zero"]
+            assert d.infs_deflated == counts["infinite"]
             lam_defl = sla.eig(d.pencil.aa, d.pencil.bb, right=False)
-            lam_full_finite = [e.lam for e in eigs if e.cls == EIG_FINITE]
             match_values(lam_defl, lam_full_finite, 1e-8)
             assert d.size + d.zeros_deflated + d.infs_deflated == 4 * n
 

@@ -4,13 +4,17 @@ import pytest
 from quarteig import QuarticPencil, SolveConfig, solve_pencil
 from quarteig.diagnostics import (
     CoefficientNorms,
-    PairDiagnostics,
     diagnostics_many,
+    homogeneous_weights,
     summarize,
 )
-from quarteig.numkit import EPS, unit
-from quarteig.pencil import classify_pair, eig_infinite, eig_zero, from_lambda
+from quarteig.numkit import EPS
+from quarteig.pencil import EIG_INFINITE
 from oracles import backward_errors, quartic_with_eigenpair, rand_complex, random_regular_quartic
+from support import from_lambda, solution, unit
+
+INF = from_lambda(np.inf)
+ZERO = from_lambda(0.0)
 
 
 def scalar_quartic(a, b, c, d, e):
@@ -18,20 +22,22 @@ def scalar_quartic(a, b, c, d, e):
 
 
 def one_pair(eig, x, q, left=False):
-    """diagnostics_many on a one-pair batch (x on the requested side)."""
-    return diagnostics_many([eig], [None if left else x], [x if left else None], q)[0]
+    """diagnostics_many on a one-pair batch (x on the requested side), as
+    a dict of the four errors of that pair."""
+    errs = diagnostics_many(solution(eig, [None if left else x], [x if left else None]), q)
+    return {name: err[0] for name, err in errs.items()}
 
 
 def eta(eig, x, q):
-    return one_pair(eig, x, q).eta_right
+    return one_pair(eig, x, q)["eta_right"]
 
 
 def omega(eig, x, q):
-    return one_pair(eig, x, q).omega_right
+    return one_pair(eig, x, q)["omega_right"]
 
 
 def omega_left(eig, y, q):
-    return one_pair(eig, y, q, left=True).omega_left
+    return one_pair(eig, y, q, left=True)["omega_left"]
 
 
 class TestEta:
@@ -43,7 +49,7 @@ class TestEta:
         q = QuarticPencil.from_matrices(a, *(rand_complex(rng, (n, n)) for _ in range(4)))
         x = np.zeros(n, dtype=complex)
         x[1] = 1.0
-        assert eta(eig_infinite(), x, q) == 0.0
+        assert eta(INF, x, q) == 0.0
 
     def test_scalar_unit_root(self):
         q = scalar_quartic(1.0, 0.0, 0.0, 0.0, -1.0)
@@ -55,15 +61,15 @@ class TestEta:
         q = random_regular_quartic(rng, 5)
         res = solve_pencil(q, SolveConfig())
         norms = np.array([np.linalg.norm(m, 2) for m in q.coeffs])
-        for eig_, x, dg in zip(res.solution.eigs, res.solution.right, res.solution.diags):
-            lam = eig_.lam
+        sol = res.solution
+        for lam, x, eta_right in zip(sol.lam, sol.x.T, sol.eta_right):
             num = np.linalg.norm(
                 (lam**4 * q.a + lam**3 * q.b + lam**2 * q.c + lam * q.d + q.e) @ x
             )
             w = np.array([abs(lam) ** k for k in (4, 3, 2, 1, 0)])
             indep = num / (float(w @ norms) * np.linalg.norm(x))
-            assert dg.eta_right <= 1e-12
-            assert indep <= 2 * max(dg.eta_right, EPS)
+            assert eta_right <= 1e-12
+            assert indep <= 2 * max(eta_right, EPS)
 
     def test_invariant_under_vector_scaling(self):
         rng = np.random.default_rng(2)
@@ -73,7 +79,7 @@ class TestEta:
         v1 = eta(e, x, q)
         v2 = eta(e, (3.0 - 4.0j) * x, q)
         assert abs(v1 - v2) <= 1e-13 * max(v1, 1e-300)
-        assert v1 == pytest.approx(backward_errors(q, e.lam, x)[0], rel=1e-6)
+        assert v1 == pytest.approx(backward_errors(q, e.lam[0], x)[0], rel=1e-6)
 
     def test_invariant_under_common_coefficient_scale(self):
         rng = np.random.default_rng(3)
@@ -87,10 +93,10 @@ class TestEta:
         rng = np.random.default_rng(4)
         q = random_regular_quartic(rng, 3)
         x = unit(rand_complex(rng, (3,)))
-        e = classify_pair(1e150, 1.0, 3)
+        e = from_lambda(1e150, 3)
         val = eta(e, x, q)
         assert np.isfinite(val)
-        e2 = classify_pair(1e-150, 1.0, 3)
+        e2 = from_lambda(1e-150, 3)
         assert np.isfinite(eta(e2, x, q))
 
     def test_zero_vector_rejected(self):
@@ -98,10 +104,10 @@ class TestEta:
         q = scalar_quartic(1, 0, 0, 0, 1)
         for left in (False, True):
             dg = one_pair(from_lambda(1.0), np.zeros(1), q, left=left)
-            errs = (dg.eta_left, dg.omega_left) if left else (dg.eta_right, dg.omega_right)
-            assert errs == (np.inf, np.inf)
-        dg = one_pair(eig_infinite(), np.zeros(1), q)
-        assert dg.eta_right == np.inf and dg.omega_right is None
+            side = "left" if left else "right"
+            assert (dg[f"eta_{side}"], dg[f"omega_{side}"]) == (np.inf, np.inf)
+        dg = one_pair(INF, np.zeros(1), q)
+        assert dg["eta_right"] == np.inf and np.isnan(dg["omega_right"])
 
 
 class TestOmega:
@@ -129,8 +135,8 @@ class TestOmega:
     def test_infinite_rejected(self):
         # omega is defined for finite eigenvalues only
         q = scalar_quartic(1, 0, 0, 0, 1)
-        dg = one_pair(eig_infinite(), np.ones(1), q)
-        assert dg.omega_right is None and dg.eta_right is not None
+        dg = one_pair(INF, np.ones(1), q)
+        assert np.isnan(dg["omega_right"]) and np.isfinite(dg["eta_right"])
 
     def test_zero_weight_rows(self):
         # row with all-zero coefficients and zero residual contributes 0
@@ -170,62 +176,55 @@ class TestOmegaLeft:
         assert v1 == pytest.approx(backward_errors(q, lam, x)[1], rel=1e-6)
 
 
+def summary_of(spec, **errors):
+    """summarize over the pairs of ``spec`` with the given error arrays
+    (None entries become NaN, and a missing array is all NaN)."""
+    errors = {name: np.array(errors.get(name, [None] * len(spec)), dtype=float)
+              for name in ("eta_right", "eta_left", "omega_right", "omega_left")}
+    return summarize(solution(spec, [None] * len(spec), [None] * len(spec), **errors))
+
+
 class TestSummarize:
     def test_single_pair(self):
-        d = PairDiagnostics(1e-15, 2e-15, 1e-14, None, "finite", from_lambda(2.0))
-        rep = summarize([d])
+        rep = summary_of(from_lambda(2.0), eta_right=[1e-15], eta_left=[2e-15],
+                         omega_right=[1e-14])
         assert rep.stats["eta_right"]["min"] == rep.stats["eta_right"]["max"] == 1e-15
+        assert rep.stats["omega_left"] == {"min": None, "max": None, "median": None}
         assert rep.counts["finite"] == 1
 
     def test_two_pairs_min_max(self):
-        ds = [
-            PairDiagnostics(0.0, None, None, None, "finite", from_lambda(1.0)),
-            PairDiagnostics(1.0, None, None, None, "finite", from_lambda(2.0)),
-        ]
-        rep = summarize(ds)
+        rep = summary_of(from_lambda([1.0, 2.0]), eta_right=[0.0, 1.0])
         assert rep.stats["eta_right"]["min"] == 0.0
         assert rep.stats["eta_right"]["max"] == 1.0
 
     def test_modulus_sort_order(self):
-        ds = [
-            PairDiagnostics(0.0, None, None, None, "infinite", eig_infinite()),
-            PairDiagnostics(0.0, None, None, None, "finite", from_lambda(5.0)),
-            PairDiagnostics(0.0, None, None, None, "zero", eig_zero()),
-            PairDiagnostics(0.0, None, None, None, "finite", from_lambda(1.0)),
-        ]
-        rep = summarize(ds)
+        rep = summary_of(from_lambda([np.inf, 5.0, 0.0, 1.0]), eta_right=[0.0] * 4)
         assert rep.order == [2, 3, 1, 0]
 
     def test_matches_loop_reference(self):
-        # ties in modulus (several infinities, repeated eigenvalues, pairs
-        # without an eigenvalue) keep index order; None, inf and NaN errors
-        # drop out of the statistics
+        # ties in modulus (several infinities, repeated eigenvalues) keep
+        # index order; NaN (not computed) and inf errors drop out of the
+        # statistics
         rng = np.random.default_rng(10)
-        eigs = [eig_infinite(), from_lambda(2.0), eig_zero(), None, from_lambda(-2.0),
-                eig_infinite(), from_lambda(0.5j), eig_zero(), None, from_lambda(2.0)]
+        spec = from_lambda([np.inf, 2.0, 0.0, np.inf, -2.0, np.inf, 0.5j, 0.0, np.inf, 2.0])
         pool = [None, np.inf, np.nan, 0.0, 1e-16, 3e-15, 2e-14]
-        ds = []
-        for e in eigs:
-            errs = [pool[k] for k in rng.integers(0, len(pool), 4)]
-            ds.append(PairDiagnostics(*errs, "finite" if e is None else e.cls, e))
-        rep = summarize(ds)
+        names = ("eta_right", "eta_left", "omega_right", "omega_left")
+        errors = {name: [pool[k] for k in rng.integers(0, len(pool), len(spec))]
+                  for name in names}
+        rep = summary_of(spec, **errors)
 
         def key(i):
-            return (np.inf if ds[i].eig is None else ds[i].eig.modulus, i)
+            return (np.inf if spec.cls[i] == EIG_INFINITE else abs(spec.lam[i]), i)
 
-        assert rep.order == sorted(range(len(ds)), key=key)
+        assert rep.order == sorted(range(len(spec)), key=key)
         assert rep.order[-4:] == [0, 3, 5, 8]
-        for name in ("eta_right", "eta_left", "omega_right", "omega_left"):
-            vals = [getattr(d, name) for d in ds]
-            vals = [v for v in vals if v is not None and np.isfinite(v)]
+        for name in names:
+            vals = [v for v in errors[name] if v is not None and np.isfinite(v)]
             want = {"min": None, "max": None, "median": None}
             if vals:
                 want = {"min": min(vals), "max": max(vals), "median": float(np.median(vals))}
             assert rep.stats[name] == want
-        counts = {"zero": 0, "finite": 0, "infinite": 0}
-        for d in ds:
-            counts[d.cls] += 1
-        assert rep.counts == counts
+        assert rep.counts == {"zero": 2, "finite": 4, "infinite": 4}
 
     def test_mirror_counts(self):
         from quarteig import gen_mirror_like, solve_bundle
@@ -235,7 +234,7 @@ class TestSummarize:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            summarize([])
+            summary_of(from_lambda([]))
 
 
 class TestSpectralNorm:
@@ -253,25 +252,43 @@ class TestBatchDiagnostics:
         rng = np.random.default_rng(11)
         q = random_regular_quartic(rng, 4)
         norms = CoefficientNorms(q)
-        eigs, rights, lefts = [], [], []
-        for k in range(6):
-            eigs.append(from_lambda(rand_complex(rng, ()).item(), 4))
-            rights.append(unit(rand_complex(rng, (4,))))
-            lefts.append(unit(rand_complex(rng, (4,))) if k % 2 == 0 else None)
-        eigs.append(eig_infinite())
-        rights.append(unit(rand_complex(rng, (4,))))
-        lefts.append(None)
-        diags = diagnostics_many(eigs, rights, lefts, q, norms)
-        for e, x, y, dg in zip(eigs, rights, lefts, diags):
-            ref, ref_o = backward_errors(q, e.lam, x)
-            assert abs(dg.eta_right - ref) <= 1e-13 + 1e-6 * ref
+        lams = [rand_complex(rng, ()).item() for _ in range(6)] + [np.inf]
+        rights = [unit(rand_complex(rng, (4,))) for _ in lams]
+        lefts = [unit(rand_complex(rng, (4,))) if k % 2 == 0 else None for k in range(6)] + [None]
+        spec = from_lambda(lams, 4)
+        errs = diagnostics_many(solution(spec, rights, lefts), q, norms)
+        for j, (lam, x, y) in enumerate(zip(spec.lam, rights, lefts)):
+            ref, ref_o = backward_errors(q, lam, x)
+            assert abs(errs["eta_right"][j] - ref) <= 1e-13 + 1e-6 * ref
             if y is not None:
-                ref_l, ref_ol = backward_errors(q, e.lam, y, left=True)
-                assert abs(dg.eta_left - ref_l) <= 1e-13 + 1e-6 * ref_l
-                assert abs(dg.omega_left - ref_ol) <= 1e-13 + 1e-6 * ref_ol
+                ref_l, ref_ol = backward_errors(q, lam, y, left=True)
+                assert abs(errs["eta_left"][j] - ref_l) <= 1e-13 + 1e-6 * ref_l
+                assert abs(errs["omega_left"][j] - ref_ol) <= 1e-13 + 1e-6 * ref_ol
             else:
-                assert dg.eta_left is None
-            if e.cls != "infinite":
-                assert abs(dg.omega_right - ref_o) <= 1e-13 + 1e-6 * ref_o
+                assert np.isnan(errs["eta_left"][j]) and np.isnan(errs["omega_left"][j])
+            if spec.cls[j] != EIG_INFINITE:
+                assert abs(errs["omega_right"][j] - ref_o) <= 1e-13 + 1e-6 * ref_o
             else:
-                assert dg.omega_right is None
+                assert np.isnan(errs["omega_right"][j])
+
+    def test_weights_round_as_python_scalar_powers(self):
+        # one pair's weights do not depend on the batch it is evaluated in
+        rng = np.random.default_rng(12)
+        spec = from_lambda(np.concatenate([rand_complex(rng, (500,)) * 10.0 ** rng.integers(-3, 4, 500),
+                                           [0.0, np.inf, 1.0, -1.0, 1j]]))
+        w = homogeneous_weights(spec.alpha, spec.beta)
+        ref = [(a**4, a**3 * b, a**2 * b**2, a * b**3, b**4)
+               for a, b in zip(spec.alpha.tolist(), spec.beta.tolist())]
+        assert np.array_equal(w.view(np.uint64),
+                              np.array(ref, dtype=np.complex128).T.copy().view(np.uint64))
+
+    def test_eta_at_extreme_coefficient_scales(self):
+        # the residual norm neither underflows (eta = 0) nor overflows (inf)
+        rng = np.random.default_rng(13)
+        q = random_regular_quartic(rng, 4)
+        x = unit(rand_complex(rng, (4,)))
+        e = from_lambda(0.3 + 0.2j, 4)
+        base = eta(e, x, q)
+        for s in (1e-200, 1e-150, 1e150, 1e250):
+            scaled = QuarticPencil.from_matrices(*(s * m for m in q.coeffs))
+            assert eta(e, x, scaled) == pytest.approx(base, rel=1e-12)

@@ -6,11 +6,14 @@ from quarteig.numkit import (
     EPS,
     DropOff,
     NormThreshold,
+    col_norms,
     make_strategy,
     rrqr,
+    safe_norm,
     shifted_hess_solve,
     svd,
     tri_hess_reduce,
+    unit_columns,
     urv,
 )
 from oracles import haar_unitary, rand_complex, well_conditioned
@@ -340,3 +343,42 @@ class TestRefactorInvariants:
         f2 = svd(f1.reconstruct())
         n = 5
         assert np.all(np.abs(f1.sigma - f2.sigma) <= 10 * n * EPS * f1.sigma[0])
+
+
+class TestNorms:
+    def test_safe_norm_is_bit_identical_on_ordinary_inputs(self):
+        rng = np.random.default_rng(21)
+        for shape, scale in (((7, 5), 1.0), ((40, 40), 1e-30), ((3, 9), 1e40)):
+            m = rand_complex(rng, shape, scale)
+            assert safe_norm(m) == np.linalg.norm(m)
+            assert np.array_equal(safe_norm(m.real, axis=0), np.linalg.norm(m.real, axis=0))
+            assert np.array_equal(safe_norm(m, axis=1), np.linalg.norm(m, axis=1))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-250, 1e-160, 1e160, 1e250, 1e307])
+    def test_safe_norm_neither_overflows_nor_underflows(self, scale):
+        rng = np.random.default_rng(22)
+        m = rand_complex(rng, (6, 4))
+        m[:, 1] *= 1e-3  # columns of different magnitude keep their own scale
+        assert safe_norm(scale * m) / scale == pytest.approx(np.linalg.norm(m), rel=1e-14)
+        cols = safe_norm(scale * m, axis=0) / scale
+        assert cols == pytest.approx(np.linalg.norm(m, axis=0), rel=1e-14)
+
+    def test_rrqr_rank_at_extreme_scale(self):
+        rng = np.random.default_rng(23)
+        m = rand_complex(rng, (5, 5))
+        m[:, 2] = 0.0
+        for scale in (1e-200, 1.0, 1e200):
+            assert rrqr(scale * m).rank == 4
+
+    def test_column_norms_match_one_column_norms(self):
+        # a column's norm does not depend on the batch it is computed in
+        rng = np.random.default_rng(24)
+        z = rand_complex(rng, (13, 9))
+        z[:, 4] = 0.0
+        want = [np.linalg.norm(z[:, j]) for j in range(9)]
+        assert np.array_equal(col_norms(z), want)
+        u, ok = unit_columns(z)
+        assert ok.tolist() == [j != 4 for j in range(9)]
+        assert np.array_equal(u[:, ok], np.column_stack([z[:, j] / want[j] for j in range(9) if j != 4]))
+        assert not u[:, 4].any()
+

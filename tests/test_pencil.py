@@ -7,12 +7,10 @@ from quarteig.pencil import (
     EIG_FINITE,
     EIG_INFINITE,
     EIG_ZERO,
-    classify_pair,
-    eig_infinite,
-    eig_zero,
-    from_lambda,
-    normalize_pair,
-    reciprocal_eig,
+    affine,
+    classify,
+    normalize,
+    reciprocal,
 )
 from oracles import (
     classify_dense,
@@ -21,6 +19,7 @@ from oracles import (
     rand_complex,
     random_regular_quartic,
 )
+from support import from_lambda
 
 
 def scalar_quartic(a, b, c, d, e):
@@ -45,8 +44,8 @@ class TestLinearize:
         mats = [np.zeros((n, n))] + [rand_complex(rng, (n, n)) for _ in range(4)]
         q = QuarticPencil.from_matrices(*mats)
         lin = linearize(q)
-        eigs = classify_dense(lin.aa, lin.bb)
-        assert sum(e.cls == EIG_INFINITE for e in eigs) >= n
+        _, cls = classify_dense(lin.aa, lin.bb)
+        assert np.sum(cls == "infinite") >= n
 
     def test_constant_block_bit_exact(self):
         rng = np.random.default_rng(2)
@@ -112,34 +111,66 @@ class TestReverse:
         match_values(rev_roots, [1.0 / r for r in roots], 1e-8)
 
 
+def bits(values):
+    """The IEEE bit patterns of complex or real values (signed zeros differ)."""
+    return np.asarray(values, dtype=np.complex128).view(np.uint64)
+
+
 class TestClassification:
     def test_thresholds(self):
-        assert classify_pair(1.0, 1e-20, 4).cls == EIG_INFINITE
-        assert classify_pair(1e-20, 1.0, 4).cls == EIG_ZERO
-        assert classify_pair(1.0, 1.0, 4).cls == EIG_FINITE
+        _, _, cls = classify([1.0, 1e-20, 1.0], [1e-20, 1.0, 1.0], 4)
+        assert cls.tolist() == [EIG_INFINITE, EIG_ZERO, EIG_FINITE]
 
     def test_normalization(self):
-        e = classify_pair(3.0 + 4.0j, 5.0, 4)
-        assert abs(abs(e.alpha) ** 2 + e.beta**2 - 1.0) < 1e-15
-        assert e.beta >= 0.0
-        assert abs(e.lam - (3.0 + 4.0j) / 5.0) < 1e-15
+        alpha, beta, _ = classify([3.0 + 4.0j], [5.0], 4)
+        assert abs(abs(alpha[0]) ** 2 + beta[0] ** 2 - 1.0) < 1e-15
+        assert beta[0] >= 0.0
+        assert abs(affine(alpha, beta)[0] - (3.0 + 4.0j) / 5.0) < 1e-15
 
     def test_phase_is_removed_from_beta(self):
         # normalization keeps the affine eigenvalue alpha/beta fixed
-        alpha, beta = normalize_pair(1.0, 1.0j)
+        alpha, beta = normalize(1.0, 1.0j)
         assert beta > 0.0
         assert abs(alpha / beta - 1.0 / 1.0j) < 1e-12
 
     def test_reciprocal(self):
-        assert reciprocal_eig(eig_zero()).cls == EIG_INFINITE
-        assert reciprocal_eig(eig_infinite()).cls == EIG_ZERO
-        e = from_lambda(2.0)
-        r = reciprocal_eig(e)
-        assert abs(r.lam - 0.5) < 1e-15
+        s = from_lambda([0.0, np.inf, 2.0])
+        alpha, beta, cls = reciprocal(s.alpha, s.beta, s.cls)
+        assert cls.tolist() == [EIG_INFINITE, EIG_ZERO, EIG_FINITE]
+        assert abs(affine(alpha, beta)[2] - 0.5) < 1e-15
 
     def test_invalid_pair(self):
         with pytest.raises(ValueError):
-            normalize_pair(0.0, 0.0)
+            normalize([1.0, 0.0], [1.0, 0.0])
+
+    def test_rounding_matches_python_complex_scalars(self):
+        # the array kernels round like Python's complex scalars (Smith's
+        # quotient), signed zeros included, so a pair's bits do not depend
+        # on the batch it is computed in
+        rng = np.random.default_rng(21)
+        k = 4000
+        alpha = rand_complex(rng, (k,)) * 10.0 ** rng.integers(-8, 8, k)
+        beta = rand_complex(rng, (k,)) * 10.0 ** rng.integers(-8, 8, k)
+        alpha[:40] = [0.0, -0.0, 1.0, -1.0, 1j, -1j, complex(-0.0, 2.0), complex(3.0, -0.0)] * 5
+        beta[40:80] = [0.0, 1.0, -1.0, 0.5, 1j] * 8
+        beta[100:200] = beta[100:200].real
+
+        def scalar(a, b):
+            a, b = complex(a), complex(b)
+            if abs(b) > 0.0:
+                a, b = a / (b / abs(b)), abs(b)
+            else:
+                b = 0.0
+            s = float(np.hypot(abs(a), b))
+            return a / s, b / s
+
+        ref = [scalar(a, b) for a, b in zip(alpha.tolist(), beta.tolist())]
+        got_a, got_b = normalize(alpha, beta)
+        assert np.array_equal(bits(got_a), bits([a for a, _ in ref]))
+        assert np.array_equal(bits(got_b), bits([b for _, b in ref]))
+        lam = [a / b for a, b in ref if b != 0.0]
+        assert np.array_equal(bits(affine(got_a, got_b)[got_b != 0.0]), bits(lam))
+        assert np.all(np.isinf(affine(got_a, got_b)[got_b == 0.0]))
 
 
 class TestValidation:

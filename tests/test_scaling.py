@@ -3,9 +3,10 @@ import pytest
 import scipy.linalg as sla
 
 from quarteig import QuarticPencil, linearize
-from quarteig.pencil import EigenSolution, eig_infinite, from_lambda
+from quarteig.pencil import EIG_INFINITE
 from quarteig.scaling import ScalingRecord, balance, descale, param_scale
 from oracles import match_values, rand_complex, random_regular_quartic
+from support import from_lambda, solution
 
 
 def scalar_quartic(a, b, c, d, e):
@@ -121,46 +122,37 @@ class TestBalance:
 
 class TestDescale:
     def test_identity_record_untouched(self):
-        sol = EigenSolution(
-            eigs=[from_lambda(2.0)],
-            right=[np.array([1.0 + 0j])],
-            left=[None],
-            methods=["m"],
-        )
+        sol = solution(from_lambda(2.0), [np.array([1.0 + 0j])], [None])
         out = descale(sol, ScalingRecord())
         assert out is sol
 
     def test_gamma_applied(self):
-        sol = EigenSolution(
-            eigs=[from_lambda(2.0)], right=[None], left=[None], methods=["m"]
-        )
+        sol = solution(from_lambda(2.0), [None], [None])
         out = descale(sol, ScalingRecord(gamma=0.5, theta=3.0))
-        assert abs(out.eigs[0].lam - 1.0) < 1e-15
+        assert abs(out.lam[0] - 1.0) < 1e-15
 
     def test_infinite_class_fixed(self):
-        sol = EigenSolution(
-            eigs=[eig_infinite()], right=[None], left=[None], methods=["m"]
-        )
+        sol = solution(from_lambda([np.inf, 0.0]), [None] * 2, [None] * 2)
         out = descale(sol, ScalingRecord(gamma=123.0, theta=1.0))
-        assert out.eigs[0].cls == "infinite"
-        assert out.eigs[0].beta == 0.0
+        assert out.cls[0] == EIG_INFINITE and out.beta[0] == 0.0
+        assert out.alpha[1] == 0.0 and out.beta[1] == 1.0
 
     def test_vectors_rescaled_unit(self):
         dl = np.array([2.0, 4.0])
         dr = np.array([1.0, 8.0])
         x = np.array([1.0, 1.0 + 0j]) / np.sqrt(2)
-        sol = EigenSolution(
-            eigs=[from_lambda(1.0)], right=[x], left=[x], methods=["m"]
-        )
+        sol = solution(from_lambda([1.0, 2.0]), [x, None], [x, x])
         out = descale(sol, ScalingRecord(dl=dl, dr=dr))
-        assert np.linalg.norm(out.right[0]) == pytest.approx(1.0)
-        # direction is Dr x renormalized
+        assert np.linalg.norm(out.x[:, 0]) == pytest.approx(1.0)
+        # direction is Dr x renormalized; a missing vector stays missing
         want = dr * x
         want /= np.linalg.norm(want)
-        assert np.allclose(out.right[0], want)
+        assert np.allclose(out.x[:, 0], want)
+        assert out.has_right.tolist() == [True, False] and not out.x[:, 1].any()
         want_l = dl * x
         want_l /= np.linalg.norm(want_l)
-        assert np.allclose(out.left[0], want_l)
+        assert np.allclose(out.y, want_l[:, None])
+        assert np.allclose(sol.x[:, 0], x)  # the input is not modified
 
 
 class TestPipelineInvariance:
@@ -183,36 +175,44 @@ class TestPipelineInvariance:
         q = random_regular_quartic(rng, 3)
         res_scaled = solve_pencil(q, SolveConfig(scale=True, balance=True))
         res_plain = solve_pencil(q, SolveConfig(scale=False, balance=False))
-        lam_s = [e.lam for e in res_scaled.solution.eigs]
-        lam_p = [e.lam for e in res_plain.solution.eigs]
-        match_values(lam_s, lam_p, 1e-8)
+        match_values(res_scaled.solution.lam, res_plain.solution.lam, 1e-8)
 
     def test_scalar_unit_roots_through_pipeline(self):
         from quarteig import SolveConfig, solve_pencil
 
         q = scalar_quartic(1.0, 0.0, 0.0, 0.0, -1.0)
         res = solve_pencil(q, SolveConfig())
-        lam = [e.lam for e in res.solution.eigs]
-        match_values(lam, [1.0, -1.0, 1.0j, -1.0j], 1e-14)
+        match_values(res.solution.lam, [1.0, -1.0, 1.0j, -1.0j], 1e-14)
 
 
-class TestAggregateKnob:
-    def test_max_aggregate_supported(self):
-        rng = np.random.default_rng(7)
-        n = 6
-        d = 2.0 ** rng.permutation(np.arange(1, n + 1)).astype(float)
-        q = QuarticPencil.from_matrices(
-            *(d[:, None] * rand_complex(rng, (n, n)) for _ in range(5))
-        )
-        balanced, rec = balance(q, aggregate="max")
-        s_before = sum(np.abs(m) for m in q.coeffs)
-        s_after = sum(np.abs(m) for m in balanced.coeffs)
+class TestExtremeCoefficientScales:
+    """A quartic and its multiple s*P(lambda) have the same eigenpairs; the
+    norms behind scaling and backward errors must neither overflow nor
+    underflow on the way."""
 
-        def spread(s):
-            agg = np.concatenate([s.max(axis=1), s.max(axis=0)])
-            agg = agg[agg > 0]
-            return agg.max() / agg.min()
+    @pytest.mark.parametrize("deflate", [True, False], ids=["default", "deflate_off"])
+    @pytest.mark.parametrize("s", [1e-250, 1e-200, 1e-160, 1e160, 1e200, 1e250])
+    def test_all_pairs_finite_with_small_eta(self, s, deflate):
+        from quarteig import SolveConfig, solve_pencil
 
-        assert spread(s_after) <= spread(s_before)
-        with pytest.raises(ValueError):
-            balance(q, aggregate="median")
+        rng = np.random.default_rng(3)
+        mats = [rand_complex(rng, (4, 4)) for _ in range(5)]
+        ref = solve_pencil(QuarticPencil.from_matrices(*mats)).solution
+        res = solve_pencil(QuarticPencil.from_matrices(*(s * m for m in mats)),
+                           SolveConfig(deflate=deflate))
+        sol = res.solution
+        assert res.summary.counts == {"zero": 0, "finite": 16, "infinite": 0}
+        assert not res.flags
+        for eta in (sol.eta_right, sol.eta_left):
+            assert np.all((eta > 0.0) & (eta <= 1e-14))
+        match_values(sol.lam, ref.lam, 1e-12)
+
+    def test_param_scale_norms(self):
+        rng = np.random.default_rng(4)
+        mats = [rand_complex(rng, (4, 4)) for _ in range(5)]
+        _, rec = param_scale(QuarticPencil.from_matrices(*mats))
+        for s in (1e-200, 1e160):
+            _, rec_s = param_scale(QuarticPencil.from_matrices(*(s * m for m in mats)))
+            assert rec_s.gamma == pytest.approx(rec.gamma, rel=1e-14)
+            assert rec_s.theta * s == pytest.approx(rec.theta, rel=1e-14)
+

@@ -9,7 +9,8 @@ from oracles import random_regular_quartic
 
 import quarteig.eigvec
 from quarteig import SolveConfig, gen_jordan_chain, gen_mirror_like, gen_planted, solve_pencil
-from quarteig.pencil import from_lambda
+from quarteig.pencil import EIG_FINITE
+from support import from_lambda
 
 PROBLEMS = {
     "planted": lambda: gen_planted(8, 3, 2, seed=50).pencil,
@@ -30,15 +31,17 @@ CONFIGS = {
 def test_returned_vectors_are_unit(kind, config):
     res = solve_pencil(PROBLEMS[kind](), CONFIGS[config])
     sol = res.solution
-    rights = [v for v in sol.right if v is not None]
-    lefts = [v for v in sol.left if v is not None]
-    assert len(rights) == len(sol.eigs)
+    assert sol.has_right.all()
     if CONFIGS[config].want_left:
-        assert lefts
+        assert sol.has_left.any()
     else:  # no pair, deflated or not, gets a left vector
-        assert not lefts
-    for v in rights + lefts:
-        assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+        assert not sol.has_left.any()
+    vectors = np.hstack([sol.x[:, sol.has_right], sol.y[:, sol.has_left]])
+    assert np.all(np.abs(np.linalg.norm(vectors, axis=0) - 1.0) <= 1e-14)
+    assert not sol.y[:, ~sol.has_left].any()
+    # the per-pair views read the same arrays
+    assert [v is not None for v in sol.left] == sol.has_left.tolist()
+    assert all(np.array_equal(v, x) for v, x in zip(sol.right, sol.x.T))
 
 
 @pytest.mark.parametrize("kind", ["planted", "mirror"])
@@ -61,7 +64,7 @@ def test_one_lift_and_no_triangular_solve_per_eigenvalue(kind, monkeypatch):
     d = res.deflation
     assert d.size < d.full_size
     blocks = sum(1 for s in d.steps if s.deflated)
-    finite = sum(e.cls == "finite" for e in res.solution.eigs)
+    finite = int(np.sum(res.solution.cls == EIG_FINITE))
     # one lift; the only QZ besides the 4n eigensolver is the recovery context's
     assert calls["lift_left"] == 1 and calls["qz"] == 1
     assert 1 <= calls["solve_triangular"] <= blocks < finite
@@ -69,9 +72,9 @@ def test_one_lift_and_no_triangular_solve_per_eigenvalue(kind, monkeypatch):
     rng = np.random.default_rng(53)
     for k in (1, finite):
         calls["solve_triangular"] = 0
-        eigs = [from_lambda(complex(*rng.standard_normal(2))) for _ in range(k)]
+        e = from_lambda(rng.standard_normal(k) + 1j * rng.standard_normal(k))
         ws = rng.standard_normal((d.size, k)) + 1j * rng.standard_normal((d.size, k))
-        _, ok = quarteig.eigvec.lift_left(ws, eigs, d)
+        _, ok = quarteig.eigvec.lift_left(ws, e.alpha, e.beta, d)
         assert ok.all()
         assert calls["solve_triangular"] == blocks
 
@@ -79,8 +82,8 @@ def test_one_lift_and_no_triangular_solve_per_eigenvalue(kind, monkeypatch):
 def test_degenerate_left_vector_is_flagged(monkeypatch):
     lift = quarteig.eigvec.lift_left
 
-    def zero_first_column(ws, eigs, d):
-        w, ok = lift(ws, eigs, d)
+    def zero_first_column(ws, alpha, beta, d):
+        w, ok = lift(ws, alpha, beta, d)
         w[:, 0] = 0.0
         return w, ok
 
@@ -89,7 +92,8 @@ def test_degenerate_left_vector_is_flagged(monkeypatch):
     bad = [f for f in res.flags if f.startswith("recover_left_degenerate_index_")]
     assert len(bad) == 1
     i = int(bad[0].rsplit("_", 1)[1])
-    assert res.solution.eigs[i].cls == "finite"
-    assert res.solution.left[i] is None and res.solution.diags[i].eta_left is None
-    assert res.solution.right[i] is not None
-    assert sum(v is None for v in res.solution.left) == 1
+    sol = res.solution
+    assert sol.cls[i] == EIG_FINITE
+    assert not sol.has_left[i] and np.isnan(sol.eta_left[i])
+    assert sol.has_right[i] and np.isfinite(sol.eta_right[i])
+    assert np.sum(~sol.has_left) == 1
