@@ -19,10 +19,11 @@ import io
 import json
 import os
 import sys
+import typing
 
 from .errors import BundleError, QuarteigError
 from .probio import read_bundle, write_file, write_report
-from .solver import SolveConfig, build_report, solve_bundle
+from .solver import OPTIONS, SolveConfig, build_report, solve_bundle
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -30,21 +31,21 @@ EXIT_BUNDLE = 3
 EXIT_NUMERICAL = 4
 EXIT_IO = 5
 
-_CONFIG_KEYS = {
-    "scale",
-    "balance",
-    "balance_iters",
-    "rank_strategy",
-    "tol",
-    "deflate",
-    "eigvec_mode",
-}
-
 
 def _onoff(value):
     if value in ("on", "off"):
         return value == "on"
     raise argparse.ArgumentTypeError(f"expected 'on' or 'off', got {value!r}")
+
+
+def _config_parser(tp):
+    """The parser of a ``compare --config`` value for a field of type ``tp``."""
+    tp = next(t for t in typing.get_args(tp) or (tp,) if t is not type(None))
+    return _onoff if tp is bool else tp
+
+
+_CONFIG_PARSERS = {name: _config_parser(tp) for name, tp in
+                   typing.get_type_hints(SolveConfig).items() if name in OPTIONS}
 
 
 def _threads_from_env():
@@ -99,25 +100,15 @@ def build_parser():
 
 def _parse_config(spec: str, threads: int) -> SolveConfig:
     kwargs = {}
-    if spec:
-        for item in spec.split(","):
-            if not item:
-                continue
-            if "=" not in item:
-                raise ValueError(f"malformed config entry {item!r}")
-            key, val = item.split("=", 1)
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            if key in ("scale", "balance", "deflate"):
-                kwargs[key] = _onoff(val)
-            elif key in ("balance_iters",):
-                kwargs[key] = int(val)
-            elif key == "tol":
-                kwargs[key] = float(val)
-            else:
-                kwargs[key] = val
-    return SolveConfig(threads=threads, **kwargs).validate()
+    for item in filter(None, spec.split(",")):
+        if "=" not in item:
+            raise ValueError(f"malformed config entry {item!r}")
+        key, val = item.split("=", 1)
+        key = key.strip()
+        if key not in _CONFIG_PARSERS:
+            raise ValueError(f"unknown config key {key!r}")
+        kwargs[key] = _CONFIG_PARSERS[key](val)
+    return SolveConfig(threads=threads, **kwargs)
 
 
 def _fail(code, kind, message):
@@ -125,38 +116,17 @@ def _fail(code, kind, message):
     return code
 
 
-def _cmd_solve(args):
-    config = SolveConfig(
-        scale=args.scale,
-        balance=args.balance,
-        balance_iters=args.balance_iters,
-        rank_strategy=args.rank_strategy,
-        tol=args.tol,
-        deflate=args.deflate,
-        eigvec_mode=args.eigvec_mode,
-        want_left=not args.right_only,
-        threads=args.threads,
-    )
-    try:
-        config.validate()
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, "usage", str(exc))
-    try:
-        bundle = read_bundle(args.bundle)
-    except BundleError as exc:
-        return _fail(EXIT_BUNDLE, type(exc).__name__, str(exc))
-    try:
-        result = solve_bundle(bundle, config)
-        report = build_report(result)
-    except QuarteigError as exc:
-        return _fail(EXIT_NUMERICAL, type(exc).__name__, str(exc))
-    try:
-        if args.output:
-            write_report(report, args.output, fmt=args.format)
-        else:
-            print(json.dumps(report, indent=1))
-    except OSError as exc:
-        return _fail(EXIT_IO, "io", str(exc))
+def _solve_configs(args, threads):
+    return [SolveConfig(**{name: getattr(args, name) for name in OPTIONS},
+                        want_left=not args.right_only, threads=threads)]
+
+
+def _write_solve(args, bundle, configs, reports):
+    (report,) = reports
+    if args.output:
+        write_report(report, args.output, fmt=args.format)
+    else:
+        print(json.dumps(report, indent=1))
     # exit 0 only when every one of the 4n eigenpairs was produced
     if sum(report["summary"]["counts"].values()) != 4 * report["n"]:
         return EXIT_NUMERICAL
@@ -190,35 +160,23 @@ def _merged_csv(labels, reports):
     return buf.getvalue()
 
 
-def _cmd_compare(args):
+def _compare_configs(args, threads):
     if len(args.config) < 2:
-        return _fail(EXIT_USAGE, "usage", "compare requires at least two --config entries")
-    try:
-        configs = [_parse_config(spec, args.threads) for spec in args.config]
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        return _fail(EXIT_USAGE, "usage", str(exc))
-    try:
-        bundle = read_bundle(args.bundle)
-    except BundleError as exc:
-        return _fail(EXIT_BUNDLE, type(exc).__name__, str(exc))
-    reports = []
-    labels = []
-    try:
-        for k, cfg in enumerate(configs):
-            result = solve_bundle(bundle, cfg)
-            reports.append(build_report(result))
-            labels.append(f"cfg{k}[{cfg.label()}]")
-    except QuarteigError as exc:
-        return _fail(EXIT_NUMERICAL, type(exc).__name__, str(exc))
-    try:
-        for k, rep in enumerate(reports):
-            write_report(rep, os.path.join(args.output_dir, f"{bundle.name}_cfg{k}.json"))
-        merged = _merged_csv(labels, reports)
-        write_file(os.path.join(args.output_dir, f"{bundle.name}_compare.csv"),
-                   merged.encode("utf-8"))
-    except OSError as exc:
-        return _fail(EXIT_IO, "io", str(exc))
+        raise ValueError("compare requires at least two --config entries")
+    return [_parse_config(spec, threads) for spec in args.config]
+
+
+def _write_compare(args, bundle, configs, reports):
+    for k, rep in enumerate(reports):
+        write_report(rep, os.path.join(args.output_dir, f"{bundle.name}_cfg{k}.json"))
+    labels = [f"cfg{k}[{cfg.label()}]" for k, cfg in enumerate(configs)]
+    write_file(os.path.join(args.output_dir, f"{bundle.name}_compare.csv"),
+               _merged_csv(labels, reports).encode("utf-8"))
     return EXIT_OK
+
+
+_COMMANDS = {"solve": (_solve_configs, _write_solve),
+             "compare": (_compare_configs, _write_compare)}
 
 
 def main(argv=None):
@@ -226,16 +184,24 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
-    if args.threads is None:
-        try:
-            args.threads = _threads_from_env()
-        except ValueError as exc:
-            return _fail(EXIT_USAGE, "usage", str(exc))
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    return EXIT_USAGE  # pragma: no cover
+    make_configs, write = _COMMANDS[args.command]
+    # the configs are built before the bundle is read, so usage errors come first
+    try:
+        threads = _threads_from_env() if args.threads is None else args.threads
+        configs = make_configs(args, threads)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        return _fail(EXIT_USAGE, "usage", str(exc))
+    # one run path for both commands: read, solve each config, report, write
+    try:
+        bundle = read_bundle(args.bundle)
+        reports = [build_report(solve_bundle(bundle, cfg)) for cfg in configs]
+        return write(args, bundle, configs, reports)
+    except BundleError as exc:
+        return _fail(EXIT_BUNDLE, type(exc).__name__, str(exc))
+    except QuarteigError as exc:
+        return _fail(EXIT_NUMERICAL, type(exc).__name__, str(exc))
+    except OSError as exc:
+        return _fail(EXIT_IO, "io", str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -427,20 +427,19 @@ def deflate(
     q: QuarticPencil,
     rp: RankProfile,
     sl: SecondLevel | None = None,
-    *,
-    strategy=None,
 ) -> DeflationResult:
     """Run the full deflation decision tree on the 4n linearization.
 
-    A quartic with only A singular is deflated through its reversal, whose
-    E is the singular one (:func:`solve_pencil` reverses such problems), so
-    that profile raises :class:`DeflationError` here.
+    Every rank decision uses the truncation strategy of ``rp``. A quartic
+    with only A singular is deflated through its reversal, whose E is the
+    singular one (:func:`solve_pencil` reverses such problems), so that
+    profile raises :class:`DeflationError` here.
     """
     n = q.n
     if lin.size != 4 * n:
         raise DeflationError(f"linearization size {lin.size} != 4n = {4 * n}")
     _check_consistent(q, rp)
-    strategy = strategy or rp.strategy
+    strategy = rp.strategy
 
     if rp.r_a < n and rp.r_e == n:
         raise DeflationError(

@@ -31,13 +31,11 @@ from . import diagnostics
 from .deflate import DeflationResult, RankProfile
 from .numkit import (
     EPS,
-    SVDFactors,
     TriHessPair,
     col_norms,
     shifted_hess_solve,  # only bench/tracer.py uses it here (ROADMAP item 1)
     shifted_hess_solve_many,
     singular_diag,
-    svd,
     tri_hess_reduce,
     unit_columns,
 )
@@ -50,7 +48,7 @@ class RecoveryContext:
 
     q: QuarticPencil
     tri_hess: TriHessPair
-    svd_e: SVDFactors | None = None  # computed by the first least-squares recovery
+    svd_e: tuple | None = None  # (u, sigma, v) of E, from the first least-squares recovery
     lu_e: tuple | None = None
 
 
@@ -181,8 +179,9 @@ def recover_right_ls(zs, alpha, beta, ctx: RecoveryContext):
     q = ctx.q
     n = q.n
     if ctx.svd_e is None:
-        ctx.svd_e = svd(q.e)
-    u_e, sig, v_e = ctx.svd_e.u, ctx.svd_e.sigma, ctx.svd_e.v  # E is square: n values
+        u, sig, vh = np.linalg.svd(q.e)
+        ctx.svd_e = (u, sig, vh.conj().T)
+    u_e, sig, v_e = ctx.svd_e  # E is square: n values
     x = np.empty((n, zs.shape[1]), dtype=np.complex128)
     for j, lam in enumerate(affine(alpha, beta).tolist()):
         t1 = v_e.conj().T @ zs[:n, j]

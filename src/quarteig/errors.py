@@ -17,6 +17,10 @@ class GevpError(QuarteigError):
         self.failing_index = failing_index
 
 
+class ScalingError(QuarteigError):
+    """Coefficient norms too far apart for parameter scaling in floating point."""
+
+
 class DeflationError(QuarteigError):
     """Deflation could not complete consistently."""
 

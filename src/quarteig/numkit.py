@@ -2,7 +2,7 @@
 
 Everything downstream (rank analysis, deflation, eigenvector recovery) is
 built on the routines here: column-pivoted rank-revealing QR with pluggable
-truncation strategies, complete orthogonal (URV) decomposition, SVD, the
+truncation strategies, complete orthogonal (URV) decomposition, the
 complex generalized Schur form of a matrix pair, batched O(n^2) shifted
 back substitutions built on it, and the eigensolver of the final pencil
 (:func:`generalized_eig`). A pivoted QR keeps LAPACK's Householder
@@ -327,39 +327,6 @@ def urv(m, strategy=None) -> URVFactors:
 
 
 # ---------------------------------------------------------------------------
-# SVD
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SVDFactors:
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self):
-        rows = self.u.shape[0]
-        cols = self.v.shape[0]
-        s = np.zeros((rows, cols), dtype=np.complex128)
-        k = len(self.sigma)
-        s[:k, :k] = np.diag(self.sigma)
-        return self.u @ s @ self.v.conj().T
-
-
-def svd(m) -> SVDFactors:
-    """Full SVD m = u @ diag(sigma) @ v* with unitary u, v."""
-    a = as_matrix(m)
-    if a.size == 0:
-        return SVDFactors(
-            u=np.eye(a.shape[0], dtype=np.complex128),
-            sigma=np.zeros(0),
-            v=np.eye(a.shape[1], dtype=np.complex128),
-        )
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    return SVDFactors(u=u, sigma=s, v=vh.conj().T)
-
-
-# ---------------------------------------------------------------------------
 # generalized Schur form and shifted solves
 # ---------------------------------------------------------------------------
 
@@ -379,11 +346,6 @@ class TriHessPair:
     t: np.ndarray
     h: np.ndarray
     z: np.ndarray
-    qh: np.ndarray = None  # adjoint of q, cached for the per-shift solves
-
-    def __post_init__(self):
-        if self.qh is None:
-            self.qh = self.q.conj().T.copy()
 
     @property
     def n(self):
@@ -448,7 +410,7 @@ def shifted_hess_solve_many(pair: TriHessPair, lams, vs):
     th = np.stack([t, h])
     s_cols = np.repeat(np.stack([lams, np.ones_like(lams)]), nr, axis=1)
     diag_cols = np.repeat(np.where(diag == 0.0, 1.0, diag).T, nr, axis=1)
-    y = pair.qh @ vs.transpose(1, 0, 2).reshape(n, nj * nr)
+    y = pair.q.conj().T @ vs.transpose(1, 0, 2).reshape(n, nj * nr)
     for k in range(n - 1, -1, -1):
         done = slice(k + 1, n)  # empty on the first row
         y[k] -= (s_cols * (th[:, k, done] @ y[done])).sum(axis=0)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ScalingError
 from .numkit import safe_norm
 from .pencil import EigenSolution, QuarticPencil, complex_array, cprod, normalize
 
@@ -58,23 +59,23 @@ def param_scale(q: QuarticPencil):
     """Fan-Lin-Van Dooren style parameter scaling of the coefficients.
 
     The Frobenius norms are taken by :func:`numkit.safe_norm`, so they
-    neither overflow nor underflow at any coefficient scale.
+    neither overflow nor underflow at any coefficient scale. Raises
+    :class:`ScalingError` when gamma or theta leaves the floating-point range.
     """
     na = safe_norm(q.a)
     ne = safe_norm(q.e)
     if na == 0.0 or ne == 0.0:
         rec = ScalingRecord(flags=("scale_skipped_zero_extreme_coefficient",))
         return q, rec
-    gamma = float((ne / na) ** 0.25)
-    theta = float(
-        4.0
-        / (
-            ne
-            + gamma * safe_norm(q.d)
-            + gamma**2 * safe_norm(q.c)
-            + gamma**3 * safe_norm(q.b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = float((ne / na) ** 0.25)
+        theta = float(4.0 / (ne + gamma * safe_norm(q.d) + gamma**2 * safe_norm(q.c)
+                             + gamma**3 * safe_norm(q.b)))
+    if not (np.isfinite(gamma) and theta > 0.0):
+        raise ScalingError(
+            "coefficient norms too far apart for parameter scaling: ||E||_F/||A||_F = "
+            f"{ne:.3g}/{na:.3g} gives gamma = {gamma:.3g}, theta = {theta:.3g}"
         )
-    )
     scaled = QuarticPencil(
         a=gamma**4 * theta * q.a,
         b=gamma**3 * theta * q.b,

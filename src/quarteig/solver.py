@@ -41,6 +41,9 @@ _PKG_VERSION = "0.1.0"
 class SolveConfig:
     """Pipeline knobs; defaults follow the solver's documented behavior.
 
+    Values are checked when the config is built: an invalid one raises
+    ``ValueError`` from the constructor (and from ``dataclasses.replace``).
+
     ``threads`` is the BLAS thread count for the duration of a solve; the
     caller's count is restored afterwards. The default of 1 is the faster
     one at the sizes measured (n up to 128 on 2 cores), where the BLAS calls
@@ -58,18 +61,16 @@ class SolveConfig:
     want_left: bool = True
     threads: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         if self.tol is not None and not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
-        if self.rank_strategy not in ("norm", "dropoff"):
-            raise ValueError(f"unknown rank strategy {self.rank_strategy!r}")
+        make_strategy(self.rank_strategy, self.tol)  # rejects an unknown strategy name
         if self.eigvec_mode not in ("min_residual", "least_squares"):
             raise ValueError(f"unknown eigvec mode {self.eigvec_mode!r}")
         if self.balance_iters < 0:
             raise ValueError("balance_iters must be >= 0")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
-        return self
 
     def label(self):
         """Short comma-free tag (used in merged CSV column names)."""
@@ -78,6 +79,13 @@ class SolveConfig:
             f"balance={'on' if self.balance else 'off'};"
             f"strategy={self.rank_strategy};deflate={'on' if self.deflate else 'off'}"
         )
+
+
+# The fields that shape the numbers: the report's config block and the keys
+# of ``compare --config``. Left out are want_left, which only drops the left
+# vectors, and threads, which only changes the speed (the report's meta).
+OPTIONS = tuple(f.name for f in dataclasses.fields(SolveConfig)
+                if f.name not in ("want_left", "threads"))
 
 
 @dataclass
@@ -191,7 +199,6 @@ def solve_pencil(q0: QuarticPencil, config: SolveConfig = SolveConfig(), name="p
     count can be set, that is None and the result carries the flag
     ``blas_threads_not_set``.
     """
-    config.validate()
     with blas_threads(config.threads) as count:
         res = _solve(q0, config, name)
     res.blas_threads = count
@@ -226,7 +233,7 @@ def _solve(q0, config, name):
         sl = None
         if rp_w.r_a < n or rp_w.r_e < n:
             sl = second_level(qw, rp_w)
-        d = deflate(lin, qw, rp_w, sl, strategy=strategy)
+        d = deflate(lin, qw, rp_w, sl)
         flags.extend(d.flags)
         if reversed_problem:
             # counts in the result always refer to the original problem
@@ -273,7 +280,6 @@ def solve_bundle(bundle: probio.ProblemBundle, config: SolveConfig = SolveConfig
 
 def build_report(res: SolveResult) -> dict:
     """JSON-able report document (deterministic: no timestamps)."""
-    cfg = res.config
     sol = res.solution
     order = np.asarray(res.summary.order)
     # errors that are NaN (not computed) or inf are reported as null
@@ -311,15 +317,7 @@ def build_report(res: SolveResult) -> dict:
     return {
         "problem": res.problem,
         "n": res.n,
-        "config": {
-            "scale": cfg.scale,
-            "balance": cfg.balance,
-            "balance_iters": cfg.balance_iters,
-            "rank_strategy": cfg.rank_strategy,
-            "tol": cfg.tol,
-            "deflate": cfg.deflate,
-            "eigvec_mode": cfg.eigvec_mode,
-        },
+        "config": {name: getattr(res.config, name) for name in OPTIONS},
         "scaling": {
             "gamma": res.record.gamma,
             "theta": res.record.theta,

@@ -1,6 +1,7 @@
 """Problem builders and small helpers shared by the tests.
 
-``orr_sommerfeld`` builds an application quartic with numpy alone;
+``orr_sommerfeld`` builds an application quartic with numpy alone,
+``far_apart_norms`` quartics beyond the reach of parameter scaling;
 ``from_lambda`` and ``solution`` turn affine eigenvalues and vectors into
 the package's arrays, the input that the batched eigenvector and
 diagnostics routines take.
@@ -8,7 +9,7 @@ diagnostics routines take.
 
 import numpy as np
 
-from quarteig.pencil import EigenSolution, Spectrum, classify
+from quarteig.pencil import EigenSolution, QuarticPencil, Spectrum, classify
 
 # the critical point of plane Poiseuille flow (Orszag, J. Fluid Mech. 50, 1971)
 R_CRIT = 5772.22
@@ -20,6 +21,19 @@ def unit(v):
     """v normalized to unit 2-norm (a zero vector is returned as it is)."""
     nrm = np.linalg.norm(v)
     return v / nrm if nrm > 0 else v
+
+
+def far_apart_norms(case):
+    """An n = 5 complex quartic whose coefficient norms are too far apart for
+    parameter scaling: case 0 scales A by 1e-200 and E by 1e200, so that
+    ||E||/||A|| overflows; case 1 scales A, B and E by 1e-150, 1e100 and
+    1e150, so that gamma^3 ||B|| overflows and theta is 0. Both cases draw
+    from ``default_rng(0)``, case 1 after case 0's five matrices."""
+    rng = np.random.default_rng(0)
+    for factors in ((1e-200, 1, 1, 1, 1e200), (1e-150, 1e100, 1, 1, 1e150))[: case + 1]:
+        mats = [f * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+                for f in factors]
+    return QuarticPencil.from_matrices(*mats)
 
 
 def from_lambda(lams, dim=1):

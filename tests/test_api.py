@@ -1,4 +1,13 @@
+import argparse
+import dataclasses
+import json
+import math
+
+import pytest
+
 import quarteig
+from quarteig import SolveConfig
+from quarteig.cli import EXIT_OK, EXIT_USAGE, build_parser, main
 
 # The public surface of the package root. Growing or shrinking it is an API
 # change, so it is meant to show up here as a diff.
@@ -47,3 +56,82 @@ def test_every_name_imports():
     namespace = {}
     exec("from quarteig import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC)
+
+
+# The options of a solve. SolveConfig is their one description: the report's
+# config block and the keys of ``compare --config`` are its fields without
+# want_left and threads.
+CONFIG_DEFAULTS = {
+    "scale": True,
+    "balance": True,
+    "balance_iters": 5,
+    "rank_strategy": "norm",
+    "tol": None,
+    "deflate": True,
+    "eigvec_mode": "min_residual",
+    "want_left": True,
+    "threads": 1,
+}
+REPORTED = ["scale", "balance", "balance_iters", "rank_strategy", "tol", "deflate", "eigvec_mode"]
+SOLVE_OPTIONS = [
+    "-h", "--help", "--threads", "--scale", "--balance", "--balance-iters", "--rank-strategy",
+    "--tol", "--deflate", "--eigvec-mode", "--right-only", "--output", "--format",
+]
+# one value per compare key, other than its default: the text and the parsed value
+COMPARE_VALUES = {
+    "scale": ("off", False),
+    "balance": ("off", False),
+    "balance_iters": ("3", 3),
+    "rank_strategy": ("dropoff", "dropoff"),
+    "tol": ("1e-10", 1e-10),
+    "deflate": ("off", False),
+    "eigvec_mode": ("least_squares", "least_squares"),
+}
+
+
+def test_solve_config_fields_are_pinned():
+    fields = dataclasses.fields(SolveConfig)
+    assert [(f.name, f.default) for f in fields] == list(CONFIG_DEFAULTS.items())
+
+
+def test_solve_options_are_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = [s for action in sub.choices["solve"]._actions for s in action.option_strings]
+    assert options == SOLVE_OPTIONS
+
+
+def test_report_config_keys_are_pinned(unit_bundle, capsys):
+    assert main(["solve", str(unit_bundle)]) == EXIT_OK
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config == {k: CONFIG_DEFAULTS[k] for k in REPORTED}
+    assert list(config) == REPORTED
+
+
+def test_every_compare_key_reaches_the_report(unit_bundle, tmp_path):
+    assert list(COMPARE_VALUES) == REPORTED
+    outd = tmp_path / "cmp"
+    argv = ["compare", str(unit_bundle), "--output-dir", str(outd)]
+    for key, (text, _) in COMPARE_VALUES.items():
+        argv += ["--config", f"{key}={text}"]
+    assert main(argv) == EXIT_OK
+    for k, (key, (_, value)) in enumerate(COMPARE_VALUES.items()):
+        config = json.loads((outd / f"unit_cfg{k}.json").read_text())["config"]
+        assert config == {**{r: CONFIG_DEFAULTS[r] for r in REPORTED}, key: value}
+
+
+@pytest.mark.parametrize("key", ["want_left", "threads", "right_only"])
+def test_compare_rejects_other_keys(unit_bundle, capsys, key):
+    assert main(["compare", str(unit_bundle), "--config", f"{key}=1", "--config", ""]) == EXIT_USAGE
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["message"] == f"unknown config key {key!r}"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol", 0.0), ("tol", 1.0), ("tol", math.nan), ("rank_strategy", "bogus"),
+    ("eigvec_mode", "bogus"), ("balance_iters", -1), ("threads", 0),
+])
+def test_invalid_values_raise_at_construction(field, value):
+    with pytest.raises(ValueError):
+        SolveConfig(**{field: value})
+    with pytest.raises(ValueError):
+        dataclasses.replace(SolveConfig(), **{field: value})

@@ -14,16 +14,6 @@ def inodes(directory):
 
 
 @pytest.fixture
-def unit_bundle(tmp_path):
-    """lambda^4 = 1 scalar problem on disk."""
-    mats = [[[1.0]], [[0.0]], [[0.0]], [[0.0]], [[-1.0]]]
-    b = ProblemBundle(name="unit", pencil=QuarticPencil.from_matrices(*mats))
-    p = tmp_path / "unit"
-    write_bundle(b, p)
-    return p
-
-
-@pytest.fixture
 def mirror_bundle(tmp_path):
     p = tmp_path / "mirror"
     write_bundle(gen_mirror_like(0), p)
@@ -56,6 +46,17 @@ class TestSolveCommand:
         rep = json.loads(out.read_text())
         assert rep["summary"]["counts"] == {"zero": 0, "finite": 16, "infinite": 0}
         assert all(0.0 < p["eta_right"] <= 1e-14 for p in rep["eigenpairs"])
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_norms_too_far_apart_are_numerical_error(self, tmp_path, capsys, case):
+        from support import far_apart_norms
+
+        p = tmp_path / "far"
+        write_bundle(ProblemBundle(name="far", pencil=far_apart_norms(case)), p)
+        assert main(["solve", str(p)]) == EXIT_NUMERICAL
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == EXIT_NUMERICAL and err["type"] == "ScalingError"
+        assert "||E||_F/||A||_F" in err["message"]
 
     def test_mirror_deflation_counts(self, mirror_bundle, tmp_path):
         out = tmp_path / "m.json"
@@ -344,6 +345,38 @@ class TestCompareCommand:
             ]
         )
         assert code == EXIT_USAGE
+
+    def test_missing_bundle_exit_code(self, tmp_path, capsys):
+        code = main(["compare", str(tmp_path / "nope"), "--config", "scale=on",
+                     "--config", "scale=off", "--output-dir", str(tmp_path / "cmp")])
+        assert code == EXIT_BUNDLE
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == EXIT_BUNDLE and err["type"] == "MissingCoefficientError"
+        assert not (tmp_path / "cmp").exists()
+
+    def test_singular_quartic_deflate_off_numerical_error(self, tmp_path, capsys):
+        from oracles import singular_quartic
+
+        p = tmp_path / "singular"
+        write_bundle(ProblemBundle(name="singular",
+                                   pencil=singular_quartic(np.random.default_rng(61))), p)
+        code = main(["compare", str(p), "--config", "deflate=off", "--config", "deflate=on",
+                     "--output-dir", str(tmp_path / "cmp")])
+        assert code == EXIT_NUMERICAL
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == EXIT_NUMERICAL and err["type"] == "GevpError"
+        assert "singular" in err["message"]
+        assert not (tmp_path / "cmp").exists()
+
+    def test_output_dir_is_file_io_error(self, unit_bundle, tmp_path, capsys):
+        target = tmp_path / "cmp"
+        target.write_text("")
+        code = main(["compare", str(unit_bundle), "--config", "scale=on",
+                     "--config", "scale=off", "--output-dir", str(target)])
+        assert code == EXIT_IO
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == EXIT_IO and err["type"] == "io"
+        assert target.read_text() == ""
 
     def test_unknown_config_key(self, unit_bundle):
         code = main(

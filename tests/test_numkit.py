@@ -11,7 +11,6 @@ from quarteig.numkit import (
     rrqr,
     safe_norm,
     shifted_hess_solve,
-    svd,
     tri_hess_reduce,
     unit_columns,
     urv,
@@ -170,31 +169,6 @@ class TestURV:
             assert np.linalg.norm(fac.conj().T @ fac - np.eye(n)) <= 10 * n * EPS
 
 
-class TestSVD:
-    def test_identity(self):
-        f = svd(np.eye(5))
-        assert np.allclose(f.sigma, 1.0)
-
-    def test_permuted_diagonal(self):
-        m = np.diag([3.0, 2.0, 1.0])[np.array([2, 0, 1])]
-        f = svd(m)
-        assert np.allclose(f.sigma, [3.0, 2.0, 1.0])
-
-    def test_matches_hermitian_eigensolve(self):
-        rng = np.random.default_rng(11)
-        m = rand_complex(rng, (6, 6))
-        f = svd(m)
-        lam = np.linalg.eigvalsh(m.conj().T @ m)[::-1]
-        assert np.allclose(f.sigma**2, lam, rtol=1e-12, atol=1e-12)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(12)
-        m = rand_complex(rng, (5, 8))
-        f = svd(m)
-        n = max(m.shape)
-        assert np.linalg.norm(f.reconstruct() - m) <= 10 * n * EPS * np.linalg.norm(m)
-
-
 class TestTriHess:
     def test_triangular_pair_stays_structured(self):
         rng = np.random.default_rng(13)
@@ -335,14 +309,6 @@ class TestRefactorInvariants:
         f1 = urv(m)
         f2 = urv(f1.reconstruct())
         assert f2.rank == f1.rank
-
-    def test_svd_refactor(self):
-        rng = np.random.default_rng(20)
-        m = rand_complex(rng, (5, 5))
-        f1 = svd(m)
-        f2 = svd(f1.reconstruct())
-        n = 5
-        assert np.all(np.abs(f1.sigma - f2.sigma) <= 10 * n * EPS * f1.sigma[0])
 
 
 class TestNorms:

@@ -3,10 +3,11 @@ import pytest
 import scipy.linalg as sla
 
 from quarteig import QuarticPencil, linearize
+from quarteig.errors import ScalingError
 from quarteig.pencil import EIG_INFINITE
 from quarteig.scaling import ScalingRecord, balance, descale, param_scale
 from oracles import match_values, rand_complex, random_regular_quartic
-from support import from_lambda, solution
+from support import far_apart_norms, from_lambda, solution
 
 
 def scalar_quartic(a, b, c, d, e):
@@ -206,6 +207,16 @@ class TestExtremeCoefficientScales:
         for eta in (sol.eta_right, sol.eta_left):
             assert np.all((eta > 0.0) & (eta <= 1e-14))
         match_values(sol.lam, ref.lam, 1e-12)
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["ratio_overflows", "theta_underflows"])
+    def test_norms_too_far_apart_raise(self, case):
+        from quarteig import solve_pencil
+
+        q = far_apart_norms(case)
+        with pytest.raises(ScalingError, match="too far apart for parameter scaling"):
+            param_scale(q)
+        with pytest.raises(ScalingError):
+            solve_pencil(q)
 
     def test_param_scale_norms(self):
         rng = np.random.default_rng(4)
