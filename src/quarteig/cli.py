@@ -59,10 +59,19 @@ def _threads_from_env():
         raise ValueError(f"QUARTEIG_THREADS must be an integer, got {env!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors also print the JSON error object
+    (argparse itself prints the usage text to stderr and exits 2)."""
+
+    def error(self, message):
+        _fail(EXIT_USAGE, "usage", message)
+        super().error(message)
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process (nothing in it depends on argv)."""
-    p = argparse.ArgumentParser(prog="quarteig", description="Quartic eigenvalue solver")
+    p = _Parser(prog="quarteig", description="Quartic eigenvalue solver")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp):

@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DeflationError
 from .numkit import NormThreshold, PivotedQR, rrqr, urv
@@ -251,14 +250,23 @@ def _blocks(n):
     return np.eye(n, dtype=np.complex128), np.zeros((n, n), dtype=np.complex128)
 
 
+def _block_diag(x, y):
+    """The square block diagonal matrix with diagonal blocks x and y."""
+    k = x.shape[0]
+    out = np.zeros((k + y.shape[0],) * 2, dtype=np.complex128)
+    out[:k, :k] = x
+    out[k:, k:] = y
+    return out
+
+
 def _step1_zero(red: _Reducer, q: QuarticPencil, rp: RankProfile):
     """E singular: expose and truncate the first block of n - r_E zeros."""
     n = q.n
     eye, zero = _blocks(n)
     qe_h = rp.qr_e.q.conj().T
     q_k = np.block([[eye, zero], [zero, rp.qr_e.q]])
-    l = sla.block_diag(q_k.conj().T, q_k.conj().T)
-    r = sla.block_diag(np.eye(2 * n, dtype=np.complex128), q_k)
+    l = _block_diag(q_k.conj().T, q_k.conj().T)
+    r = _block_diag(np.eye(2 * n, dtype=np.complex128), q_k)
     re_rows = rp.qr_e.r_hat_unpermuted(pad=True)
     wa = np.block(
         [
@@ -330,8 +338,8 @@ def _case_both_full(red: _Reducer, q: QuarticPencil, rp: RankProfile):
     qa_h = rp.qr_a.q.conj().T
     q_m = np.block([[zero, rp.qr_a.q], [eye, zero]])
     q_k = np.block([[eye, zero], [zero, rp.qr_e.q]])
-    l = sla.block_diag(q_m.conj().T, q_k.conj().T)
-    r = sla.block_diag(np.eye(2 * n, dtype=np.complex128), q_k)
+    l = _block_diag(q_m.conj().T, q_k.conj().T)
+    r = _block_diag(np.eye(2 * n, dtype=np.complex128), q_k)
     ra_rows = rp.qr_a.r_hat_unpermuted(pad=True)
     re_rows = rp.qr_e.r_hat_unpermuted(pad=True)
     wa = np.block(

@@ -21,11 +21,9 @@ eigenvalues, with no QZ of its own.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import diagnostics
 from .deflate import DeflationResult, RankProfile
@@ -33,9 +31,12 @@ from .numkit import (
     EPS,
     TriHessPair,
     col_norms,
+    lu_factor,
+    lu_solve,
     shifted_hess_solve,  # only bench/tracer.py uses it here (ROADMAP item 1)
     shifted_hess_solve_many,
     singular_diag,
+    solve_triangular,
     tri_hess_reduce,
     unit_columns,
 )
@@ -57,9 +58,7 @@ def build_context(q: QuarticPencil) -> RecoveryContext:
     lu_e = None
     ne = np.linalg.norm(q.e)
     if ne > 0:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu = sla.lu_factor(q.e)
+        lu = lu_factor(q.e)
         dmin = np.abs(np.diag(lu[0])).min() if q.n else 0.0
         if dmin > q.n * EPS * ne:
             lu_e = lu
@@ -105,7 +104,7 @@ def recover_right_many(zs, alpha, beta, ctx: RecoveryContext):
     cands[2] = sols[:, :, 1].T
     valid[1] = valid[2] = ok
     if ctx.lu_e is not None:
-        cands[3] = sla.lu_solve(ctx.lu_e, -z4)
+        cands[3] = lu_solve(ctx.lu_e, -z4)
         valid[3] = True
     norms_c = np.linalg.norm(cands, axis=1)
     finite_c = np.isfinite(norms_c) & (norms_c > 0.0)
@@ -236,14 +235,14 @@ def lift_left(ws, alpha, beta, d: DeflationResult):
             rhs = (alpha_c * (d.work_b[:start, blk].conj().T @ v[:start])
                    - beta_c * (d.work_a[:start, blk].conj().T @ v[:start]))
             zero_step = step.zeros > 0
-            qf, rf = sla.qr((d.work_b if zero_step else d.work_a)[blk, blk])
+            qf, rf = np.linalg.qr((d.work_b if zero_step else d.work_a)[blk, blk])
             if singular_diag(np.diagonal(rf)):
                 ok[:] = False
                 break
             scale = -alpha_c if zero_step else beta_c
             ok &= scale != 0.0
             # (scale M*) x = rhs with M = qf rf: x = qf rf^-* rhs / scale
-            x = qf @ sla.solve_triangular(rf, rhs, trans="C")
+            x = qf @ solve_triangular(rf, rhs, trans="C")
             v[blk] = x / np.where(scale != 0.0, scale, 1.0)
             start = blk.stop
         ws = d.p.conj().T @ v
@@ -271,5 +270,5 @@ def nullspace_vectors(rp: RankProfile, which, side="right"):
     if f.rank == 0:
         return np.eye(n, dtype=np.complex128)
     w = f.perm_matrix() @ f.r_hat.conj().T  # Pi * R_hat^*, n x rank
-    qfull, _ = sla.qr(w)
+    qfull, _ = np.linalg.qr(w, mode="complete")
     return qfull[:, f.rank :]

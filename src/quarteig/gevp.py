@@ -29,8 +29,8 @@ def solve_gevp(p: LinearPencil, want_left: bool = True) -> GevpSolution:
     """All eigenpairs of the pencil via the dense generalized Schur backend.
 
     The QZ algorithm runs in LAPACK's blocked multishift driver ``zggev3``
-    where the loaded OpenBLAS exports it, otherwise in ``zggev`` through
-    ``scipy.linalg.eig``. Right vectors v satisfy (beta*aa - alpha*bb) v ~ 0,
+    of the LAPACKE table (:func:`quarteig.numkit.lapack`), and without one
+    in ``zggev`` through ``scipy.linalg.eig``. Right vectors v satisfy (beta*aa - alpha*bb) v ~ 0,
     left vectors u satisfy u* (beta*aa - alpha*bb) ~ 0; all are normalized
     to unit 2-norm. Raises :class:`GevpError` when QZ fails or returns an
     exact (0, 0) pair, the mark of a singular pencil.

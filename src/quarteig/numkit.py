@@ -7,9 +7,16 @@ complex generalized Schur form of a matrix pair, batched O(n^2) shifted
 back substitutions built on it, and the eigensolver of the final pencil
 (:func:`generalized_eig`). A pivoted QR keeps LAPACK's Householder
 reflectors and forms its Q factor on first use, since rank decisions read
-only R. This module is also the one place that talks to OpenBLAS
-directly: it sets the BLAS thread count (:func:`blas_threads`) and finds
-LAPACK's blocked QZ driver, which scipy does not wrap.
+only R.
+
+This module is also the one place that talks to LAPACK and OpenBLAS
+directly. Every LAPACK routine of the package runs through one table of
+``LAPACKE_*`` functions (:func:`lapack`), bound through ctypes to the
+OpenBLAS that numpy itself loads, so a solve's bits do not depend on which
+other libraries the process has imported. Where no loaded library exports
+LAPACKE (a numpy built on MKL or Accelerate), the same routines run through
+``scipy.linalg``, which is imported only then. :func:`blas_threads` sets the
+BLAS thread count.
 
 Matrices are plain ``numpy.ndarray``s promoted to complex128; inputs with
 NaN/Inf entries are rejected.
@@ -20,10 +27,10 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import GevpError, SingularShiftError
 
@@ -161,7 +168,8 @@ class PivotedQR:
     ``r`` is the full untruncated triangular factor and ``q`` the unitary one
     (m @ perm_matrix = q @ r); ``rank`` and ``truncation_log`` record how the
     diagonal was cut. ``q`` is formed from zgeqp3's Householder reflectors
-    on first access, so a caller that reads only the rank never forms it.
+    on first access, so a caller that reads only the rank never forms it
+    (on the scipy fallback of :func:`lapack` it is formed at once).
     """
 
     r: np.ndarray
@@ -184,10 +192,9 @@ class PivotedQR:
         if self._q is not None:
             return self._q @ x
         qr, tau = self.reflectors
-        unmqr, = sla.get_lapack_funcs(("ormqr",), (qr,))
-        out, _, info = unmqr("L", "N", qr[:, : tau.shape[0]], tau, x, lwork=max(1, x.shape[1]))
-        if info < 0:  # pragma: no cover
-            raise ValueError(f"illegal value in argument {-info} of zunmqr")
+        out = np.array(x, dtype=np.complex128, order="F")
+        rows = qr.shape[0]
+        lapack().zunmqr("L", "N", rows, out.shape[1], tau.shape[0], qr, rows, tau, out, rows)
         return out
 
     @property
@@ -238,17 +245,11 @@ class PivotedQR:
 def _form_q(qr, tau):
     """The square Q of zgeqp3's reflectors, by the same workspace-queried
     zungqr call that ``scipy.linalg.qr`` makes (so the result is identical)."""
-    rows, cols = qr.shape
-    ungqr, = sla.get_lapack_funcs(("orgqr",), (qr,))
-    if rows < cols:
-        a = qr[:, :rows]
-    else:
-        a = np.empty((rows, rows), dtype=qr.dtype)
-        a[:, :cols] = qr
-    lwork = ungqr(a, tau, lwork=-1, overwrite_a=1)[-2][0].real.astype(np.int_)
-    q, _, info = ungqr(a, tau, lwork=lwork, overwrite_a=1)
-    if info < 0:  # pragma: no cover
-        raise ValueError(f"illegal value in argument {-info} of zungqr")
+    rows = qr.shape[0]
+    k = tau.shape[0]
+    q = np.zeros((rows, rows), dtype=np.complex128, order="F")
+    q[:, :k] = qr[:, :k]
+    lapack().zungqr(rows, rows, k, q, rows, tau)
     return q
 
 
@@ -266,12 +267,22 @@ def rrqr(m, strategy=None) -> PivotedQR:
             truncation_log=log,
             _q=np.eye(rows, dtype=np.complex128),
         )
-    (qr, tau), _, perm = sla.qr(a, pivoting=True, mode="raw")
-    r = np.triu(qr)
+    lib = lapack()
+    if lib is None:
+        import scipy.linalg as sla
+
+        q, r, perm = sla.qr(a, pivoting=True, check_finite=False)
+        reflectors = None
+    else:
+        qr = np.array(a, order="F")
+        jpvt = np.zeros(cols, dtype=lib.int)
+        tau = np.empty(min(rows, cols), dtype=np.complex128)
+        lib.zgeqp3(rows, cols, qr, rows, jpvt, tau)
+        q, r, perm, reflectors = None, np.triu(qr), jpvt - 1, (qr, tau)
     diag_abs = np.abs(np.diag(r))
     rank, log = strategy.decide(diag_abs, float(safe_norm(a)), a.shape)
     return PivotedQR(r=r, perm=perm.astype(np.intp), rank=rank, truncation_log=log,
-                     reflectors=(qr, tau))
+                     reflectors=reflectors, _q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +332,7 @@ def urv(m, strategy=None) -> URVFactors:
     # column blocks of Z so the core lands in the trailing columns (with
     # rank 0, Z is the identity and the core is empty).
     w = f.r_hat[:, f.inv_perm].conj().T  # cols x rho
-    z, r2 = sla.qr(w)
+    z, r2 = np.linalg.qr(w, mode="complete")
     order = np.concatenate([np.arange(rho, cols), np.arange(rho)])
     return URVFactors(qr=f, r=r2[:rho, :].conj().T, v=z[:, order], rank=rho)
 
@@ -367,11 +378,81 @@ def tri_hess_reduce(a, b) -> TriHessPair:
     if n <= 1:
         eye = np.eye(n, dtype=np.complex128)
         return TriHessPair(q=eye, t=t.copy(), h=h.copy(), z=eye.copy())
-    try:
-        t, h, q, z = sla.qz(t, h, output="complex", check_finite=False)
-    except sla.LinAlgError as exc:  # pragma: no cover
-        raise GevpError(f"generalized Schur reduction failed: {exc}") from exc
+    lib = lapack()
+    if lib is None:
+        import scipy.linalg as sla
+
+        try:
+            t, h, q, z = sla.qz(t, h, output="complex", check_finite=False)
+        except sla.LinAlgError as exc:  # pragma: no cover
+            raise GevpError(f"generalized Schur reduction failed: {exc}") from exc
+        return TriHessPair(q=q, t=t, h=h, z=z)
+    t, h = np.array(t, order="F"), np.array(h, order="F")
+    q = np.empty((n, n), dtype=np.complex128, order="F")
+    z = np.empty((n, n), dtype=np.complex128, order="F")
+    alpha, beta = np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128)
+    info = lib.zgges("V", "V", "N", None, n, t, n, h, n, np.zeros(1, dtype=lib.int),
+                     alpha, beta, q, n, z, n)
+    if info:  # pragma: no cover
+        raise GevpError(f"generalized Schur reduction failed: LAPACKE_zgges returned info={info}")
     return TriHessPair(q=q, t=t, h=h, z=z)
+
+
+def lu_factor(m):
+    """LU factorization with partial pivoting (LAPACK zgetrf).
+
+    Returns ``(lu, piv)`` as ``scipy.linalg.lu_factor`` does: L and U packed
+    in one matrix and 0-based row interchanges. An exactly singular matrix
+    factors without complaint; U then has a zero on its diagonal.
+    """
+    a = np.array(m, dtype=np.complex128, order="F")
+    lib = lapack()
+    if lib is None:
+        import scipy.linalg as sla
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            return sla.lu_factor(a, overwrite_a=True, check_finite=False)
+    rows, cols = a.shape
+    ipiv = np.empty(min(rows, cols), dtype=lib.int)
+    lib.zgetrf(rows, cols, a, max(rows, 1), ipiv)
+    return a, ipiv - 1
+
+
+def lu_solve(lu_piv, b):
+    """Solve a x = b from ``lu_piv = lu_factor(a)`` (LAPACK zgetrs)."""
+    lu, piv = lu_piv
+    x = np.array(b, dtype=np.complex128, order="F")
+    lib = lapack()
+    if lib is None:
+        import scipy.linalg as sla
+
+        return sla.lu_solve(lu_piv, x, overwrite_b=True, check_finite=False)
+    n = lu.shape[0]
+    lib.zgetrs("N", n, 1 if x.ndim == 1 else x.shape[1], lu, max(n, 1),
+               (piv + 1).astype(lib.int, copy=False), x, max(n, 1))
+    return x
+
+
+def solve_triangular(r, b, trans="N"):
+    """Solve op(r) x = b for an upper triangular r (LAPACK ztrtrs).
+
+    ``trans`` is "N", "T" or "C" (r, its transpose or its conjugate
+    transpose). A zero on the diagonal raises ``numpy.linalg.LinAlgError``.
+    """
+    r = np.asfortranarray(r, dtype=np.complex128)
+    x = np.array(b, dtype=np.complex128, order="F")
+    lib = lapack()
+    if lib is None:
+        import scipy.linalg as sla
+
+        return sla.solve_triangular(r, x, trans=trans, overwrite_b=True, check_finite=False)
+    n = r.shape[0]
+    info = lib.ztrtrs("U", trans, "N", n, 1 if x.ndim == 1 else x.shape[1], r, max(n, 1),
+                      x, max(n, 1))
+    if info:
+        raise np.linalg.LinAlgError(f"singular triangular matrix: zero at diagonal {info}")
+    return x
 
 
 def singular_diag(d):
@@ -435,7 +516,7 @@ def shifted_hess_solve(pair: TriHessPair, lam, v):
 
 
 # ---------------------------------------------------------------------------
-# OpenBLAS entry points: thread count and the blocked QZ driver
+# LAPACKE and OpenBLAS entry points
 # ---------------------------------------------------------------------------
 
 # (get, set) symbol names, first match per library: numpy's 64-bit-integer
@@ -447,18 +528,76 @@ _OPENBLAS_SYMBOLS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
-# LAPACKE_zggev3 symbol names with their integer type: scipy's 32-bit build
-# first, then numpy's 64-bit-integer build
-_ZGGEV3_SYMBOLS = (
-    ("scipy_LAPACKE_zggev3", ctypes.c_int),
-    ("scipy_LAPACKE_zggev364_", ctypes.c_int64),
+# LAPACKE symbol patterns with their integer type, first match wins:
+# numpy's own 64-bit-integer OpenBLAS (the library numpy.linalg runs), then
+# scipy's 32-bit build
+_LAPACKE_NAMES = (
+    ("scipy_LAPACKE_{}64_", ctypes.c_int64),
+    ("scipy_LAPACKE_{}", ctypes.c_int),
 )
+
+# the arguments of each routine after the matrix layout: c a character,
+# i a LAPACK integer, p a pointer to an array (or NULL)
+_LAPACKE_ARGS = {
+    "zgeqp3": "iipipp",  # m n a lda jpvt tau
+    "zungqr": "iiipip",  # m n k a lda tau
+    "zunmqr": "cciiipippi",  # side trans m n k a lda tau c ldc
+    "zgges": "cccpipipippppipi",  # jobvsl jobvsr sort selctg n a lda b ldb sdim
+                                  # alpha beta vsl ldvsl vsr ldvsr
+    "zgetrf": "iipip",  # m n a lda ipiv
+    "zgetrs": "ciipippi",  # trans n nrhs a lda ipiv b ldb
+    "ztrtrs": "ccciipipi",  # uplo trans diag n nrhs a lda b ldb
+    "zggev3": "ccipipipppipi",  # jobvl jobvr n a lda b ldb alpha beta vl ldvl vr ldvr
+}
 _LAPACK_COL_MAJOR = 102
 
 
-@functools.cache
+class Lapacke:
+    """The LAPACKE routines of one loaded library, as attributes named after
+    the routines (``zgeqp3``, ``zgges``, ...).
+
+    Each takes its LAPACKE arguments after the matrix layout, which is
+    always column-major: characters as ``str``, arrays as Fortran-contiguous
+    complex128 arrays or integer arrays of the LAPACK integer dtype
+    ``self.int``, and None for a NULL pointer. Each returns LAPACK's ``info`` and raises ``ValueError``
+    on an illegal argument (info < 0). The workspace is LAPACKE's, sized by
+    a workspace query as ``scipy.linalg`` sizes it.
+    """
+
+    def __init__(self, lib, pattern, lapack_int):
+        self.int = np.dtype(lapack_int)
+        codes = {"c": ctypes.c_char, "i": lapack_int, "p": ctypes.c_void_p}
+        for name, args in _LAPACKE_ARGS.items():
+            fn = getattr(lib, pattern.format(name))  # AttributeError where missing
+            fn.restype = lapack_int
+            fn.argtypes = [ctypes.c_int] + [codes[c] for c in args]
+            setattr(self, name, self._bind(name, fn))
+
+    def _bind(self, name, fn):
+        dtypes = (np.dtype(np.complex128), self.int)
+
+        def call(*args):
+            # the arrays stay referenced by ``args`` until fn returns
+            conv = []
+            for a in args:
+                if isinstance(a, np.ndarray):
+                    if a.dtype not in dtypes or not a.flags.f_contiguous:
+                        raise ValueError(f"LAPACKE_{name}: array argument of dtype "
+                                         f"{a.dtype} is not a Fortran-contiguous {dtypes}")
+                    a = a.ctypes.data
+                elif isinstance(a, str):
+                    a = a.encode("ascii")
+                conv.append(a)
+            info = fn(_LAPACK_COL_MAJOR, *conv)
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of LAPACKE_{name}")
+            return info
+
+        return call
+
+
 def _openblas_libs():
-    """Every OpenBLAS shared object mapped into the process, opened once.
+    """Every OpenBLAS shared object mapped into the process, opened.
 
     numpy and scipy may each load their own copy. Empty where none is found
     (another BLAS, or no ``/proc``).
@@ -478,8 +617,34 @@ def _openblas_libs():
 
 
 @functools.cache
+def lapack():
+    """The :class:`Lapacke` table of the process, or None where no loaded
+    library exports every routine of it.
+
+    numpy's own OpenBLAS is bound first, so the package runs the LAPACK that
+    ``numpy.linalg`` runs whether or not scipy (which brings a second
+    OpenBLAS) was imported. Where this returns None, each kernel here
+    falls back to ``scipy.linalg``.
+    """
+    libs = _openblas_libs()
+    for pattern, lapack_int in _LAPACKE_NAMES:
+        for lib in libs:
+            try:
+                return Lapacke(lib, pattern, lapack_int)
+            except AttributeError:
+                continue
+    return None
+
+
+@functools.cache
 def openblas_controls():
-    """(get, set) thread-count functions of every OpenBLAS in the process."""
+    """(get, set) thread-count functions of every OpenBLAS in the process.
+
+    Without a LAPACKE table the solve runs in scipy's LAPACK, so scipy is
+    imported first and its OpenBLAS, if it brings one, is controlled too.
+    """
+    if lapack() is None:
+        import scipy.linalg  # noqa: F401
     controls = []
     for lib in _openblas_libs():
         for get_name, set_name in _OPENBLAS_SYMBOLS:
@@ -492,33 +657,13 @@ def openblas_controls():
     return tuple(controls)
 
 
-@functools.cache
-def lapacke_zggev3():
-    """LAPACKE's ``zggev3`` from a loaded OpenBLAS, or None where none has it.
-
-    scipy wraps only the unblocked ``zggev``; the OpenBLAS it loads also
-    exports the blocked multishift driver. Returns the ctypes function with
-    its argument types set.
-    """
-    for name, lapack_int in _ZGGEV3_SYMBOLS:
-        for lib in _openblas_libs():
-            if hasattr(lib, name):
-                fn = getattr(lib, name)
-                ptr = ctypes.c_void_p
-                fn.restype = lapack_int
-                fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, lapack_int,
-                               ptr, lapack_int, ptr, lapack_int, ptr, ptr,
-                               ptr, lapack_int, ptr, lapack_int]
-                return fn
-    return None
-
-
 def generalized_eig(a, b, want_left=True):
     """All eigenvalues and eigenvectors of the pair (a, b), in homogeneous form.
 
     Runs LAPACK's blocked multishift QZ driver ``zggev3`` (``zgghd3`` then
-    ``zlaqz0``, multishift QZ with aggressive early deflation) where a loaded
-    OpenBLAS exports it, and otherwise ``scipy.linalg.eig`` (``zggev``).
+    ``zlaqz0``, multishift QZ with aggressive early deflation) from the
+    :func:`lapack` table, and without one ``scipy.linalg.eig`` (``zggev``,
+    which is all scipy wraps).
     Returns ``(ab, vl, vr, driver)``: ``ab`` stacks alpha over beta, ``vl``
     is None unless ``want_left``, the eigenvectors are unnormalized, and
     ``driver`` names the routine that ran. A nonzero ``info`` from LAPACK
@@ -527,8 +672,10 @@ def generalized_eig(a, b, want_left=True):
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n, n):
         raise ValueError(f"expected equal square matrices, got {a.shape} and {b.shape}")
-    fn = lapacke_zggev3()
-    if fn is None:
+    lib = lapack()
+    if lib is None:
+        import scipy.linalg as sla
+
         try:
             out = sla.eig(a, b, left=want_left, right=True, homogeneous_eigvals=True,
                           check_finite=False)
@@ -542,9 +689,8 @@ def generalized_eig(a, b, want_left=True):
     vr = np.empty((n, n), dtype=np.complex128, order="F")
     vl = np.empty((n, n) if want_left else (1, 1), dtype=np.complex128, order="F")
     ld = max(n, 1)
-    info = fn(_LAPACK_COL_MAJOR, b"V" if want_left else b"N", b"V", n,
-              a.ctypes.data, ld, b.ctypes.data, ld, ab[0].ctypes.data, ab[1].ctypes.data,
-              vl.ctypes.data, ld if want_left else 1, vr.ctypes.data, ld)
+    info = lib.zggev3("V" if want_left else "N", "V", n, a, ld, b, ld, ab[0], ab[1],
+                      vl, ld if want_left else 1, vr, ld)
     if info != 0:
         raise GevpError(f"QZ backend failed: LAPACKE_zggev3 returned info={info}")
     return ab, vl if want_left else None, vr, "lapack.zggev3"

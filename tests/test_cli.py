@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from quarteig import ProblemBundle, QuarticPencil, gen_mirror_like, write_bundle
+from quarteig import ProblemBundle, QuarticPencil, gen_mirror_like, gen_planted, write_bundle
 from quarteig.cli import EXIT_BUNDLE, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -167,6 +167,17 @@ class TestSolveCommand:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["code"] == EXIT_IO and err["type"] == "io"
         assert sorted(os.listdir(tmp_path)) == ["r.json", "unit"]
+
+    def test_io_error_object_is_reproducible(self, unit_bundle, tmp_path, capsys):
+        target = tmp_path / "r.json"
+        target.mkdir()
+        outs = []
+        for _ in range(2):
+            assert main(["solve", str(unit_bundle), "--output", str(target)]) == EXIT_IO
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        err = json.loads(outs[0])["error"]
+        assert err["message"] == f"[Errno 21] Is a directory: {str(target)!r}"
 
     def test_expected_json_directory_is_bundle_error(self, unit_bundle, capsys):
         (unit_bundle / "expected.json").mkdir()
@@ -395,3 +406,48 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv,named", [
+        (["solve", "B", "--rank-strategy", "x"], "--rank-strategy"),
+        (["solve", "B", "--no-such-option"], "--no-such-option"),
+        (["solve"], "bundle"),
+        (["compare", "--config", "scale=on"], "bundle"),
+    ])
+    def test_argparse_errors_print_the_json_error_object(self, capsys, argv, named):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        err = json.loads(captured.out)["error"]
+        assert err["code"] == EXIT_USAGE and err["type"] == "usage"
+        assert named in err["message"]
+        assert captured.err.startswith("usage: quarteig")  # argparse's text stays on stderr
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_help_prints_no_error_object(self, capsys, command):
+        assert main([command, "--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"usage: quarteig {command} [-h]")
+
+
+class TestWithoutScipy:
+    """The command line runs where scipy cannot be imported, with the same bytes."""
+
+    @pytest.mark.parametrize("make", [lambda: gen_planted(9, 3, 2, seed=90),
+                                      lambda: gen_mirror_like(1)], ids=["planted", "mirror"])
+    def test_solve_bytes_equal_in_process_run(self, tmp_path, make):
+        import subprocess
+        import sys
+
+        import quarteig
+
+        bundle = tmp_path / "b"
+        write_bundle(make(), bundle)
+        argv = ["solve", str(bundle), "--format", "both", "--output"]
+        assert main([*argv, str(tmp_path / "in.json")]) == EXIT_OK
+        assert "scipy.linalg" in sys.modules  # the in-process run had scipy loaded
+        src = os.path.dirname(os.path.dirname(os.path.abspath(quarteig.__file__)))
+        code = ("import sys; sys.modules['scipy'] = None; sys.path.insert(0, sys.argv[1]);"
+                "import quarteig.cli; sys.exit(quarteig.cli.main(sys.argv[2:]))")
+        run = subprocess.run([sys.executable, "-c", code, src, *argv, str(tmp_path / "sub.json")],
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == EXIT_OK, run.stdout + run.stderr
+        for ext in (".json", ".csv"):
+            assert (tmp_path / f"sub{ext}").read_bytes() == (tmp_path / f"in{ext}").read_bytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import quarteig.numkit
 from quarteig.errors import SingularShiftError
 from quarteig.numkit import (
     EPS,
@@ -348,3 +349,100 @@ class TestNorms:
         assert np.array_equal(u[:, ok], np.column_stack([z[:, j] / want[j] for j in range(9) if j != 4]))
         assert not u[:, 4].any()
 
+
+
+@pytest.fixture
+def table():
+    lib = quarteig.numkit.lapack()
+    if lib is None:
+        pytest.skip("no loaded OpenBLAS exports LAPACKE")
+    return lib
+
+
+@pytest.fixture(params=["lapacke", "scipy"])
+def backend(request, monkeypatch):
+    """Run the test on the LAPACKE table and on the scipy.linalg fallback."""
+    if request.param == "scipy":
+        monkeypatch.setattr(quarteig.numkit, "lapack", lambda: None)
+    elif quarteig.numkit.lapack() is None:
+        pytest.skip("no loaded OpenBLAS exports LAPACKE")
+    return request.param
+
+
+class TestLapackeTable:
+    """The kernels on the LAPACKE table give scipy.linalg's results bit for
+    bit (with OpenBLAS 0.3.30 in scipy and 0.3.31 in numpy), and so does the
+    scipy fallback."""
+
+    @pytest.mark.parametrize("n", [1, 5, 44])
+    def test_lu_matches_scipy(self, backend, n):
+        import scipy.linalg as sla
+
+        rng = np.random.default_rng(70 + n)
+        a = rand_complex(rng, (n, n))
+        lu, piv = quarteig.numkit.lu_factor(a)
+        lu_ref, piv_ref = sla.lu_factor(a)
+        assert np.array_equal(lu, lu_ref) and np.array_equal(piv, piv_ref)
+        for b in (rand_complex(rng, (n, 3)), rand_complex(rng, (n, 1))[:, 0]):
+            x = quarteig.numkit.lu_solve((lu, piv), b)
+            assert x.shape == b.shape
+            assert np.array_equal(x, sla.lu_solve((lu_ref, piv_ref), b))
+
+    def test_lu_of_singular_matrix_has_zero_pivot(self, backend):
+        lu, _ = quarteig.numkit.lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        assert np.abs(np.diag(lu)).min() == 0.0
+
+    @pytest.mark.parametrize("trans", ["N", "T", "C"])
+    def test_triangular_solve_matches_scipy(self, backend, trans):
+        import scipy.linalg as sla
+
+        rng = np.random.default_rng(73)
+        # Fortran order, in which scipy runs ztrtrs on r itself for every trans
+        r = np.asfortranarray(np.triu(rand_complex(rng, (9, 9))) + 3 * np.eye(9))
+        for b in (rand_complex(rng, (9, 4)), rand_complex(rng, (9, 1))[:, 0]):
+            x = quarteig.numkit.solve_triangular(r, b, trans=trans)
+            assert np.array_equal(x, sla.solve_triangular(r, b, trans=trans))
+
+    def test_triangular_solve_with_zero_diagonal_raises(self, backend):
+        r = np.triu(np.ones((3, 3)))
+        r[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            quarteig.numkit.solve_triangular(r, np.ones(3))
+
+    @pytest.mark.parametrize("n", [12, 44])
+    def test_generalized_schur_matches_scipy(self, backend, n):
+        import scipy.linalg as sla
+
+        rng = np.random.default_rng(74 + n)
+        a, b = rand_complex(rng, (n, n)), rand_complex(rng, (n, n))
+        pair = tri_hess_reduce(a, b)
+        t, h, q, z = sla.qz(a, b, output="complex")
+        for got, ref in zip((pair.t, pair.h, pair.q, pair.z), (t, h, q, z)):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (9, 5), (4, 7)])
+    def test_pivoted_qr_matches_scipy(self, backend, shape):
+        import scipy.linalg as sla
+
+        m = rand_complex(np.random.default_rng(75), shape)
+        f = rrqr(m)
+        q, r, p = sla.qr(m, pivoting=True)
+        assert np.array_equal(f.r, r) and np.array_equal(f.perm, p)
+        assert np.array_equal(f.q, q)
+
+    def test_arrays_must_be_fortran_contiguous(self, table):
+        a = np.zeros((2, 3), dtype=np.complex128)  # C order
+        with pytest.raises(ValueError, match="Fortran-contiguous"):
+            table.zgetrf(2, 3, a, 2, np.zeros(2, dtype=table.int))
+
+    def test_integer_arrays_must_have_the_table_dtype(self, table):
+        a = np.zeros((2, 2), dtype=np.complex128, order="F")
+        wrong = np.int32 if table.int == np.int64 else np.int64
+        with pytest.raises(ValueError, match="dtype"):
+            table.zgetrf(2, 2, a, 2, np.zeros(2, dtype=wrong))
+
+    def test_illegal_argument_raises(self, table):
+        a = np.zeros((2, 2), dtype=np.complex128, order="F")
+        # LAPACKE counts the matrix layout as argument 1
+        with pytest.raises(ValueError, match="argument 5 of LAPACKE_zgetrf"):
+            table.zgetrf(2, 2, a, 1, np.zeros(2, dtype=table.int))  # lda < m
