@@ -166,35 +166,28 @@ class DeflationResult:
 
 
 class _Reducer:
-    """Accumulates equivalence transformations on the 4n linearization."""
+    """Accumulates equivalence transformations on the 4n linearization.
 
-    def __init__(self, lin: LinearPencil):
-        self.wa = lin.aa.astype(np.complex128)  # astype copies
-        self.wb = lin.bb.astype(np.complex128)
-        self.p = self.q = None  # the identity until a step sets them
-        self.m = lin.size
+    Starts from the images wa = P AA Q and wb = P BB Q of a first step
+    (P and Q unitary), which it owns and updates in place.
+    """
+
+    def __init__(self, wa, wb, p, q):
+        self.wa, self.wb, self.p, self.q = wa, wb, p, q
+        self.m = wa.shape[0]
         self.zeros = 0
         self.infs = 0
         self.steps = []
         self.flags = []
 
-    def _start_from_identity(self):
-        """P = Q = I, for a reducer whose first step is a generic layer
-        (the deflation tree always starts with :meth:`apply_structured`)."""
-        if self.p is None:
-            self.p = np.eye(self.wa.shape[0], dtype=np.complex128)
-            self.q = np.eye(self.wa.shape[0], dtype=np.complex128)
-
     def left(self, l, start=0):
         """Multiply the active rows from ``start`` on by l from the left."""
-        self._start_from_identity()
         m = self.m
         for w in (self.wa, self.wb, self.p):
             w[start:m, :] = l @ w[start:m, :]
 
     def permute_rows(self, order):
         """Reorder the active rows: new row i is old row ``order[i]``."""
-        self._start_from_identity()
         m = self.m
         for w in (self.wa, self.wb, self.p):
             w[:m, :] = w[order, :]
@@ -202,18 +195,10 @@ class _Reducer:
     def right(self, r):
         """Multiply the active columns by r; below the active rows they are
         exact zeros (left so by :meth:`truncate`) and stay untouched."""
-        self._start_from_identity()
         m = self.m
         self.wa[:m, :m] = self.wa[:m, :m] @ r
         self.wb[:m, :m] = self.wb[:m, :m] @ r
         self.q[:, :m] = self.q[:, :m] @ r
-
-    def apply_structured(self, l, r, wa, wb):
-        """First step: (l, r) transform the untouched linearization, whose
-        images wa = l AA r and wb = l BB r are assembled exactly
-        (identity/zero blocks exact); P and Q are still unset (the identity)."""
-        assert self.p is None
-        self.p, self.q, self.wa, self.wb = l, r, wa, wb
 
     def truncate(self, k, kind, side, zeros=0, infs=0, rank=None, evidence=None):
         m = self.m
@@ -259,32 +244,29 @@ def _block_diag(x, y):
     return out
 
 
-def _step1_zero(red: _Reducer, q: QuarticPencil, rp: RankProfile):
-    """E singular: expose and truncate the first block of n - r_E zeros."""
-    n = q.n
+def _q_k(rp: RankProfile):
+    """diag(I, Q_E), the right factor of the structured first step."""
+    eye, zero = _blocks(rp.n)
+    return np.block([[eye, zero], [zero, rp.qr_e.q]])
+
+
+def _first_step(rp: RankProfile, q_k, u, top_a, top_b) -> _Reducer:
+    """The structured first step, shared by both decision trees.
+
+    P = diag(u*, q_k*) and Q = diag(I, q_k) transform the linearization,
+    with ``q_k`` from :func:`_q_k`; ``top_a`` and ``top_b`` are the top 2n
+    rows of its images, which depend on the 2n x 2n unitary ``u``. The
+    bottom 2n rows, the same in both trees, are assembled here with their
+    identity and zero blocks exact, and the first block of n - r_E zeros is
+    truncated.
+    """
+    n = rp.n
     eye, zero = _blocks(n)
-    qe_h = rp.qr_e.q.conj().T
-    q_k = np.block([[eye, zero], [zero, rp.qr_e.q]])
-    l = _block_diag(q_k.conj().T, q_k.conj().T)
-    r = _block_diag(np.eye(2 * n, dtype=np.complex128), q_k)
-    re_rows = rp.qr_e.r_hat_unpermuted(pad=True)
-    wa = np.block(
-        [
-            [q.b, zero, -eye, zero],
-            [qe_h @ q.d, zero, zero, -eye],
-            [zero, -eye, zero, zero],
-            [re_rows, zero, zero, zero],
-        ]
-    )
-    wb = np.block(
-        [
-            [-q.a, zero, zero, zero],
-            [-(qe_h @ q.c), -qe_h, zero, zero],
-            [zero, zero, -eye, zero],
-            [zero, zero, zero, -eye],
-        ]
-    )
-    red.apply_structured(l, r, wa, wb)
+    wa = np.vstack([top_a, np.block([[zero, -eye, zero, zero],
+                                     [rp.qr_e.r_hat_unpermuted(pad=True), zero, zero, zero]])])
+    wb = np.vstack([top_b, np.block([[zero, zero, -eye, zero], [zero, zero, zero, -eye]])])
+    red = _Reducer(wa, wb, _block_diag(u.conj().T, q_k.conj().T),
+                   _block_diag(np.eye(2 * n, dtype=np.complex128), q_k))
     red.truncate(
         n - rp.r_e,
         kind="zero_block_1",
@@ -293,6 +275,18 @@ def _step1_zero(red: _Reducer, q: QuarticPencil, rp: RankProfile):
         rank=rp.r_e,
         evidence=dict(rp.qr_e.truncation_log),
     )
+    return red
+
+
+def _step1_zero(q: QuarticPencil, rp: RankProfile) -> _Reducer:
+    """E singular: expose and truncate the first block of n - r_E zeros."""
+    n = q.n
+    eye, zero = _blocks(n)
+    qe_h = rp.qr_e.q.conj().T
+    top_a = np.block([[q.b, zero, -eye, zero], [qe_h @ q.d, zero, zero, -eye]])
+    top_b = np.block([[-q.a, zero, zero, zero], [-(qe_h @ q.c), -qe_h, zero, zero]])
+    q_k = _q_k(rp)
+    return _first_step(rp, q_k, q_k, top_a, top_b)
 
 
 def _step2_zero(red: _Reducer, q: QuarticPencil, rp: RankProfile, sl: SecondLevel):
@@ -331,42 +325,16 @@ def _step2_zero(red: _Reducer, q: QuarticPencil, rp: RankProfile, sl: SecondLeve
     )
 
 
-def _case_both_full(red: _Reducer, q: QuarticPencil, rp: RankProfile):
+def _case_both_full(q: QuarticPencil, rp: RankProfile) -> _Reducer:
     """Both A and E singular, Phi and Psi regular: one block each for 0/inf."""
     n = q.n
     eye, zero = _blocks(n)
     qa_h = rp.qr_a.q.conj().T
     q_m = np.block([[zero, rp.qr_a.q], [eye, zero]])
-    q_k = np.block([[eye, zero], [zero, rp.qr_e.q]])
-    l = _block_diag(q_m.conj().T, q_k.conj().T)
-    r = _block_diag(np.eye(2 * n, dtype=np.complex128), q_k)
-    ra_rows = rp.qr_a.r_hat_unpermuted(pad=True)
-    re_rows = rp.qr_e.r_hat_unpermuted(pad=True)
-    wa = np.block(
-        [
-            [q.d, zero, zero, -rp.qr_e.q],
-            [qa_h @ q.b, zero, -qa_h, zero],
-            [zero, -eye, zero, zero],
-            [re_rows, zero, zero, zero],
-        ]
-    )
-    wb = np.block(
-        [
-            [-q.c, -eye, zero, zero],
-            [-ra_rows, zero, zero, zero],
-            [zero, zero, -eye, zero],
-            [zero, zero, zero, -eye],
-        ]
-    )
-    red.apply_structured(l, r, wa, wb)
-    red.truncate(
-        n - rp.r_e,
-        kind="zero_block_1",
-        side="zero",
-        zeros=n - rp.r_e,
-        rank=rp.r_e,
-        evidence=dict(rp.qr_e.truncation_log),
-    )
+    top_a = np.block([[q.d, zero, zero, -rp.qr_e.q], [qa_h @ q.b, zero, -qa_h, zero]])
+    top_b = np.block([[-q.c, -eye, zero, zero],
+                      [-rp.qr_a.r_hat_unpermuted(pad=True), zero, zero, zero]])
+    red = _first_step(rp, _q_k(rp), q_m, top_a, top_b)
     # infinite block: the rows holding Q_A2* (exactly zero on the lambda side)
     m = red.m
     rows = np.arange(n + rp.r_a, 2 * n)
@@ -384,6 +352,7 @@ def _case_both_full(red: _Reducer, q: QuarticPencil, rp: RankProfile):
         rank=rp.r_a,
         evidence=dict(rp.qr_a.truncation_log),
     )
+    return red
 
 
 def _generic_layer(red: _Reducer, on, strategy, known=None, kind=None):
@@ -481,11 +450,10 @@ def deflate(
 
     if sl is None:
         sl = second_level(q, rp)
-    red = _Reducer(lin)
     if rp.r_a < n and sl.r_phi == n and sl.r_psi == n:
-        _case_both_full(red, q, rp)
+        red = _case_both_full(q, rp)
     else:
-        _step1_zero(red, q, rp)
+        red = _step1_zero(q, rp)
         if sl.r_psi < n:
             _step2_zero(red, q, rp, sl)
             while _generic_layer(red, "zero", strategy):

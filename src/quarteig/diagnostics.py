@@ -60,6 +60,19 @@ def homogeneous_weights(alpha, beta):
     return np.stack([complex_array(*r) for r in rows])
 
 
+def weighted_products(mats, w, x):
+    """sum_k w[k] * (mats[k] @ x), with one weight per column of x.
+
+    The sum starts from zeros and adds the terms in the order of ``mats``,
+    the one rounding of every residual P(lambda) x (and of its absolute
+    bound) in the package.
+    """
+    out = np.zeros(x.shape, dtype=np.result_type(w, x, mats[0]))
+    for wk, m in zip(w, mats):
+        out += wk[None, :] * (m @ x)
+    return out
+
+
 def diagnostics_many(sol, q: QuarticPencil, norms: CoefficientNorms | None = None):
     """Backward errors of every pair of a solution in a few matrix products.
 
@@ -79,16 +92,12 @@ def diagnostics_many(sol, q: QuarticPencil, norms: CoefficientNorms | None = Non
         cols = np.flatnonzero(has)
         if cols.size:
             x = np.ascontiguousarray(vectors[:, cols])
-            r = np.zeros(x.shape, dtype=np.complex128)
-            s = np.zeros(x.shape)
-            ax = np.abs(x)
-            for k, (m, am) in enumerate(zip(q.coeffs, norms.abs_coeffs)):
-                if side == "left":  # y* P(lambda)
-                    r += np.conj(w[k, cols])[None, :] * (m.conj().T @ x)
-                    s += wa[k, cols][None, :] * (am.T @ ax)
-                else:
-                    r += w[k, cols][None, :] * (m @ x)
-                    s += wa[k, cols][None, :] * (am @ ax)
+            if side == "left":  # y* P(lambda)
+                r = weighted_products([m.conj().T for m in q.coeffs], np.conj(w[:, cols]), x)
+                s = weighted_products([am.T for am in norms.abs_coeffs], wa[:, cols], np.abs(x))
+            else:
+                r = weighted_products(q.coeffs, w[:, cols], x)
+                s = weighted_products(norms.abs_coeffs, wa[:, cols], np.abs(x))
             rabs = np.abs(r)
             nums = safe_norm(rabs, axis=0)
             xn = np.linalg.norm(x, axis=0)

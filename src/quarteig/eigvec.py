@@ -6,13 +6,14 @@ related to the quartic eigenvector x by
     z = (lambda x, lambda^2 (lambda A + B) x, lambda (lambda A + B) x, -E x),
 
 so x can be recovered from z1, from (lambda A + B)^{-1} z2 or z3 (an O(n^2)
-triangular solve on the generalized Schur form of (A, B)), or from E^{-1} z4;
-all available candidates are evaluated and the one with the smallest
-residual wins. A left eigenvector is w = (lambda^3 y, lambda^2 y,
-lambda y, y) and y is read off the best-scaled block. Vectors of the
-deflated pencil are lifted back to the full linearization with the
-accumulated transformations; left vectors also need a solve with the
-deflated trailing pencil. That pencil is the staircase left by deflation,
+triangular solve on the generalized Schur form of (A, B)), or from E^{-1} z4
+(through the rank-revealing QR of E that rank analysis made, offered only
+when that QR finds E of full rank); all available candidates are evaluated
+and the one with the smallest residual wins. A left eigenvector is
+w = (lambda^3 y, lambda^2 y, lambda y, y) and y is read off the best-scaled
+block. Vectors of the deflated pencil are lifted back to the full
+linearization with the accumulated transformations; left vectors also need
+a solve with the deflated trailing pencil. That pencil is the staircase left by deflation,
 block upper triangular with one block per deflation step, each diagonal
 block vanishing in one coefficient by construction; it is solved by block
 forward substitution over the steps, one QR per block shared by all
@@ -29,10 +30,10 @@ from . import diagnostics
 from .deflate import DeflationResult, RankProfile
 from .numkit import (
     EPS,
+    PivotedQR,
     TriHessPair,
     col_norms,
-    lu_factor,
-    lu_solve,
+    complete_orthogonal,
     shifted_hess_solve,  # only bench/tracer.py uses it here (ROADMAP item 1)
     shifted_hess_solve_many,
     singular_diag,
@@ -49,20 +50,15 @@ class RecoveryContext:
 
     q: QuarticPencil
     tri_hess: TriHessPair
+    qr_e: PivotedQR | None  # rank-revealing QR of E; None unless it has full rank
     svd_e: tuple | None = None  # (u, sigma, v) of E, from the first least-squares recovery
-    lu_e: tuple | None = None
 
 
-def build_context(q: QuarticPencil) -> RecoveryContext:
-    pair = tri_hess_reduce(q.a, q.b)
-    lu_e = None
-    ne = np.linalg.norm(q.e)
-    if ne > 0:
-        lu = lu_factor(q.e)
-        dmin = np.abs(np.diag(lu[0])).min() if q.n else 0.0
-        if dmin > q.n * EPS * ne:
-            lu_e = lu
-    return RecoveryContext(q=q, tri_hess=pair, lu_e=lu_e)
+def build_context(q: QuarticPencil, qr_e: PivotedQR) -> RecoveryContext:
+    """The generalized Schur form of (A, B), and ``qr_e``, the rank-revealing
+    QR of E from rank analysis, kept for the E solve when it finds full rank."""
+    return RecoveryContext(q=q, tri_hess=tri_hess_reduce(q.a, q.b),
+                           qr_e=qr_e if qr_e.rank == q.n else None)
 
 
 def recover_right_many(zs, alpha, beta, ctx: RecoveryContext):
@@ -103,8 +99,10 @@ def recover_right_many(zs, alpha, beta, ctx: RecoveryContext):
     cands[1] = sols[:, :, 0].T
     cands[2] = sols[:, :, 1].T
     valid[1] = valid[2] = ok
-    if ctx.lu_e is not None:
-        cands[3] = lu_solve(ctx.lu_e, -z4)
+    f = ctx.qr_e
+    if f is not None:
+        # E Pi = Q R, so E^-1 (-z4) = Pi R^-1 Q* (-z4)
+        cands[3][f.perm] = solve_triangular(f.r, f.q.conj().T @ -z4)
         valid[3] = True
     norms_c = np.linalg.norm(cands, axis=1)
     finite_c = np.isfinite(norms_c) & (norms_c > 0.0)
@@ -114,12 +112,9 @@ def recover_right_many(zs, alpha, beta, ctx: RecoveryContext):
     w = diagnostics.homogeneous_weights(alpha, beta)
     res = np.full((4, nj), np.inf)
     for c in range(4):
-        if not valid[c].any():
-            continue
-        r = np.zeros((n, nj), dtype=np.complex128)
-        for k, m in enumerate(q.coeffs):
-            r += w[k][None, :] * (m @ cands[c])
-        res[c] = np.where(valid[c], np.linalg.norm(r, axis=0), np.inf)
+        if valid[c].any():
+            r = diagnostics.weighted_products(q.coeffs, w, cands[c])
+            res[c] = np.where(valid[c], np.linalg.norm(r, axis=0), np.inf)
     sel = np.argmin(res, axis=0)
     cols = np.arange(nj)
     x = cands[sel, :, cols].T
@@ -254,9 +249,10 @@ def lift_left(ws, alpha, beta, d: DeflationResult):
 def nullspace_vectors(rp: RankProfile, which, side="right"):
     """Orthonormal eigenvector basis for the deflated zero/infinite classes.
 
-    Zero-class right vectors span null(E) (from the QR of Pi_E R_E^*), the
-    infinite class analogously spans null(A); left vectors are the trailing
-    columns of Q_E (resp. Q_A).
+    Zero-class right vectors span null(E), the leading columns of the V of
+    its URV decomposition (:func:`numkit.complete_orthogonal`); the infinite
+    class analogously spans null(A). Left vectors are the trailing columns
+    of Q_E (resp. Q_A).
     """
     if which not in ("zero_class", "inf_class"):
         raise ValueError(f"unknown class {which!r}")
@@ -267,8 +263,4 @@ def nullspace_vectors(rp: RankProfile, which, side="right"):
         return np.zeros((n, 0), dtype=np.complex128)
     if side == "left":
         return f.q[:, f.rank :].copy()
-    if f.rank == 0:
-        return np.eye(n, dtype=np.complex128)
-    w = f.perm_matrix() @ f.r_hat.conj().T  # Pi * R_hat^*, n x rank
-    qfull, _ = np.linalg.qr(w, mode="complete")
-    return qfull[:, f.rank :]
+    return complete_orthogonal(f).v[:, :k]

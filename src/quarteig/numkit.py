@@ -2,10 +2,11 @@
 
 Everything downstream (rank analysis, deflation, eigenvector recovery) is
 built on the routines here: column-pivoted rank-revealing QR with pluggable
-truncation strategies, complete orthogonal (URV) decomposition, the
-complex generalized Schur form of a matrix pair, batched O(n^2) shifted
-back substitutions built on it, and the eigensolver of the final pencil
-(:func:`generalized_eig`). A pivoted QR keeps LAPACK's Householder
+truncation strategies; the complete orthogonal (URV) decomposition built on
+it, whose V also holds a basis of the right null space; triangular solves;
+the complex generalized Schur form of a matrix pair and the batched O(n^2)
+shifted back substitutions built on it; and the eigensolver of the final
+pencil (:func:`generalized_eig`). A pivoted QR keeps LAPACK's Householder
 reflectors and forms its Q factor on first use, since rank decisions read
 only R.
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,7 +166,7 @@ class PivotedQR:
     """Column-pivoted QR with a numerical-rank decision.
 
     ``r`` is the full untruncated triangular factor and ``q`` the unitary one
-    (m @ perm_matrix = q @ r); ``rank`` and ``truncation_log`` record how the
+    (m[:, perm] = q @ r); ``rank`` and ``truncation_log`` record how the
     diagonal was cut. ``q`` is formed from zgeqp3's Householder reflectors
     on first access, so a caller that reads only the rank never forms it
     (on the scipy fallback of :func:`lapack` it is formed at once).
@@ -206,10 +206,6 @@ class PivotedQR:
         return self.r.shape[1]
 
     @property
-    def q1(self):
-        return self.q[:, : self.rank]
-
-    @property
     def q2(self):
         return self.q[:, self.rank :]
 
@@ -223,9 +219,6 @@ class PivotedQR:
         inv[self.perm] = np.arange(self.cols)
         return inv
 
-    def perm_matrix(self):
-        return np.eye(self.cols)[:, self.perm]
-
     def r_hat_unpermuted(self, pad=False):
         """R_hat @ perm^T (columns back in original order).
 
@@ -237,9 +230,6 @@ class PivotedQR:
             z = np.zeros((self.rows - self.rank, self.cols), dtype=np.complex128)
             out = np.vstack([out, z])
         return out
-
-    def reconstruct(self):
-        return self.q @ self.r[:, self.inv_perm]
 
 
 def _form_q(qr, tau):
@@ -292,49 +282,37 @@ def rrqr(m, strategy=None) -> PivotedQR:
 
 @dataclass
 class URVFactors:
-    """Complete orthogonal decomposition m = u @ [[0, r],[0, 0]] @ v*.
+    """Complete orthogonal decomposition m = u @ [[0, r],[0, 0]] @ v*, of
+    which only ``v`` and the rank are kept.
 
-    The nonsingular triangular core sits in the *trailing* columns, so that
-    applying ``v`` to a row-rank-deficient block yields the column-compressed
-    form (0 | B) consumed by the deflation steps. ``u`` is the Q factor of
-    the pivoted QR ``qr`` of m, formed on first access (deflation reads only
-    ``v`` and the rank).
+    The nonsingular triangular core sits in the *trailing* ``rank`` columns,
+    so that applying ``v`` to a row-rank-deficient block yields the
+    column-compressed form (0 | B) consumed by the deflation steps, and the
+    leading ``cols - rank`` columns of ``v`` are an orthonormal basis of the
+    null space of m.
     """
 
-    qr: PivotedQR
-    r: np.ndarray
     v: np.ndarray
     rank: int
 
-    @property
-    def u(self):
-        return self.qr.q
 
-    def core_embedded(self, rows, cols):
-        out = np.zeros((rows, cols), dtype=np.complex128)
-        if self.rank:
-            out[: self.rank, cols - self.rank :] = self.r
-        return out
+def complete_orthogonal(f: PivotedQR) -> URVFactors:
+    """The URV decomposition of the matrix m factored by ``f``.
 
-    def reconstruct(self):
-        rows = self.u.shape[0]
-        cols = self.v.shape[0]
-        return self.u @ self.core_embedded(rows, cols) @ self.v.conj().T
+    m = Q [Rhat; 0] Pi^T; factor (Rhat Pi^T)* = Z [R2; 0] and flip the
+    column blocks of Z so the core lands in the trailing columns (with rank
+    0, Z is the identity and the core is empty).
+    """
+    rho = f.rank
+    w = f.r_hat[:, f.inv_perm].conj().T  # cols x rho
+    z, _ = np.linalg.qr(w, mode="complete")
+    order = np.concatenate([np.arange(rho, f.cols), np.arange(rho)])
+    return URVFactors(v=z[:, order], rank=rho)
 
 
 def urv(m, strategy=None) -> URVFactors:
     """Two-sided orthogonal reduction exposing row rank."""
-    a = as_matrix(m)
-    cols = a.shape[1]
-    f = rrqr(a, strategy)
-    rho = f.rank
-    # m = Q [Rhat; 0] P^T ; factor (Rhat P^T)* = Z [R2; 0] and flip the
-    # column blocks of Z so the core lands in the trailing columns (with
-    # rank 0, Z is the identity and the core is empty).
-    w = f.r_hat[:, f.inv_perm].conj().T  # cols x rho
-    z, r2 = np.linalg.qr(w, mode="complete")
-    order = np.concatenate([np.arange(rho, cols), np.arange(rho)])
-    return URVFactors(qr=f, r=r2[:rho, :].conj().T, v=z[:, order], rank=rho)
+    return complete_orthogonal(rrqr(m, strategy))
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +324,11 @@ def urv(m, strategy=None) -> URVFactors:
 class TriHessPair:
     """Two-sided unitary reduction a = q t z*, b = q h z*.
 
-    ``t`` is upper triangular and ``h`` upper Hessenberg. The generalized
-    Schur form returned by :func:`tri_hess_reduce` makes ``h`` upper
-    triangular as well, which the shifted solves rely on: lambda*t + h is
-    then triangular and (lambda*a + b)^-1 v costs one O(n^2) back
-    substitution per shift.
+    ``t`` and ``h`` are both upper triangular (the generalized Schur form
+    returned by :func:`tri_hess_reduce`; the names are those of the
+    Hessenberg-triangular form it replaced), which the shifted solves rely
+    on: lambda*t + h is triangular and (lambda*a + b)^-1 v costs one O(n^2)
+    back substitution per shift.
     """
 
     q: np.ndarray
@@ -396,42 +374,6 @@ def tri_hess_reduce(a, b) -> TriHessPair:
     if info:  # pragma: no cover
         raise GevpError(f"generalized Schur reduction failed: LAPACKE_zgges returned info={info}")
     return TriHessPair(q=q, t=t, h=h, z=z)
-
-
-def lu_factor(m):
-    """LU factorization with partial pivoting (LAPACK zgetrf).
-
-    Returns ``(lu, piv)`` as ``scipy.linalg.lu_factor`` does: L and U packed
-    in one matrix and 0-based row interchanges. An exactly singular matrix
-    factors without complaint; U then has a zero on its diagonal.
-    """
-    a = np.array(m, dtype=np.complex128, order="F")
-    lib = lapack()
-    if lib is None:
-        import scipy.linalg as sla
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            return sla.lu_factor(a, overwrite_a=True, check_finite=False)
-    rows, cols = a.shape
-    ipiv = np.empty(min(rows, cols), dtype=lib.int)
-    lib.zgetrf(rows, cols, a, max(rows, 1), ipiv)
-    return a, ipiv - 1
-
-
-def lu_solve(lu_piv, b):
-    """Solve a x = b from ``lu_piv = lu_factor(a)`` (LAPACK zgetrs)."""
-    lu, piv = lu_piv
-    x = np.array(b, dtype=np.complex128, order="F")
-    lib = lapack()
-    if lib is None:
-        import scipy.linalg as sla
-
-        return sla.lu_solve(lu_piv, x, overwrite_b=True, check_finite=False)
-    n = lu.shape[0]
-    lib.zgetrs("N", n, 1 if x.ndim == 1 else x.shape[1], lu, max(n, 1),
-               (piv + 1).astype(lib.int, copy=False), x, max(n, 1))
-    return x
 
 
 def solve_triangular(r, b, trans="N"):
@@ -544,8 +486,6 @@ _LAPACKE_ARGS = {
     "zunmqr": "cciiipippi",  # side trans m n k a lda tau c ldc
     "zgges": "cccpipipippppipi",  # jobvsl jobvsr sort selctg n a lda b ldb sdim
                                   # alpha beta vsl ldvsl vsr ldvsr
-    "zgetrf": "iipip",  # m n a lda ipiv
-    "zgetrs": "ciipippi",  # trans n nrhs a lda ipiv b ldb
     "ztrtrs": "ccciipipi",  # uplo trans diag n nrhs a lda b ldb
     "zggev3": "ccipipipppipi",  # jobvl jobvr n a lda b ldb alpha beta vl ldvl vr ldvr
 }

@@ -73,12 +73,11 @@ class SolveConfig:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
 
     def label(self):
-        """Short comma-free tag (used in merged CSV column names)."""
-        return (
-            f"scale={'on' if self.scale else 'off'};"
-            f"balance={'on' if self.balance else 'off'};"
-            f"strategy={self.rank_strategy};deflate={'on' if self.deflate else 'off'}"
-        )
+        """Comma-free tag naming every field of ``OPTIONS`` as key=value,
+        switches as on/off (used in merged CSV column names)."""
+        pairs = ((name, getattr(self, name)) for name in OPTIONS)
+        return ";".join(f"{k}={('on' if v else 'off') if isinstance(v, bool) else v}"
+                        for k, v in pairs)
 
 
 # The fields that shape the numbers: the report's config block and the keys
@@ -243,7 +242,7 @@ def _solve(q0, config, name):
     else:
         gs = gevp.solve_gevp(lin, want_left=config.want_left)
 
-    ctx = eigvec.build_context(qw) if np.any(gs.cls == EIG_FINITE) else None
+    ctx = eigvec.build_context(qw, rp_w.qr_e) if np.any(gs.cls == EIG_FINITE) else None
     zfull, wfull, lifted = _lift_all(gs, d, flags)
     parts = [(gs.alpha, gs.beta, gs.cls,
               *_recover_all(gs, zfull, wfull, lifted, ctx, qw, config, flags))]

@@ -295,6 +295,22 @@ class TestCompareCommand:
         assert inodes(outd) == first
         assert len(replace_calls) == 3
 
+    def test_labels_name_every_option(self, unit_bundle, tmp_path):
+        from quarteig.solver import OPTIONS
+
+        outd = tmp_path / "cmp"
+        assert main(["compare", str(unit_bundle), "--config", "eigvec_mode=min_residual",
+                     "--config", "eigvec_mode=least_squares", "--output-dir", str(outd)]) == EXIT_OK
+        with open(outd / "unit_compare.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+        cfg0, cfg1 = sorted({col.split(":")[0] for col in header[1:]})
+        # the labels differ beyond their cfgK prefix
+        assert cfg0.split("[", 1)[1] != cfg1.split("[", 1)[1]
+        assert "eigvec_mode=least_squares" in cfg1
+        for name in OPTIONS:
+            assert f"{name}=" in cfg0
+        assert "scale=on" in cfg0
+
     def test_repeated_calls_keep_their_own_arguments(self, unit_bundle, tmp_path):
         for k, specs in enumerate((["scale=on", "scale=off"], ["balance=on", "balance=off"])):
             outd = tmp_path / f"cmp{k}"

@@ -289,7 +289,9 @@ class TestDeflateCases:
 def staircase_layer(p, known_block=None, red=None):
     """One generic staircase layer for the zero eigenvalue of pencil p (or
     of the reducer's active pencil); returns (reducer, deflated)."""
-    red = red or _Reducer(p)
+    if red is None:
+        eye = np.eye(p.size, dtype=np.complex128)
+        red = _Reducer(p.aa.astype(np.complex128), p.bb.astype(np.complex128), eye, eye.copy())
     return red, _generic_layer(red, "zero", NormThreshold(), known=known_block)
 
 

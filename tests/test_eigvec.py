@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from quarteig import QuarticPencil, analyze_ranks, deflate, linearize, second_level, solve_gevp
 from quarteig.eigvec import (
@@ -12,7 +11,7 @@ from quarteig.eigvec import (
     recover_right_ls,
     recover_right_zero,
 )
-from quarteig.numkit import EPS
+from quarteig.numkit import EPS, rrqr
 from quarteig.pencil import EIG_FINITE, Spectrum
 from oracles import (
     backward_errors,
@@ -25,6 +24,12 @@ from oracles import (
     eigvec_from_lambda,
 )
 from support import from_lambda, unit
+
+
+def context(q):
+    """The recovery context as the solver builds it, on the rank-revealing
+    QR of E."""
+    return build_context(q, rrqr(q.e))
 
 
 def build_z(q, lam, x):
@@ -69,7 +74,7 @@ class TestRecoverRight:
         n = 4
         lam = 0.7 - 0.4j
         q, x = quartic_with_eigenpair(rng, n, lam)
-        ctx = build_context(q)
+        ctx = context(q)
         z = build_z(q, lam, x)
         got, method, val = recover_one(z, from_lambda(lam, n), ctx)
         assert aligned_distance(got, x) <= 1e-12
@@ -77,7 +82,7 @@ class TestRecoverRight:
 
     def test_scalar_unit_problem(self):
         q = QuarticPencil.from_matrices([[1.0]], [[0.0]], [[0.0]], [[0.0]], [[-1.0]])
-        ctx = build_context(q)
+        ctx = context(q)
         z = build_z(q, 1.0, np.array([1.0 + 0j]))
         x, method, val = recover_one(z, from_lambda(1.0), ctx)
         assert abs(abs(x[0]) - 1.0) < 1e-14
@@ -88,7 +93,7 @@ class TestRecoverRight:
         n = 5
         lam = 1.3 + 0.2j
         q, x = quartic_with_eigenpair(rng, n, lam)
-        ctx = build_context(q)
+        ctx = context(q)
         z = build_z(q, lam, x)
         z = unit(z + 1e-8 * rand_complex(rng, (4 * n,)))
         eig = from_lambda(lam, n)
@@ -99,25 +104,50 @@ class TestRecoverRight:
 
         z23 = shifted_hess_solve(ctx.tri_hess, lam, np.column_stack([z[n : 2 * n], z[2 * n : 3 * n]]))
         cands = [unit(z[:n]), unit(z23[:, 0]), unit(z23[:, 1])]
-        cands.append(unit(sla.lu_solve(ctx.lu_e, -z[3 * n :])))
+        cands.append(unit(np.linalg.solve(q.e, -z[3 * n :])))
         vals = [eta(lam, c, q) for c in cands]
         assert val <= min(vals) * (1 + 1e-12)
 
     def test_rejects_zero_and_infinite(self):
         rng = np.random.default_rng(2)
         q = random_regular_quartic(rng, 3)
-        ctx = build_context(q)
+        ctx = context(q)
         z = rand_complex(rng, (12,))
         for lam in (0.0, np.inf):
             with pytest.raises(ValueError):
                 recover_one(z, from_lambda(lam), ctx)
+
+    def test_esolve_candidate_is_the_dense_solve(self):
+        # with z1 = z2 = z3 = 0 the E solve is the only candidate left
+        rng = np.random.default_rng(4)
+        n = 6
+        q = random_regular_quartic(rng, n)
+        zs = np.zeros((4 * n, 3), dtype=complex)
+        zs[3 * n :] = rand_complex(rng, (n, 3))
+        e = from_lambda([0.5, 1.5 - 1j, -2.0], n)
+        for j, (x, method, _) in enumerate(recover_right_many(zs, e.alpha, e.beta, context(q))):
+            assert method == "z4_esolve"
+            ref = unit(np.linalg.solve(q.e, -zs[3 * n :, j]))
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_no_esolve_when_e_is_singular(self):
+        from quarteig import SolveConfig, gen_planted, solve_bundle
+
+        singular_e = gen_planted(5, 2, 1, seed=34)
+        # the second has only A singular and is solved reversed, whose E is A
+        for b, config in ((singular_e, SolveConfig()), (singular_e, SolveConfig(deflate=False)),
+                          (gen_planted(5, 0, 2, seed=35), SolveConfig())):
+            res = solve_bundle(b, config)
+            assert res.solution.has_right.all()
+            assert "z4_esolve" not in res.solution.methods
+        assert context(singular_e.pencil).qr_e is None
 
     def test_shifted_and_dense_paths_agree(self):
         rng = np.random.default_rng(3)
         n = 4
         lam = 0.9 + 0.1j
         q, x = quartic_with_eigenpair(rng, n, lam)
-        ctx = build_context(q)
+        ctx = context(q)
         z = build_z(q, lam, x)
         from quarteig.numkit import shifted_hess_solve
 
@@ -242,7 +272,7 @@ class TestRecoverRightLS:
         n = 4
         lam = 0.8 + 0.3j
         q, x = quartic_with_eigenpair(rng, n, lam)
-        ctx = build_context(q)
+        ctx = context(q)
         z = build_z(q, lam, x)
         e = from_lambda(lam, n)
         got = recover_right_ls(z[:, None], e.alpha, e.beta, ctx)[:, 0]
@@ -254,7 +284,7 @@ class TestRecoverRightLS:
         q = QuarticPencil.from_matrices(
             *(rand_complex(rng, (n, n)) for _ in range(4)), np.zeros((n, n))
         )
-        ctx = build_context(q)
+        ctx = context(q)
         lam = 0.5
         z = unit(np.concatenate([rand_complex(rng, (n,)), np.zeros(3 * n, dtype=complex)]))
         e = from_lambda(lam, n)
@@ -266,7 +296,7 @@ class TestRecoverRightLS:
         n = 4
         lam = 0.6 - 0.2j  # |lambda| <= 1: the unscaled stack is minimized
         q, x = quartic_with_eigenpair(rng, n, lam)
-        ctx = build_context(q)
+        ctx = context(q)
         z = unit(build_z(q, lam, x) + 1e-6 * rand_complex(rng, (4 * n,)))
         eig = from_lambda(lam, n)
         x_ls = recover_right_ls(z[:, None], eig.alpha, eig.beta, ctx)[:, 0]
@@ -311,7 +341,7 @@ class TestLift:
     def test_planted_lift_residuals(self):
         q, lin, d = self._planted()
         gs = solve_gevp(d.pencil)
-        ctx = build_context(q)
+        ctx = context(q)
         finite = np.flatnonzero(gs.cls == EIG_FINITE)
         ws, ok = lift_left(gs.left[:, finite], gs.alpha[finite], gs.beta[finite], d)
         assert ok.all()
@@ -461,6 +491,14 @@ class TestNullspaceVectors:
         rp = analyze_ranks(q)
         assert nullspace_vectors(rp, "zero_class").shape == (3, 0)
 
+    def test_zero_coefficient_gives_identity(self):
+        n = 3
+        eye = np.eye(n)
+        q = QuarticPencil.from_matrices(eye, eye, eye, eye, np.zeros((n, n)))
+        rp = analyze_ranks(q)
+        assert rp.r_e == 0
+        assert np.array_equal(nullspace_vectors(rp, "zero_class"), np.eye(n))
+
     def test_orthonormal(self):
         rng = np.random.default_rng(18)
         n = 6
@@ -482,7 +520,7 @@ class TestRoundTripInvariant:
             assert n_inf == 0
             lam = roots[np.argmax(np.abs(roots))]
             x = eigvec_from_lambda(q, lam)
-            ctx = build_context(q)
+            ctx = context(q)
             z = build_z(q, lam, x)
             got, _, val = recover_one(z, from_lambda(lam, n), ctx)
             assert principal_angle(got[:, None], x[:, None]) <= 1e-10
@@ -492,7 +530,7 @@ class TestRoundTripInvariant:
         n = 4
         lam = 1.1 + 0.6j
         q, x = quartic_with_eigenpair(rng, n, lam)
-        ctx = build_context(q)
+        ctx = context(q)
         z = build_z(q, lam, x)
         got, _, _ = recover_one(z, from_lambda(lam, n), ctx)
         assert abs(np.linalg.norm(got) - 1.0) <= 10 * n * EPS
@@ -508,7 +546,7 @@ class TestBatchRecovery:
         sl = second_level(q, rp)
         d = deflate(linearize(q), q, rp, sl)
         gs = solve_gevp(d.pencil)
-        ctx = build_context(q)
+        ctx = context(q)
         finite = np.flatnonzero(gs.cls == EIG_FINITE)
         zs = d.q[:, : d.size] @ gs.right[:, finite]
         batch = recover_right_many(zs, gs.alpha[finite], gs.beta[finite], ctx)
@@ -530,7 +568,7 @@ class TestBatchRecovery:
         q = QuarticPencil.from_matrices(
             zero, zero, rand_complex(rng, (n, n)), rand_complex(rng, (n, n)), zero
         )
-        ctx = build_context(q)
+        ctx = context(q)
         z = unit(rand_complex(rng, (4 * n,)))
         x, method, val = recover_one(z, from_lambda(1.0, n), ctx)
         assert method == "z1_fallback"
