@@ -8,7 +8,10 @@ polynomial by theta so the coefficient norms are equilibrated:
 
 Balancing applies diagonal Dl (.) Dr with power-of-two entries chosen to
 equilibrate the row/column sums of S = |A|+|B|+|C|+|D|+|E|; powers of
-two make the inverse map on eigenvectors exact.
+two make the inverse map on eigenvectors exact. The solver balances first,
+with S weighted as parameter scaling weights the raw coefficients,
+gamma^4|A| + gamma^3|B| + ... + |E| (Betcke, SIMAX 30 (2008)): unweighted,
+the largest of graded coefficients alone would decide D.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ class ScalingRecord:
         )
 
 
-def param_scale(q: QuarticPencil):
-    """Fan-Lin-Van Dooren style parameter scaling of the coefficients.
+def _factors(q: QuarticPencil):
+    """(gamma, theta) of the module docstring, or None when A or E is zero.
 
     The Frobenius norms are taken by :func:`numkit.safe_norm`, so they
     neither overflow nor underflow at any coefficient scale. Raises
@@ -65,8 +68,7 @@ def param_scale(q: QuarticPencil):
     na = safe_norm(q.a)
     ne = safe_norm(q.e)
     if na == 0.0 or ne == 0.0:
-        rec = ScalingRecord(flags=("scale_skipped_zero_extreme_coefficient",))
-        return q, rec
+        return None
     with np.errstate(over="ignore", invalid="ignore"):
         gamma = float((ne / na) ** 0.25)
         theta = float(4.0 / (ne + gamma * safe_norm(q.d) + gamma**2 * safe_norm(q.c)
@@ -76,6 +78,15 @@ def param_scale(q: QuarticPencil):
             "coefficient norms too far apart for parameter scaling: ||E||_F/||A||_F = "
             f"{ne:.3g}/{na:.3g} gives gamma = {gamma:.3g}, theta = {theta:.3g}"
         )
+    return gamma, theta
+
+
+def param_scale(q: QuarticPencil):
+    """Fan-Lin-Van Dooren style parameter scaling of the coefficients."""
+    factors = _factors(q)
+    if factors is None:
+        return q, ScalingRecord(flags=("scale_skipped_zero_extreme_coefficient",))
+    gamma, theta = factors
     scaled = QuarticPencil(
         a=gamma**4 * theta * q.a,
         b=gamma**3 * theta * q.b,
@@ -95,16 +106,20 @@ def _spread(s):
     return float(vals.max() / vals.min())
 
 
-def balance(q: QuarticPencil, max_iter: int = 5):
+def balance(q: QuarticPencil, max_iter: int = 5, weighted: bool = False):
     """Two-sided power-of-two equilibration of S = |A|+...+|E|.
 
+    ``weighted`` puts gamma^(4-k) over the largest such weight on the k-th
+    term, with the gamma of :func:`param_scale` on ``q`` (1 if A or E is 0).
     Alternates row and column passes that scale each row (column) sum
     toward the geometric mean of the nonzero sums; the iterate with the
     smallest spread (the start included) is returned, so the spread never
     increases.
     """
     n = q.n
-    s0 = sum(np.abs(m) for m in q.coeffs)
+    gamma, _ = (weighted and _factors(q)) or (1.0, 1.0)
+    w = [gamma ** (4 - k) if gamma <= 1.0 else gamma**-k for k in range(5)]
+    s0 = sum(wk * np.abs(m) for wk, m in zip(w, q.coeffs))
     dl = np.ones(n)
     dr = np.ones(n)
     best = (_spread(s0), dl.copy(), dr.copy())

@@ -1,9 +1,10 @@
 """End-to-end solve pipeline.
 
-Order: balance -> parameter scale -> rank analysis -> (reverse if only A is
-singular) -> linearize -> deflate -> QZ -> lift/recover eigenvectors ->
-descale -> diagnostics. Backward errors in the report are always evaluated
-against the original, unscaled coefficients.
+Order: balance (weighted by the parameter scaling's gamma) -> parameter
+scale -> rank analysis -> (reverse if only A is singular) -> linearize ->
+deflate -> QZ -> lift/recover eigenvectors -> descale -> diagnostics.
+Backward errors in the report are always evaluated against the original,
+unscaled coefficients.
 
 Every stage takes and returns the solution as arrays, one per field (see
 :class:`~quarteig.pencil.EigenSolution`): QZ's pairs are classified,
@@ -211,7 +212,7 @@ def _solve(q0, config, name):
     n = q0.n
 
     qb, rec_bal = (
-        scaling.balance(q0, config.balance_iters)
+        scaling.balance(q0, config.balance_iters, weighted=config.scale)
         if config.balance
         else (q0, scaling.ScalingRecord())
     )
