@@ -154,7 +154,6 @@ class DeflationResult:
     work_a: np.ndarray
     work_b: np.ndarray
     size: int
-    n: int
     reversed: bool = False
     a_regular: bool | None = None
     b_regular: bool | None = None
@@ -443,7 +442,6 @@ def deflate(
             work_a=lin.aa,
             work_b=lin.bb,
             size=full,
-            n=n,
             a_regular=True,
             b_regular=True,
         )
@@ -489,7 +487,6 @@ def deflate(
         work_a=red.wa,
         work_b=red.wb,
         size=m,
-        n=n,
         a_regular=a_regular,
         b_regular=b_regular,
         flags=red.flags,

@@ -23,9 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkit import safe_norm
-from .pencil import CLASS_NAMES, EIG_INFINITE, QuarticPencil, complex_array, cprod
+from .pencil import CLASS_NAMES, EIG_INFINITE, QuarticPencil
 
 ERRORS = ("eta_right", "eta_left", "omega_right", "omega_left")
+
+# eta_right or eta_left above this flags a pair as untrustworthy: stable pairs
+# come out near n*eps, a spectrum lost to unscaled coefficients at 1e-4 to 1
+ETA_TOL = 1e-12
 
 
 class CoefficientNorms:
@@ -44,20 +48,8 @@ class CoefficientNorms:
 
 
 def homogeneous_weights(alpha, beta):
-    """Rows (a^4, a^3 b, a^2 b^2, a b^3, b^4), one column per eigenvalue.
-
-    The powers of alpha are formed by repeated squaring and those of the
-    real beta by the C library's pow, the roundings of Python's scalar
-    powers.
-    """
-    ar, ai = alpha.real, alpha.imag
-    sq = cprod(ar, ai, ar, ai)
-    a2 = cprod(1.0, 0.0, *sq)
-    a3 = cprod(*cprod(1.0, 0.0, ar, ai), *sq)
-    a4 = cprod(1.0, 0.0, *cprod(*sq, *sq))
-    b2, b3, b4 = (np.float_power(beta, k) for k in (2, 3, 4))
-    rows = (a4, cprod(*a3, beta, 0.0), cprod(*a2, b2, 0.0), cprod(ar, ai, b3, 0.0), (b4, 0.0))
-    return np.stack([complex_array(*r) for r in rows])
+    """Rows (a^4, a^3 b, a^2 b^2, a b^3, b^4), one column per eigenvalue."""
+    return np.stack([alpha ** (4 - k) * beta**k for k in range(5)])
 
 
 def weighted_products(mats, w, x):

@@ -32,7 +32,6 @@ from .numkit import (
     EPS,
     PivotedQR,
     TriHessPair,
-    col_norms,
     complete_orthogonal,
     shifted_hess_solve,  # only bench/tracer.py uses it here (ROADMAP item 1)
     shifted_hess_solve_many,
@@ -135,7 +134,7 @@ def recover_right_zero(zs, q: QuarticPencil):
     zs = np.asarray(zs)
     if zs.ndim != 2 or zs.shape[0] != 4 * q.n:
         raise ValueError(f"expected 4n-vectors as columns with n={q.n}, got shape {zs.shape}")
-    return unit_columns(zs[: q.n], q.n * EPS * col_norms(zs))
+    return unit_columns(zs[: q.n], q.n * EPS * np.linalg.norm(zs, axis=0))
 
 
 def recover_left(ws):
@@ -166,7 +165,7 @@ def recover_right_ls(zs, alpha, beta, ctx: RecoveryContext):
     ``zs`` holds one lifted 4n-vector per column, ``alpha`` and ``beta`` the
     matching finite nonzero eigenvalues. Solved through the SVD of E
     (computed on the first call and cached in the context) in O(n^2) per
-    eigenvalue, one column at a time; the second block acts as a
+    eigenvalue, all columns at once; the second block acts as a
     regularizer. For |lambda|>1 the system is scaled by 1/lambda to keep
     the stack balanced. Returns unit vectors as the columns of an array.
     """
@@ -176,19 +175,14 @@ def recover_right_ls(zs, alpha, beta, ctx: RecoveryContext):
         u, sig, vh = np.linalg.svd(q.e)
         ctx.svd_e = (u, sig, vh.conj().T)
     u_e, sig, v_e = ctx.svd_e  # E is square: n values
-    x = np.empty((n, zs.shape[1]), dtype=np.complex128)
-    for j, lam in enumerate(affine(alpha, beta).tolist()):
-        t1 = v_e.conj().T @ zs[:n, j]
-        t2 = -(u_e.conj().T @ zs[3 * n :, j])
-        if abs(lam) > 1.0:
-            r1 = 1.0 + 0.0j
-            rhs1 = t1 / lam
-        else:
-            r1 = complex(lam)
-            rhs1 = t1
-        u = (np.conj(r1) * rhs1 + sig * t2) / (abs(r1) ** 2 + sig**2)
-        x[:, j] = v_e @ u
-    return unit_columns(x)[0]
+    lam = affine(alpha, beta)
+    big = np.abs(lam) > 1.0
+    t1 = (v_e.conj().T @ zs[:n]) / np.where(big, lam, 1.0)
+    t2 = -(u_e.conj().T @ zs[3 * n :])
+    r1 = np.where(big, 1.0, lam)
+    sig = sig[:, None]
+    u = (np.conj(r1) * t1 + sig * t2) / (np.abs(r1) ** 2 + sig**2)
+    return unit_columns(v_e @ u)[0]
 
 
 def lift_left(ws, alpha, beta, d: DeflationResult):

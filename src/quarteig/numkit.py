@@ -47,18 +47,11 @@ def as_matrix(m) -> np.ndarray:
     return a.astype(np.complex128, copy=False)
 
 
-def col_norms(z):
-    """2-norms of the columns of z, each rounded as ``np.linalg.norm`` of
-    that column alone rounds it (one BLAS dot per real and imaginary part)."""
-    z = np.asarray(z)
-    return np.sqrt(np.vecdot(z.real, z.real, axis=0) + np.vecdot(z.imag, z.imag, axis=0))
-
-
 def unit_columns(z, floor=0.0):
     """Columns of z scaled to unit 2-norm, and the mask of those whose norm
     exceeds ``floor``; the others come back zero."""
     z = np.asarray(z)
-    nrm = col_norms(z)
+    nrm = np.linalg.norm(z, axis=0)
     ok = nrm > floor
     return np.divide(z, nrm, out=np.zeros(z.shape, dtype=np.complex128), where=ok), ok
 

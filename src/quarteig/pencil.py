@@ -81,48 +81,19 @@ class LinearPencil:
 # ---------------------------------------------------------------------------
 # homogeneous eigenvalues as arrays
 # ---------------------------------------------------------------------------
-# The products and quotients below take real and imaginary parts separately
-# and round exactly as Python's complex scalars do (Smith's quotient, where
-# numpy multiplies by a reciprocal), so that results do not depend on
-# whether a pair was computed alone or in an array.
-
-
-def cprod(ar, ai, br, bi):
-    """Parts of (ar + i ai)(br + i bi)."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def cquot(ar, ai, br, bi):
-    """Parts of (ar + i ai)/(br + i bi) by Smith's algorithm."""
-    by_re = np.abs(br) >= np.abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(by_re, bi / br, br / bi)
-        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
-        re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
-        im = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
-    return re, im
-
-
-def complex_array(re, im):
-    """The complex array with the given parts (signed zeros kept)."""
-    z = np.empty(np.broadcast(re, im).shape, dtype=np.complex128)
-    z.real, z.imag = re, im
-    return z
 
 
 def normalize(alpha, beta):
     """Scale pairs so that |alpha|^2 + beta^2 = 1 with beta real >= 0."""
     alpha = np.asarray(alpha, dtype=np.complex128)
     beta = np.asarray(beta, dtype=np.complex128)
-    mod = np.hypot(beta.real, beta.imag)
-    # alpha / (beta/|beta|) where beta is nonzero; beta becomes |beta|
-    ar, ai = cquot(alpha.real, alpha.imag, *cquot(beta.real, beta.imag, mod, 0.0))
-    ar = np.where(mod > 0.0, ar, alpha.real)
-    ai = np.where(mod > 0.0, ai, alpha.imag)
-    s = np.hypot(np.hypot(ar, ai), mod)
+    mod = np.abs(beta)
+    # alpha * conj(beta)/|beta| where beta is nonzero; beta becomes |beta|
+    alpha = alpha * np.divide(beta.conj(), mod, out=np.ones_like(beta), where=mod > 0.0)
+    s = np.hypot(np.abs(alpha), mod)
     if np.any(s == 0.0):
         raise ValueError("(0, 0) is not a valid homogeneous eigenvalue")
-    return complex_array(*cquot(ar, ai, s, 0.0)), mod / s
+    return alpha / s, mod / s
 
 
 def classify(alpha, beta, dim):
@@ -146,8 +117,8 @@ def reciprocal(alpha, beta, cls):
 
 def affine(alpha, beta):
     """lambda = alpha/beta, inf where beta is zero."""
-    lam = complex_array(*cquot(alpha.real, alpha.imag, beta, 0.0))
-    return np.where(beta == 0.0, np.inf, lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(beta == 0.0, np.inf, alpha / beta)
 
 
 @dataclass(eq=False)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScalingError
-from .numkit import safe_norm
-from .pencil import EigenSolution, QuarticPencil, complex_array, cprod, normalize
+from .numkit import safe_norm, unit_columns
+from .pencil import EigenSolution, QuarticPencil, normalize
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def _factors(q: QuarticPencil):
         gamma = float((ne / na) ** 0.25)
         theta = float(4.0 / (ne + gamma * safe_norm(q.d) + gamma**2 * safe_norm(q.c)
                              + gamma**3 * safe_norm(q.b)))
-    if not (np.isfinite(gamma) and theta > 0.0):
+    if not (0.0 < gamma < np.inf and theta > 0.0):
         raise ScalingError(
             "coefficient norms too far apart for parameter scaling: ||E||_F/||A||_F = "
             f"{ne:.3g}/{na:.3g} gives gamma = {gamma:.3g}, theta = {theta:.3g}"
@@ -151,11 +151,8 @@ def _remap(v, has, diag):
     """Columns of v marked in ``has`` scaled by diag and renormalized."""
     if diag is None or not has.any():
         return v
-    idx = np.flatnonzero(has)
-    w = np.ascontiguousarray(v[:, idx].T) * diag[None, :]
-    nrm = np.linalg.norm(w, axis=1, keepdims=True)
     out = v.copy()
-    out[:, idx] = np.divide(w, nrm, out=w, where=nrm > 0.0).T
+    out[:, has] = unit_columns(diag[:, None] * v[:, has])[0]
     return out
 
 
@@ -172,7 +169,7 @@ def descale(sol: EigenSolution, rec: ScalingRecord) -> EigenSolution:
     alpha, beta = sol.alpha, sol.beta
     if rec.gamma != 1.0:
         moved = (beta != 0.0) & (alpha != 0.0)
-        ga, gb = normalize(complex_array(*cprod(rec.gamma, 0.0, alpha.real, alpha.imag)), beta)
+        ga, gb = normalize(rec.gamma * alpha, beta)
         alpha, beta = np.where(moved, ga, alpha), np.where(moved, gb, beta)
     return dataclasses.replace(sol, alpha=alpha, beta=beta,
                                x=_remap(sol.x, sol.has_right, rec.dr),

@@ -257,6 +257,8 @@ def _solve(q0, config, name):
     norms0 = diagnostics.CoefficientNorms(q0)
     sol = dataclasses.replace(sol, **diagnostics.diagnostics_many(sol, q0, norms0))
     summary = diagnostics.summarize(sol)
+    above = (sol.eta_right > diagnostics.ETA_TOL) | (sol.eta_left > diagnostics.ETA_TOL)
+    flags.extend(f"backward_error_above_tolerance_index_{i}" for i in np.flatnonzero(above))
 
     if len(sol) != 4 * n:
         flags.append(f"eigenvalue_count_{len(sol)}_of_{4 * n}")

@@ -5,7 +5,6 @@ from quarteig import QuarticPencil, SolveConfig, solve_pencil
 from quarteig.diagnostics import (
     CoefficientNorms,
     diagnostics_many,
-    homogeneous_weights,
     summarize,
 )
 from quarteig.numkit import EPS
@@ -270,17 +269,6 @@ class TestBatchDiagnostics:
                 assert abs(errs["omega_right"][j] - ref_o) <= 1e-13 + 1e-6 * ref_o
             else:
                 assert np.isnan(errs["omega_right"][j])
-
-    def test_weights_round_as_python_scalar_powers(self):
-        # one pair's weights do not depend on the batch it is evaluated in
-        rng = np.random.default_rng(12)
-        spec = from_lambda(np.concatenate([rand_complex(rng, (500,)) * 10.0 ** rng.integers(-3, 4, 500),
-                                           [0.0, np.inf, 1.0, -1.0, 1j]]))
-        w = homogeneous_weights(spec.alpha, spec.beta)
-        ref = [(a**4, a**3 * b, a**2 * b**2, a * b**3, b**4)
-               for a, b in zip(spec.alpha.tolist(), spec.beta.tolist())]
-        assert np.array_equal(w.view(np.uint64),
-                              np.array(ref, dtype=np.complex128).T.copy().view(np.uint64))
 
     def test_eta_at_extreme_coefficient_scales(self):
         # the residual norm neither underflows (eta = 0) nor overflows (inf)

@@ -278,6 +278,23 @@ class TestRecoverRightLS:
         got = recover_right_ls(z[:, None], e.alpha, e.beta, ctx)[:, 0]
         assert aligned_distance(got, x) <= 1e2 * n * EPS * 10
 
+    def test_batch_solves_each_scaled_stack(self):
+        # one batch, each column the least-squares solution of its own stack,
+        # scaled by 1/lambda where |lambda| > 1
+        rng = np.random.default_rng(13)
+        n = 4
+        q = random_regular_quartic(rng, n)
+        lams = np.array([0.6 - 0.2j, 2.5 + 1.0j, -3.0, 0.3j])
+        zs = rand_complex(rng, (4 * n, lams.size))
+        eig = from_lambda(lams, n)
+        got = recover_right_ls(zs, eig.alpha, eig.beta, context(q))
+        for j, lam in enumerate(lams):
+            s = lam if abs(lam) > 1.0 else 1.0
+            stack = np.vstack([lam / s * np.eye(n), q.e])
+            rhs = np.concatenate([zs[:n, j] / s, -zs[3 * n :, j]])
+            want = unit(np.linalg.lstsq(stack, rhs, rcond=None)[0])
+            assert aligned_distance(got[:, j], want) <= 1e-12
+
     def test_zero_e_reduces_to_first_block(self):
         rng = np.random.default_rng(11)
         n = 3

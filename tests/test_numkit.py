@@ -7,13 +7,11 @@ from quarteig.numkit import (
     EPS,
     DropOff,
     NormThreshold,
-    col_norms,
     make_strategy,
     rrqr,
     safe_norm,
     shifted_hess_solve,
     tri_hess_reduce,
-    unit_columns,
     urv,
 )
 from oracles import haar_unitary, rand_complex, well_conditioned
@@ -349,19 +347,6 @@ class TestNorms:
         m[:, 2] = 0.0
         for scale in (1e-200, 1.0, 1e200):
             assert rrqr(scale * m).rank == 4
-
-    def test_column_norms_match_one_column_norms(self):
-        # a column's norm does not depend on the batch it is computed in
-        rng = np.random.default_rng(24)
-        z = rand_complex(rng, (13, 9))
-        z[:, 4] = 0.0
-        want = [np.linalg.norm(z[:, j]) for j in range(9)]
-        assert np.array_equal(col_norms(z), want)
-        u, ok = unit_columns(z)
-        assert ok.tolist() == [j != 4 for j in range(9)]
-        assert np.array_equal(u[:, ok], np.column_stack([z[:, j] / want[j] for j in range(9) if j != 4]))
-        assert not u[:, 4].any()
-
 
 
 @pytest.fixture

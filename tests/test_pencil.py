@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from quarteig import QuarticPencil, linearize, reverse
+from quarteig.diagnostics import homogeneous_weights
 from quarteig.pencil import (
     EIG_FINITE,
     EIG_INFINITE,
@@ -143,10 +144,10 @@ class TestClassification:
         with pytest.raises(ValueError):
             normalize([1.0, 0.0], [1.0, 0.0])
 
-    def test_rounding_matches_python_complex_scalars(self):
-        # the array kernels round like Python's complex scalars (Smith's
-        # quotient), signed zeros included, so a pair's bits do not depend
-        # on the batch it is computed in
+    def test_pair_bits_do_not_depend_on_the_batch(self):
+        # a pair's normalization, affine value and residual weights come out
+        # bit for bit the same alone, in a short batch (vector loop tails)
+        # and in a long one, signed zeros included
         rng = np.random.default_rng(21)
         k = 4000
         alpha = rand_complex(rng, (k,)) * 10.0 ** rng.integers(-8, 8, k)
@@ -155,22 +156,20 @@ class TestClassification:
         beta[40:80] = [0.0, 1.0, -1.0, 0.5, 1j] * 8
         beta[100:200] = beta[100:200].real
 
-        def scalar(a, b):
-            a, b = complex(a), complex(b)
-            if abs(b) > 0.0:
-                a, b = a / (b / abs(b)), abs(b)
-            else:
-                b = 0.0
-            s = float(np.hypot(abs(a), b))
-            return a / s, b / s
+        def pairs(alpha, beta):
+            a, b = normalize(alpha, beta)
+            return a, b, affine(a, b), homogeneous_weights(a, b)
 
-        ref = [scalar(a, b) for a, b in zip(alpha.tolist(), beta.tolist())]
-        got_a, got_b = normalize(alpha, beta)
-        assert np.array_equal(bits(got_a), bits([a for a, _ in ref]))
-        assert np.array_equal(bits(got_b), bits([b for _, b in ref]))
-        lam = [a / b for a, b in ref if b != 0.0]
-        assert np.array_equal(bits(affine(got_a, got_b)[got_b != 0.0]), bits(lam))
-        assert np.all(np.isinf(affine(got_a, got_b)[got_b == 0.0]))
+        whole = pairs(alpha, beta)
+        for size in (1, 7):
+            for start in range(0, k, size):
+                cut = slice(start, start + size)
+                for got, want in zip(pairs(alpha[cut], beta[cut]), whole):
+                    assert np.array_equal(bits(got), bits(want[..., cut]))
+        _, b, lam, _ = whole
+        fin = b != 0.0
+        assert np.allclose(lam[fin], alpha[fin] / beta[fin], rtol=1e-14, atol=0.0)
+        assert np.all(np.isinf(lam[~fin]))
 
 
 class TestValidation:

@@ -191,16 +191,22 @@ class TestExtremeCoefficientScales:
     norms behind scaling and backward errors must neither overflow nor
     underflow on the way."""
 
-    @pytest.mark.parametrize("deflate", [True, False], ids=["default", "deflate_off"])
+    @pytest.mark.parametrize("config", [{}, {"deflate": False}, {"scale": False}],
+                             ids=["default", "deflate_off", "scale_off"])
     @pytest.mark.parametrize("s", [1e-250, 1e-200, 1e-160, 1e160, 1e200, 1e250])
-    def test_all_pairs_finite_with_small_eta(self, s, deflate):
+    def test_all_pairs_finite_with_small_eta(self, s, config):
         from quarteig import SolveConfig, solve_pencil
 
         rng = np.random.default_rng(3)
         mats = [rand_complex(rng, (4, 4)) for _ in range(5)]
         ref = solve_pencil(QuarticPencil.from_matrices(*mats)).solution
         res = solve_pencil(QuarticPencil.from_matrices(*(s * m for m in mats)),
-                           SolveConfig(deflate=deflate))
+                           SolveConfig(**config))
+        if "scale" in config:
+            # unscaled, the linearization's unit blocks dwarf the coefficients
+            # (or are dwarfed by them): a wrong spectrum, which must be flagged
+            assert any(f.startswith("backward_error_above_tolerance_index_") for f in res.flags)
+            return
         sol = res.solution
         assert res.summary.counts == {"zero": 0, "finite": 16, "infinite": 0}
         assert not res.flags
@@ -208,7 +214,8 @@ class TestExtremeCoefficientScales:
             assert np.all((eta > 0.0) & (eta <= 1e-14))
         match_values(sol.lam, ref.lam, 1e-12)
 
-    @pytest.mark.parametrize("case", [0, 1], ids=["ratio_overflows", "theta_underflows"])
+    @pytest.mark.parametrize("case", [0, 1, 2],
+                             ids=["ratio_overflows", "theta_underflows", "ratio_underflows"])
     def test_norms_too_far_apart_raise(self, case):
         from quarteig import solve_pencil
 
