@@ -6,6 +6,9 @@ generalized Schur backend runs, recovers left and right eigenvectors, and
 reports per-eigenpair backward errors.
 """
 
+# the one version string; set before the submodules import it
+__version__ = "0.1.0"
+
 from .deflate import (
     DeflationResult,
     RankProfile,
@@ -35,8 +38,6 @@ from .probio import (
 )
 from .scaling import ScalingRecord, balance, descale, param_scale
 from .solver import SolveConfig, SolveResult, build_report, solve_bundle, solve_pencil
-
-__version__ = "0.1.0"
 
 __all__ = [
     "DeflationResult",

@@ -13,16 +13,15 @@ Exit codes: 0 success, 2 usage, 3 bundle/input error, 4 numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
 import typing
 
+from .diagnostics import ERRORS
 from .errors import BundleError, QuarteigError
-from .probio import read_bundle, write_file, write_report
+from .probio import csv_text, read_bundle, report_csv, report_json, write_file, write_report
 from .solver import OPTIONS, SolveConfig, build_report, solve_bundle
 
 EXIT_OK = 0
@@ -83,7 +82,6 @@ def build_parser():
     add_common(sp)
     sp.add_argument("--scale", type=_onoff, default=True, metavar="{on,off}")
     sp.add_argument("--balance", type=_onoff, default=True, metavar="{on,off}")
-    sp.add_argument("--balance-iters", type=int, default=5)
     sp.add_argument("--rank-strategy", choices=("norm", "dropoff"), default="norm")
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--deflate", type=_onoff, default=True, metavar="{on,off}")
@@ -92,7 +90,8 @@ def build_parser():
     )
     sp.add_argument("--right-only", action="store_true", help="skip left eigenvectors")
     sp.add_argument("--output", default=None, help="report path (default: stdout)")
-    sp.add_argument("--format", choices=("json", "csv", "both"), default="json")
+    sp.add_argument("--format", choices=("json", "csv", "both"), default="json",
+                    help="report format; without --output, json or csv to stdout")
 
     sp = sub.add_parser("compare", help="run several configurations and merge diagnostics")
     add_common(sp)
@@ -126,6 +125,8 @@ def _fail(code, kind, message):
 
 
 def _solve_configs(args, threads):
+    if args.format == "both" and not args.output:
+        raise ValueError("--format both writes two files and needs --output")
     return [SolveConfig(**{name: getattr(args, name) for name in OPTIONS},
                         want_left=not args.right_only, threads=threads)]
 
@@ -135,7 +136,7 @@ def _write_solve(args, bundle, configs, reports):
     if args.output:
         write_report(report, args.output, fmt=args.format)
     else:
-        print(json.dumps(report, indent=1))
+        sys.stdout.write((report_csv if args.format == "csv" else report_json)(report))
     # exit 0 only when every one of the 4n eigenpairs was produced
     if sum(report["summary"]["counts"].values()) != 4 * report["n"]:
         return EXIT_NUMERICAL
@@ -143,30 +144,11 @@ def _write_solve(args, bundle, configs, reports):
 
 
 def _merged_csv(labels, reports):
-    buf = io.StringIO()
-    cols = ["index"]
-    for lab in labels:
-        cols += [
-            f"{lab}:eta_right",
-            f"{lab}:eta_left",
-            f"{lab}:omega_right",
-            f"{lab}:omega_left",
-        ]
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(cols)
-    npairs = len(reports[0]["eigenpairs"])
-    for i in range(npairs):
-        row = [i]
-        for rep in reports:
-            pair = rep["eigenpairs"][i]
-            row += [
-                pair["eta_right"],
-                pair["eta_left"],
-                pair["omega_right"],
-                pair["omega_left"],
-            ]
-        w.writerow(row)
-    return buf.getvalue()
+    """One row per eigenvalue index: the errors of every report side by side."""
+    header = ["index", *(f"{lab}:{e}" for lab in labels for e in ERRORS)]
+    rows = ([i, *(rep["eigenpairs"][i][e] for rep in reports for e in ERRORS)]
+            for i in range(len(reports[0]["eigenpairs"])))
+    return csv_text([header, *rows])
 
 
 def _compare_configs(args, threads):

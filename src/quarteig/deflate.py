@@ -115,6 +115,8 @@ def second_level(q: QuarticPencil, rp: RankProfile) -> SecondLevel:
 
 @dataclass
 class DeflationStep:
+    """One truncation; a report lists these fields in this order (``dataclasses.asdict``)."""
+
     kind: str
     deflated: int
     zeros: int = 0
@@ -122,19 +124,6 @@ class DeflationStep:
     rank: int | None = None
     evidence: dict = field(default_factory=dict)
     dropped: float = 0.0
-
-    def as_dict(self):
-        ev = {k: v for k, v in self.evidence.items() if k != "diag"}
-        ev["diag"] = self.evidence.get("diag")
-        return {
-            "kind": self.kind,
-            "deflated": self.deflated,
-            "zeros": self.zeros,
-            "infs": self.infs,
-            "rank": self.rank,
-            "evidence": ev,
-            "dropped": self.dropped,
-        }
 
 
 @dataclass

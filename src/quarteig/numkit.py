@@ -100,8 +100,8 @@ class NormThreshold:
             "strategy": "norm",
             "tau": tau,
             "threshold": thr,
-            "diag": [float(d) for d in diag_abs],
             "rank": rank,
+            "diag": [float(d) for d in diag_abs],
         }
         return rank, log
 
@@ -133,9 +133,9 @@ class DropOff:
         log = {
             "strategy": "dropoff",
             "rho": self.rho,
-            "diag": [float(d) for d in diag_abs],
             "ratios": ratios,
             "rank": rank,
+            "diag": [float(d) for d in diag_abs],
         }
         return rank, log
 

@@ -9,11 +9,11 @@ module's own (:func:`read_mtx`, :func:`mtx_bytes`): the reader takes the
 writer writes what ``scipy.io.mmwrite(target, m, precision=17)`` writes for
 a dense matrix.
 
+Reports become text only through :func:`report_json` and :func:`report_csv`.
 Every file the package writes (bundles, reports, ``compare``'s merged CSV)
 goes through :func:`write_file`: a changed file is written to a temp file
 next to the target and renamed over it, so readers never see a partial
-file; a file whose bytes would not change is left in place with a fresh
-mtime.
+file; one whose bytes would not change is left in place with a fresh mtime.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import ERRORS
 from .errors import (
     BundleError,
     DimensionMismatchError,
@@ -453,17 +454,27 @@ def grade_rows(bundle: ProblemBundle, seed=0) -> ProblemBundle:
 # report output
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "index",
-    "alpha_re",
-    "alpha_im",
-    "beta",
-    "class",
-    "eta_right",
-    "eta_left",
-    "omega_right",
-    "omega_left",
-)
+CSV_COLUMNS = ("index", "alpha_re", "alpha_im", "beta", "class", *ERRORS)
+
+
+def csv_text(rows) -> str:
+    """Rows (the header first) as CSV text, one line per row ending in a newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def report_json(report: dict) -> str:
+    """The JSON text of a solve report."""
+    return json.dumps(report, indent=1) + "\n"
+
+
+def report_csv(report: dict) -> str:
+    """The per-eigenpair CSV companion of a solve report, columns ``CSV_COLUMNS``
+    (an error that is null in the JSON is an empty cell)."""
+    rows = ([p["index"], *p["alpha"], p["beta"], p["class"], *(p[e] for e in ERRORS)]
+            for p in report["eigenpairs"])
+    return csv_text([CSV_COLUMNS, *rows])
 
 
 def write_report(report: dict, path, fmt="json"):
@@ -483,27 +494,6 @@ def write_report(report: dict, path, fmt="json"):
             base = base[: -len(ext)]
             break
     if fmt in ("json", "both"):
-        jp = base + ".json"
-        write_file(jp, (json.dumps(report, indent=1) + "\n").encode("utf-8"))
+        write_file(base + ".json", report_json(report).encode("utf-8"))
     if fmt in ("csv", "both"):
-        cp = base + ".csv"
-        rows = []
-        for pair in report["eigenpairs"]:
-            rows.append(
-                {
-                    "index": pair["index"],
-                    "alpha_re": pair["alpha"][0],
-                    "alpha_im": pair["alpha"][1],
-                    "beta": pair["beta"],
-                    "class": pair["class"],
-                    "eta_right": pair["eta_right"],
-                    "eta_left": pair["eta_left"],
-                    "omega_right": pair["omega_right"],
-                    "omega_left": pair["omega_left"],
-                }
-            )
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        w.writeheader()
-        w.writerows(rows)
-        write_file(cp, buf.getvalue().encode("utf-8"))
+        write_file(base + ".csv", report_csv(report).encode("utf-8"))

@@ -20,7 +20,7 @@ from itertools import compress
 
 import numpy as np
 
-from . import diagnostics, eigvec, gevp, probio, scaling
+from . import __version__, diagnostics, eigvec, gevp, probio, scaling
 from .deflate import analyze_ranks, deflate, second_level
 from .numkit import blas_threads, make_strategy, unit_columns
 from .pencil import (
@@ -34,8 +34,6 @@ from .pencil import (
     reciprocal,
     reverse,
 )
-
-_PKG_VERSION = "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,6 @@ class SolveConfig:
 
     scale: bool = True
     balance: bool = True
-    balance_iters: int = 5
     rank_strategy: str = "norm"
     tol: float | None = None
     deflate: bool = True
@@ -68,8 +65,6 @@ class SolveConfig:
         make_strategy(self.rank_strategy, self.tol)  # rejects an unknown strategy name
         if self.eigvec_mode not in ("min_residual", "least_squares"):
             raise ValueError(f"unknown eigvec mode {self.eigvec_mode!r}")
-        if self.balance_iters < 0:
-            raise ValueError("balance_iters must be >= 0")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
 
@@ -212,7 +207,7 @@ def _solve(q0, config, name):
     n = q0.n
 
     qb, rec_bal = (
-        scaling.balance(q0, config.balance_iters, weighted=config.scale)
+        scaling.balance(q0, weighted=config.scale)
         if config.balance
         else (q0, scaling.ScalingRecord())
     )
@@ -313,7 +308,7 @@ def build_report(res: SolveResult) -> dict:
             "reversed": bool(d.reversed),
             "a_regular": d.a_regular,
             "b_regular": d.b_regular,
-            "steps": [s.as_dict() for s in d.steps],
+            "steps": [dataclasses.asdict(s) for s in d.steps],
             "flags": list(d.flags),
         }
     return {
@@ -329,5 +324,5 @@ def build_report(res: SolveResult) -> dict:
         "eigenpairs": pairs,
         "summary": res.summary.as_dict(),
         "flags": list(res.flags),
-        "meta": {"backend": res.backend, "package": _PKG_VERSION, "threads": res.blas_threads},
+        "meta": {"backend": res.backend, "package": __version__, "threads": res.blas_threads},
     }

@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import re
 
 import pytest
 
@@ -58,13 +60,21 @@ def test_every_name_imports():
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC)
 
 
+def test_one_version(unit_bundle):
+    # a regex, not tomllib, which Python 3.10 lacks
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path, encoding="utf-8") as fh:
+        (version,) = re.findall(r'^version = "([^"]+)"$', fh.read(), re.MULTILINE)
+    report = quarteig.build_report(quarteig.solve_bundle(quarteig.read_bundle(unit_bundle)))
+    assert report["meta"]["package"] == quarteig.__version__ == version
+
+
 # The options of a solve. SolveConfig is their one description: the report's
 # config block and the keys of ``compare --config`` are its fields without
 # want_left and threads.
 CONFIG_DEFAULTS = {
     "scale": True,
     "balance": True,
-    "balance_iters": 5,
     "rank_strategy": "norm",
     "tol": None,
     "deflate": True,
@@ -72,16 +82,15 @@ CONFIG_DEFAULTS = {
     "want_left": True,
     "threads": 1,
 }
-REPORTED = ["scale", "balance", "balance_iters", "rank_strategy", "tol", "deflate", "eigvec_mode"]
+REPORTED = ["scale", "balance", "rank_strategy", "tol", "deflate", "eigvec_mode"]
 SOLVE_OPTIONS = [
-    "-h", "--help", "--threads", "--scale", "--balance", "--balance-iters", "--rank-strategy",
+    "-h", "--help", "--threads", "--scale", "--balance", "--rank-strategy",
     "--tol", "--deflate", "--eigvec-mode", "--right-only", "--output", "--format",
 ]
 # one value per compare key, other than its default: the text and the parsed value
 COMPARE_VALUES = {
     "scale": ("off", False),
     "balance": ("off", False),
-    "balance_iters": ("3", 3),
     "rank_strategy": ("dropoff", "dropoff"),
     "tol": ("1e-10", 1e-10),
     "deflate": ("off", False),
@@ -128,7 +137,7 @@ def test_compare_rejects_other_keys(unit_bundle, capsys, key):
 
 @pytest.mark.parametrize("field, value", [
     ("tol", 0.0), ("tol", 1.0), ("tol", math.nan), ("rank_strategy", "bogus"),
-    ("eigvec_mode", "bogus"), ("balance_iters", -1), ("threads", 0),
+    ("eigvec_mode", "bogus"), ("threads", 0),
 ])
 def test_invalid_values_raise_at_construction(field, value):
     with pytest.raises(ValueError):

@@ -196,6 +196,41 @@ class TestSolveCommand:
         assert (tmp_path / "r.json").exists()
         assert (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_follows_format(self, mirror_bundle, tmp_path, capsys, fmt):
+        argv = ["solve", str(mirror_bundle), "--format", fmt]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert main([*argv, "--output", str(tmp_path / "r")]) == EXIT_OK
+        assert out.encode("utf-8") == (tmp_path / f"r.{fmt}").read_bytes()
+
+    def test_format_both_without_output_is_usage_error(self, tmp_path, capsys):
+        # a usage error comes before the bundle is read, so a missing bundle is not reported
+        assert main(["solve", str(tmp_path / "nope"), "--format", "both"]) == EXIT_USAGE
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == EXIT_USAGE and err["type"] == "usage"
+        assert "--output" in err["message"]
+
+    def test_csv_rows_equal_the_json_pairs(self, mirror_bundle, tmp_path):
+        out = tmp_path / "r"
+        argv = ["solve", str(mirror_bundle), "--right-only", "--format", "both", "--output"]
+        assert main([*argv, str(out)]) == EXIT_OK
+        pairs = json.loads((tmp_path / "r.json").read_text())["eigenpairs"]
+        with open(tmp_path / "r.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["index", "alpha_re", "alpha_im", "beta", "class",
+                          "eta_right", "eta_left", "omega_right", "omega_left"]
+        assert len(rows) == len(pairs)
+        for row, pair in zip(rows, pairs):
+            want = [pair["index"], *pair["alpha"], pair["beta"], pair["class"],
+                    pair["eta_right"], pair["eta_left"], pair["omega_right"], pair["omega_left"]]
+            got = [int(row[0]), *(float(c) if c else None for c in row[1:4]), row[4],
+                   *(float(c) if c else None for c in row[5:])]
+            assert got == want
+        # right-only: no left errors; infinite pairs: no omega_right either
+        assert all(row[6] == row[8] == "" for row in rows)
+        assert any(row[4] == "infinite" and row[7] == "" for row in rows)
+
     def test_flag_parsing(self, unit_bundle, tmp_path):
         out = tmp_path / "r.json"
         code = main(
