@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DeflationError
-from .numkit import NormThreshold, PivotedQR, rrqr, urv
+from .numkit import NormThreshold, PivotedQR, rrqr, safe_norm, urv
 from .pencil import LinearPencil, QuarticPencil
 
 
@@ -382,8 +382,7 @@ def _check_consistent(q: QuarticPencil, rp: RankProfile):
     for mat, f, name in ((q.a, rp.qr_a, "A"), (q.e, rp.qr_e, "E")):
         lhs = mat[:, f.perm] @ v
         rhs = f.q_times(f.r @ v)  # forms no Q, which a regular problem never needs
-        scale = max(np.linalg.norm(mat), 1.0) * np.linalg.norm(v)
-        if np.linalg.norm(lhs - rhs) > 1e-6 * scale:
+        if safe_norm(lhs - rhs) > 1e-6 * safe_norm(mat) * safe_norm(v):
             raise DeflationError(f"rank profile inconsistent with coefficient {name}")
 
 

@@ -15,6 +15,7 @@ whole arrays, and :func:`build_report` reads them off in modulus order.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -60,13 +61,17 @@ class SolveConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.tol is not None and not (0.0 < self.tol < 1.0):
-            raise ValueError("tol must lie in (0, 1)")
+        for name in ("scale", "balance", "deflate", "want_left"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if self.tol is not None and not (isinstance(self.tol, numbers.Real)
+                                         and 0.0 < self.tol < 1.0):
+            raise ValueError(f"tol must be None or a real number in (0, 1), got {self.tol!r}")
         make_strategy(self.rank_strategy, self.tol)  # rejects an unknown strategy name
         if self.eigvec_mode not in ("min_residual", "least_squares"):
             raise ValueError(f"unknown eigvec mode {self.eigvec_mode!r}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if type(self.threads) is not int or self.threads < 1:
+            raise ValueError(f"threads must be an int >= 1, got {self.threads!r}")
 
     def label(self):
         """Comma-free tag naming every field of ``OPTIONS`` as key=value,

@@ -1,24 +1,13 @@
-import importlib
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from quarteig import (
-    QuarticPencil,
-    analyze_ranks,
-    deflate,
-    gen_jordan_chain,
-    gen_mirror_like,
-    gen_planted,
-    linearize,
-    reverse,
-    second_level,
-)
-from quarteig.deflate import _generic_layer, _Reducer
+import quarteig.deflate
+from quarteig import QuarticPencil, gen_jordan_chain, gen_mirror_like, gen_planted
+from quarteig.deflate import _generic_layer, _Reducer, analyze_ranks, deflate, second_level
 from quarteig.errors import DeflationError
 from quarteig.numkit import EPS, NormThreshold, rrqr
-from quarteig.pencil import LinearPencil
+from quarteig.pencil import LinearPencil, linearize, reverse
 from oracles import (
     classify_dense,
     haar_unitary,
@@ -277,6 +266,16 @@ class TestDeflateCases:
         with pytest.raises(DeflationError):
             deflate(linearize(q1), q1, rp_wrong)
 
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e-8, 1e-100])
+    def test_inconsistent_profile_rejected_at_any_scale(self, scale):
+        # the consistency check is relative: no overflow to an infinite
+        # tolerance for large coefficients, no absolute floor for small ones
+        rng = np.random.default_rng(23)
+        q1, q2 = (QuarticPencil(*(scale * m for m in random_regular_quartic(rng, 3).coeffs))
+                  for _ in range(2))
+        with pytest.raises(DeflationError):
+            deflate(linearize(q1), q1, analyze_ranks(q2))
+
     def test_only_a_singular_rejected(self):
         # the reversal happens once, in the solver; deflate() asks for it
         q = gen_planted(4, 0, 2, seed=21).pencil
@@ -305,14 +304,13 @@ class TestStaircaseStep:
         assert np.array_equal(red.wa, p.aa) and np.array_equal(red.wb, p.bb)
 
     def test_probe_that_deflates_nothing_forms_no_q(self, monkeypatch):
-        deflate_module = importlib.import_module("quarteig.deflate")
         made = []
 
         def recorded(*args, **kwargs):
             made.append(rrqr(*args, **kwargs))
             return made[-1]
 
-        monkeypatch.setattr(deflate_module, "rrqr", recorded)
+        monkeypatch.setattr(quarteig.deflate, "rrqr", recorded)
         rng = np.random.default_rng(24)
         p = LinearPencil(aa=haar_unitary(rng, 4), bb=rand_complex(rng, (4, 4)))
         red, k = staircase_layer(p)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from quarteig import QuarticPencil, analyze_ranks, deflate, linearize, second_level, solve_gevp
+from quarteig import QuarticPencil
+from quarteig.deflate import analyze_ranks, deflate, second_level
 from quarteig.eigvec import (
     build_context,
     lift_left,
@@ -11,8 +12,9 @@ from quarteig.eigvec import (
     recover_right_ls,
     recover_right_zero,
 )
+from quarteig.gevp import solve_gevp
 from quarteig.numkit import EPS, rrqr
-from quarteig.pencil import EIG_FINITE, Spectrum
+from quarteig.pencil import EIG_FINITE, Spectrum, linearize
 from oracles import (
     backward_errors,
     haar_unitary,

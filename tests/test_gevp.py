@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import quarteig.numkit
-from quarteig import SolveConfig, build_report, solve_gevp, solve_pencil
+from quarteig import SolveConfig, build_report, solve_pencil
 from quarteig.errors import GevpError
+from quarteig.gevp import solve_gevp
 from quarteig.numkit import EPS
 from quarteig.pencil import EIG_FINITE, EIG_INFINITE, LinearPencil
 from quarteig.probio import gen_jordan_chain, gen_planted

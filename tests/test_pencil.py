@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from quarteig import QuarticPencil, linearize, reverse
+from quarteig import QuarticPencil
 from quarteig.diagnostics import homogeneous_weights
 from quarteig.pencil import (
     EIG_FINITE,
@@ -10,8 +10,10 @@ from quarteig.pencil import (
     EIG_ZERO,
     affine,
     classify,
+    linearize,
     normalize,
     reciprocal,
+    reverse,
 )
 from oracles import (
     classify_dense,

@@ -14,7 +14,6 @@ from quarteig import (
     gen_mirror_like,
     gen_planted,
     grade_rows,
-    linearize,
     read_bundle,
     write_bundle,
     write_report,
@@ -24,6 +23,7 @@ from quarteig.errors import (
     MalformedMatrixError,
     MissingCoefficientError,
 )
+from quarteig.pencil import linearize
 from quarteig.probio import write_file
 from oracles import classify_dense, rand_complex
 

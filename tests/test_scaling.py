@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from quarteig import QuarticPencil, linearize
+from quarteig import QuarticPencil
 from quarteig.errors import ScalingError
-from quarteig.pencil import EIG_INFINITE
+from quarteig.pencil import EIG_INFINITE, linearize
 from quarteig.scaling import ScalingRecord, balance, descale, param_scale
 from oracles import match_values, rand_complex, random_regular_quartic
 from support import far_apart_norms, from_lambda, solution
