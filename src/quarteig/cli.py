@@ -82,7 +82,6 @@ def build_parser():
     add_common(sp)
     sp.add_argument("--scale", type=_onoff, default=True, metavar="{on,off}")
     sp.add_argument("--balance", type=_onoff, default=True, metavar="{on,off}")
-    sp.add_argument("--rank-strategy", choices=("norm", "dropoff"), default="norm")
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--deflate", type=_onoff, default=True, metavar="{on,off}")
     sp.add_argument(

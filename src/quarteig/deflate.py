@@ -41,17 +41,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DeflationError
-from .numkit import NormThreshold, PivotedQR, rrqr, safe_norm, urv
+from .numkit import PivotedQR, rrqr, safe_norm, urv
 from .pencil import LinearPencil, QuarticPencil
 
 
 @dataclass
 class RankProfile:
-    """Rank-revealing factorizations of the extreme coefficients A and E."""
+    """Rank-revealing factorizations of the extreme coefficients A and E.
+
+    ``tol`` is the rank tolerance of :func:`numkit.rrqr` for every rank
+    decision of the deflation (None: max(shape)*eps).
+    """
 
     qr_a: PivotedQR
     qr_e: PivotedQR
-    strategy: object
+    tol: float | None
 
     @property
     def r_a(self):
@@ -67,17 +71,12 @@ class RankProfile:
 
     def swapped(self):
         """Profile of the reversed problem (A and E trade places)."""
-        return RankProfile(qr_a=self.qr_e, qr_e=self.qr_a, strategy=self.strategy)
+        return RankProfile(qr_a=self.qr_e, qr_e=self.qr_a, tol=self.tol)
 
 
-def analyze_ranks(q: QuarticPencil, strategy=None) -> RankProfile:
+def analyze_ranks(q: QuarticPencil, tol=None) -> RankProfile:
     """Rank-revealing QR of A and E."""
-    strategy = strategy or NormThreshold()
-    return RankProfile(
-        qr_a=rrqr(q.a, strategy),
-        qr_e=rrqr(q.e, strategy),
-        strategy=strategy,
-    )
+    return RankProfile(qr_a=rrqr(q.a, tol), qr_e=rrqr(q.e, tol), tol=tol)
 
 
 @dataclass
@@ -108,8 +107,8 @@ def second_level(q: QuarticPencil, rp: RankProfile) -> SecondLevel:
     return SecondLevel(
         phi=phi,
         psi=psi,
-        qr_phi=rrqr(phi, rp.strategy),
-        qr_psi=rrqr(psi, rp.strategy),
+        qr_phi=rrqr(phi, rp.tol),
+        qr_psi=rrqr(psi, rp.tol),
     )
 
 
@@ -189,20 +188,19 @@ class _Reducer:
         self.q[:, :m] = self.q[:, :m] @ r
 
     def truncate(self, k, kind, side, zeros=0, infs=0, rank=None, evidence=None):
+        """Cut the trailing k rows and columns off the active pencil.
+
+        The entries left of the cut block in both matrices, and the block
+        itself in AA (side "zero") or BB (side "inf"), are set to zero;
+        ``dropped`` is the Frobenius norm of what they held.
+        """
         m = self.m
         new = m - k
-        dropped = float(
-            np.linalg.norm(self.wa[new:m, :new]) ** 2
-            + np.linalg.norm(self.wb[new:m, :new]) ** 2
-        )
-        self.wa[new:m, :new] = 0.0
-        self.wb[new:m, :new] = 0.0
-        if side == "zero":
-            dropped += float(np.linalg.norm(self.wa[new:m, new:m]) ** 2)
-            self.wa[new:m, new:m] = 0.0
-        elif side == "inf":
-            dropped += float(np.linalg.norm(self.wb[new:m, new:m]) ** 2)
-            self.wb[new:m, new:m] = 0.0
+        cut = (self.wa[new:m, :new], self.wb[new:m, :new],
+               (self.wa if side == "zero" else self.wb)[new:m, new:m])
+        dropped = float(safe_norm([safe_norm(c) for c in cut]))
+        for c in cut:
+            c[...] = 0.0
         self.m = new
         self.zeros += zeros
         self.infs += infs
@@ -214,7 +212,7 @@ class _Reducer:
                 infs=infs,
                 rank=rank,
                 evidence=evidence or {},
-                dropped=np.sqrt(dropped),
+                dropped=dropped,
             )
         )
 
@@ -299,7 +297,7 @@ def _step2_zero(red: _Reducer, q: QuarticPencil, rp: RankProfile, sl: SecondLeve
     red.wa[2 * n + r_e : 3 * n + r_e, :n] = psi_rows
     red.wa[2 * n + r_e : 3 * n + r_e, n:m] = 0.0
     trailing = red.wb[2 * n + r_e + r2 : m, :m]
-    cod = urv(trailing, rp.strategy)
+    cod = urv(trailing, rp.tol)
     if cod.rank < n - r2:
         red.flags.append("zero_chain_trailing_rank_deficient")
     red.right(cod.v)
@@ -327,7 +325,7 @@ def _case_both_full(q: QuarticPencil, rp: RankProfile) -> _Reducer:
     m = red.m
     rows = np.arange(n + rp.r_a, 2 * n)
     trailing = red.wa[rows, :m]
-    cod = urv(trailing, rp.strategy)
+    cod = urv(trailing, rp.tol)
     if cod.rank < n - rp.r_a:
         red.flags.append("inf_block_trailing_rank_deficient")
     red.right(cod.v)
@@ -343,21 +341,21 @@ def _case_both_full(q: QuarticPencil, rp: RankProfile) -> _Reducer:
     return red
 
 
-def _generic_layer(red: _Reducer, on, strategy, known=None, kind=None):
+def _generic_layer(red: _Reducer, on, tol, known=None, kind=None):
     """One staircase reduction layer for the zero (on='zero') or infinite
     (on='inf') eigenvalue of the active pencil. Returns the deflated count."""
     m = red.m
     if m == 0:
         return 0
     const = red.wa if on == "zero" else red.wb
-    f = rrqr(const[:m, :m], strategy)
+    f = rrqr(const[:m, :m], tol)
     rank = m - known if known is not None else f.rank
     if rank >= m:
         return 0
     red.left(f.q.conj().T)
     other = red.wb if on == "zero" else red.wa
     trailing = other[rank:m, :m]
-    cod = urv(trailing, strategy)
+    cod = urv(trailing, tol)
     if cod.rank < m - rank:
         red.flags.append(f"staircase_{on}_trailing_rank_deficient")
         return 0
@@ -394,7 +392,7 @@ def deflate(
 ) -> DeflationResult:
     """Run the full deflation decision tree on the 4n linearization.
 
-    Every rank decision uses the truncation strategy of ``rp``. A quartic
+    Every rank decision uses the rank tolerance of ``rp``. A quartic
     with only A singular is deflated through its reversal, whose E is the
     singular one (:func:`solve_pencil` reverses such problems), so that
     profile raises :class:`DeflationError` here.
@@ -403,7 +401,7 @@ def deflate(
     if lin.size != 4 * n:
         raise DeflationError(f"linearization size {lin.size} != 4n = {4 * n}")
     _check_consistent(q, rp)
-    strategy = rp.strategy
+    tol = rp.tol
 
     if rp.r_a < n and rp.r_e == n:
         raise DeflationError(
@@ -442,22 +440,22 @@ def deflate(
         red = _step1_zero(q, rp)
         if sl.r_psi < n:
             _step2_zero(red, q, rp, sl)
-            while _generic_layer(red, "zero", strategy):
+            while _generic_layer(red, "zero", tol):
                 pass
         if rp.r_a < n:
             # infinite chain on the reversed pencil; the first block sizes
             # are known from the ranks of A and Phi
-            _generic_layer(red, "inf", strategy, known=n - rp.r_a,
+            _generic_layer(red, "inf", tol, known=n - rp.r_a,
                            kind="inf_block_1")
             if sl.r_phi < n:
-                _generic_layer(red, "inf", strategy, known=n - sl.r_phi,
+                _generic_layer(red, "inf", tol, known=n - sl.r_phi,
                                kind="inf_block_2")
-                while _generic_layer(red, "inf", strategy):
+                while _generic_layer(red, "inf", tol):
                     pass
 
     m = red.m
-    fa = rrqr(red.wa[:m, :m], strategy)
-    fb = rrqr(red.wb[:m, :m], strategy)
+    fa = rrqr(red.wa[:m, :m], tol)
+    fb = rrqr(red.wb[:m, :m], tol)
     a_regular = bool(fa.rank == m)
     b_regular = bool(fb.rank == m)
     if not b_regular:

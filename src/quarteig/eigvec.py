@@ -33,6 +33,7 @@ from .numkit import (
     PivotedQR,
     TriHessPair,
     complete_orthogonal,
+    safe_norm,
     shifted_hess_solve,  # only bench/tracer.py uses it here (ROADMAP item 1)
     shifted_hess_solve_many,
     singular_diag,
@@ -103,7 +104,7 @@ def recover_right_many(zs, alpha, beta, ctx: RecoveryContext):
         # E Pi = Q R, so E^-1 (-z4) = Pi R^-1 Q* (-z4)
         cands[3][f.perm] = solve_triangular(f.r, f.q.conj().T @ -z4)
         valid[3] = True
-    norms_c = np.linalg.norm(cands, axis=1)
+    norms_c = safe_norm(cands, axis=1)
     finite_c = np.isfinite(norms_c) & (norms_c > 0.0)
     valid[0] = finite_c[0]
     valid &= finite_c
@@ -113,7 +114,7 @@ def recover_right_many(zs, alpha, beta, ctx: RecoveryContext):
     for c in range(4):
         if valid[c].any():
             r = diagnostics.weighted_products(q.coeffs, w, cands[c])
-            res[c] = np.where(valid[c], np.linalg.norm(r, axis=0), np.inf)
+            res[c] = np.where(valid[c], safe_norm(r, axis=0), np.inf)
     sel = np.argmin(res, axis=0)
     cols = np.arange(nj)
     x = cands[sel, :, cols].T

@@ -1,8 +1,8 @@
 """Dense complex factorization kernels.
 
 Everything downstream (rank analysis, deflation, eigenvector recovery) is
-built on the routines here: column-pivoted rank-revealing QR with pluggable
-truncation strategies; the complete orthogonal (URV) decomposition built on
+built on the routines here: column-pivoted rank-revealing QR with a
+normwise rank rule; the complete orthogonal (URV) decomposition built on
 it, whose V also holds a basis of the right null space; triangular solves;
 the complex generalized Schur form of a matrix pair and the batched O(n^2)
 shifted back substitutions built on it; and the eigensolver of the final
@@ -75,78 +75,6 @@ def safe_norm(m, axis=None):
     e = np.minimum(np.maximum(np.frexp(big)[1], -1020), 1024)
     scale = np.ldexp(1.0, -(e if axis is None else np.expand_dims(e, axis)))
     return np.ldexp(np.linalg.norm(m * scale, axis=axis), e)
-
-
-# ---------------------------------------------------------------------------
-# truncation strategies for numerical rank decisions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormThreshold:
-    """Keep diagonal entries with |r_kk| > tau * ||m||_F.
-
-    ``tau=None`` resolves to max(shape)*eps at decision time.
-    """
-
-    tau: float | None = None
-    name = "norm"
-
-    def decide(self, diag_abs, fro, shape):
-        tau = self.tau if self.tau is not None else max(max(shape), 1) * EPS
-        thr = tau * fro
-        rank = int(np.sum(diag_abs > thr))
-        log = {
-            "strategy": "norm",
-            "tau": tau,
-            "threshold": thr,
-            "rank": rank,
-            "diag": [float(d) for d in diag_abs],
-        }
-        return rank, log
-
-
-@dataclass(frozen=True)
-class DropOff:
-    """Truncate at the first drop |r_{i+1,i+1}| <= rho * |r_ii| on the diagonal."""
-
-    rho: float = float(np.sqrt(EPS))
-    name = "dropoff"
-
-    def decide(self, diag_abs, fro, shape):
-        k = len(diag_abs)
-        rank = k
-        if k == 0 or diag_abs[0] == 0.0:
-            rank = 0
-        else:
-            for i in range(k):
-                if diag_abs[i] == 0.0:
-                    rank = i
-                    break
-                if i + 1 < k and diag_abs[i + 1] <= self.rho * diag_abs[i]:
-                    rank = i + 1
-                    break
-        ratios = [
-            float(diag_abs[i + 1] / diag_abs[i]) if diag_abs[i] > 0 else 0.0
-            for i in range(k - 1)
-        ]
-        log = {
-            "strategy": "dropoff",
-            "rho": self.rho,
-            "ratios": ratios,
-            "rank": rank,
-            "diag": [float(d) for d in diag_abs],
-        }
-        return rank, log
-
-
-def make_strategy(name, value=None):
-    """Build a truncation strategy from CLI-style arguments."""
-    if name == "norm":
-        return NormThreshold(tau=value)
-    if name == "dropoff":
-        return DropOff(rho=value) if value is not None else DropOff()
-    raise ValueError(f"unknown rank strategy {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,34 +164,37 @@ def _form_q(qr, tau):
     return q
 
 
-def rrqr(m, strategy=None) -> PivotedQR:
-    """Rank-revealing QR with Businger-Golub column pivoting."""
+def rrqr(m, tol=None) -> PivotedQR:
+    """Rank-revealing QR with Businger-Golub column pivoting.
+
+    The numerical rank counts the diagonal entries with
+    |r_kk| > tau * ||m||_F, where tau is ``tol`` or, when None,
+    max(shape)*eps. ``truncation_log`` records tau, the threshold, the rank
+    and |diag(r)|.
+    """
     a = as_matrix(m)
     rows, cols = a.shape
-    strategy = strategy or NormThreshold()
-    if rows == 0 or cols == 0:
-        rank, log = strategy.decide(np.zeros(0), 0.0, a.shape)
-        return PivotedQR(
-            r=np.zeros((rows, cols), dtype=np.complex128),
-            perm=np.arange(cols, dtype=np.intp),
-            rank=0,
-            truncation_log=log,
-            _q=np.eye(rows, dtype=np.complex128),
-        )
     lib = lapack()
-    if lib is None:
+    reflectors = None
+    if rows == 0 or cols == 0:
+        q, r, perm = (np.eye(rows, dtype=np.complex128),
+                      np.zeros((rows, cols), dtype=np.complex128), np.arange(cols))
+    elif lib is None:
         import scipy.linalg as sla
 
         q, r, perm = sla.qr(a, pivoting=True, check_finite=False)
-        reflectors = None
     else:
         qr = np.array(a, order="F")
         jpvt = np.zeros(cols, dtype=lib.int)
-        tau = np.empty(min(rows, cols), dtype=np.complex128)
-        lib.zgeqp3(rows, cols, qr, rows, jpvt, tau)
-        q, r, perm, reflectors = None, np.triu(qr), jpvt - 1, (qr, tau)
+        hh_scalars = np.empty(min(rows, cols), dtype=np.complex128)
+        lib.zgeqp3(rows, cols, qr, rows, jpvt, hh_scalars)
+        q, r, perm, reflectors = None, np.triu(qr), jpvt - 1, (qr, hh_scalars)
     diag_abs = np.abs(np.diag(r))
-    rank, log = strategy.decide(diag_abs, float(safe_norm(a)), a.shape)
+    tau = tol if tol is not None else max(rows, cols, 1) * EPS
+    threshold = tau * float(safe_norm(a))
+    rank = int(np.sum(diag_abs > threshold))
+    log = {"tau": tau, "threshold": threshold, "rank": rank,
+           "diag": [float(d) for d in diag_abs]}
     return PivotedQR(r=r, perm=perm.astype(np.intp), rank=rank, truncation_log=log,
                      reflectors=reflectors, _q=q)
 
@@ -303,9 +234,10 @@ def complete_orthogonal(f: PivotedQR) -> URVFactors:
     return URVFactors(v=z[:, order], rank=rho)
 
 
-def urv(m, strategy=None) -> URVFactors:
-    """Two-sided orthogonal reduction exposing row rank."""
-    return complete_orthogonal(rrqr(m, strategy))
+def urv(m, tol=None) -> URVFactors:
+    """Two-sided orthogonal reduction exposing row rank (the rank of
+    :func:`rrqr` with ``tol``)."""
+    return complete_orthogonal(rrqr(m, tol))
 
 
 # ---------------------------------------------------------------------------

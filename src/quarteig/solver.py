@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, diagnostics, eigvec, gevp, probio, scaling
 from .deflate import analyze_ranks, deflate, second_level
-from .numkit import blas_threads, make_strategy, unit_columns
+from .numkit import blas_threads, unit_columns
 from .pencil import (
     CLASS_NAMES,
     EIG_FINITE,
@@ -53,7 +53,6 @@ class SolveConfig:
 
     scale: bool = True
     balance: bool = True
-    rank_strategy: str = "norm"
     tol: float | None = None
     deflate: bool = True
     eigvec_mode: str = "min_residual"
@@ -67,7 +66,6 @@ class SolveConfig:
         if self.tol is not None and not (isinstance(self.tol, numbers.Real)
                                          and 0.0 < self.tol < 1.0):
             raise ValueError(f"tol must be None or a real number in (0, 1), got {self.tol!r}")
-        make_strategy(self.rank_strategy, self.tol)  # rejects an unknown strategy name
         if self.eigvec_mode not in ("min_residual", "least_squares"):
             raise ValueError(f"unknown eigvec mode {self.eigvec_mode!r}")
         if type(self.threads) is not int or self.threads < 1:
@@ -220,8 +218,7 @@ def _solve(q0, config, name):
     rec = rec_bal.merged(rec_scale)
     flags.extend(rec.flags)
 
-    strategy = make_strategy(config.rank_strategy, config.tol)
-    rp = analyze_ranks(qs, strategy)
+    rp = analyze_ranks(qs, config.tol)
 
     reversed_problem = bool(config.deflate and rp.r_a < n and rp.r_e == n)
     qw = reverse(qs) if reversed_problem else qs

@@ -67,23 +67,21 @@ def test_one_version(unit_bundle):
 CONFIG_DEFAULTS = {
     "scale": True,
     "balance": True,
-    "rank_strategy": "norm",
     "tol": None,
     "deflate": True,
     "eigvec_mode": "min_residual",
     "want_left": True,
     "threads": 1,
 }
-REPORTED = ["scale", "balance", "rank_strategy", "tol", "deflate", "eigvec_mode"]
+REPORTED = ["scale", "balance", "tol", "deflate", "eigvec_mode"]
 SOLVE_OPTIONS = [
-    "-h", "--help", "--threads", "--scale", "--balance", "--rank-strategy",
-    "--tol", "--deflate", "--eigvec-mode", "--right-only", "--output", "--format",
+    "-h", "--help", "--threads", "--scale", "--balance", "--tol", "--deflate",
+    "--eigvec-mode", "--right-only", "--output", "--format",
 ]
 # one value per compare key, other than its default: the text and the parsed value
 COMPARE_VALUES = {
     "scale": ("off", False),
     "balance": ("off", False),
-    "rank_strategy": ("dropoff", "dropoff"),
     "tol": ("1e-10", 1e-10),
     "deflate": ("off", False),
     "eigvec_mode": ("least_squares", "least_squares"),
@@ -120,7 +118,7 @@ def test_every_compare_key_reaches_the_report(unit_bundle, tmp_path):
         assert config == {**{r: CONFIG_DEFAULTS[r] for r in REPORTED}, key: value}
 
 
-@pytest.mark.parametrize("key", ["want_left", "threads", "right_only"])
+@pytest.mark.parametrize("key", ["want_left", "threads", "right_only", "rank_strategy"])
 def test_compare_rejects_other_keys(unit_bundle, capsys, key):
     assert main(["compare", str(unit_bundle), "--config", f"{key}=1", "--config", ""]) == EXIT_USAGE
     err = json.loads(capsys.readouterr().out)["error"]
@@ -128,7 +126,7 @@ def test_compare_rejects_other_keys(unit_bundle, capsys, key):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("tol", 0.0), ("tol", 1.0), ("tol", math.nan), ("tol", "1e-3"), ("rank_strategy", "bogus"),
+    ("tol", 0.0), ("tol", 1.0), ("tol", math.nan), ("tol", "1e-3"),
     ("eigvec_mode", "bogus"), ("threads", 0), ("threads", 1.5), ("threads", "2"),
     ("threads", True), ("scale", "off"), ("balance", 1), ("deflate", None),
     ("want_left", "on"),

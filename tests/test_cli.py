@@ -239,7 +239,6 @@ class TestSolveCommand:
                 str(unit_bundle),
                 "--scale", "off",
                 "--balance", "off",
-                "--rank-strategy", "dropoff",
                 "--tol", "1e-10",
                 "--eigvec-mode", "least_squares",
                 "--right-only",
@@ -249,7 +248,7 @@ class TestSolveCommand:
         assert code == EXIT_OK
         rep = json.loads(out.read_text())
         assert rep["config"]["scale"] is False
-        assert rep["config"]["rank_strategy"] == "dropoff"
+        assert rep["config"]["tol"] == 1e-10
         assert all(p["eta_left"] is None for p in rep["eigenpairs"])
 
     def test_right_only_deflated_pairs_have_no_left_fields(self, mirror_bundle, tmp_path):
@@ -367,7 +366,7 @@ class TestCompareCommand:
         assert main(["solve", str(unit_bundle), "--output", str(out)]) == EXIT_OK
         config = json.loads(out.read_text())["config"]
         assert config["scale"] is True and config["balance"] is True
-        assert config["deflate"] is True and config["rank_strategy"] == "norm"
+        assert config["deflate"] is True and config["tol"] is None
 
     def test_single_config_usage_error(self, unit_bundle, capsys):
         code = main(
@@ -459,10 +458,11 @@ class TestUsage:
         assert main(["frobnicate"]) == EXIT_USAGE
 
     @pytest.mark.parametrize("argv,named", [
-        (["solve", "B", "--rank-strategy", "x"], "--rank-strategy"),
+        (["solve", "B", "--rank-strategy", "norm"], "--rank-strategy"),  # a deleted option
         (["solve", "B", "--no-such-option"], "--no-such-option"),
         (["solve"], "bundle"),
         (["compare", "--config", "scale=on"], "bundle"),
+        (["solve", "B", "--eigvec-mode", "x"], "--eigvec-mode"),
     ])
     def test_argparse_errors_print_the_json_error_object(self, capsys, argv, named):
         assert main(argv) == EXIT_USAGE

@@ -6,7 +6,7 @@ import quarteig.deflate
 from quarteig import QuarticPencil, gen_jordan_chain, gen_mirror_like, gen_planted
 from quarteig.deflate import _generic_layer, _Reducer, analyze_ranks, deflate, second_level
 from quarteig.errors import DeflationError
-from quarteig.numkit import EPS, NormThreshold, rrqr
+from quarteig.numkit import EPS, rrqr
 from quarteig.pencil import LinearPencil, linearize, reverse
 from oracles import (
     classify_dense,
@@ -291,7 +291,7 @@ def staircase_layer(p, known_block=None, red=None):
     if red is None:
         eye = np.eye(p.size, dtype=np.complex128)
         red = _Reducer(p.aa.astype(np.complex128), p.bb.astype(np.complex128), eye, eye.copy())
-    return red, _generic_layer(red, "zero", NormThreshold(), known=known_block)
+    return red, _generic_layer(red, "zero", None, known=known_block)
 
 
 class TestStaircaseStep:

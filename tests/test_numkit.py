@@ -5,9 +5,6 @@ import quarteig.numkit
 from quarteig.errors import SingularShiftError
 from quarteig.numkit import (
     EPS,
-    DropOff,
-    NormThreshold,
-    make_strategy,
     rrqr,
     safe_norm,
     shifted_hess_solve,
@@ -28,8 +25,16 @@ class TestRRQR:
 
     def test_threshold_forces_truncation(self):
         m = np.diag([1.0, 1e-18]).astype(complex)
-        f = rrqr(m, NormThreshold())  # tau = n*eps by default
+        f = rrqr(m)  # tau = n*eps by default
         assert f.rank == 1
+
+    def test_tol_sets_the_threshold(self):
+        m = np.diag([1.0, 1e-6]).astype(complex)
+        assert rrqr(m).rank == 2
+        f = rrqr(m, tol=1e-5)
+        assert f.rank == 1
+        assert f.truncation_log == {"tau": 1e-5, "threshold": 1e-5 * safe_norm(m), "rank": 1,
+                                    "diag": [1.0, 1e-6]}
 
     def test_reconstruction_well_conditioned(self):
         rng = np.random.default_rng(1)
@@ -72,16 +77,6 @@ class TestRRQR:
         for s in (2.0**40, 2.0**-40):
             assert rrqr(s * m).rank == r0
 
-    def test_dropoff_truncates_at_gap(self):
-        rng = np.random.default_rng(5)
-        u = haar_unitary(rng, 6)
-        v = haar_unitary(rng, 6)
-        s = np.array([1.0, 0.9, 0.5, 1e-9, 1e-10, 1e-11])
-        m = u @ (s[:, None] * v.conj().T)
-        f = rrqr(m, DropOff(rho=1e-4))
-        assert f.rank == 3
-        assert f.truncation_log["strategy"] == "dropoff"
-
     def test_unitarity(self):
         rng = np.random.default_rng(6)
         for shape in ((5, 5), (7, 4), (4, 7)):
@@ -119,12 +114,6 @@ class TestRRQR:
         assert np.array_equal(f.q, q_ref)
         assert np.array_equal(f.r, r_ref) and np.array_equal(f.perm, p_ref)
         assert np.array_equal(f.q_times(x), q_ref @ x)
-
-    def test_make_strategy(self):
-        assert isinstance(make_strategy("norm", 1e-10), NormThreshold)
-        assert isinstance(make_strategy("dropoff"), DropOff)
-        with pytest.raises(ValueError):
-            make_strategy("other")
 
 
 def compressed(m, f):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -213,6 +215,22 @@ class TestExtremeCoefficientScales:
         for eta in (sol.eta_right, sol.eta_left):
             assert np.all((eta > 0.0) & (eta <= 1e-14))
         match_values(sol.lam, ref.lam, 1e-12)
+
+    @pytest.mark.parametrize("s", [1e200, 1e250])
+    def test_unscaled_deflation_report_is_strict_json(self, s):
+        # the norm of the truncated blocks (a step's ``dropped``) must not
+        # overflow to Infinity, a token that RFC 8259 JSON does not have
+        from quarteig import SolveConfig, build_report, gen_planted, solve_pencil
+        from quarteig.probio import report_json
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        q = gen_planted(6, 1, 1, seed=7).pencil
+        res = solve_pencil(QuarticPencil.from_matrices(*(s * m for m in q.coeffs)),
+                           SolveConfig(scale=False))
+        report = json.loads(report_json(build_report(res)), parse_constant=reject)
+        assert report["deflation"]["zeros"] > 0
 
     @pytest.mark.parametrize("case", [0, 1, 2],
                              ids=["ratio_overflows", "theta_underflows", "ratio_underflows"])
