@@ -5,19 +5,17 @@ related to the quartic eigenvector x by
 
     z = (lambda x, lambda^2 (lambda A + B) x, lambda (lambda A + B) x, -E x),
 
-so x can be recovered from z1, from (lambda A + B)^{-1} z2 or z3 (an O(n^2)
-triangular solve on the generalized Schur form of (A, B)), or from E^{-1} z4
-(through the rank-revealing QR of E that rank analysis made, offered only
-when that QR finds E of full rank); all available candidates are evaluated
-and the one with the smallest residual wins. A left eigenvector is
-w = (lambda^3 y, lambda^2 y, lambda y, y) and y is read off the best-scaled
-block. Vectors of the deflated pencil are lifted back to the full
-linearization with the accumulated transformations; left vectors also need
-a solve with the deflated trailing pencil. That pencil is the staircase left by deflation,
-block upper triangular with one block per deflation step, each diagonal
-block vanishing in one coefficient by construction; it is solved by block
-forward substitution over the steps, one QR per block shared by all
-eigenvalues, with no QZ of its own.
+so x is recovered from z1, or from E^{-1} z4 through the rank-revealing QR
+of E that rank analysis made, offered only when that QR finds E of full
+rank; of the candidates that exist the one with the smaller residual wins.
+A left eigenvector is w = (lambda^3 y, lambda^2 y, lambda y, y) and y is
+read off the best-scaled block. Vectors of the deflated pencil are lifted
+back to the full linearization with the accumulated transformations; left
+vectors also need a solve with the deflated trailing pencil. That pencil is
+the staircase left by deflation, block upper triangular with one block per
+deflation step, each diagonal block vanishing in one coefficient by
+construction; it is solved by block forward substitution over the steps,
+one QR per block shared by all eigenvalues, with no QZ of its own.
 """
 
 from __future__ import annotations
@@ -31,17 +29,16 @@ from .deflate import DeflationResult, RankProfile
 from .numkit import (
     EPS,
     PivotedQR,
-    TriHessPair,
     complete_orthogonal,
     safe_norm,
-    shifted_hess_solve,  # only bench/tracer.py uses it here (ROADMAP item 1)
-    shifted_hess_solve_many,
     singular_diag,
     solve_triangular,
-    tri_hess_reduce,
     unit_columns,
 )
 from .pencil import QuarticPencil, affine
+
+# the deleted shifted solves, still looked up by bench/tracer.py (ROADMAP item 1)
+tri_hess_reduce = shifted_hess_solve = shifted_hess_solve_many = None
 
 
 @dataclass
@@ -49,31 +46,29 @@ class RecoveryContext:
     """Per-problem factorizations reused across all eigenvalue recoveries."""
 
     q: QuarticPencil
-    tri_hess: TriHessPair
     qr_e: PivotedQR | None  # rank-revealing QR of E; None unless it has full rank
     svd_e: tuple | None = None  # (u, sigma, v) of E, from the first least-squares recovery
 
 
 def build_context(q: QuarticPencil, qr_e: PivotedQR) -> RecoveryContext:
-    """The generalized Schur form of (A, B), and ``qr_e``, the rank-revealing
-    QR of E from rank analysis, kept for the E solve when it finds full rank."""
-    return RecoveryContext(q=q, tri_hess=tri_hess_reduce(q.a, q.b),
-                           qr_e=qr_e if qr_e.rank == q.n else None)
+    """The context of ``q``: ``qr_e``, the rank-revealing QR of E from rank
+    analysis, is kept for the E solve when it finds full rank."""
+    return RecoveryContext(q=q, qr_e=qr_e if qr_e.rank == q.n else None)
 
 
 def recover_right_many(zs, alpha, beta, ctx: RecoveryContext):
     """Smallest-residual recovery of quartic right eigenvectors.
 
     ``zs`` holds one lifted 4n-vector per column; ``alpha`` and ``beta`` the
-    matching finite nonzero eigenvalues in homogeneous form. Every candidate
-    (z1, the two shifted solves, the E solve) is normalized and the one with
-    the smallest residual ||P(lambda) x|| wins, which is the smallest
-    backward error, since all candidates of an eigenvalue share its
-    denominator; the shifted solves and the residual evaluations are
-    vectorized across the batch. Returns a list of ``(x, method, residual)``
-    with unit-norm x and its residual norm; when only z1 is usable the
-    method is ``z1_fallback``, and degenerate entries come back as
-    ``(None, 'degenerate', inf)``.
+    matching finite nonzero eigenvalues in homogeneous form. The candidates
+    are z1 and, when ``ctx`` holds a full-rank QR of E, the E solve
+    E^-1 (-z4); each is normalized and the one with the smaller residual
+    ||P(lambda) x|| wins, which is the smaller backward error, since both
+    candidates of an eigenvalue share its denominator. The solve and the
+    residual evaluations are vectorized across the batch. Returns a list of
+    ``(x, method, residual)`` with unit-norm x, the winner's name (``z1``
+    or ``z4_esolve``) and its residual norm; a column where no candidate is
+    nonzero and finite comes back as ``(None, 'degenerate', inf)``.
     """
     q = ctx.q
     n = q.n
@@ -87,41 +82,27 @@ def recover_right_many(zs, alpha, beta, ctx: RecoveryContext):
         raise ValueError("batch shapes are inconsistent")
     if np.any(alpha == 0.0) or np.any(beta == 0.0):
         raise ValueError("recover_right_many requires finite nonzero eigenvalues")
-    lams = affine(alpha, beta)
-    z1 = zs[:n, :]
-    z4 = zs[3 * n :, :]
-    rhs = np.stack([zs[n : 2 * n, :].T, zs[2 * n : 3 * n, :].T], axis=2)
-    sols, ok = shifted_hess_solve_many(ctx.tri_hess, lams, rhs)
-    names = ("z1", "z2_shifted", "z3_shifted", "z4_esolve")
-    cands = np.zeros((4, n, nj), dtype=np.complex128)
-    valid = np.zeros((4, nj), dtype=bool)
-    cands[0] = z1
-    cands[1] = sols[:, :, 0].T
-    cands[2] = sols[:, :, 1].T
-    valid[1] = valid[2] = ok
     f = ctx.qr_e
+    names = ("z1",) if f is None else ("z1", "z4_esolve")
+    cands = np.empty((len(names), n, nj), dtype=np.complex128)
+    cands[0] = zs[:n, :]
     if f is not None:
         # E Pi = Q R, so E^-1 (-z4) = Pi R^-1 Q* (-z4)
-        cands[3][f.perm] = solve_triangular(f.r, f.q.conj().T @ -z4)
-        valid[3] = True
+        cands[1][f.perm] = solve_triangular(f.r, f.q.conj().T @ -zs[3 * n :, :])
     norms_c = safe_norm(cands, axis=1)
-    finite_c = np.isfinite(norms_c) & (norms_c > 0.0)
-    valid[0] = finite_c[0]
-    valid &= finite_c
-    np.divide(cands, norms_c[:, None, :], out=cands, where=finite_c[:, None, :])
+    valid = np.isfinite(norms_c) & (norms_c > 0.0)
+    np.divide(cands, norms_c[:, None, :], out=cands, where=valid[:, None, :])
     w = diagnostics.homogeneous_weights(alpha, beta)
-    res = np.full((4, nj), np.inf)
-    for c in range(4):
+    res = np.full(valid.shape, np.inf)
+    for c in range(len(names)):
         if valid[c].any():
             r = diagnostics.weighted_products(q.coeffs, w, cands[c])
             res[c] = np.where(valid[c], safe_norm(r, axis=0), np.inf)
     sel = np.argmin(res, axis=0)
     cols = np.arange(nj)
     x = cands[sel, :, cols].T
-    nvalid = valid.sum(axis=0)
     method = np.array(names, dtype=object)[sel]
-    method[(sel == 0) & (nvalid == 1)] = "z1_fallback"
-    method[nvalid == 0] = "degenerate"
+    method[~valid.any(axis=0)] = "degenerate"
     return [(x[:, j] if m != "degenerate" else None, m, r)
             for j, (m, r) in enumerate(zip(method.tolist(), res[sel, cols].tolist()))]
 

@@ -5,10 +5,6 @@ class QuarteigError(Exception):
     """Base class for all solver errors."""
 
 
-class SingularShiftError(QuarteigError):
-    """Shifted system lambda*A + B is numerically singular."""
-
-
 class GevpError(QuarteigError):
     """Generalized eigensolver backend failure."""
 

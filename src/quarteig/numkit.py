@@ -3,12 +3,11 @@
 Everything downstream (rank analysis, deflation, eigenvector recovery) is
 built on the routines here: column-pivoted rank-revealing QR with a
 normwise rank rule; the complete orthogonal (URV) decomposition built on
-it, whose V also holds a basis of the right null space; triangular solves;
-the complex generalized Schur form of a matrix pair and the batched O(n^2)
-shifted back substitutions built on it; and the eigensolver of the final
-pencil (:func:`generalized_eig`). A pivoted QR keeps LAPACK's Householder
-reflectors and forms its Q factor on first use, since rank decisions read
-only R.
+it, whose V also holds a basis of the right null space; triangular solves
+and the test for a numerically singular triangle; and the eigensolver of
+the final pencil (:func:`generalized_eig`). A pivoted QR keeps LAPACK's
+Householder reflectors and forms its Q factor on first use, since rank
+decisions read only R.
 
 This module is also the one place that talks to LAPACK and OpenBLAS
 directly. Every LAPACK routine of the package runs through one table of
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GevpError, SingularShiftError
+from .errors import GevpError
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -241,64 +240,8 @@ def urv(m, tol=None) -> URVFactors:
 
 
 # ---------------------------------------------------------------------------
-# generalized Schur form and shifted solves
+# triangular solves
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TriHessPair:
-    """Two-sided unitary reduction a = q t z*, b = q h z*.
-
-    ``t`` and ``h`` are both upper triangular (the generalized Schur form
-    returned by :func:`tri_hess_reduce`; the names are those of the
-    Hessenberg-triangular form it replaced), which the shifted solves rely
-    on: lambda*t + h is triangular and (lambda*a + b)^-1 v costs one O(n^2)
-    back substitution per shift.
-    """
-
-    q: np.ndarray
-    t: np.ndarray
-    h: np.ndarray
-    z: np.ndarray
-
-    @property
-    def n(self):
-        return self.t.shape[0]
-
-
-def tri_hess_reduce(a, b) -> TriHessPair:
-    """Complex generalized Schur form of a pair (LAPACK zgges).
-
-    The QZ reduction of Moler and Stewart: a = q t z*, b = q h z* with
-    unitary q, z and both ``t`` and ``h`` upper triangular. A QZ iteration
-    that fails to converge raises :class:`GevpError`.
-    """
-    t = as_matrix(a)
-    h = as_matrix(b)
-    if t.shape != h.shape or t.shape[0] != t.shape[1]:
-        raise ValueError(f"expected equal square matrices, got {t.shape} and {h.shape}")
-    n = t.shape[0]
-    if n <= 1:
-        eye = np.eye(n, dtype=np.complex128)
-        return TriHessPair(q=eye, t=t.copy(), h=h.copy(), z=eye.copy())
-    lib = lapack()
-    if lib is None:
-        import scipy.linalg as sla
-
-        try:
-            t, h, q, z = sla.qz(t, h, output="complex", check_finite=False)
-        except sla.LinAlgError as exc:  # pragma: no cover
-            raise GevpError(f"generalized Schur reduction failed: {exc}") from exc
-        return TriHessPair(q=q, t=t, h=h, z=z)
-    t, h = np.array(t, order="F"), np.array(h, order="F")
-    q = np.empty((n, n), dtype=np.complex128, order="F")
-    z = np.empty((n, n), dtype=np.complex128, order="F")
-    alpha, beta = np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128)
-    info = lib.zgges("V", "V", "N", None, n, t, n, h, n, np.zeros(1, dtype=lib.int),
-                     alpha, beta, q, n, z, n)
-    if info:  # pragma: no cover
-        raise GevpError(f"generalized Schur reduction failed: LAPACKE_zgges returned info={info}")
-    return TriHessPair(q=q, t=t, h=h, z=z)
 
 
 def solve_triangular(r, b, trans="N"):
@@ -335,53 +278,6 @@ def singular_diag(d):
     return (dmin == 0.0) | (dmax >= dmin / EPS)
 
 
-def shifted_hess_solve_many(pair: TriHessPair, lams, vs):
-    """Batched solves (lam_j a + b) x = v.
-
-    ``vs`` has shape (j, n, r): r right-hand sides for each of the j shifts.
-    ``pair`` is the triangular form from :func:`tri_hess_reduce`, so
-    lam_j a + b = q (lam_j t + h) z* and every solve is one O(n^2) back
-    substitution, run for all shifts and columns at once.
-    Returns ``(x, ok)`` where ``ok[j]`` is False for shifts whose diagonal
-    fails :func:`singular_diag` (those entries of ``x`` are not meaningful).
-    """
-    lams = np.asarray(lams, dtype=np.complex128)
-    vs = np.asarray(vs, dtype=np.complex128)
-    nj, n, nr = vs.shape
-    t, h = pair.t, pair.h
-    if lams.shape != (nj,) or t.shape != (n, n) or h.shape != (n, n):
-        raise ValueError("inconsistent batch shapes")
-    diag = lams[:, None] * np.diagonal(t)[None, :] + np.diagonal(h)[None, :]
-    ok = ~singular_diag(diag)
-    # columns are (shift, rhs) pairs: back substitution row by row, with
-    # lam_j t + h applied as the weighted sum of the two row products
-    th = np.stack([t, h])
-    s_cols = np.repeat(np.stack([lams, np.ones_like(lams)]), nr, axis=1)
-    diag_cols = np.repeat(np.where(diag == 0.0, 1.0, diag).T, nr, axis=1)
-    y = pair.q.conj().T @ vs.transpose(1, 0, 2).reshape(n, nj * nr)
-    for k in range(n - 1, -1, -1):
-        done = slice(k + 1, n)  # empty on the first row
-        y[k] -= (s_cols * (th[:, k, done] @ y[done])).sum(axis=0)
-        y[k] /= diag_cols[k]
-    x = (pair.z @ y).reshape(n, nj, nr).transpose(1, 0, 2)
-    return x, ok
-
-
-def shifted_hess_solve(pair: TriHessPair, lam, v):
-    """Evaluate (lambda*a + b)^-1 v through the reduced pair.
-
-    ``v`` may hold several columns. A one-shift call of
-    :func:`shifted_hess_solve_many`; raises :class:`SingularShiftError` when
-    the shifted system is numerically singular. The solver uses the batched
-    call; this one stays while bench/tracer.py patches it (ROADMAP item 1).
-    """
-    v = np.asarray(v)
-    x, ok = shifted_hess_solve_many(pair, [lam], v.reshape(1, v.shape[0], -1))
-    if not ok[0]:
-        raise SingularShiftError("shifted system is numerically singular")
-    return x[0].reshape(v.shape)
-
-
 # ---------------------------------------------------------------------------
 # LAPACKE and OpenBLAS entry points
 # ---------------------------------------------------------------------------
@@ -404,13 +300,11 @@ _LAPACKE_NAMES = (
 )
 
 # the arguments of each routine after the matrix layout: c a character,
-# i a LAPACK integer, p a pointer to an array (or NULL)
+# i a LAPACK integer, p a pointer to an array
 _LAPACKE_ARGS = {
     "zgeqp3": "iipipp",  # m n a lda jpvt tau
     "zungqr": "iiipip",  # m n k a lda tau
     "zunmqr": "cciiipippi",  # side trans m n k a lda tau c ldc
-    "zgges": "cccpipipippppipi",  # jobvsl jobvsr sort selctg n a lda b ldb sdim
-                                  # alpha beta vsl ldvsl vsr ldvsr
     "ztrtrs": "ccciipipi",  # uplo trans diag n nrhs a lda b ldb
     "zggev3": "ccipipipppipi",  # jobvl jobvr n a lda b ldb alpha beta vl ldvl vr ldvr
 }
@@ -419,12 +313,12 @@ _LAPACK_COL_MAJOR = 102
 
 class Lapacke:
     """The LAPACKE routines of one loaded library, as attributes named after
-    the routines (``zgeqp3``, ``zgges``, ...).
+    the routines (``zgeqp3``, ``ztrtrs``, ...).
 
     Each takes its LAPACKE arguments after the matrix layout, which is
     always column-major: characters as ``str``, arrays as Fortran-contiguous
     complex128 arrays or integer arrays of the LAPACK integer dtype
-    ``self.int``, and None for a NULL pointer. Each returns LAPACK's ``info`` and raises ``ValueError``
+    ``self.int``. Each returns LAPACK's ``info`` and raises ``ValueError``
     on an illegal argument (info < 0). The workspace is LAPACKE's, sized by
     a workspace query as ``scipy.linalg`` sizes it.
     """

@@ -106,6 +106,15 @@ _MM_MIRROR = {"general": None, "symmetric": lambda v: v,
               "skew-symmetric": np.negative, "hermitian": np.conj}
 
 
+def _parse(tokens, dtype):
+    """``tokens.astype(dtype)``, with an integer out of the dtype's range
+    a ``ValueError``, as an unparsable number is."""
+    try:
+        return tokens.astype(dtype)
+    except OverflowError as exc:
+        raise ValueError(f"number out of range: {exc}") from exc
+
+
 def read_mtx(path) -> np.ndarray:
     """A Matrix Market file as a dense C-ordered array.
 
@@ -116,8 +125,8 @@ def read_mtx(path) -> np.ndarray:
     for the coordinate format, so repeated coordinates are summed) bit for
     bit and in dtype. Entries may be spread over lines in any way. Raises
     ``ValueError`` on a malformed header or size line, an entry count that
-    does not match the size line, an unparsable number or an index out of
-    range.
+    does not match the size line, an unparsable number, a size, integer or
+    index beyond int64, or an index out of range.
     """
     with open(path, "rb") as fh:
         lines = fh.read().decode("latin-1").splitlines()
@@ -137,7 +146,7 @@ def read_mtx(path) -> np.ndarray:
         dims = [int(t) for t in size]
     except ValueError:
         dims = []
-    if len(dims) != (2 if fmt == "array" else 3) or min(dims) < 0:
+    if len(dims) != (2 if fmt == "array" else 3) or min(dims) < 0 or max(dims) >= 2**63:
         raise ValueError(f"malformed {fmt} size line: {' '.join(size)!r}")
     rows, cols = dims[:2]
     dtype, width = _MM_FIELDS[field]
@@ -162,7 +171,7 @@ def read_mtx(path) -> np.ndarray:
         j, i = (np.divmod(np.arange(count), rows) if mirror is None
                 else np.triu_indices(rows, skip))
     else:
-        i, j = tokens[:, 0].astype(np.int64) - 1, tokens[:, 1].astype(np.int64) - 1
+        i, j = _parse(tokens[:, 0], np.int64) - 1, _parse(tokens[:, 1], np.int64) - 1
         if count and (min(i.min(), j.min()) < 0 or i.max() >= rows or j.max() >= cols):
             raise ValueError("entry index out of range")
         tokens = tokens[:, 2:]
@@ -172,7 +181,7 @@ def read_mtx(path) -> np.ndarray:
         vals = np.empty(count, dtype=dtype)
         vals.real, vals.imag = tokens[:, 0].astype(np.float64), tokens[:, 1].astype(np.float64)
     else:
-        vals = tokens[:, 0].astype(dtype)
+        vals = _parse(tokens[:, 0], dtype)
     # as mmread: every entry is added to zero (so -0.0 reads as 0.0) in file
     # order, the mirrored ones last (repeated coordinates are summed)
     out = np.zeros((rows, cols), dtype=dtype)

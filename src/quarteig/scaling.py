@@ -73,7 +73,7 @@ def _factors(q: QuarticPencil):
         gamma = float((ne / na) ** 0.25)
         theta = float(4.0 / (ne + gamma * safe_norm(q.d) + gamma**2 * safe_norm(q.c)
                              + gamma**3 * safe_norm(q.b)))
-    if not (0.0 < gamma < np.inf and theta > 0.0):
+    if not (0.0 < gamma < np.inf and 0.0 < theta < np.inf):
         raise ScalingError(
             "coefficient norms too far apart for parameter scaling: ||E||_F/||A||_F = "
             f"{ne:.3g}/{na:.3g} gives gamma = {gamma:.3g}, theta = {theta:.3g}"

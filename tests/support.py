@@ -28,12 +28,13 @@ def far_apart_norms(case):
     parameter scaling: case 0 scales A by 1e-200 and E by 1e200, so that
     ||E||/||A|| overflows; case 1 scales A, B and E by 1e-150, 1e100 and
     1e150, so that gamma^3 ||B|| overflows and theta is 0; case 2 scales A
-    by 1e200 and E by 1e-200, so that ||E||/||A|| underflows and gamma is 0.
-    All cases draw from ``default_rng(0)``, each after the earlier cases'
-    matrices."""
+    by 1e200 and E by 1e-200, so that ||E||/||A|| underflows and gamma is 0;
+    case 3 scales all five by 1e-310 (subnormal), so that theta = 4 / (sum
+    of the norms) overflows. All cases draw from ``default_rng(0)``, each
+    after the earlier cases' matrices."""
     rng = np.random.default_rng(0)
     for factors in ((1e-200, 1, 1, 1, 1e200), (1e-150, 1e100, 1, 1, 1e150),
-                    (1e200, 1, 1, 1, 1e-200))[: case + 1]:
+                    (1e200, 1, 1, 1, 1e-200), (1e-310,) * 5)[: case + 1]:
         mats = [f * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
                 for f in factors]
     return QuarticPencil.from_matrices(*mats)

@@ -47,7 +47,7 @@ class TestSolveCommand:
         assert rep["summary"]["counts"] == {"zero": 0, "finite": 16, "infinite": 0}
         assert all(0.0 < p["eta_right"] <= 1e-14 for p in rep["eigenpairs"])
 
-    @pytest.mark.parametrize("case", [0, 1])
+    @pytest.mark.parametrize("case", [0, 1, 3])
     def test_norms_too_far_apart_are_numerical_error(self, tmp_path, capsys, case):
         from support import far_apart_norms
 

@@ -178,6 +178,10 @@ MALFORMED = {
     "index_out_of_range": "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1\n",
     "index_zero": "%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1\n",
     "symmetric_not_square": "%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n",
+    "integer_beyond_int64": "%%MatrixMarket matrix array integer general\n1 1\n99999999999999999999999\n",
+    "size_beyond_int64": "%%MatrixMarket matrix array real general\n99999999999999999999999 0\n",
+    "index_beyond_int64": ("%%MatrixMarket matrix coordinate real general\n1 1 1\n"
+                           "99999999999999999999999 1 1\n"),
 }
 
 
@@ -189,7 +193,8 @@ class TestMalformed:
         with pytest.raises(ValueError):
             read_mtx(path)
 
-    @pytest.mark.parametrize("case", ["short_header", "too_few_entries", "wrong_entry_count"])
+    @pytest.mark.parametrize("case", ["short_header", "too_few_entries", "wrong_entry_count",
+                                      "integer_beyond_int64", "index_beyond_int64"])
     def test_bundle_error_and_cli_exit_3(self, unit_bundle, capsys, case):
         (unit_bundle / "D.mtx").write_text(MALFORMED[case])
         with pytest.raises(MalformedMatrixError) as exc:

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 import quarteig.numkit
-from quarteig.errors import SingularShiftError
-from quarteig.numkit import (
-    EPS,
-    rrqr,
-    safe_norm,
-    shifted_hess_solve,
-    tri_hess_reduce,
-    urv,
-)
+from quarteig.numkit import EPS, rrqr, safe_norm, singular_diag, urv
 from oracles import haar_unitary, rand_complex, well_conditioned
 
 
@@ -170,137 +162,19 @@ class TestURV:
         assert np.linalg.norm(f.v.conj().T @ f.v - np.eye(n)) <= 10 * n * EPS
 
 
-class TestTriHess:
-    def test_triangular_pair_stays_structured(self):
-        rng = np.random.default_rng(13)
-        a = np.triu(rand_complex(rng, (5, 5)))
-        b = np.triu(rand_complex(rng, (5, 5)))
-        pair = tri_hess_reduce(a, b)
-        assert np.allclose(np.tril(pair.t, -1), 0.0)
-        assert np.allclose(np.tril(pair.h, -2), 0.0)
-        assert np.linalg.norm(pair.q @ pair.t @ pair.z.conj().T - a) <= 100 * EPS * np.linalg.norm(a)
-
-    def test_scalar_exact(self):
-        a = np.array([[2.0 + 1.0j]])
-        b = np.array([[3.0 - 4.0j]])
-        pair = tri_hess_reduce(a, b)
-        assert pair.t[0, 0] == a[0, 0]
-        assert pair.h[0, 0] == b[0, 0]
-
-    def test_determinant_consistency(self):
-        rng = np.random.default_rng(14)
-        n = 6
-        a = rand_complex(rng, (n, n))
-        b = rand_complex(rng, (n, n))
-        pair = tri_hess_reduce(a, b)
-        assert np.linalg.norm(pair.q @ pair.t @ pair.z.conj().T - a) <= 100 * n * EPS * np.linalg.norm(a)
-        assert np.linalg.norm(pair.q @ pair.h @ pair.z.conj().T - b) <= 100 * n * EPS * np.linalg.norm(b)
-        phases = []
-        for lam in (0.7 + 0.1j, -1.3, 2.0j):
-            d1 = np.linalg.det(lam * a + b)
-            d2 = np.linalg.det(lam * pair.t + pair.h)
-            assert abs(abs(d1) - abs(d2)) <= 1e-8 * abs(d1)
-            phases.append(d1 / d2)
-        # the determinant ratio is the constant det(q)*det(z*)
-        assert abs(phases[0] - phases[1]) <= 1e-8
-        assert abs(phases[0] - phases[2]) <= 1e-8
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            tri_hess_reduce(np.eye(3), np.eye(4))
-
-    def test_generalized_schur_form(self):
-        rng = np.random.default_rng(21)
-        for n in (2, 5, 12):
-            a = rand_complex(rng, (n, n))
-            b = rand_complex(rng, (n, n))
-            pair = tri_hess_reduce(a, b)
-            assert np.array_equal(np.tril(pair.t, -1), np.zeros((n, n)))
-            assert np.array_equal(np.tril(pair.h, -1), np.zeros((n, n)))
-            eye = np.eye(n)
-            for u in (pair.q, pair.z):
-                assert np.linalg.norm(u.conj().T @ u - eye) <= 100 * n * EPS
-            assert np.linalg.norm(pair.q @ pair.t @ pair.z.conj().T - a) <= 100 * n * EPS * np.linalg.norm(a)
-            assert np.linalg.norm(pair.q @ pair.h @ pair.z.conj().T - b) <= 100 * n * EPS * np.linalg.norm(b)
-
-
-class TestShiftedSolve:
-    def test_identity_shift(self):
-        n = 4
-        pair = tri_hess_reduce(np.eye(n), np.zeros((n, n)))
-        v = np.arange(1.0, n + 1.0) + 0j
-        x = shifted_hess_solve(pair, 2.0, v)
-        assert np.allclose(x, v / 2.0, atol=1e-14)
-
-    def test_matches_dense_lu(self):
-        rng = np.random.default_rng(15)
-        n = 8
-        a = well_conditioned(rng, n)
-        b = well_conditioned(rng, n)
-        lam = 0.3 - 1.1j
-        assert np.linalg.cond(lam * a + b) < 100  # well-conditioned shift
-        pair = tri_hess_reduce(a, b)
-        v = rand_complex(rng, (n,))
-        x = shifted_hess_solve(pair, lam, v)
-        x_ref = np.linalg.solve(lam * a + b, v)
-        assert np.linalg.norm(x - x_ref) <= 1e3 * n * EPS * np.linalg.norm(x_ref)
-
-    def test_fifty_random_pairs(self):
-        rng = np.random.default_rng(16)
-        done = 0
-        while done < 50:
-            n = int(rng.integers(2, 10))
-            a = well_conditioned(rng, n, cond=50.0)
-            b = well_conditioned(rng, n, cond=50.0)
-            lam = rand_complex(rng, ()).item()
-            if np.linalg.cond(lam * a + b) > 100:
-                continue
-            pair = tri_hess_reduce(a, b)
-            v = rand_complex(rng, (n,))
-            x = shifted_hess_solve(pair, lam, v)
-            x_ref = np.linalg.solve(lam * a + b, v)
-            rel = np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref)
-            assert rel <= 1e3 * n * EPS, (done, rel)
-            done += 1
-
-    def test_exact_eigenvalue_raises(self):
-        a = np.diag([1.0, 2.0]).astype(complex)
-        b = np.diag([3.0, 8.0]).astype(complex)
-        pair = tri_hess_reduce(a, b)
-        v = np.ones(2, dtype=complex)
-        with pytest.raises(SingularShiftError):
-            shifted_hess_solve(pair, -3.0, v)  # -3*1 + 3 = 0
-
-
-class TestBatchedSolve:
-    def test_matches_scalar_path(self):
-        rng = np.random.default_rng(18)
-        n = 7
-        a = well_conditioned(rng, n)
-        b = well_conditioned(rng, n)
-        pair = tri_hess_reduce(a, b)
-        lams = rand_complex(rng, (9,))
-        rhs = rand_complex(rng, (9, n, 2))
-        from quarteig.numkit import shifted_hess_solve_many
-
-        xs, ok = shifted_hess_solve_many(pair, lams, rhs)
-        assert ok.all()
-        for j in range(9):
-            ref = shifted_hess_solve(pair, lams[j], rhs[j])
-            assert np.linalg.norm(xs[j] - ref) <= 1e-12 * np.linalg.norm(ref)
-
-    def test_singular_shift_masked(self):
-        a = np.diag([1.0, 2.0]).astype(complex)
-        b = np.diag([3.0, 8.0]).astype(complex)
-        pair = tri_hess_reduce(a, b)
-        from quarteig.numkit import shifted_hess_solve_many
-
-        lams = np.array([-3.0, 1.0])
-        rhs = np.ones((2, 2, 1), dtype=complex)
-        xs, ok = shifted_hess_solve_many(pair, lams, rhs)
-        assert not ok[0] and ok[1]
-        ref = shifted_hess_solve(pair, 1.0, np.ones(2))
-        assert np.allclose(xs[1, :, 0], ref)
+class TestSingularDiag:
+    def test_zero_entry_and_the_one_over_eps_ratio(self):
+        d = np.array([
+            [2.0, 0.0, 1.0],  # a zero on the diagonal
+            [1.0, -3.0j, 2.0 + 1.0j],  # well conditioned; moduli count
+            [1.0, 1.01 * EPS, -1.0],  # largest/smallest just below 1/eps
+            [1.0, EPS, 1.0],  # exactly 1/eps
+            [1.0j, 0.99 * EPS, 1.0],  # above it
+        ])
+        assert singular_diag(d).tolist() == [True, False, False, True, True]
+        # one diagonal, as lift_left passes it, and an empty one
+        assert singular_diag(np.array([3.0, 0.0])) and not singular_diag(np.array([3.0, 1.0]))
+        assert not singular_diag(np.zeros(0))
 
 
 class TestRefactorInvariants:
@@ -377,17 +251,6 @@ class TestLapackeTable:
         r[1, 1] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
             quarteig.numkit.solve_triangular(r, np.ones(3))
-
-    @pytest.mark.parametrize("n", [12, 44])
-    def test_generalized_schur_matches_scipy(self, backend, n):
-        import scipy.linalg as sla
-
-        rng = np.random.default_rng(74 + n)
-        a, b = rand_complex(rng, (n, n)), rand_complex(rng, (n, n))
-        pair = tri_hess_reduce(a, b)
-        t, h, q, z = sla.qz(a, b, output="complex")
-        for got, ref in zip((pair.t, pair.h, pair.q, pair.z), (t, h, q, z)):
-            assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("shape", [(6, 6), (9, 5), (4, 7)])
     def test_pivoted_qr_matches_scipy(self, backend, shape):

@@ -232,8 +232,8 @@ class TestExtremeCoefficientScales:
         report = json.loads(report_json(build_report(res)), parse_constant=reject)
         assert report["deflation"]["zeros"] > 0
 
-    @pytest.mark.parametrize("case", [0, 1, 2],
-                             ids=["ratio_overflows", "theta_underflows", "ratio_underflows"])
+    @pytest.mark.parametrize("case", [0, 1, 2, 3], ids=["ratio_overflows", "theta_underflows",
+                                                       "ratio_underflows", "theta_overflows"])
     def test_norms_too_far_apart_raise(self, case):
         from quarteig import solve_pencil
 

@@ -44,6 +44,34 @@ def test_returned_vectors_are_unit(kind, config):
     assert all(np.array_equal(v, x) for v, x in zip(sol.right, sol.x.T))
 
 
+# the recovery labels of each pair: a finite pair's winning candidate (z1 or
+# the E solve, which needs E of full rank, so never on planted or mirror-like
+# problems), the class of an undeflated zero or infinite pair, or the
+# deflated null space
+METHODS = {
+    "default": {"planted": {"deflated_nullspace", "z1"},
+                "mirror": {"deflated_nullspace", "z1"},
+                "regular": {"z1", "z4_esolve"}},
+    "deflate_off": {"planted": {"inf_class_z1", "z1", "zero_class_z1"},
+                    "mirror": {"inf_class_z1", "z1", "zero_class_z1"},
+                    "regular": {"z1", "z4_esolve"}},
+    "right_only": {"planted": {"deflated_nullspace", "z1"},
+                   "mirror": {"deflated_nullspace", "z1"},
+                   "regular": {"z1", "z4_esolve"}},
+    "least_squares": {"planted": {"deflated_nullspace", "least_squares"},
+                      "mirror": {"deflated_nullspace", "least_squares"},
+                      "regular": {"least_squares"}},
+}
+
+
+@pytest.mark.parametrize("config", sorted(METHODS))
+def test_recovery_methods_are_pinned(config):
+    cfg = CONFIGS.get(config) or SolveConfig(eigvec_mode=config)
+    for kind, expected in METHODS[config].items():
+        methods = solve_pencil(PROBLEMS[kind](), cfg).solution.methods
+        assert set(methods.tolist()) == expected, kind
+
+
 @pytest.mark.parametrize("kind", ["planted", "mirror"])
 def test_one_lift_and_no_triangular_solve_per_eigenvalue(kind, monkeypatch):
     table = quarteig.numkit.lapack()
@@ -60,15 +88,15 @@ def test_one_lift_and_no_triangular_solve_per_eigenvalue(kind, monkeypatch):
 
     monkeypatch.setattr(quarteig.eigvec, "lift_left",
                         counted("lift_left", quarteig.eigvec.lift_left))
-    # every generalized Schur form and triangular solve runs in the LAPACKE table
+    # every QZ and triangular solve runs in the LAPACKE table
     monkeypatch.setattr(table, "ztrtrs", counted("solve_triangular", table.ztrtrs))
-    monkeypatch.setattr(table, "zgges", counted("qz", table.zgges))
+    monkeypatch.setattr(table, "zggev3", counted("qz", table.zggev3))
     res = solve_pencil(PROBLEMS[kind]())
     d = res.deflation
     assert d.size < d.full_size
     blocks = sum(1 for s in d.steps if s.deflated)
     finite = int(np.sum(res.solution.cls == EIG_FINITE))
-    # one lift; the only QZ besides the 4n eigensolver is the recovery context's
+    # one lift; the eigensolve of the deflated pencil is the only QZ
     assert calls["lift_left"] == 1 and calls["qz"] == 1
     assert 1 <= calls["solve_triangular"] <= blocks < finite
     # the lift's triangular solves do not grow with the eigenvalue count
