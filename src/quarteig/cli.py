@@ -47,17 +47,6 @@ _CONFIG_PARSERS = {name: _config_parser(tp) for name, tp in
                    typing.get_type_hints(SolveConfig).items() if name in OPTIONS}
 
 
-def _threads_from_env():
-    """QUARTEIG_THREADS as an integer, 1 when unset; SolveConfig checks the range."""
-    env = os.environ.get("QUARTEIG_THREADS")
-    if not env:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"QUARTEIG_THREADS must be an integer, got {env!r}") from None
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors also print the JSON error object
     (argparse itself prints the usage text to stderr and exits 2)."""
@@ -75,8 +64,8 @@ def build_parser():
 
     def add_common(sp):
         sp.add_argument("bundle", help="problem bundle directory (A.mtx .. E.mtx)")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="BLAS threads during the solve (default: QUARTEIG_THREADS or 1)")
+        sp.add_argument("--threads", type=int, default=1,
+                        help="BLAS threads during the solve (default: 1)")
 
     sp = sub.add_parser("solve", help="solve one problem bundle")
     add_common(sp)
@@ -123,11 +112,11 @@ def _fail(code, kind, message):
     return code
 
 
-def _solve_configs(args, threads):
+def _solve_configs(args):
     if args.format == "both" and not args.output:
         raise ValueError("--format both writes two files and needs --output")
     return [SolveConfig(**{name: getattr(args, name) for name in OPTIONS},
-                        want_left=not args.right_only, threads=threads)]
+                        want_left=not args.right_only, threads=args.threads)]
 
 
 def _write_solve(args, bundle, configs, reports):
@@ -150,10 +139,10 @@ def _merged_csv(labels, reports):
     return csv_text([header, *rows])
 
 
-def _compare_configs(args, threads):
+def _compare_configs(args):
     if len(args.config) < 2:
         raise ValueError("compare requires at least two --config entries")
-    return [_parse_config(spec, threads) for spec in args.config]
+    return [_parse_config(spec, args.threads) for spec in args.config]
 
 
 def _write_compare(args, bundle, configs, reports):
@@ -177,8 +166,7 @@ def main(argv=None):
     make_configs, write = _COMMANDS[args.command]
     # the configs are built before the bundle is read, so usage errors come first
     try:
-        threads = _threads_from_env() if args.threads is None else args.threads
-        configs = make_configs(args, threads)
+        configs = make_configs(args)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))
     # one run path for both commands: read, solve each config, report, write

@@ -31,7 +31,8 @@ step, on the block itself; ``DeflationResult.steps`` records the sizes and
 sides, from which left-vector lifting solves the staircase block by block.
 
 Rank decisions read only the R factor of a pivoted QR; its Q is formed only
-where a step transforms with it (:class:`numkit.PivotedQR`).
+where a step transforms with it or the consistency check applies it
+(:class:`numkit.PivotedQR`).
 """
 
 from __future__ import annotations
@@ -187,8 +188,9 @@ class _Reducer:
         self.wb[:m, :m] = self.wb[:m, :m] @ r
         self.q[:, :m] = self.q[:, :m] @ r
 
-    def truncate(self, k, kind, side, zeros=0, infs=0, rank=None, evidence=None):
-        """Cut the trailing k rows and columns off the active pencil.
+    def truncate(self, k, kind, side, rank=None, evidence=None):
+        """Cut the trailing k rows and columns off the active pencil, k zero
+        (side "zero") or infinite (side "inf") eigenvalues.
 
         The entries left of the cut block in both matrices, and the block
         itself in AA (side "zero") or BB (side "inf"), are set to zero;
@@ -202,6 +204,7 @@ class _Reducer:
         for c in cut:
             c[...] = 0.0
         self.m = new
+        zeros, infs = (k, 0) if side == "zero" else (0, k)
         self.zeros += zeros
         self.infs += infs
         self.steps.append(
@@ -257,7 +260,6 @@ def _first_step(rp: RankProfile, q_k, u, top_a, top_b) -> _Reducer:
         n - rp.r_e,
         kind="zero_block_1",
         side="zero",
-        zeros=n - rp.r_e,
         rank=rp.r_e,
         evidence=dict(rp.qr_e.truncation_log),
     )
@@ -305,7 +307,6 @@ def _step2_zero(red: _Reducer, q: QuarticPencil, rp: RankProfile, sl: SecondLeve
         n - r2,
         kind="zero_block_2",
         side="zero",
-        zeros=n - r2,
         rank=r2,
         evidence=dict(sl.qr_psi.truncation_log),
     )
@@ -334,7 +335,6 @@ def _case_both_full(q: QuarticPencil, rp: RankProfile) -> _Reducer:
         n - rp.r_a,
         kind="inf_block_1",
         side="inf",
-        infs=n - rp.r_a,
         rank=rp.r_a,
         evidence=dict(rp.qr_a.truncation_log),
     )
@@ -364,8 +364,6 @@ def _generic_layer(red: _Reducer, on, tol, known=None, kind=None):
         m - rank,
         kind=kind or f"staircase_{on}",
         side=on,
-        zeros=m - rank if on == "zero" else 0,
-        infs=m - rank if on == "inf" else 0,
         rank=rank,
         evidence=dict(f.truncation_log),
     )
@@ -379,7 +377,7 @@ def _check_consistent(q: QuarticPencil, rp: RankProfile):
     v = (rng.standard_normal(q.n) + 1j * rng.standard_normal(q.n))[:, None]
     for mat, f, name in ((q.a, rp.qr_a, "A"), (q.e, rp.qr_e, "E")):
         lhs = mat[:, f.perm] @ v
-        rhs = f.q_times(f.r @ v)  # forms no Q, which a regular problem never needs
+        rhs = f.q @ (f.r @ v)
         if safe_norm(lhs - rhs) > 1e-6 * safe_norm(mat) * safe_norm(v):
             raise DeflationError(f"rank profile inconsistent with coefficient {name}")
 

@@ -126,19 +126,15 @@ def recover_left(ws):
     scale family (l^3, l^2, l, 1); the block with the largest norm carries
     the most signal relative to additive noise, so it is selected per column,
     for the whole batch at once, and normalized. Returns ``(y, ok)``:
-    ``ok[j]`` is False for an all-zero column, whose column of ``y`` is zero.
+    ``ok[j]`` is False for an all-zero or non-finite column, whose column of
+    ``y`` is zero.
     """
     ws = np.asarray(ws)
     if ws.ndim != 2 or ws.shape[0] % 4:
         raise ValueError(f"expected 4n-vectors as columns, got shape {ws.shape}")
     blocks = ws.reshape(4, ws.shape[0] // 4, ws.shape[1])
-    norms = np.linalg.norm(blocks, axis=1)
-    best = np.argmax(norms, axis=0)
-    cols = np.arange(ws.shape[1])
-    ny = norms[best, cols]
-    ok = ny > 0.0
-    y = blocks[best, :, cols].T
-    return np.divide(y, ny, out=np.zeros_like(y), where=ok), ok
+    best = np.argmax(np.linalg.norm(blocks, axis=1), axis=0)
+    return unit_columns(blocks[best, :, np.arange(ws.shape[1])].T)
 
 
 def recover_right_ls(zs, alpha, beta, ctx: RecoveryContext):
@@ -192,34 +188,28 @@ def lift_left(ws, alpha, beta, d: DeflationResult):
     if ws.shape != (d.size, nj):
         raise ValueError(f"expected {d.size}-vectors as {nj} columns, got {ws.shape}")
     ok = np.ones(nj, dtype=bool)
-    if d.size < d.full_size:
-        alpha_c = np.asarray(alpha, dtype=np.complex128).conj()
-        beta_c = np.asarray(beta, dtype=np.complex128).conj()
-        v = np.zeros((d.full_size, nj), dtype=np.complex128)
-        v[: d.size] = ws
-        start = d.size
-        for step in reversed(d.steps):
-            if not step.deflated:
-                continue
-            blk = slice(start, start + step.deflated)
-            # right-hand side -(Y_{:, i})* v over the rows solved so far
-            rhs = (alpha_c * (d.work_b[:start, blk].conj().T @ v[:start])
-                   - beta_c * (d.work_a[:start, blk].conj().T @ v[:start]))
-            zero_step = step.zeros > 0
-            qf, rf = np.linalg.qr((d.work_b if zero_step else d.work_a)[blk, blk])
-            if singular_diag(np.diagonal(rf)):
-                ok[:] = False
-                break
-            scale = -alpha_c if zero_step else beta_c
-            ok &= scale != 0.0
-            # (scale M*) x = rhs with M = qf rf: x = qf rf^-* rhs / scale
-            x = qf @ solve_triangular(rf, rhs, trans="C")
-            v[blk] = x / np.where(scale != 0.0, scale, 1.0)
-            start = blk.stop
-        ws = d.p.conj().T @ v
-    nrm = np.linalg.norm(ws, axis=0)
-    ok &= np.isfinite(nrm) & (nrm > 0.0)
-    return np.divide(ws, nrm, out=np.zeros_like(ws), where=ok), ok
+    alpha_c = np.asarray(alpha, dtype=np.complex128).conj()
+    beta_c = np.asarray(beta, dtype=np.complex128).conj()
+    v = np.zeros((d.full_size, nj), dtype=np.complex128)
+    v[: d.size] = ws
+    start = d.size
+    for step in reversed(d.steps):
+        blk = slice(start, start + step.deflated)
+        # right-hand side -(Y_{:, i})* v over the rows solved so far
+        rhs = (alpha_c * (d.work_b[:start, blk].conj().T @ v[:start])
+               - beta_c * (d.work_a[:start, blk].conj().T @ v[:start]))
+        zero_step = step.zeros > 0
+        qf, rf = np.linalg.qr((d.work_b if zero_step else d.work_a)[blk, blk])
+        if singular_diag(np.diagonal(rf)):
+            ok[:] = False
+            break
+        scale = -alpha_c if zero_step else beta_c
+        ok &= scale != 0.0
+        # (scale M*) x = rhs with M = qf rf: x = qf rf^-* rhs / scale
+        x = qf @ solve_triangular(rf, rhs, trans="C")
+        v[blk] = x / np.where(scale != 0.0, scale, 1.0)
+        start = blk.stop
+    return unit_columns(np.where(ok, d.p.conj().T @ v, 0.0))
 
 
 def nullspace_vectors(rp: RankProfile, which, side="right"):

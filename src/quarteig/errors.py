@@ -8,13 +8,9 @@ class QuarteigError(Exception):
 class GevpError(QuarteigError):
     """Generalized eigensolver backend failure."""
 
-    def __init__(self, message, failing_index=None):
-        super().__init__(message)
-        self.failing_index = failing_index
-
 
 class ScalingError(QuarteigError):
-    """Coefficient norms too far apart for parameter scaling in floating point."""
+    """Coefficient norms out of parameter scaling's floating-point range."""
 
 
 class DeflationError(QuarteigError):

@@ -45,8 +45,7 @@ def solve_gevp(p: LinearPencil, want_left: bool = True) -> GevpSolution:
     if null.size:
         raise GevpError(
             f"the {m}x{m} pencil is singular: QZ returned {null.size} (0, 0) "
-            "eigenvalue pair(s), so det(beta*aa - alpha*bb) vanishes identically",
-            failing_index=int(null[0]),
+            "eigenvalue pair(s), so det(beta*aa - alpha*bb) vanishes identically"
         )
     alpha, beta, cls = classify(ab[0], ab[1], m)
     vr = vr / np.linalg.norm(vr, axis=0, keepdims=True)

@@ -48,10 +48,11 @@ def as_matrix(m) -> np.ndarray:
 
 def unit_columns(z, floor=0.0):
     """Columns of z scaled to unit 2-norm, and the mask of those whose norm
-    exceeds ``floor``; the others come back zero."""
+    is finite and exceeds ``floor``; the others come back zero."""
     z = np.asarray(z)
-    nrm = np.linalg.norm(z, axis=0)
-    ok = nrm > floor
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm = np.linalg.norm(z, axis=0)
+    ok = np.isfinite(nrm) & (nrm > floor)
     return np.divide(z, nrm, out=np.zeros(z.shape, dtype=np.complex128), where=ok), ok
 
 
@@ -105,17 +106,6 @@ class PivotedQR:
             self._q = _form_q(*self.reflectors)
             self.reflectors = None
         return self._q
-
-    def q_times(self, x):
-        """q @ x for a matrix x; through the reflectors (zunmqr) while q is
-        not formed."""
-        if self._q is not None:
-            return self._q @ x
-        qr, tau = self.reflectors
-        out = np.array(x, dtype=np.complex128, order="F")
-        rows = qr.shape[0]
-        lapack().zunmqr("L", "N", rows, out.shape[1], tau.shape[0], qr, rows, tau, out, rows)
-        return out
 
     @property
     def rows(self):
@@ -304,7 +294,6 @@ _LAPACKE_NAMES = (
 _LAPACKE_ARGS = {
     "zgeqp3": "iipipp",  # m n a lda jpvt tau
     "zungqr": "iiipip",  # m n k a lda tau
-    "zunmqr": "cciiipippi",  # side trans m n k a lda tau c ldc
     "ztrtrs": "ccciipipi",  # uplo trans diag n nrhs a lda b ldb
     "zggev3": "ccipipipppipi",  # jobvl jobvr n a lda b ldb alpha beta vl ldvl vr ldvr
 }

@@ -45,25 +45,15 @@ class ScalingRecord:
             and self.dr is None
         )
 
-    def merged(self, other: "ScalingRecord") -> "ScalingRecord":
-        """Combine a balancing record with a parameter-scaling record."""
-        if self.dl is not None and other.dl is not None:
-            raise ValueError("cannot merge two balancing records")
-        return ScalingRecord(
-            gamma=self.gamma * other.gamma,
-            theta=self.theta * other.theta,
-            dl=self.dl if self.dl is not None else other.dl,
-            dr=self.dr if self.dr is not None else other.dr,
-            flags=self.flags + other.flags,
-        )
-
 
 def _factors(q: QuarticPencil):
     """(gamma, theta) of the module docstring, or None when A or E is zero.
 
     The Frobenius norms are taken by :func:`numkit.safe_norm`, so they
     neither overflow nor underflow at any coefficient scale. Raises
-    :class:`ScalingError` when gamma or theta leaves the floating-point range.
+    :class:`ScalingError` when gamma or theta leaves the floating-point range:
+    the norms are too far apart when gamma does or theta is 0, too small
+    (subnormal coefficients, say) when theta overflows.
     """
     na = safe_norm(q.a)
     ne = safe_norm(q.e)
@@ -74,8 +64,9 @@ def _factors(q: QuarticPencil):
         theta = float(4.0 / (ne + gamma * safe_norm(q.d) + gamma**2 * safe_norm(q.c)
                              + gamma**3 * safe_norm(q.b)))
     if not (0.0 < gamma < np.inf and 0.0 < theta < np.inf):
+        cause = "too small" if 0.0 < gamma < np.inf and theta == np.inf else "too far apart"
         raise ScalingError(
-            "coefficient norms too far apart for parameter scaling: ||E||_F/||A||_F = "
+            f"coefficient norms {cause} for parameter scaling: ||E||_F/||A||_F = "
             f"{ne:.3g}/{na:.3g} gives gamma = {gamma:.3g}, theta = {theta:.3g}"
         )
     return gamma, theta

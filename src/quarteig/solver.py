@@ -169,12 +169,9 @@ def _deflated_pairs(d, rp_w, n, want_left):
     working problem's E and A. Returns one tuple of arrays per class, in
     the field order of :class:`EigenSolution`.
     """
-    # counts in the working (possibly reversed) problem's orientation
-    zeros_w = d.infs_deflated if d.reversed else d.zeros_deflated
-    infs_w = d.zeros_deflated if d.reversed else d.infs_deflated
     parts = []
-    for count, which, cls, alpha, beta in ((zeros_w, "zero_class", EIG_ZERO, 0.0, 1.0),
-                                           (infs_w, "inf_class", EIG_INFINITE, 1.0, 0.0)):
+    for count, which, cls, alpha, beta in ((d.zeros_deflated, "zero_class", EIG_ZERO, 0.0, 1.0),
+                                           (d.infs_deflated, "inf_class", EIG_INFINITE, 1.0, 0.0)):
         vectors = []
         for side in ("right", "left"):
             # a right-only solve gives no pair a left vector
@@ -215,7 +212,7 @@ def _solve(q0, config, name):
         else (q0, scaling.ScalingRecord())
     )
     qs, rec_scale = scaling.param_scale(qb) if config.scale else (qb, scaling.ScalingRecord())
-    rec = rec_bal.merged(rec_scale)
+    rec = dataclasses.replace(rec_scale, dl=rec_bal.dl, dr=rec_bal.dr)
     flags.extend(rec.flags)
 
     rp = analyze_ranks(qs, config.tol)
@@ -232,10 +229,6 @@ def _solve(q0, config, name):
             sl = second_level(qw, rp_w)
         d = deflate(lin, qw, rp_w, sl)
         flags.extend(d.flags)
-        if reversed_problem:
-            # counts in the result always refer to the original problem
-            d.reversed = True
-            d.zeros_deflated, d.infs_deflated = d.infs_deflated, d.zeros_deflated
         gs = gevp.solve_gevp(d.pencil, want_left=config.want_left)
     else:
         gs = gevp.solve_gevp(lin, want_left=config.want_left)
@@ -249,6 +242,9 @@ def _solve(q0, config, name):
     alpha, beta, cls, *rest = (np.concatenate(f, axis=-1) for f in zip(*parts))
     if reversed_problem:
         alpha, beta, cls = reciprocal(alpha, beta, cls)
+        # counts in the result always refer to the original problem
+        d.reversed = True
+        d.zeros_deflated, d.infs_deflated = d.infs_deflated, d.zeros_deflated
     sol = scaling.descale(EigenSolution(alpha, beta, cls, *rest), rec)
 
     norms0 = diagnostics.CoefficientNorms(q0)

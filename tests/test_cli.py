@@ -264,21 +264,6 @@ class TestSolveCommand:
         code = main(["solve", str(unit_bundle), "--tol", "2.0"])
         assert code == EXIT_USAGE
 
-    def test_threads_env_fallback(self, unit_bundle, tmp_path, monkeypatch):
-        monkeypatch.setenv("QUARTEIG_THREADS", "3")
-        out = tmp_path / "r.json"
-        assert main(["solve", str(unit_bundle), "--output", str(out)]) == EXIT_OK
-        rep = json.loads(out.read_text())
-        assert rep["meta"]["threads"] == 3
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_threads_env_usage_error(self, unit_bundle, monkeypatch, capsys, value):
-        monkeypatch.setenv("QUARTEIG_THREADS", value)
-        assert main(["solve", str(unit_bundle)]) == EXIT_USAGE
-        err = json.loads(capsys.readouterr().out)["error"]
-        assert err["code"] == EXIT_USAGE
-        assert err["type"] == "usage"
-
 
 class TestCompareCommand:
     def test_identical_configs_identical_columns(self, unit_bundle, tmp_path):

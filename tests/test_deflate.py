@@ -212,12 +212,7 @@ class TestDeflateCases:
         assert top == d.size
 
     def test_rank_only_factors_form_no_q(self):
-        # a regular problem reads only the ranks of A and E; the both-full
-        # case only the ranks of Phi and Psi
-        q = random_regular_quartic(np.random.default_rng(61), 5)
-        _, rp, _, d = run_deflate(q)
-        assert d.size == d.full_size
-        assert rp.qr_a._q is None and rp.qr_e._q is None
+        # the both-full case reads only the ranks of Phi and Psi
         _, rp, sl, d = run_deflate(gen_planted(10, 3, 2, seed=60).pencil)
         assert [s.kind for s in d.steps] == ["zero_block_1", "inf_block_1"]
         assert sl.qr_phi._q is None and sl.qr_psi._q is None

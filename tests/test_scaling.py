@@ -232,13 +232,16 @@ class TestExtremeCoefficientScales:
         report = json.loads(report_json(build_report(res)), parse_constant=reject)
         assert report["deflation"]["zeros"] > 0
 
-    @pytest.mark.parametrize("case", [0, 1, 2, 3], ids=["ratio_overflows", "theta_underflows",
-                                                       "ratio_underflows", "theta_overflows"])
-    def test_norms_too_far_apart_raise(self, case):
+    # theta overflows when all five norms are tiny, not far apart
+    @pytest.mark.parametrize("case, cause", [(0, "too far apart"), (1, "too far apart"),
+                                             (2, "too far apart"), (3, "too small")],
+                             ids=["ratio_overflows", "theta_underflows", "ratio_underflows",
+                                  "theta_overflows"])
+    def test_norms_too_far_apart_raise(self, case, cause):
         from quarteig import solve_pencil
 
         q = far_apart_norms(case)
-        with pytest.raises(ScalingError, match="too far apart for parameter scaling"):
+        with pytest.raises(ScalingError, match=f"norms {cause} for parameter scaling"):
             param_scale(q)
         with pytest.raises(ScalingError):
             solve_pencil(q)
