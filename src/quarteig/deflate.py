@@ -9,11 +9,11 @@ coefficients A and E:
   repeated work.
 * exactly one singular: a structured transformation exposes n - r_E zero
   rows built from the factors of E (a quartic with only A singular is
-  reversed by the caller first); a second-level matrix
-  Psi = [Q_E2* D; R_E Pi_E^T] decides whether another zero block exists, in
-  which case a permutation, a second rank-revealing factorization and a
-  complete orthogonal decomposition deflate it. Longer chains continue
-  generically.
+  deflated through its reversal, ``analyze_ranks(q).swapped()``); a
+  second-level matrix Psi = [Q_E2* D; R_E Pi_E^T] decides whether another
+  zero block exists, in which case a permutation, a second rank-revealing
+  factorization and a complete orthogonal decomposition deflate it. Longer
+  chains continue generically.
 * both singular: with the second-level matrices Phi and Psi both regular, a
   single structured transformation followed by one column compression
   removes the zero and the infinite block in one pass; otherwise zeros are
@@ -30,9 +30,10 @@ zeros to its left and, in AA after a zero step or in BB after an infinite
 step, on the block itself; ``DeflationResult.steps`` records the sizes and
 sides, from which left-vector lifting solves the staircase block by block.
 
+Every stage takes the :class:`RankProfile` of the working quartic, which
+carries the quartic itself, so the factors cannot belong to another one.
 Rank decisions read only the R factor of a pivoted QR; its Q is formed only
-where a step transforms with it or the consistency check applies it
-(:class:`numkit.PivotedQR`).
+where a step transforms with it (:class:`numkit.PivotedQR`).
 """
 
 from __future__ import annotations
@@ -43,17 +44,19 @@ import numpy as np
 
 from .errors import DeflationError
 from .numkit import PivotedQR, rrqr, safe_norm, urv
-from .pencil import LinearPencil, QuarticPencil
+from .pencil import LinearPencil, QuarticPencil, reverse
 
 
 @dataclass
 class RankProfile:
-    """Rank-revealing factorizations of the extreme coefficients A and E.
+    """The quartic ``q`` with rank-revealing factorizations of its extreme
+    coefficients A and E.
 
     ``tol`` is the rank tolerance of :func:`numkit.rrqr` for every rank
     decision of the deflation (None: max(shape)*eps).
     """
 
+    q: QuarticPencil
     qr_a: PivotedQR
     qr_e: PivotedQR
     tol: float | None
@@ -68,16 +71,16 @@ class RankProfile:
 
     @property
     def n(self):
-        return self.qr_a.rows
+        return self.q.n
 
     def swapped(self):
-        """Profile of the reversed problem (A and E trade places)."""
-        return RankProfile(qr_a=self.qr_e, qr_e=self.qr_a, tol=self.tol)
+        """Profile of ``reverse(q)``, whose A and E trade places."""
+        return RankProfile(q=reverse(self.q), qr_a=self.qr_e, qr_e=self.qr_a, tol=self.tol)
 
 
 def analyze_ranks(q: QuarticPencil, tol=None) -> RankProfile:
     """Rank-revealing QR of A and E."""
-    return RankProfile(qr_a=rrqr(q.a, tol), qr_e=rrqr(q.e, tol), tol=tol)
+    return RankProfile(q=q, qr_a=rrqr(q.a, tol), qr_e=rrqr(q.e, tol), tol=tol)
 
 
 @dataclass
@@ -98,9 +101,9 @@ class SecondLevel:
         return self.qr_psi.rank
 
 
-def second_level(q: QuarticPencil, rp: RankProfile) -> SecondLevel:
+def second_level(rp: RankProfile) -> SecondLevel:
     """Assemble Phi = [Q_A2* B; R_A Pi_A^T] and Psi = [Q_E2* D; R_E Pi_E^T]."""
-    n = q.n
+    q, n = rp.q, rp.n
     if rp.r_a == n and rp.r_e == n:
         raise ValueError("second_level is only defined when A or E is rank deficient")
     phi = np.vstack([rp.qr_a.q2.conj().T @ q.b, rp.qr_a.r_hat_unpermuted()])
@@ -131,10 +134,10 @@ class DeflationResult:
     """Deflated regular pencil plus the accumulated equivalence transforms.
 
     ``size == full_size`` means nothing was deflated and the transforms are
-    the identity: ``pencil`` is the linearization itself.
+    the identity: the work matrices are the linearization itself. The
+    counts are the sums over ``steps``.
     """
 
-    pencil: LinearPencil
     p: np.ndarray
     q: np.ndarray
     zeros_deflated: int
@@ -152,6 +155,12 @@ class DeflationResult:
     def full_size(self):
         return self.work_a.shape[0]
 
+    @property
+    def pencil(self):
+        """The deflated pencil: the leading ``size`` block of the work matrices."""
+        m = self.size
+        return LinearPencil(aa=self.work_a[:m, :m], bb=self.work_b[:m, :m])
+
 
 class _Reducer:
     """Accumulates equivalence transformations on the 4n linearization.
@@ -163,8 +172,6 @@ class _Reducer:
     def __init__(self, wa, wb, p, q):
         self.wa, self.wb, self.p, self.q = wa, wb, p, q
         self.m = wa.shape[0]
-        self.zeros = 0
-        self.infs = 0
         self.steps = []
         self.flags = []
 
@@ -205,8 +212,6 @@ class _Reducer:
             c[...] = 0.0
         self.m = new
         zeros, infs = (k, 0) if side == "zero" else (0, k)
-        self.zeros += zeros
-        self.infs += infs
         self.steps.append(
             DeflationStep(
                 kind=kind,
@@ -266,9 +271,9 @@ def _first_step(rp: RankProfile, q_k, u, top_a, top_b) -> _Reducer:
     return red
 
 
-def _step1_zero(q: QuarticPencil, rp: RankProfile) -> _Reducer:
+def _step1_zero(rp: RankProfile) -> _Reducer:
     """E singular: expose and truncate the first block of n - r_E zeros."""
-    n = q.n
+    q, n = rp.q, rp.n
     eye, zero = _blocks(n)
     qe_h = rp.qr_e.q.conj().T
     top_a = np.block([[q.b, zero, -eye, zero], [qe_h @ q.d, zero, zero, -eye]])
@@ -277,9 +282,9 @@ def _step1_zero(q: QuarticPencil, rp: RankProfile) -> _Reducer:
     return _first_step(rp, q_k, q_k, top_a, top_b)
 
 
-def _step2_zero(red: _Reducer, q: QuarticPencil, rp: RankProfile, sl: SecondLevel):
+def _step2_zero(red: _Reducer, rp: RankProfile, sl: SecondLevel):
     """Second zero block from the rank deficiency of Psi."""
-    n = q.n
+    n = rp.n
     r_e = rp.r_e
     r2 = sl.r_psi
     m = red.m
@@ -312,9 +317,9 @@ def _step2_zero(red: _Reducer, q: QuarticPencil, rp: RankProfile, sl: SecondLeve
     )
 
 
-def _case_both_full(q: QuarticPencil, rp: RankProfile) -> _Reducer:
+def _case_both_full(rp: RankProfile) -> _Reducer:
     """Both A and E singular, Phi and Psi regular: one block each for 0/inf."""
-    n = q.n
+    q, n = rp.q, rp.n
     eye, zero = _blocks(n)
     qa_h = rp.qr_a.q.conj().T
     q_m = np.block([[zero, rp.qr_a.q], [eye, zero]])
@@ -370,41 +375,24 @@ def _generic_layer(red: _Reducer, on, tol, known=None, kind=None):
     return m - rank
 
 
-def _check_consistent(q: QuarticPencil, rp: RankProfile):
-    if rp.qr_a.rows != q.n or rp.qr_e.rows != q.n:
-        raise DeflationError("rank profile dimensions do not match the pencil")
-    rng = np.random.default_rng(12345)
-    v = (rng.standard_normal(q.n) + 1j * rng.standard_normal(q.n))[:, None]
-    for mat, f, name in ((q.a, rp.qr_a, "A"), (q.e, rp.qr_e, "E")):
-        lhs = mat[:, f.perm] @ v
-        rhs = f.q @ (f.r @ v)
-        if safe_norm(lhs - rhs) > 1e-6 * safe_norm(mat) * safe_norm(v):
-            raise DeflationError(f"rank profile inconsistent with coefficient {name}")
-
-
-def deflate(
-    lin: LinearPencil,
-    q: QuarticPencil,
-    rp: RankProfile,
-    sl: SecondLevel | None = None,
-) -> DeflationResult:
-    """Run the full deflation decision tree on the 4n linearization.
+def deflate(lin: LinearPencil, rp: RankProfile, sl: SecondLevel | None = None) -> DeflationResult:
+    """Run the full deflation decision tree on ``lin``, the 4n linearization
+    of ``rp.q``.
 
     Every rank decision uses the rank tolerance of ``rp``. A quartic
-    with only A singular is deflated through its reversal, whose E is the
-    singular one (:func:`solve_pencil` reverses such problems), so that
-    profile raises :class:`DeflationError` here.
+    with only A singular is deflated through its reversal
+    (``rp.swapped()``), whose E is the singular one, so that profile raises
+    :class:`DeflationError` here.
     """
-    n = q.n
+    n = rp.n
     if lin.size != 4 * n:
         raise DeflationError(f"linearization size {lin.size} != 4n = {4 * n}")
-    _check_consistent(q, rp)
     tol = rp.tol
 
     if rp.r_a < n and rp.r_e == n:
         raise DeflationError(
-            "only A is singular: reverse the quartic first and deflate the "
-            "reversed problem, whose E is the singular coefficient"
+            "only A is singular: deflate the reversed quartic, rp.swapped(), "
+            "whose E is the singular coefficient"
         )
 
     if rp.r_a == n and rp.r_e == n:
@@ -412,67 +400,49 @@ def deflate(
         # (-A, -I, -I, -I) and AA, with its block columns permuted, is block
         # upper triangular with diagonal (-I, -I, -I, E), so both are regular
         # exactly when A and E are
-        full = lin.size
-        return DeflationResult(
-            pencil=lin,
-            p=np.eye(full, dtype=np.complex128),
-            q=np.eye(full, dtype=np.complex128),
-            zeros_deflated=0,
-            infs_deflated=0,
-            steps=[
-                DeflationStep(kind="regular", deflated=0, rank=rp.r_a,
-                              evidence=dict(rp.qr_a.truncation_log))
-            ],
-            work_a=lin.aa,
-            work_b=lin.bb,
-            size=full,
-            a_regular=True,
-            b_regular=True,
-        )
-
-    if sl is None:
-        sl = second_level(q, rp)
-    if rp.r_a < n and sl.r_phi == n and sl.r_psi == n:
-        red = _case_both_full(q, rp)
+        eye = np.eye(lin.size, dtype=np.complex128)
+        red = _Reducer(lin.aa, lin.bb, eye, eye.copy())
+        red.steps.append(DeflationStep(kind="regular", deflated=0, rank=rp.r_a,
+                                       evidence=dict(rp.qr_a.truncation_log)))
+        a_regular = b_regular = True
     else:
-        red = _step1_zero(q, rp)
-        if sl.r_psi < n:
-            _step2_zero(red, q, rp, sl)
-            while _generic_layer(red, "zero", tol):
-                pass
-        if rp.r_a < n:
-            # infinite chain on the reversed pencil; the first block sizes
-            # are known from the ranks of A and Phi
-            _generic_layer(red, "inf", tol, known=n - rp.r_a,
-                           kind="inf_block_1")
-            if sl.r_phi < n:
-                _generic_layer(red, "inf", tol, known=n - sl.r_phi,
-                               kind="inf_block_2")
-                while _generic_layer(red, "inf", tol):
+        if sl is None:
+            sl = second_level(rp)
+        if rp.r_a < n and sl.r_phi == n and sl.r_psi == n:
+            red = _case_both_full(rp)
+        else:
+            red = _step1_zero(rp)
+            if sl.r_psi < n:
+                _step2_zero(red, rp, sl)
+                while _generic_layer(red, "zero", tol):
                     pass
-
-    m = red.m
-    fa = rrqr(red.wa[:m, :m], tol)
-    fb = rrqr(red.wb[:m, :m], tol)
-    a_regular = bool(fa.rank == m)
-    b_regular = bool(fb.rank == m)
-    if not b_regular:
-        red.flags.append("deflated_pencil_bb_rank_deficient")
-    if not a_regular and (red.zeros or red.infs):
-        red.flags.append("deflated_pencil_aa_rank_deficient")
-    pencil = LinearPencil(aa=red.wa[:m, :m].copy(), bb=red.wb[:m, :m].copy())
+            if rp.r_a < n:
+                # infinite chain on the reversed pencil; the first block sizes
+                # are known from the ranks of A and Phi
+                _generic_layer(red, "inf", tol, known=n - rp.r_a,
+                               kind="inf_block_1")
+                if sl.r_phi < n:
+                    _generic_layer(red, "inf", tol, known=n - sl.r_phi,
+                                   kind="inf_block_2")
+                    while _generic_layer(red, "inf", tol):
+                        pass
+        m = red.m
+        a_regular = bool(rrqr(red.wa[:m, :m], tol).rank == m)
+        b_regular = bool(rrqr(red.wb[:m, :m], tol).rank == m)
+        if not b_regular:
+            red.flags.append("deflated_pencil_bb_rank_deficient")
+        if not a_regular:
+            red.flags.append("deflated_pencil_aa_rank_deficient")
     return DeflationResult(
-        pencil=pencil,
         p=red.p,
         q=red.q,
-        zeros_deflated=red.zeros,
-        infs_deflated=red.infs,
+        zeros_deflated=sum(s.zeros for s in red.steps),
+        infs_deflated=sum(s.infs for s in red.steps),
         steps=red.steps,
         work_a=red.wa,
         work_b=red.wb,
-        size=m,
+        size=red.m,
         a_regular=a_regular,
         b_regular=b_regular,
         flags=red.flags,
     )
-

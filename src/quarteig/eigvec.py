@@ -50,10 +50,10 @@ class RecoveryContext:
     svd_e: tuple | None = None  # (u, sigma, v) of E, from the first least-squares recovery
 
 
-def build_context(q: QuarticPencil, qr_e: PivotedQR) -> RecoveryContext:
-    """The context of ``q``: ``qr_e``, the rank-revealing QR of E from rank
-    analysis, is kept for the E solve when it finds full rank."""
-    return RecoveryContext(q=q, qr_e=qr_e if qr_e.rank == q.n else None)
+def build_context(rp: RankProfile) -> RecoveryContext:
+    """The context of ``rp.q``: the rank-revealing QR of E from rank
+    analysis is kept for the E solve when it finds full rank."""
+    return RecoveryContext(q=rp.q, qr_e=rp.qr_e if rp.r_e == rp.n else None)
 
 
 def recover_right_many(zs, alpha, beta, ctx: RecoveryContext):

@@ -61,15 +61,16 @@ def safe_norm(m, axis=None):
     overflows nor underflows.
 
     Where the plain norm is finite and above 2^-470, so that its squares
-    neither overflowed nor lost a significant part to underflow, it is the
-    result. Otherwise the norm of m * 2^-e is multiplied back by 2^e, with
-    e the binary exponent of max|m| (per norm along ``axis``); powers of
-    two scale exactly.
+    neither overflowed nor lost a significant part to underflow, or where
+    it is the norm of exact zeros, it is the result. Otherwise the norm of
+    m * 2^-e is multiplied back by 2^e, with e the binary exponent of
+    max|m| (per norm along ``axis``); powers of two scale exactly.
     """
     m = np.asarray(m)
     with np.errstate(over="ignore", under="ignore"):
         nrm = np.linalg.norm(m, axis=axis)
-    if ((nrm > 2.0**-470) & (nrm < np.inf)).all():
+    fine = (nrm > 2.0**-470) & (nrm < np.inf)
+    if fine.all() or (fine | ~m.any(axis=axis)).all():
         return nrm
     big = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=axis, initial=0.0)
     e = np.minimum(np.maximum(np.frexp(big)[1], -1020), 1024)

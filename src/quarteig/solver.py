@@ -33,7 +33,6 @@ from .pencil import (
     QuarticPencil,
     linearize,
     reciprocal,
-    reverse,
 )
 
 
@@ -162,13 +161,14 @@ def _recover_all(gs, zfull, wfull, lifted, ctx, qw, config, flags):
     return methods, x, has_right, y, has_left
 
 
-def _deflated_pairs(d, rp_w, n, want_left):
+def _deflated_pairs(d, rp_w, want_left):
     """The zero and infinite pairs that deflation removed before QZ.
 
     Their vectors cycle through orthonormal bases of the null spaces of the
     working problem's E and A. Returns one tuple of arrays per class, in
     the field order of :class:`EigenSolution`.
     """
+    n = rp_w.n
     parts = []
     for count, which, cls, alpha, beta in ((d.zeros_deflated, "zero_class", EIG_ZERO, 0.0, 1.0),
                                            (d.infs_deflated, "inf_class", EIG_INFINITE, 1.0, 0.0)):
@@ -218,27 +218,26 @@ def _solve(q0, config, name):
     rp = analyze_ranks(qs, config.tol)
 
     reversed_problem = bool(config.deflate and rp.r_a < n and rp.r_e == n)
-    qw = reverse(qs) if reversed_problem else qs
     rp_w = rp.swapped() if reversed_problem else rp
-    lin = linearize(qw)
+    lin = linearize(rp_w.q)
 
     d = None
     if config.deflate:
         sl = None
         if rp_w.r_a < n or rp_w.r_e < n:
-            sl = second_level(qw, rp_w)
-        d = deflate(lin, qw, rp_w, sl)
+            sl = second_level(rp_w)
+        d = deflate(lin, rp_w, sl)
         flags.extend(d.flags)
         gs = gevp.solve_gevp(d.pencil, want_left=config.want_left)
     else:
         gs = gevp.solve_gevp(lin, want_left=config.want_left)
 
-    ctx = eigvec.build_context(qw, rp_w.qr_e) if np.any(gs.cls == EIG_FINITE) else None
+    ctx = eigvec.build_context(rp_w) if np.any(gs.cls == EIG_FINITE) else None
     zfull, wfull, lifted = _lift_all(gs, d, flags)
     parts = [(gs.alpha, gs.beta, gs.cls,
-              *_recover_all(gs, zfull, wfull, lifted, ctx, qw, config, flags))]
+              *_recover_all(gs, zfull, wfull, lifted, ctx, rp_w.q, config, flags))]
     if d is not None:
-        parts += _deflated_pairs(d, rp_w, n, config.want_left)
+        parts += _deflated_pairs(d, rp_w, config.want_left)
     alpha, beta, cls, *rest = (np.concatenate(f, axis=-1) for f in zip(*parts))
     if reversed_problem:
         alpha, beta, cls = reciprocal(alpha, beta, cls)

@@ -27,19 +27,21 @@ def dense_counts(q):
 
 def run_deflate(q, with_sl=True):
     """Deflate as solve_pencil does: a quartic with only A singular is
-    reversed first, and its counts are swapped back to q's orientation."""
+    deflated through ``analyze_ranks(q).swapped()``, and its counts are
+    swapped back to q's orientation. Returns ``(lin, rp_w, sl, d)`` with
+    the linearization and rank profile of the working quartic ``rp_w.q``."""
     rp = analyze_ranks(q)
-    lin = linearize(q)
     flip = rp.r_a < q.n and rp.r_e == q.n
-    qw, rp_w = (reverse(q), rp.swapped()) if flip else (q, rp)
+    rp_w = rp.swapped() if flip else rp
+    lin = linearize(rp_w.q)
     sl = None
     if with_sl and (rp.r_a < q.n or rp.r_e < q.n):
-        sl = second_level(qw, rp_w)
-    d = deflate(linearize(qw) if flip else lin, qw, rp_w, sl)
+        sl = second_level(rp_w)
+    d = deflate(lin, rp_w, sl)
     if flip:
         d.reversed = True
         d.zeros_deflated, d.infs_deflated = d.infs_deflated, d.zeros_deflated
-    return lin, rp, sl, d
+    return lin, rp_w, sl, d
 
 
 class TestAnalyzeRanks:
@@ -78,7 +80,7 @@ class TestSecondLevel:
             np.eye(n), np.eye(n), np.eye(n), np.eye(n), np.zeros((n, n))
         )
         rp = analyze_ranks(q)
-        sl = second_level(q, rp)
+        sl = second_level(rp)
         assert rp.r_e == 0
         assert sl.r_psi == n  # psi rows reduce to D = I
 
@@ -86,15 +88,13 @@ class TestSecondLevel:
         n = 4
         z = np.zeros((n, n))
         q = QuarticPencil.from_matrices(np.eye(n), np.eye(n), np.eye(n), z, z)
-        rp = analyze_ranks(q)
-        sl = second_level(q, rp)
+        sl = second_level(analyze_ranks(q))
         assert sl.r_psi == 0
         assert np.array_equal(sl.psi, z)
 
     def test_mirror_structure_psi_rank(self):
         b = gen_mirror_like(seed=0)
-        rp = analyze_ranks(b.pencil)
-        sl = second_level(b.pencil, rp)
+        sl = second_level(analyze_ranks(b.pencil))
         assert sl.r_psi == 7
         assert sl.r_phi == 7
         # two exactly-zero columns in each second-level matrix
@@ -105,14 +105,12 @@ class TestSecondLevel:
     def test_rejected_when_both_full(self):
         rng = np.random.default_rng(3)
         q = random_regular_quartic(rng, 3)
-        rp = analyze_ranks(q)
         with pytest.raises(ValueError):
-            second_level(q, rp)
+            second_level(analyze_ranks(q))
 
     def test_row_partition(self):
         b = gen_planted(5, 2, 1, seed=9)
-        rp = analyze_ranks(b.pencil)
-        sl = second_level(b.pencil, rp)
+        sl = second_level(analyze_ranks(b.pencil))
         assert sl.psi.shape == (5, 5)
         assert sl.phi.shape == (5, 5)
 
@@ -131,7 +129,7 @@ class TestDeflateCases:
         lin, rp, sl, d = run_deflate(q)
         assert d.size == 4 * n
         assert d.zeros_deflated == 0 and d.infs_deflated == 0
-        assert d.pencil is lin
+        assert np.array_equal(d.pencil.aa, lin.aa) and np.array_equal(d.pencil.bb, lin.bb)
         assert np.array_equal(d.p, np.eye(4 * n)) and np.array_equal(d.q, np.eye(4 * n))
         assert [s.kind for s in d.steps] == ["regular"]
         assert d.a_regular and d.b_regular
@@ -181,11 +179,10 @@ class TestDeflateCases:
             b = gen_planted(4, ke, ka, seed=seed)
             q = b.pencil
             lin, rp, sl, d = run_deflate(q)
-            base = lin if not d.reversed else linearize(reverse(q))
             n4 = 4 * q.n
             tol = 1e2 * n4 * EPS
-            assert np.linalg.norm(d.p @ base.aa @ d.q - d.work_a) <= tol * np.linalg.norm(base.aa)
-            assert np.linalg.norm(d.p @ base.bb @ d.q - d.work_b) <= tol * np.linalg.norm(base.bb)
+            assert np.linalg.norm(d.p @ lin.aa @ d.q - d.work_a) <= tol * np.linalg.norm(lin.aa)
+            assert np.linalg.norm(d.p @ lin.bb @ d.q - d.work_b) <= tol * np.linalg.norm(lin.bb)
             assert np.linalg.norm(d.p.conj().T @ d.p - np.eye(n4)) <= tol
             assert np.linalg.norm(d.q.conj().T @ d.q - np.eye(n4)) <= tol
             # block upper triangular: vanished bottom-left in the work matrices
@@ -212,7 +209,12 @@ class TestDeflateCases:
         assert top == d.size
 
     def test_rank_only_factors_form_no_q(self):
-        # the both-full case reads only the ranks of Phi and Psi
+        # a regular problem reads only the ranks of A and E; the both-full
+        # case only the ranks of Phi and Psi
+        q = random_regular_quartic(np.random.default_rng(61), 5)
+        _, rp, _, d = run_deflate(q)
+        assert d.size == d.full_size
+        assert rp.qr_a._q is None and rp.qr_e._q is None
         _, rp, sl, d = run_deflate(gen_planted(10, 3, 2, seed=60).pencil)
         assert [s.kind for s in d.steps] == ["zero_block_1", "inf_block_1"]
         assert sl.qr_phi._q is None and sl.qr_psi._q is None
@@ -253,31 +255,13 @@ class TestDeflateCases:
         assert kinds[:2] == ["zero_block_1", "zero_block_2"]
         assert "staircase_zero" in kinds
 
-    def test_inconsistent_profile_rejected(self):
-        rng = np.random.default_rng(23)
-        q1 = random_regular_quartic(rng, 3)
-        q2 = random_regular_quartic(rng, 3)
-        rp_wrong = analyze_ranks(q2)
-        with pytest.raises(DeflationError):
-            deflate(linearize(q1), q1, rp_wrong)
-
-    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e-8, 1e-100])
-    def test_inconsistent_profile_rejected_at_any_scale(self, scale):
-        # the consistency check is relative: no overflow to an infinite
-        # tolerance for large coefficients, no absolute floor for small ones
-        rng = np.random.default_rng(23)
-        q1, q2 = (QuarticPencil(*(scale * m for m in random_regular_quartic(rng, 3).coeffs))
-                  for _ in range(2))
-        with pytest.raises(DeflationError):
-            deflate(linearize(q1), q1, analyze_ranks(q2))
-
     def test_only_a_singular_rejected(self):
         # the reversal happens once, in the solver; deflate() asks for it
         q = gen_planted(4, 0, 2, seed=21).pencil
         rp = analyze_ranks(q)
         assert rp.r_a < q.n and rp.r_e == q.n
         with pytest.raises(DeflationError, match="reverse"):
-            deflate(linearize(q), q, rp)
+            deflate(linearize(q), rp)
 
 
 def staircase_layer(p, known_block=None, red=None):
@@ -354,3 +338,41 @@ class TestBudgetAndChains:
         kinds = [s.kind for s in d.steps if s.infs > 0]
         assert kinds[0] == "inf_block_1"
         assert len(kinds) == 3
+
+
+CONTRACT_CASES = {
+    "regular": lambda: random_regular_quartic(np.random.default_rng(70), 4),
+    "only_e_singular": lambda: gen_planted(5, 2, 0, seed=71).pencil,
+    "only_a_singular": lambda: gen_planted(6, 0, 2, seed=21).pencil,
+    "both_full": lambda: gen_planted(10, 3, 2, seed=60).pencil,
+    "mirror_like": lambda: gen_mirror_like(seed=0).pencil,
+    **{f"jordan_{at}_{length}": (lambda at=at, length=length:
+                                 gen_jordan_chain(6, length, at, seed=72).pencil)
+       for at in ("zero", "infinity") for length in (2, 3, 4)},
+}
+
+
+class TestDeflationResultContract:
+    @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+    def test_result_agrees_with_its_parts(self, case):
+        q = CONTRACT_CASES[case]()
+        lin, rp_w, _, d = run_deflate(q)
+        assert d.reversed == (case in ("only_a_singular", "jordan_infinity_4"))
+        # the working quartic is q, or its reversal taken from the profile
+        want = reverse(q) if d.reversed else q
+        assert all(x is y for x, y in zip(rp_w.q.coeffs, want.coeffs))
+        assert all(x is y for x, y in zip(analyze_ranks(q).swapped().q.coeffs,
+                                          reverse(q).coeffs))
+        m = d.size
+        assert np.array_equal(d.pencil.aa, d.work_a[:m, :m])
+        assert np.array_equal(d.pencil.bb, d.work_b[:m, :m])
+        zeros = sum(s.zeros for s in d.steps)
+        infs = sum(s.infs for s in d.steps)
+        # the steps describe the working quartic, the counts the input's
+        if d.reversed:
+            zeros, infs = infs, zeros
+        assert (d.zeros_deflated, d.infs_deflated) == (zeros, infs)
+        assert m + zeros + infs == d.full_size == 4 * q.n
+        tol = 100 * 4 * q.n * EPS
+        for w0, w in ((lin.aa, d.work_a), (lin.bb, d.work_b)):
+            assert np.linalg.norm(d.p @ w0 @ d.q - w) <= tol * np.linalg.norm(w0)

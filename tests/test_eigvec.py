@@ -13,7 +13,7 @@ from quarteig.eigvec import (
     recover_right_zero,
 )
 from quarteig.gevp import solve_gevp
-from quarteig.numkit import EPS, rrqr
+from quarteig.numkit import EPS
 from quarteig.pencil import EIG_FINITE, Spectrum, linearize
 from oracles import (
     backward_errors,
@@ -29,9 +29,8 @@ from support import from_lambda, unit
 
 
 def context(q):
-    """The recovery context as the solver builds it, on the rank-revealing
-    QR of E."""
-    return build_context(q, rrqr(q.e))
+    """The recovery context as the solver builds it, on the rank profile of q."""
+    return build_context(analyze_ranks(q))
 
 
 def build_z(q, lam, x):
@@ -316,17 +315,14 @@ class TestLift:
 
         b = gen_planted(2, 1, 0, seed=seed)
         q = b.pencil
-        rp = analyze_ranks(q)
-        sl = second_level(q, rp)
         lin = linearize(q)
-        d = deflate(lin, q, rp, sl)
+        d = deflate(lin, analyze_ranks(q))
         return q, lin, d
 
     def test_no_deflation_is_plain_q(self):
         rng = np.random.default_rng(14)
         q = random_regular_quartic(rng, 3)
-        rp = analyze_ranks(q)
-        d = deflate(linearize(q), q, rp)
+        d = deflate(linearize(q), analyze_ranks(q))
         assert d.size == 12
         assert np.array_equal(d.q, np.eye(12))
         w_til = rand_complex(rng, (12, 2))
@@ -389,7 +385,7 @@ class TestLift:
         }[kind]()
         q = b.pencil
         rp = analyze_ranks(q)
-        d = deflate(linearize(q), q, rp, second_level(q, rp))
+        d = deflate(linearize(q), rp, second_level(rp))
         m = d.size
         assert m < d.full_size
         blocks = [s for s in d.steps if s.deflated]
@@ -419,7 +415,7 @@ class TestLift:
 
         q = gen_mirror_like(1).pencil
         rp = analyze_ranks(q)
-        d = deflate(linearize(q), q, rp, second_level(q, rp))
+        d = deflate(linearize(q), rp, second_level(rp))
         rng = np.random.default_rng(41)
         e = from_lambda([0.5, 0.0, np.inf, 2.0])
         w, ok = lift_left(rand_complex(rng, (d.size, 4)), e.alpha, e.beta, d)
@@ -540,9 +536,7 @@ class TestBatchRecovery:
 
         b = gen_planted(5, 1, 0, seed=30)
         q = b.pencil
-        rp = analyze_ranks(q)
-        sl = second_level(q, rp)
-        d = deflate(linearize(q), q, rp, sl)
+        d = deflate(linearize(q), analyze_ranks(q))
         gs = solve_gevp(d.pencil)
         ctx = context(q)
         finite = np.flatnonzero(gs.cls == EIG_FINITE)

@@ -211,6 +211,27 @@ class TestNorms:
         cols = safe_norm(scale * m, axis=0) / scale
         assert cols == pytest.approx(np.linalg.norm(m, axis=0), rel=1e-14)
 
+    def test_safe_norm_of_exact_zeros_is_the_plain_norm(self, monkeypatch):
+        # an all-zero input has the exact norm 0, so the scaled second pass
+        # (the only caller of frexp) must not run
+        def second_pass(*args):
+            raise AssertionError("scaled second pass taken")
+
+        monkeypatch.setattr(np, "frexp", second_pass)
+        z = np.zeros((4, 3), dtype=np.complex128)
+        assert safe_norm(z) == 0.0
+        assert np.array_equal(safe_norm(z, axis=0), np.zeros(3))
+
+    def test_safe_norm_of_mixed_columns_matches_each_column(self):
+        rng = np.random.default_rng(24)
+        m = rand_complex(rng, (5, 4))
+        m[:, 0] = 0.0
+        m[:, 1] *= 1e-300
+        m[:, 2] *= 1e300
+        cols = [safe_norm(m[:, [j]], axis=0)[0] for j in range(4)]
+        assert np.array_equal(safe_norm(m, axis=0), cols)
+        assert cols[0] == 0.0 and cols[3] == np.linalg.norm(m[:, 3])
+
     def test_rrqr_rank_at_extreme_scale(self):
         rng = np.random.default_rng(23)
         m = rand_complex(rng, (5, 5))
