@@ -15,16 +15,7 @@ pipeline are imported from their own modules: ``quarteig.scaling``,
 __version__ = "0.1.0"
 
 from .pencil import EigenSolution, QuarticPencil
-from .probio import (
-    ProblemBundle,
-    gen_jordan_chain,
-    gen_mirror_like,
-    gen_planted,
-    grade_rows,
-    read_bundle,
-    write_bundle,
-    write_report,
-)
+from .probio import ProblemBundle, read_bundle, write_bundle, write_report
 from .solver import SolveConfig, SolveResult, build_report, solve_bundle, solve_pencil
 
 __all__ = [
@@ -34,10 +25,6 @@ __all__ = [
     "SolveConfig",
     "SolveResult",
     "build_report",
-    "gen_jordan_chain",
-    "gen_mirror_like",
-    "gen_planted",
-    "grade_rows",
     "read_bundle",
     "solve_bundle",
     "solve_pencil",

@@ -21,7 +21,15 @@ import typing
 
 from .diagnostics import ERRORS
 from .errors import BundleError, QuarteigError
-from .probio import csv_text, read_bundle, report_csv, report_json, write_file, write_report
+from .probio import (
+    csv_text,
+    read_bundle,
+    report_base,
+    report_csv,
+    report_json,
+    write_file,
+    write_report,
+)
 from .solver import OPTIONS, SolveConfig, build_report, solve_bundle
 
 EXIT_OK = 0
@@ -103,6 +111,8 @@ def _parse_config(spec: str, threads: int) -> SolveConfig:
         key = key.strip()
         if key not in _CONFIG_PARSERS:
             raise ValueError(f"unknown config key {key!r}")
+        if key in kwargs:
+            raise ValueError(f"duplicate config key {key!r}")
         kwargs[key] = _CONFIG_PARSERS[key](val)
     return SolveConfig(threads=threads, **kwargs)
 
@@ -115,6 +125,8 @@ def _fail(code, kind, message):
 def _solve_configs(args):
     if args.format == "both" and not args.output:
         raise ValueError("--format both writes two files and needs --output")
+    if args.output:
+        report_base(args.output)
     return [SolveConfig(**{name: getattr(args, name) for name in OPTIONS},
                         want_left=not args.right_only, threads=args.threads)]
 

@@ -18,6 +18,7 @@ import quarteig as qe
 from quarteig.numkit import EPS
 from quarteig.pencil import linearize, reverse
 from oracles import classify_dense, min_pairwise_gap, random_regular_quartic
+from problems import gen_mirror_like, gen_planted, grade_rows
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "nlevp")
 
@@ -58,7 +59,7 @@ def _greedy_match_worst(got, ref, key=None):
 
 def test_criterion_1_mirror_structure():
     t0 = time.perf_counter()
-    bundle = _nlevp_bundle("mirror") or qe.gen_mirror_like(seed=0)
+    bundle = _nlevp_bundle("mirror") or gen_mirror_like(seed=0)
     res = _solve(bundle)
     elapsed = time.perf_counter() - t0
     d = res.deflation
@@ -92,7 +93,7 @@ def test_criterion_2_backward_error_magnitude():
     for name, n, seed in (("butterfly", 64, 20001), ("planar_waveguide", 129, 20002)):
         bundle = _nlevp_bundle(name)
         if bundle is None:
-            bundle = qe.gen_planted(n, 0, 0, seed=seed)
+            bundle = gen_planted(n, 0, 0, seed=seed)
             bundle.name = f"standin_{name}"
         assert bundle.pencil.n <= 129
         t0 = time.perf_counter()
@@ -141,7 +142,7 @@ def test_criterion_4_planted_deflation_counts():
         n = int(rng.integers(4, 11))
         k_e = int(rng.integers(0, 4))
         k_a = int(rng.integers(0, 4))
-        bundle = qe.gen_planted(n, k_e, k_a, seed=seed)
+        bundle = gen_planted(n, k_e, k_a, seed=seed)
         res = _solve(bundle)
         d = res.deflation
         assert d.zeros_deflated >= k_e, (seed, n, k_e, d.zeros_deflated)
@@ -156,7 +157,7 @@ def test_criterion_4_planted_deflation_counts():
 
 def test_criterion_5_residual_property_suite():
     if not RUNS:  # criterion run in isolation: give it something to check
-        _solve(qe.gen_mirror_like(seed=0))
+        _solve(gen_mirror_like(seed=0))
 
     def independent_eta(lam, x, q, norms):
         # straight from the definition; shares no code with the package path.
@@ -223,7 +224,7 @@ def test_criterion_6_scaling_balancing_invariance():
         assert worst <= 1e-6, f"seed {seed}: configs disagree by {worst:.3e}"
     assert compared >= 15  # the gap filter may drop a few instances
     # (b) graded instance: balancing must improve the component-wise error
-    graded = qe.grade_rows(qe.gen_planted(32, 0, 0, seed=77), seed=78)
+    graded = grade_rows(gen_planted(32, 0, 0, seed=77), seed=78)
     res_on = _solve(graded, qe.SolveConfig(balance=True), label="graded_balanced")
     res_off = qe.solve_bundle(graded, qe.SolveConfig(balance=False))
     om_on = np.nanmedian(res_on.solution.omega_right)

@@ -21,10 +21,6 @@ PUBLIC = [
     "SolveConfig",
     "SolveResult",
     "build_report",
-    "gen_jordan_chain",
-    "gen_mirror_like",
-    "gen_planted",
-    "grade_rows",
     "read_bundle",
     "solve_bundle",
     "solve_pencil",
@@ -50,6 +46,18 @@ def test_no_module_is_shadowed(name):
     # a root name equal to a submodule's would replace the module attribute
     module = importlib.import_module(f"quarteig.{name}")
     assert getattr(quarteig, name) is module
+
+
+def test_the_package_draws_no_random_numbers():
+    # reports are byte-reproducible; test problems come from tests/problems.py
+    root = os.path.dirname(quarteig.__file__)
+    sources = [os.path.join(d, f) for d, _, files in os.walk(root) for f in files
+               if f.endswith(".py")]
+    assert len(sources) > 10
+    for path in sources:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert not re.search(r"default_rng|\b(np|numpy)\.random\b", text), path
 
 
 def test_one_version(unit_bundle):
@@ -123,6 +131,16 @@ def test_compare_rejects_other_keys(unit_bundle, capsys, key):
     assert main(["compare", str(unit_bundle), "--config", f"{key}=1", "--config", ""]) == EXIT_USAGE
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["message"] == f"unknown config key {key!r}"
+
+
+def test_compare_rejects_a_repeated_key(unit_bundle, tmp_path, capsys):
+    outd = tmp_path / "cmp"
+    argv = ["compare", str(unit_bundle), "--output-dir", str(outd),
+            "--config", "tol=1e-3", "--config", "tol=1e-3,tol=1e-2"]
+    assert main(argv) == EXIT_USAGE
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["message"] == "duplicate config key 'tol'"
+    assert not outd.exists()
 
 
 @pytest.mark.parametrize("field, value", [

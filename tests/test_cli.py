@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from quarteig import ProblemBundle, QuarticPencil, gen_mirror_like, gen_planted, write_bundle
+from quarteig import ProblemBundle, QuarticPencil, write_bundle
 from quarteig.cli import EXIT_BUNDLE, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from problems import gen_mirror_like, gen_planted
 
 
 def inodes(directory):
@@ -211,6 +212,19 @@ class TestSolveCommand:
         assert err["code"] == EXIT_USAGE and err["type"] == "usage"
         assert "--output" in err["message"]
 
+    @pytest.mark.parametrize("output, fmt", [("out/", "json"), ("out/.json", "json"),
+                                             ("out/.csv", "both"), (".", "json"),
+                                             ("out/..", "csv")])
+    def test_output_without_file_name_is_usage_error(self, tmp_path, capsys, output, fmt):
+        # checked before the bundle is read, so a missing bundle is not reported
+        argv = ["solve", str(tmp_path / "nope"), "--output", os.path.join(tmp_path, output),
+                "--format", fmt]
+        assert main(argv) == EXIT_USAGE
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == EXIT_USAGE and err["type"] == "usage"
+        assert "names no file" in err["message"]
+        assert os.listdir(tmp_path) == []
+
     def test_csv_rows_equal_the_json_pairs(self, mirror_bundle, tmp_path):
         out = tmp_path / "r"
         argv = ["solve", str(mirror_bundle), "--right-only", "--format", "both", "--output"]
@@ -360,7 +374,7 @@ class TestCompareCommand:
         assert code == EXIT_USAGE
 
     def test_balanced_vs_unbalanced_columns(self, tmp_path):
-        from quarteig import gen_planted, grade_rows
+        from problems import gen_planted, grade_rows
 
         b = grade_rows(gen_planted(4, 0, 0, seed=1), seed=2)
         p = tmp_path / "graded"

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 import quarteig.deflate
-from quarteig import QuarticPencil, gen_jordan_chain, gen_mirror_like, gen_planted
+from quarteig import QuarticPencil
 from quarteig.deflate import _generic_layer, _Reducer, analyze_ranks, deflate, second_level
 from quarteig.errors import DeflationError
 from quarteig.numkit import EPS, rrqr
@@ -15,6 +15,7 @@ from oracles import (
     rand_complex,
     random_regular_quartic,
 )
+from problems import gen_jordan_chain, gen_mirror_like, gen_planted
 
 
 def dense_counts(q):

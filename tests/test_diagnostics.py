@@ -226,7 +226,8 @@ class TestSummarize:
         assert rep.counts == {"zero": 2, "finite": 4, "infinite": 4}
 
     def test_mirror_counts(self):
-        from quarteig import gen_mirror_like, solve_bundle
+        from quarteig import solve_bundle
+        from problems import gen_mirror_like
 
         res = solve_bundle(gen_mirror_like(0))
         assert res.summary.counts == {"zero": 9, "finite": 18, "infinite": 9}

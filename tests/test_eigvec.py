@@ -127,7 +127,8 @@ class TestRecoverRight:
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_no_esolve_when_e_is_singular(self):
-        from quarteig import SolveConfig, gen_planted, solve_bundle
+        from quarteig import SolveConfig, solve_bundle
+        from problems import gen_planted
 
         singular_e = gen_planted(5, 2, 1, seed=34)
         # the second has only A singular and is solved reversed, whose E is A
@@ -311,7 +312,7 @@ class TestRecoverRightLS:
 
 class TestLift:
     def _planted(self, seed=13):
-        from quarteig import gen_planted
+        from problems import gen_planted
 
         b = gen_planted(2, 1, 0, seed=seed)
         q = b.pencil
@@ -375,7 +376,7 @@ class TestLift:
 
     @pytest.mark.parametrize("kind", ["planted", "mirror", "mirror_wide", "jordan"])
     def test_matches_dense_coupling_solve(self, kind):
-        from quarteig import gen_jordan_chain, gen_mirror_like, gen_planted
+        from problems import gen_jordan_chain, gen_mirror_like, gen_planted
 
         b = {
             "planted": lambda: gen_planted(6, 2, 1, seed=40),
@@ -411,7 +412,7 @@ class TestLift:
     def test_zero_shift_masked_on_its_block(self):
         # alpha = 0 makes the zero-step blocks -alpha*Wb_ii singular, and
         # beta = 0 the infinite-step blocks beta*Wa_ii
-        from quarteig import gen_mirror_like
+        from problems import gen_mirror_like
 
         q = gen_mirror_like(1).pencil
         rp = analyze_ranks(q)
@@ -532,7 +533,7 @@ class TestRoundTripInvariant:
 
 class TestBatchRecovery:
     def test_matches_per_pair_path(self):
-        from quarteig import gen_planted
+        from problems import gen_planted
 
         b = gen_planted(5, 1, 0, seed=30)
         q = b.pencil
@@ -568,7 +569,8 @@ class TestBatchRecovery:
 
 class TestLeastSquaresPipeline:
     def test_ls_mode_quality_comparable(self):
-        from quarteig import SolveConfig, gen_planted, solve_bundle
+        from quarteig import SolveConfig, solve_bundle
+        from problems import gen_planted
 
         b = gen_planted(4, 1, 0, seed=33)
         res_min = solve_bundle(b, SolveConfig(eigvec_mode="min_residual"))

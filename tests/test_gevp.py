@@ -7,7 +7,6 @@ from quarteig.errors import GevpError
 from quarteig.gevp import solve_gevp
 from quarteig.numkit import EPS
 from quarteig.pencil import EIG_FINITE, EIG_INFINITE, LinearPencil
-from quarteig.probio import gen_jordan_chain, gen_planted
 from oracles import (
     haar_unitary,
     match_values,
@@ -16,6 +15,7 @@ from oracles import (
     random_regular_quartic,
     singular_quartic,
 )
+from problems import gen_jordan_chain, gen_planted
 
 
 def force_zggev(monkeypatch):

@@ -7,25 +7,19 @@ import numpy as np
 import pytest
 from scipy.io import mmwrite
 
-from quarteig import (
-    ProblemBundle,
-    QuarticPencil,
-    gen_jordan_chain,
-    gen_mirror_like,
-    gen_planted,
-    grade_rows,
-    read_bundle,
-    write_bundle,
-    write_report,
-)
+import quarteig.pencil
+import quarteig.probio
+from quarteig import ProblemBundle, QuarticPencil, read_bundle, write_bundle, write_report
 from quarteig.errors import (
     DimensionMismatchError,
     MalformedMatrixError,
     MissingCoefficientError,
 )
+from quarteig.numkit import as_matrix
 from quarteig.pencil import linearize
 from quarteig.probio import write_file
 from oracles import classify_dense, rand_complex
+from problems import gen_jordan_chain, gen_mirror_like, gen_planted, grade_rows
 
 
 def scalar_bundle(vals, name="scalar"):
@@ -105,6 +99,20 @@ class TestBundleIO:
         assert (tmp_path / "m" / "expected.json").read_bytes() == (
             tmp_path / "ref.json"
         ).read_bytes()
+
+    def test_each_coefficient_checked_once(self, tmp_path, monkeypatch):
+        write_bundle(scalar_bundle([1.0, 0.0, 0.0, 0.0, -1.0]), tmp_path / "s")
+        calls = []
+
+        def spy(m):
+            calls.append(m)
+            return as_matrix(m)
+
+        monkeypatch.setattr(quarteig.probio, "as_matrix", spy)
+        monkeypatch.setattr(quarteig.pencil, "as_matrix", spy)
+        got = read_bundle(tmp_path / "s")
+        assert len(calls) == 5
+        assert all(m.dtype == np.complex128 for m in got.pencil.coeffs)
 
     def test_rewrite_leaves_bundle_in_place(self, tmp_path, replace_calls):
         b = gen_mirror_like(0)
@@ -223,6 +231,12 @@ class TestWriteReport:
         lines = (tmp_path / "r.csv").read_text().splitlines()
         assert lines[0].startswith("index,alpha_re,alpha_im,beta,class,eta_right")
         assert len(lines) == 1 + len(rep["eigenpairs"])
+
+    @pytest.mark.parametrize("name", ["out/", "out/.json", "out/.csv"])
+    def test_path_without_file_name_rejected(self, tmp_path, name):
+        with pytest.raises(ValueError, match="names no file"):
+            write_report(self._report(), os.path.join(tmp_path, name), fmt="both")
+        assert os.listdir(tmp_path) == []
 
     def test_empty_finite_spectrum_valid(self, tmp_path):
         from quarteig import build_report, solve_bundle

@@ -220,7 +220,8 @@ class TestExtremeCoefficientScales:
     def test_unscaled_deflation_report_is_strict_json(self, s):
         # the norm of the truncated blocks (a step's ``dropped``) must not
         # overflow to Infinity, a token that RFC 8259 JSON does not have
-        from quarteig import SolveConfig, build_report, gen_planted, solve_pencil
+        from quarteig import SolveConfig, build_report, solve_pencil
+        from problems import gen_planted
         from quarteig.probio import report_json
 
         def reject(token):

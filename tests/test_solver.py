@@ -8,8 +8,9 @@ from oracles import random_regular_quartic
 
 import quarteig.eigvec
 import quarteig.numkit
-from quarteig import SolveConfig, gen_jordan_chain, gen_mirror_like, gen_planted, solve_pencil
+from quarteig import SolveConfig, solve_pencil
 from quarteig.pencil import EIG_FINITE
+from problems import gen_jordan_chain, gen_mirror_like, gen_planted
 from support import from_lambda
 
 PROBLEMS = {
