@@ -3,10 +3,10 @@
 The decision tree branches on the numerical ranks of the extreme
 coefficients A and E:
 
-* both regular: nothing is deflated and the linearization reaches QZ
-  unchanged (identity transforms); the backend (LAPACK zggev3) starts with
-  its own QR of the lambda coefficient, so a triangularization here would be
-  repeated work.
+* both regular: nothing is deflated and the linearization, formed here
+  and only here, reaches QZ unchanged (identity transforms); the backend
+  (LAPACK zggev3) starts with its own QR of the lambda coefficient, so a
+  triangularization here would be repeated work.
 * exactly one singular: a structured transformation exposes n - r_E zero
   rows built from the factors of E (a quartic with only A singular is
   deflated through its reversal, ``analyze_ranks(q).swapped()``); a
@@ -21,14 +21,15 @@ coefficients A and E:
   infinite chain is deflated on the reversed pencil with the first block
   sizes known from the ranks of A and Phi.
 
-All transformations are accumulated as explicit unitary-times-permutation
-factors P, Q so that P @ AA0 @ Q and P @ BB0 @ Q are block upper triangular
-with the deflated part trailing; the retained work matrices are exactly what
-eigenvector assembly needs later. Every step that deflates k eigenvalues
-puts a k x k diagonal block on top of the trailing staircase, with exact
-zeros to its left and, in AA after a zero step or in BB after an infinite
-step, on the block itself; ``DeflationResult.steps`` records the sizes and
-sides, from which left-vector lifting solves the staircase block by block.
+All transformations are accumulated by the returned :class:`DeflationResult`
+as explicit unitary-times-permutation factors P, Q so that P @ AA0 @ Q and
+P @ BB0 @ Q are block upper triangular with the deflated part trailing; its
+work matrices are exactly what eigenvector assembly needs later. Every step
+that deflates k eigenvalues puts a k x k diagonal block on top of the
+trailing staircase, with exact zeros to its left and, in AA after a zero
+step or in BB after an infinite step, on the block itself; its ``steps``
+record the sizes and sides, from which left-vector lifting solves the
+staircase block by block.
 
 Every stage takes the :class:`RankProfile` of the working quartic, which
 carries the quartic itself, so the factors cannot belong to another one.
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import DeflationError
 from .numkit import PivotedQR, rrqr, safe_norm, urv
-from .pencil import LinearPencil, QuarticPencil, reverse
+from .pencil import LinearPencil, QuarticPencil, linearize, reverse
 
 
 @dataclass
@@ -53,13 +54,15 @@ class RankProfile:
     coefficients A and E.
 
     ``tol`` is the rank tolerance of :func:`numkit.rrqr` for every rank
-    decision of the deflation (None: max(shape)*eps).
+    decision of the deflation (None: max(shape)*eps). ``reversed`` marks
+    the profile of a reversal, made by :meth:`swapped`.
     """
 
     q: QuarticPencil
     qr_a: PivotedQR
     qr_e: PivotedQR
     tol: float | None
+    reversed: bool = False
 
     @property
     def r_a(self):
@@ -75,7 +78,7 @@ class RankProfile:
 
     def swapped(self):
         """Profile of ``reverse(q)``, whose A and E trade places."""
-        return RankProfile(q=reverse(self.q), qr_a=self.qr_e, qr_e=self.qr_a, tol=self.tol)
+        return RankProfile(reverse(self.q), self.qr_e, self.qr_a, self.tol, not self.reversed)
 
 
 def analyze_ranks(q: QuarticPencil, tol=None) -> RankProfile:
@@ -133,19 +136,19 @@ class DeflationStep:
 class DeflationResult:
     """Deflated regular pencil plus the accumulated equivalence transforms.
 
-    ``size == full_size`` means nothing was deflated and the transforms are
-    the identity: the work matrices are the linearization itself. The
-    counts are the sums over ``steps``.
+    Starts from the images work_a = P AA Q and work_b = P BB Q of a first
+    step (P and Q unitary), which it owns and updates in place. The steps
+    describe the working quartic; the counts are their sums for the input,
+    whose reversal was deflated when ``reversed`` is set. ``size ==
+    full_size`` means nothing was deflated and the transforms are the
+    identity: the work matrices are the linearization itself.
     """
 
-    p: np.ndarray
-    q: np.ndarray
-    zeros_deflated: int
-    infs_deflated: int
-    steps: list
     work_a: np.ndarray
     work_b: np.ndarray
-    size: int
+    p: np.ndarray
+    q: np.ndarray
+    steps: list = field(default_factory=list)
     reversed: bool = False
     a_regular: bool | None = None
     b_regular: bool | None = None
@@ -156,43 +159,41 @@ class DeflationResult:
         return self.work_a.shape[0]
 
     @property
+    def size(self):
+        return self.full_size - sum(s.deflated for s in self.steps)
+
+    @property
+    def zeros_deflated(self):
+        return sum(s.infs if self.reversed else s.zeros for s in self.steps)
+
+    @property
+    def infs_deflated(self):
+        return sum(s.zeros if self.reversed else s.infs for s in self.steps)
+
+    @property
     def pencil(self):
         """The deflated pencil: the leading ``size`` block of the work matrices."""
         m = self.size
         return LinearPencil(aa=self.work_a[:m, :m], bb=self.work_b[:m, :m])
 
-
-class _Reducer:
-    """Accumulates equivalence transformations on the 4n linearization.
-
-    Starts from the images wa = P AA Q and wb = P BB Q of a first step
-    (P and Q unitary), which it owns and updates in place.
-    """
-
-    def __init__(self, wa, wb, p, q):
-        self.wa, self.wb, self.p, self.q = wa, wb, p, q
-        self.m = wa.shape[0]
-        self.steps = []
-        self.flags = []
-
     def left(self, l, start=0):
         """Multiply the active rows from ``start`` on by l from the left."""
-        m = self.m
-        for w in (self.wa, self.wb, self.p):
+        m = self.size
+        for w in (self.work_a, self.work_b, self.p):
             w[start:m, :] = l @ w[start:m, :]
 
     def permute_rows(self, order):
         """Reorder the active rows: new row i is old row ``order[i]``."""
-        m = self.m
-        for w in (self.wa, self.wb, self.p):
+        m = self.size
+        for w in (self.work_a, self.work_b, self.p):
             w[:m, :] = w[order, :]
 
     def right(self, r):
         """Multiply the active columns by r; below the active rows they are
         exact zeros (left so by :meth:`truncate`) and stay untouched."""
-        m = self.m
-        self.wa[:m, :m] = self.wa[:m, :m] @ r
-        self.wb[:m, :m] = self.wb[:m, :m] @ r
+        m = self.size
+        self.work_a[:m, :m] = self.work_a[:m, :m] @ r
+        self.work_b[:m, :m] = self.work_b[:m, :m] @ r
         self.q[:, :m] = self.q[:, :m] @ r
 
     def truncate(self, k, kind, side, rank=None, evidence=None):
@@ -203,14 +204,13 @@ class _Reducer:
         itself in AA (side "zero") or BB (side "inf"), are set to zero;
         ``dropped`` is the Frobenius norm of what they held.
         """
-        m = self.m
+        m = self.size
         new = m - k
-        cut = (self.wa[new:m, :new], self.wb[new:m, :new],
-               (self.wa if side == "zero" else self.wb)[new:m, new:m])
+        cut = (self.work_a[new:m, :new], self.work_b[new:m, :new],
+               (self.work_a if side == "zero" else self.work_b)[new:m, new:m])
         dropped = float(safe_norm([safe_norm(c) for c in cut]))
         for c in cut:
             c[...] = 0.0
-        self.m = new
         zeros, infs = (k, 0) if side == "zero" else (0, k)
         self.steps.append(
             DeflationStep(
@@ -244,7 +244,7 @@ def _q_k(rp: RankProfile):
     return np.block([[eye, zero], [zero, rp.qr_e.q]])
 
 
-def _first_step(rp: RankProfile, q_k, u, top_a, top_b) -> _Reducer:
+def _first_step(rp: RankProfile, q_k, u, top_a, top_b) -> DeflationResult:
     """The structured first step, shared by both decision trees.
 
     P = diag(u*, q_k*) and Q = diag(I, q_k) transform the linearization,
@@ -259,19 +259,19 @@ def _first_step(rp: RankProfile, q_k, u, top_a, top_b) -> _Reducer:
     wa = np.vstack([top_a, np.block([[zero, -eye, zero, zero],
                                      [rp.qr_e.r_hat_unpermuted(pad=True), zero, zero, zero]])])
     wb = np.vstack([top_b, np.block([[zero, zero, -eye, zero], [zero, zero, zero, -eye]])])
-    red = _Reducer(wa, wb, _block_diag(u.conj().T, q_k.conj().T),
-                   _block_diag(np.eye(2 * n, dtype=np.complex128), q_k))
-    red.truncate(
+    d = DeflationResult(wa, wb, _block_diag(u.conj().T, q_k.conj().T),
+                        _block_diag(np.eye(2 * n, dtype=np.complex128), q_k))
+    d.truncate(
         n - rp.r_e,
         kind="zero_block_1",
         side="zero",
         rank=rp.r_e,
         evidence=dict(rp.qr_e.truncation_log),
     )
-    return red
+    return d
 
 
-def _step1_zero(rp: RankProfile) -> _Reducer:
+def _step1_zero(rp: RankProfile) -> DeflationResult:
     """E singular: expose and truncate the first block of n - r_E zeros."""
     q, n = rp.q, rp.n
     eye, zero = _blocks(n)
@@ -282,12 +282,12 @@ def _step1_zero(rp: RankProfile) -> _Reducer:
     return _first_step(rp, q_k, q_k, top_a, top_b)
 
 
-def _step2_zero(red: _Reducer, rp: RankProfile, sl: SecondLevel):
+def _step2_zero(d: DeflationResult, rp: RankProfile, sl: SecondLevel):
     """Second zero block from the rank deficiency of Psi."""
     n = rp.n
     r_e = rp.r_e
     r2 = sl.r_psi
-    m = red.m
+    m = d.size
     assert m == 3 * n + r_e
     order = np.concatenate(
         [
@@ -297,18 +297,18 @@ def _step2_zero(red: _Reducer, rp: RankProfile, sl: SecondLevel):
             np.arange(3 * n, 3 * n + r_e),
         ]
     )
-    red.permute_rows(order)
-    red.left(sl.qr_psi.q.conj().T, start=2 * n + r_e)
+    d.permute_rows(order)
+    d.left(sl.qr_psi.q.conj().T, start=2 * n + r_e)
     # the bottom n rows of the constant term are Q_psi* Psi = R Pi^T exactly
     psi_rows = sl.qr_psi.r_hat_unpermuted(pad=True)
-    red.wa[2 * n + r_e : 3 * n + r_e, :n] = psi_rows
-    red.wa[2 * n + r_e : 3 * n + r_e, n:m] = 0.0
-    trailing = red.wb[2 * n + r_e + r2 : m, :m]
+    d.work_a[2 * n + r_e : 3 * n + r_e, :n] = psi_rows
+    d.work_a[2 * n + r_e : 3 * n + r_e, n:m] = 0.0
+    trailing = d.work_b[2 * n + r_e + r2 : m, :m]
     cod = urv(trailing, rp.tol)
     if cod.rank < n - r2:
-        red.flags.append("zero_chain_trailing_rank_deficient")
-    red.right(cod.v)
-    red.truncate(
+        d.flags.append("zero_chain_trailing_rank_deficient")
+    d.right(cod.v)
+    d.truncate(
         n - r2,
         kind="zero_block_2",
         side="zero",
@@ -317,7 +317,7 @@ def _step2_zero(red: _Reducer, rp: RankProfile, sl: SecondLevel):
     )
 
 
-def _case_both_full(rp: RankProfile) -> _Reducer:
+def _case_both_full(rp: RankProfile) -> DeflationResult:
     """Both A and E singular, Phi and Psi regular: one block each for 0/inf."""
     q, n = rp.q, rp.n
     eye, zero = _blocks(n)
@@ -326,46 +326,46 @@ def _case_both_full(rp: RankProfile) -> _Reducer:
     top_a = np.block([[q.d, zero, zero, -rp.qr_e.q], [qa_h @ q.b, zero, -qa_h, zero]])
     top_b = np.block([[-q.c, -eye, zero, zero],
                       [-rp.qr_a.r_hat_unpermuted(pad=True), zero, zero, zero]])
-    red = _first_step(rp, _q_k(rp), q_m, top_a, top_b)
+    d = _first_step(rp, _q_k(rp), q_m, top_a, top_b)
     # infinite block: the rows holding Q_A2* (exactly zero on the lambda side)
-    m = red.m
+    m = d.size
     rows = np.arange(n + rp.r_a, 2 * n)
-    trailing = red.wa[rows, :m]
+    trailing = d.work_a[rows, :m]
     cod = urv(trailing, rp.tol)
     if cod.rank < n - rp.r_a:
-        red.flags.append("inf_block_trailing_rank_deficient")
-    red.right(cod.v)
-    red.permute_rows(np.concatenate([np.delete(np.arange(m), rows), rows]))
-    red.truncate(
+        d.flags.append("inf_block_trailing_rank_deficient")
+    d.right(cod.v)
+    d.permute_rows(np.concatenate([np.delete(np.arange(m), rows), rows]))
+    d.truncate(
         n - rp.r_a,
         kind="inf_block_1",
         side="inf",
         rank=rp.r_a,
         evidence=dict(rp.qr_a.truncation_log),
     )
-    return red
+    return d
 
 
-def _generic_layer(red: _Reducer, on, tol, known=None, kind=None):
+def _generic_layer(d: DeflationResult, on, tol, known=None, kind=None):
     """One staircase reduction layer for the zero (on='zero') or infinite
     (on='inf') eigenvalue of the active pencil. Returns the deflated count."""
-    m = red.m
+    m = d.size
     if m == 0:
         return 0
-    const = red.wa if on == "zero" else red.wb
+    const = d.work_a if on == "zero" else d.work_b
     f = rrqr(const[:m, :m], tol)
     rank = m - known if known is not None else f.rank
     if rank >= m:
         return 0
-    red.left(f.q.conj().T)
-    other = red.wb if on == "zero" else red.wa
+    d.left(f.q.conj().T)
+    other = d.work_b if on == "zero" else d.work_a
     trailing = other[rank:m, :m]
     cod = urv(trailing, tol)
     if cod.rank < m - rank:
-        red.flags.append(f"staircase_{on}_trailing_rank_deficient")
+        d.flags.append(f"staircase_{on}_trailing_rank_deficient")
         return 0
-    red.right(cod.v)
-    red.truncate(
+    d.right(cod.v)
+    d.truncate(
         m - rank,
         kind=kind or f"staircase_{on}",
         side=on,
@@ -375,18 +375,17 @@ def _generic_layer(red: _Reducer, on, tol, known=None, kind=None):
     return m - rank
 
 
-def deflate(lin: LinearPencil, rp: RankProfile, sl: SecondLevel | None = None) -> DeflationResult:
-    """Run the full deflation decision tree on ``lin``, the 4n linearization
-    of ``rp.q``.
+def deflate(rp: RankProfile, sl: SecondLevel | None = None) -> DeflationResult:
+    """Run the full deflation decision tree on the 4n linearization of
+    ``rp.q``.
 
-    Every rank decision uses the rank tolerance of ``rp``. A quartic
-    with only A singular is deflated through its reversal
-    (``rp.swapped()``), whose E is the singular one, so that profile raises
-    :class:`DeflationError` here.
+    Every rank decision uses the rank tolerance of ``rp``. The structured
+    first steps build their images from the coefficients; only a regular
+    quartic has its linearization formed. A quartic with only A singular is
+    deflated through its reversal (``rp.swapped()``), whose E is the
+    singular one, so that profile raises :class:`DeflationError` here.
     """
     n = rp.n
-    if lin.size != 4 * n:
-        raise DeflationError(f"linearization size {lin.size} != 4n = {4 * n}")
     tol = rp.tol
 
     if rp.r_a < n and rp.r_e == n:
@@ -400,49 +399,38 @@ def deflate(lin: LinearPencil, rp: RankProfile, sl: SecondLevel | None = None) -
         # (-A, -I, -I, -I) and AA, with its block columns permuted, is block
         # upper triangular with diagonal (-I, -I, -I, E), so both are regular
         # exactly when A and E are
-        eye = np.eye(lin.size, dtype=np.complex128)
-        red = _Reducer(lin.aa, lin.bb, eye, eye.copy())
-        red.steps.append(DeflationStep(kind="regular", deflated=0, rank=rp.r_a,
-                                       evidence=dict(rp.qr_a.truncation_log)))
-        a_regular = b_regular = True
+        lin = linearize(rp.q)
+        eye = np.eye(4 * n, dtype=np.complex128)
+        d = DeflationResult(lin.aa, lin.bb, eye, eye.copy(), a_regular=True, b_regular=True)
+        d.steps.append(DeflationStep(kind="regular", deflated=0, rank=rp.r_a,
+                                     evidence=dict(rp.qr_a.truncation_log)))
     else:
         if sl is None:
             sl = second_level(rp)
         if rp.r_a < n and sl.r_phi == n and sl.r_psi == n:
-            red = _case_both_full(rp)
+            d = _case_both_full(rp)
         else:
-            red = _step1_zero(rp)
+            d = _step1_zero(rp)
             if sl.r_psi < n:
-                _step2_zero(red, rp, sl)
-                while _generic_layer(red, "zero", tol):
+                _step2_zero(d, rp, sl)
+                while _generic_layer(d, "zero", tol):
                     pass
             if rp.r_a < n:
                 # infinite chain on the reversed pencil; the first block sizes
                 # are known from the ranks of A and Phi
-                _generic_layer(red, "inf", tol, known=n - rp.r_a,
+                _generic_layer(d, "inf", tol, known=n - rp.r_a,
                                kind="inf_block_1")
                 if sl.r_phi < n:
-                    _generic_layer(red, "inf", tol, known=n - sl.r_phi,
+                    _generic_layer(d, "inf", tol, known=n - sl.r_phi,
                                    kind="inf_block_2")
-                    while _generic_layer(red, "inf", tol):
+                    while _generic_layer(d, "inf", tol):
                         pass
-        m = red.m
-        a_regular = bool(rrqr(red.wa[:m, :m], tol).rank == m)
-        b_regular = bool(rrqr(red.wb[:m, :m], tol).rank == m)
-        if not b_regular:
-            red.flags.append("deflated_pencil_bb_rank_deficient")
-        if not a_regular:
-            red.flags.append("deflated_pencil_aa_rank_deficient")
-    return DeflationResult(
-        p=red.p,
-        q=red.q,
-        zeros_deflated=sum(s.zeros for s in red.steps),
-        infs_deflated=sum(s.infs for s in red.steps),
-        steps=red.steps,
-        work_a=red.wa,
-        work_b=red.wb,
-        size=red.m,
-        a_regular=a_regular,
-        b_regular=b_regular,
-        flags=red.flags,
-    )
+        m = d.size
+        d.a_regular = bool(rrqr(d.work_a[:m, :m], tol).rank == m)
+        d.b_regular = bool(rrqr(d.work_b[:m, :m], tol).rank == m)
+        if not d.b_regular:
+            d.flags.append("deflated_pencil_bb_rank_deficient")
+        if not d.a_regular:
+            d.flags.append("deflated_pencil_aa_rank_deficient")
+    d.reversed = rp.reversed
+    return d

@@ -47,7 +47,6 @@ class RecoveryContext:
 
     q: QuarticPencil
     qr_e: PivotedQR | None  # rank-revealing QR of E; None unless it has full rank
-    svd_e: tuple | None = None  # (u, sigma, v) of E, from the first least-squares recovery
 
 
 def build_context(rp: RankProfile) -> RecoveryContext:
@@ -141,26 +140,22 @@ def recover_right_ls(zs, alpha, beta, ctx: RecoveryContext):
     """Least-squares recovery min || [lambda I; E] x - [z1; -z4] || per column.
 
     ``zs`` holds one lifted 4n-vector per column, ``alpha`` and ``beta`` the
-    matching finite nonzero eigenvalues. Solved through the SVD of E
-    (computed on the first call and cached in the context) in O(n^2) per
-    eigenvalue, all columns at once; the second block acts as a
-    regularizer. For |lambda|>1 the system is scaled by 1/lambda to keep
+    matching finite nonzero eigenvalues. Solved through one SVD of E, then
+    in O(n^2) per eigenvalue, all columns at once; the second block acts as
+    a regularizer. For |lambda|>1 the system is scaled by 1/lambda to keep
     the stack balanced. Returns unit vectors as the columns of an array.
     """
     q = ctx.q
     n = q.n
-    if ctx.svd_e is None:
-        u, sig, vh = np.linalg.svd(q.e)
-        ctx.svd_e = (u, sig, vh.conj().T)
-    u_e, sig, v_e = ctx.svd_e  # E is square: n values
+    u_e, sig, vh_e = np.linalg.svd(q.e)  # E is square: n values
     lam = affine(alpha, beta)
     big = np.abs(lam) > 1.0
-    t1 = (v_e.conj().T @ zs[:n]) / np.where(big, lam, 1.0)
+    t1 = (vh_e @ zs[:n]) / np.where(big, lam, 1.0)
     t2 = -(u_e.conj().T @ zs[3 * n :])
     r1 = np.where(big, 1.0, lam)
     sig = sig[:, None]
     u = (np.conj(r1) * t1 + sig * t2) / (np.abs(r1) ** 2 + sig**2)
-    return unit_columns(v_e @ u)[0]
+    return unit_columns(vh_e.conj().T @ u)[0]
 
 
 def lift_left(ws, alpha, beta, d: DeflationResult):

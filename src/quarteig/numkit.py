@@ -266,7 +266,7 @@ def singular_diag(d):
     d = np.abs(d)
     dmin = d.min(axis=-1, initial=np.inf)
     dmax = d.max(axis=-1, initial=0.0)
-    return (dmin == 0.0) | (dmax >= dmin / EPS)
+    return (dmin == 0.0) | (dmax * EPS >= dmin)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """End-to-end solve pipeline.
 
 Order: balance (weighted by the parameter scaling's gamma) -> parameter
-scale -> rank analysis -> (reverse if only A is singular) -> linearize ->
-deflate -> QZ -> lift/recover eigenvectors -> descale -> diagnostics.
+scale -> rank analysis -> (reverse if only A is singular) -> deflate (or,
+with deflation off, linearize) -> QZ -> lift/recover eigenvectors ->
+descale -> diagnostics.
 Backward errors in the report are always evaluated against the original,
 unscaled coefficients.
 
@@ -145,19 +146,16 @@ def _recover_all(gs, zfull, wfull, lifted, ctx, qw, config, flags):
         if ok.any():
             x[:, fin[ok]] = np.column_stack(list(compress(xs, ok)))
         flags.extend(f"recover_right_degenerate_index_{i}" for i in fin[~ok])
-    sel = fin[lifted[fin]]
-    if sel.size:
-        y[:, sel], has_left[sel] = eigvec.recover_left(wfull[:, sel])
-        flags.extend(f"recover_left_degenerate_index_{i}" for i in sel[~has_left[sel]])
+    # for lambda = 0 (infinite) the largest block of w is its last (first) one
+    if lifted.any():
+        y[:, lifted], has_left[lifted] = eigvec.recover_left(wfull[:, lifted])
+        flags.extend(f"recover_left_degenerate_index_{i}"
+                     for i in fin[lifted[fin] & ~has_left[fin]])
     if zero.size:
         x[:, zero], has_right[zero] = eigvec.recover_right_zero(zfull[:, zero], qw)
     x[:, inf], has_right[inf] = unit_columns(zfull[:n, inf])
-    # the left vector of a zero (infinite) eigenvalue is the last (first) block of w
-    for idx, name, blk in ((zero, "zero_class", slice(3 * n, None)), (inf, "inf_class", slice(n))):
+    for idx, name in ((zero, "zero_class"), (inf, "inf_class")):
         methods[idx] = np.where(has_right[idx], f"{name}_z1", f"{name}_degenerate")
-        sel = idx[lifted[idx]]
-        if sel.size:
-            y[:, sel], has_left[sel] = unit_columns(wfull[blk, sel])
     return methods, x, has_right, y, has_left
 
 
@@ -170,8 +168,10 @@ def _deflated_pairs(d, rp_w, want_left):
     """
     n = rp_w.n
     parts = []
-    for count, which, cls, alpha, beta in ((d.zeros_deflated, "zero_class", EIG_ZERO, 0.0, 1.0),
-                                           (d.infs_deflated, "inf_class", EIG_INFINITE, 1.0, 0.0)):
+    for which, cls, alpha, beta in (("zero_class", EIG_ZERO, 0.0, 1.0),
+                                    ("inf_class", EIG_INFINITE, 1.0, 0.0)):
+        # the working problem's count, as its steps deflated it
+        count = sum(s.zeros if cls == EIG_ZERO else s.infs for s in d.steps)
         vectors = []
         for side in ("right", "left"):
             # a right-only solve gives no pair a left vector
@@ -217,20 +217,18 @@ def _solve(q0, config, name):
 
     rp = analyze_ranks(qs, config.tol)
 
-    reversed_problem = bool(config.deflate and rp.r_a < n and rp.r_e == n)
-    rp_w = rp.swapped() if reversed_problem else rp
-    lin = linearize(rp_w.q)
+    rp_w = rp.swapped() if config.deflate and rp.r_a < n and rp.r_e == n else rp
 
     d = None
     if config.deflate:
         sl = None
         if rp_w.r_a < n or rp_w.r_e < n:
             sl = second_level(rp_w)
-        d = deflate(lin, rp_w, sl)
+        d = deflate(rp_w, sl)
         flags.extend(d.flags)
         gs = gevp.solve_gevp(d.pencil, want_left=config.want_left)
     else:
-        gs = gevp.solve_gevp(lin, want_left=config.want_left)
+        gs = gevp.solve_gevp(linearize(rp_w.q), want_left=config.want_left)
 
     ctx = eigvec.build_context(rp_w) if np.any(gs.cls == EIG_FINITE) else None
     zfull, wfull, lifted = _lift_all(gs, d, flags)
@@ -239,11 +237,8 @@ def _solve(q0, config, name):
     if d is not None:
         parts += _deflated_pairs(d, rp_w, config.want_left)
     alpha, beta, cls, *rest = (np.concatenate(f, axis=-1) for f in zip(*parts))
-    if reversed_problem:
+    if rp_w.reversed:
         alpha, beta, cls = reciprocal(alpha, beta, cls)
-        # counts in the result always refer to the original problem
-        d.reversed = True
-        d.zeros_deflated, d.infs_deflated = d.infs_deflated, d.zeros_deflated
     sol = scaling.descale(EigenSolution(alpha, beta, cls, *rest), rec)
 
     norms0 = diagnostics.CoefficientNorms(q0)

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 import quarteig.deflate
 from quarteig import QuarticPencil
-from quarteig.deflate import _generic_layer, _Reducer, analyze_ranks, deflate, second_level
+from quarteig.deflate import DeflationResult, _generic_layer, analyze_ranks, deflate, second_level
 from quarteig.errors import DeflationError
 from quarteig.numkit import EPS, rrqr
 from quarteig.pencil import LinearPencil, linearize, reverse
@@ -28,21 +28,15 @@ def dense_counts(q):
 
 def run_deflate(q, with_sl=True):
     """Deflate as solve_pencil does: a quartic with only A singular is
-    deflated through ``analyze_ranks(q).swapped()``, and its counts are
-    swapped back to q's orientation. Returns ``(lin, rp_w, sl, d)`` with
-    the linearization and rank profile of the working quartic ``rp_w.q``."""
+    deflated through ``analyze_ranks(q).swapped()``, and the result counts
+    in q's orientation. Returns ``(lin, rp_w, sl, d)`` with the
+    linearization and rank profile of the working quartic ``rp_w.q``."""
     rp = analyze_ranks(q)
-    flip = rp.r_a < q.n and rp.r_e == q.n
-    rp_w = rp.swapped() if flip else rp
-    lin = linearize(rp_w.q)
+    rp_w = rp.swapped() if rp.r_a < q.n and rp.r_e == q.n else rp
     sl = None
     if with_sl and (rp.r_a < q.n or rp.r_e < q.n):
         sl = second_level(rp_w)
-    d = deflate(lin, rp_w, sl)
-    if flip:
-        d.reversed = True
-        d.zeros_deflated, d.infs_deflated = d.infs_deflated, d.zeros_deflated
-    return lin, rp_w, sl, d
+    return linearize(rp_w.q), rp_w, sl, deflate(rp_w, sl)
 
 
 class TestAnalyzeRanks:
@@ -262,15 +256,15 @@ class TestDeflateCases:
         rp = analyze_ranks(q)
         assert rp.r_a < q.n and rp.r_e == q.n
         with pytest.raises(DeflationError, match="reverse"):
-            deflate(linearize(q), rp)
+            deflate(rp)
 
 
 def staircase_layer(p, known_block=None, red=None):
     """One generic staircase layer for the zero eigenvalue of pencil p (or
-    of the reducer's active pencil); returns (reducer, deflated)."""
+    of the active pencil of ``red``); returns (red, deflated)."""
     if red is None:
         eye = np.eye(p.size, dtype=np.complex128)
-        red = _Reducer(p.aa.astype(np.complex128), p.bb.astype(np.complex128), eye, eye.copy())
+        red = DeflationResult(p.aa.astype(complex), p.bb.astype(complex), eye, eye.copy())
     return red, _generic_layer(red, "zero", None, known=known_block)
 
 
@@ -280,8 +274,8 @@ class TestStaircaseStep:
         p = LinearPencil(aa=haar_unitary(rng, 4), bb=rand_complex(rng, (4, 4)))
         red, k = staircase_layer(p)
         assert k == 0
-        assert red.m == 4 and not red.steps
-        assert np.array_equal(red.wa, p.aa) and np.array_equal(red.wb, p.bb)
+        assert red.size == 4 and not red.steps
+        assert np.array_equal(red.work_a, p.aa) and np.array_equal(red.work_b, p.bb)
 
     def test_probe_that_deflates_nothing_forms_no_q(self, monkeypatch):
         made = []
@@ -305,7 +299,7 @@ class TestStaircaseStep:
         assert k1 == 1
         red, k2 = staircase_layer(p, red=red)
         assert k2 == 1
-        assert red.m == 0
+        assert red.size == 0
         lam = sla.eig(aa, np.eye(2), right=False)
         assert np.allclose(lam, 0.0)
 
@@ -318,7 +312,7 @@ class TestStaircaseStep:
         reversed_pencil = LinearPencil(aa=bb, bb=aa)
         red, deflated = staircase_layer(reversed_pencil, known_block=k)
         assert deflated == k
-        assert red.m == r
+        assert red.size == r
 
     def test_transform_shapes(self):
         rng = np.random.default_rng(26)

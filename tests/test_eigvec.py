@@ -317,13 +317,13 @@ class TestLift:
         b = gen_planted(2, 1, 0, seed=seed)
         q = b.pencil
         lin = linearize(q)
-        d = deflate(lin, analyze_ranks(q))
+        d = deflate(analyze_ranks(q))
         return q, lin, d
 
     def test_no_deflation_is_plain_q(self):
         rng = np.random.default_rng(14)
         q = random_regular_quartic(rng, 3)
-        d = deflate(linearize(q), analyze_ranks(q))
+        d = deflate(analyze_ranks(q))
         assert d.size == 12
         assert np.array_equal(d.q, np.eye(12))
         w_til = rand_complex(rng, (12, 2))
@@ -386,7 +386,7 @@ class TestLift:
         }[kind]()
         q = b.pencil
         rp = analyze_ranks(q)
-        d = deflate(linearize(q), rp, second_level(rp))
+        d = deflate(rp, second_level(rp))
         m = d.size
         assert m < d.full_size
         blocks = [s for s in d.steps if s.deflated]
@@ -416,7 +416,7 @@ class TestLift:
 
         q = gen_mirror_like(1).pencil
         rp = analyze_ranks(q)
-        d = deflate(linearize(q), rp, second_level(rp))
+        d = deflate(rp, second_level(rp))
         rng = np.random.default_rng(41)
         e = from_lambda([0.5, 0.0, np.inf, 2.0])
         w, ok = lift_left(rand_complex(rng, (d.size, 4)), e.alpha, e.beta, d)
@@ -537,7 +537,7 @@ class TestBatchRecovery:
 
         b = gen_planted(5, 1, 0, seed=30)
         q = b.pencil
-        d = deflate(linearize(q), analyze_ranks(q))
+        d = deflate(analyze_ranks(q))
         gs = solve_gevp(d.pencil)
         ctx = context(q)
         finite = np.flatnonzero(gs.cls == EIG_FINITE)

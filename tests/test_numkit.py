@@ -171,6 +171,8 @@ class TestSingularDiag:
         # one diagonal, as lift_left passes it, and an empty one
         assert singular_diag(np.array([3.0, 0.0])) and not singular_diag(np.array([3.0, 1.0]))
         assert not singular_diag(np.zeros(0))
+        # equal huge entries are well conditioned: the test must not overflow
+        assert not singular_diag(np.array([1e300, 1e300]))
 
 
 class TestUnitColumns:

@@ -2,13 +2,18 @@
 right-only solve, one batched lift per solve, and per-pair flags instead of
 exceptions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from oracles import random_regular_quartic
 
+import quarteig.deflate
 import quarteig.eigvec
 import quarteig.numkit
-from quarteig import SolveConfig, solve_pencil
+import quarteig.pencil
+import quarteig.solver
+from quarteig import QuarticPencil, SolveConfig, solve_pencil
 from quarteig.pencil import EIG_FINITE
 from problems import gen_jordan_chain, gen_mirror_like, gen_planted
 from support import from_lambda
@@ -129,3 +134,34 @@ def test_degenerate_left_vector_is_flagged(monkeypatch):
     assert not sol.has_left[i] and np.isnan(sol.eta_left[i])
     assert sol.has_right[i] and np.isfinite(sol.eta_right[i])
     assert np.sum(~sol.has_left) == 1
+
+
+@pytest.mark.parametrize("kind, config, built", [
+    ("planted", "default", 0),  # deflation builds its images from the coefficients
+    ("regular", "default", 1),  # nothing to deflate: the pencil goes to QZ
+    ("planted", "deflate_off", 1),
+])
+def test_linearization_built_only_where_read(kind, config, built, monkeypatch):
+    calls = []
+
+    def counted(q):
+        calls.append(q.n)
+        return quarteig.pencil.linearize(q)
+
+    for module in (quarteig.solver, quarteig.deflate):
+        monkeypatch.setattr(module, "linearize", counted, raising=False)
+    res = solve_pencil(PROBLEMS[kind](), CONFIGS[config])
+    assert len(calls) == built
+    assert len(res.solution) == 4 * res.n
+
+
+def test_huge_coefficients_solve_without_warning():
+    # unscaled entries near 1e300 put the diagonal of a lifting block past
+    # 1e292, where max/min > 1/eps was once tested as max >= min/eps, which
+    # overflows
+    q = gen_planted(8, 2, 3, seed=1).pencil
+    huge = QuarticPencil(*(1e300 * c for c in q.coeffs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_pencil(huge, SolveConfig(scale=False, balance=False))
+    assert len(res.solution) == 4 * q.n
