@@ -23,13 +23,13 @@ coefficients A and E:
 
 All transformations are accumulated by the returned :class:`DeflationResult`
 as explicit unitary-times-permutation factors P, Q so that P @ AA0 @ Q and
-P @ BB0 @ Q are block upper triangular with the deflated part trailing; its
-work matrices are exactly what eigenvector assembly needs later. Every step
-that deflates k eigenvalues puts a k x k diagonal block on top of the
-trailing staircase, with exact zeros to its left and, in AA after a zero
-step or in BB after an infinite step, on the block itself; its ``steps``
-record the sizes and sides, from which left-vector lifting solves the
-staircase block by block.
+P @ BB0 @ Q are block upper triangular with the deflated part trailing; Q
+lifts the right eigenvectors of the deflated pencil back to the full
+linearization (left eigenvectors are taken from the quartic itself, so no
+step needs P afterwards). Every step that deflates k eigenvalues puts a
+k x k diagonal block on top of the trailing staircase, with exact zeros to
+its left and, in AA after a zero step or in BB after an infinite step, on
+the block itself; its ``steps`` record the sizes and sides.
 
 Every stage takes the :class:`RankProfile` of the working quartic, which
 carries the quartic itself, so the factors cannot belong to another one.

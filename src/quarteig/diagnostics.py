@@ -117,14 +117,21 @@ class SummaryReport:
 
 def _stat(vals):
     """min/max/median of the finite entries of a float array (None where
-    there are none)."""
-    vals = vals[np.isfinite(vals)]
+    there are none).
+
+    The median is read off the sorted values, the mean of the two middle
+    ones for an even count, as ``np.median`` computes it; ``np.median``
+    itself imports ``numpy.ma``, which would cost a command-line solve more
+    than the rest of its statistics.
+    """
+    vals = np.sort(vals[np.isfinite(vals)])
     if not vals.size:
         return {"min": None, "max": None, "median": None}
+    mid = vals.size // 2
     return {
-        "min": float(vals.min()),
-        "max": float(vals.max()),
-        "median": float(np.median(vals)),
+        "min": float(vals[0]),
+        "max": float(vals[-1]),
+        "median": float(vals[mid] if vals.size % 2 else (vals[mid - 1] + vals[mid]) / 2.0),
     }
 
 

@@ -1,4 +1,4 @@
-"""Eigenvector recovery, lifting through deflation, and nullspace bases.
+"""Eigenvector recovery and nullspace bases.
 
 A right eigenvector z of the linearization partitions into four n-blocks
 related to the quartic eigenvector x by
@@ -8,37 +8,38 @@ related to the quartic eigenvector x by
 so x is recovered from z1, or from E^{-1} z4 through the rank-revealing QR
 of E that rank analysis made, offered only when that QR finds E of full
 rank; of the candidates that exist the one with the smaller residual wins.
-A left eigenvector is w = (lambda^3 y, lambda^2 y, lambda y, y) and y is
-read off the best-scaled block. Vectors of the deflated pencil are lifted
-back to the full linearization with the accumulated transformations; left
-vectors also need a solve with the deflated trailing pencil. That pencil is
-the staircase left by deflation, block upper triangular with one block per
-deflation step, each diagonal block vanishing in one coefficient by
-construction; it is solved by block forward substitution over the steps,
-one QR per block shared by all eigenvalues, with no QZ of its own.
+QZ computes right vectors only. The left vector y of a pair comes from the
+quartic itself: one step of inverse iteration, P(alpha, beta)* y = x,
+started from the pair's right vector (Peters and Wilkinson, SIAM Review 21
+(1979)), and where that cannot run, the left singular vectors of
+P(alpha, beta) for its smallest singular values.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics
-from .deflate import DeflationResult, RankProfile
+from .deflate import RankProfile
 from .numkit import (
     EPS,
     PivotedQR,
     complete_orthogonal,
     safe_norm,
-    singular_diag,
     solve_triangular,
     unit_columns,
 )
 from .pencil import QuarticPencil, affine
 
-# the deleted shifted solves, still looked up by bench/tracer.py (ROADMAP item 1)
-tri_hess_reduce = shifted_hess_solve = shifted_hess_solve_many = None
+# the deleted shifted solves and left-vector lift, still looked up by
+# bench/tracer.py (ROADMAP item 1)
+tri_hess_reduce = shifted_hess_solve = shifted_hess_solve_many = lift_left = None
+
+# eigenvalues per stack of n x n matrices in recover_left, which bounds its memory
+LEFT_CHUNK = 32
 
 
 @dataclass
@@ -118,24 +119,6 @@ def recover_right_zero(zs, q: QuarticPencil):
     return unit_columns(zs[: q.n], q.n * EPS * np.linalg.norm(zs, axis=0))
 
 
-def recover_left(ws):
-    """Left eigenvectors from the blocks of w = (l^3 y, l^2 y, l y, y).
-
-    ``ws`` holds one 4n-vector per column. All four blocks are y up to the
-    scale family (l^3, l^2, l, 1); the block with the largest norm carries
-    the most signal relative to additive noise, so it is selected per column,
-    for the whole batch at once, and normalized. Returns ``(y, ok)``:
-    ``ok[j]`` is False for an all-zero or non-finite column, whose column of
-    ``y`` is zero.
-    """
-    ws = np.asarray(ws)
-    if ws.ndim != 2 or ws.shape[0] % 4:
-        raise ValueError(f"expected 4n-vectors as columns, got shape {ws.shape}")
-    blocks = ws.reshape(4, ws.shape[0] // 4, ws.shape[1])
-    best = np.argmax(np.linalg.norm(blocks, axis=1), axis=0)
-    return unit_columns(blocks[best, :, np.arange(ws.shape[1])].T)
-
-
 def recover_right_ls(zs, alpha, beta, ctx: RecoveryContext):
     """Least-squares recovery min || [lambda I; E] x - [z1; -z4] || per column.
 
@@ -158,53 +141,80 @@ def recover_right_ls(zs, alpha, beta, ctx: RecoveryContext):
     return unit_columns(vh_e.conj().T @ u)[0]
 
 
-def lift_left(ws, alpha, beta, d: DeflationResult):
-    """Lift deflated-pencil left eigenvectors, one per column of ``ws``,
-    for the eigenvalues (``alpha``, ``beta``).
+def recover_left(q: QuarticPencil, alpha, beta, x):
+    """Left eigenvectors y, y* P(alpha, beta) ~ 0, one unit column per pair.
 
-    X and Y are the coupling and trailing blocks of P(beta*AA - alpha*BB)Q;
-    the lifted vector is P* (w, w2) with w2* Y = -w* X. Y is the deflation
-    staircase: block upper triangular with one diagonal block per step of
-    ``d.steps`` that deflated something, the first step's block last. A
-    zero step leaves Wa_ii = 0, so Y_ii = -alpha Wb_ii; an infinite step
-    leaves Wb_ii = 0, so Y_ii = beta Wa_ii. Y* w2 = -X* w is solved by block
-    forward substitution for all eigenvalues at once: per block, two
-    products with the blocks solved so far (w included), then one QR of the
-    nonzero diagonal block, shared by every eigenvalue, whose shift enters
-    only as the column scale -conj(alpha_j) or conj(beta_j). One product
-    with P* and one column normalization follow. Returns ``(w, ok)`` with
-    unit columns; ``ok`` is False (and the column zero) for every column
-    when a diagonal block is numerically singular (deflation did not
-    produce the claimed structure), for column j when its scale is zero,
-    and where ``ws[:, j]`` is zero.
+    ``alpha`` and ``beta`` hold the homogeneous eigenvalues and column j of
+    ``x`` the right eigenvector of pair j, zero where there is none. A pair
+    with a right vector and alpha, beta both nonzero takes one step of
+    inverse iteration from it: P(alpha, beta)* y = x, formed and solved for
+    ``LEFT_CHUNK`` pairs at a time; the vectors of a repeated eigenvalue
+    are then separated by :func:`_separate_twins`. The other pairs, and
+    those whose solve is exactly singular or not finite, take the left
+    singular vectors of P(alpha, beta) for its smallest singular values,
+    which for alpha = 0 (beta = 0) are those of E (A). Pairs with an
+    identical (alpha, beta) take successive ones, cycling through those of
+    singular values at most n*eps times the largest (at least the smallest
+    one), as a defective eigenvalue has fewer left vectors than pairs.
     """
-    ws = np.asarray(ws, dtype=np.complex128)
-    nj = len(alpha)
-    if ws.shape != (d.size, nj):
-        raise ValueError(f"expected {d.size}-vectors as {nj} columns, got {ws.shape}")
-    ok = np.ones(nj, dtype=bool)
-    alpha_c = np.asarray(alpha, dtype=np.complex128).conj()
-    beta_c = np.asarray(beta, dtype=np.complex128).conj()
-    v = np.zeros((d.full_size, nj), dtype=np.complex128)
-    v[: d.size] = ws
-    start = d.size
-    for step in reversed(d.steps):
-        blk = slice(start, start + step.deflated)
-        # right-hand side -(Y_{:, i})* v over the rows solved so far
-        rhs = (alpha_c * (d.work_b[:start, blk].conj().T @ v[:start])
-               - beta_c * (d.work_a[:start, blk].conj().T @ v[:start]))
-        zero_step = step.zeros > 0
-        qf, rf = np.linalg.qr((d.work_b if zero_step else d.work_a)[blk, blk])
-        if singular_diag(np.diagonal(rf)):
-            ok[:] = False
-            break
-        scale = -alpha_c if zero_step else beta_c
-        ok &= scale != 0.0
-        # (scale M*) x = rhs with M = qf rf: x = qf rf^-* rhs / scale
-        x = qf @ solve_triangular(rf, rhs, trans="C")
-        v[blk] = x / np.where(scale != 0.0, scale, 1.0)
-        start = blk.stop
-    return unit_columns(np.where(ok, d.p.conj().T @ v, 0.0))
+    n, m = q.n, len(alpha)
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape != (n, m) or np.shape(beta) != (m,):
+        raise ValueError(f"expected {m} pairs and an {n} x {m} x, got {x.shape}")
+    wc = diagnostics.homogeneous_weights(alpha, beta).conj().T
+    coeffs_h = np.stack([c.conj().T for c in q.coeffs]).reshape(5, n * n)
+    y = np.zeros((n, m), dtype=np.complex128)
+    step = np.flatnonzero((alpha != 0.0) & (beta != 0.0) & x.any(axis=0))
+    for start in range(0, step.size, LEFT_CHUNK):
+        j = step[start : start + LEFT_CHUNK]
+        p_h = (wc[j] @ coeffs_h).reshape(-1, n, n)
+        try:
+            y[:, j] = np.linalg.solve(p_h, x[:, j].T[..., None])[..., 0].T
+        except np.linalg.LinAlgError:  # one of them is exactly singular
+            for k, i in enumerate(j):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    y[:, i] = np.linalg.solve(p_h[k], x[:, i])
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm = safe_norm(y, axis=0)
+    ok = np.isfinite(nrm) & (nrm > 0.0)
+    y = np.divide(y, nrm, out=np.zeros_like(y), where=ok)
+    _separate_twins(y, alpha, beta, np.flatnonzero(ok),
+                    lambda i: (wc[i] @ coeffs_h).reshape(n, n))
+    groups = {}
+    for i in np.flatnonzero(~ok).tolist():
+        groups.setdefault((alpha[i], beta[i]), []).append(i)
+    for idx in groups.values():
+        # svd(P*) = u s vh, so P = vh* s u*: its left singular vectors are
+        # the rows of vh, conjugated
+        _, sig, vh = np.linalg.svd((wc[idx[0]] @ coeffs_h).reshape(n, n))
+        null = max(1, int(np.sum(sig <= n * EPS * sig[0])))
+        y[:, idx] = vh[n - 1 - np.arange(len(idx)) % null].conj().T
+    return y
+
+
+def _separate_twins(y, alpha, beta, idx, pencil_h):
+    """Orthogonalize, in place, each unit column of ``y`` listed in ``idx``
+    against those of the earlier pairs of ``idx`` within sqrt(eps) of its
+    eigenvalue (chordal distance |alpha_i beta_j - alpha_j beta_i|).
+
+    Inverse iteration from the independent right vectors of a repeated
+    eigenvalue can return nearly parallel left vectors. The orthogonalized
+    vector is kept only where its residual ||P(alpha, beta)* v|| stays
+    within 10 times the larger of the old one's and n*eps*||P||_F, which
+    leaves the vectors of a defective eigenvalue, that has fewer left
+    vectors than pairs, as they are. ``pencil_h(i)`` forms P* of pair i.
+    """
+    a, b = alpha[idx], beta[idx]
+    near = np.abs(np.outer(a, b) - np.outer(b, a)) <= np.sqrt(EPS)
+    for k in np.flatnonzero(np.tril(near, -1).any(axis=1)):
+        i, twins = idx[k], idx[:k][near[k, :k]]
+        basis = np.linalg.qr(y[:, twins])[0]
+        v = y[:, i] - basis @ (basis.conj().T @ y[:, i])
+        p_h = pencil_h(i)
+        floor = max(np.linalg.norm(p_h @ y[:, i]), len(v) * EPS * np.linalg.norm(p_h))
+        v_norm = np.linalg.norm(v)
+        if v_norm > 0.0 and np.linalg.norm(p_h @ v) <= 10.0 * floor * v_norm:
+            y[:, i] = v / v_norm
 
 
 def nullspace_vectors(rp: RankProfile, which, side="right"):

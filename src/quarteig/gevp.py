@@ -13,34 +13,36 @@ from .pencil import LinearPencil, Spectrum, classify
 
 @dataclass(eq=False)
 class GevpSolution(Spectrum):
-    """Homogeneous eigenvalues of aa - lambda*bb with unit eigenvectors.
+    """Homogeneous eigenvalues of aa - lambda*bb with unit right eigenvectors.
 
-    Column j of ``right`` (``left``) belongs to pair j of the arrays
-    ``alpha``, ``beta`` and ``cls``. ``backend_id`` names the LAPACK driver
-    that ran (see :func:`quarteig.numkit.generalized_eig`).
+    Column j of ``right`` belongs to pair j of the arrays ``alpha``,
+    ``beta`` and ``cls``. ``backend_id`` names the LAPACK driver that ran
+    (see :func:`quarteig.numkit.generalized_eig`).
     """
 
     right: np.ndarray
-    left: np.ndarray | None
     backend_id: str
 
 
-def solve_gevp(p: LinearPencil, want_left: bool = True) -> GevpSolution:
-    """All eigenpairs of the pencil via the dense generalized Schur backend.
+def solve_gevp(p: LinearPencil) -> GevpSolution:
+    """All eigenvalues and right eigenvectors of the pencil via the dense
+    generalized Schur backend.
 
     The QZ algorithm runs in LAPACK's blocked multishift driver ``zggev3``
     of the LAPACKE table (:func:`quarteig.numkit.lapack`), and without one
-    in ``zggev`` through ``scipy.linalg.eig``. Right vectors v satisfy (beta*aa - alpha*bb) v ~ 0,
-    left vectors u satisfy u* (beta*aa - alpha*bb) ~ 0; all are normalized
-    to unit 2-norm. Raises :class:`GevpError` when QZ fails or returns an
-    exact (0, 0) pair, the mark of a singular pencil.
+    in ``zggev`` through ``scipy.linalg.eig``. Right vectors v satisfy
+    (beta*aa - alpha*bb) v ~ 0 and are normalized to unit 2-norm; QZ
+    computes no left vectors (the solver takes the quartic's left vectors
+    from P(alpha, beta), :func:`quarteig.eigvec.recover_left`). Raises
+    :class:`GevpError` when QZ fails or returns an exact (0, 0) pair, the
+    mark of a singular pencil.
     """
     aa = as_matrix(p.aa)
     bb = as_matrix(p.bb)
     m = aa.shape[0]
     if aa.shape != (m, m) or bb.shape != (m, m):
         raise GevpError(f"pencil must be square, got {aa.shape} and {bb.shape}")
-    ab, vl, vr, driver = generalized_eig(aa, bb, want_left)
+    ab, vr, driver = generalized_eig(aa, bb)
     null = np.flatnonzero((ab[0] == 0.0) & (ab[1] == 0.0))
     if null.size:
         raise GevpError(
@@ -49,6 +51,4 @@ def solve_gevp(p: LinearPencil, want_left: bool = True) -> GevpSolution:
         )
     alpha, beta, cls = classify(ab[0], ab[1], m)
     vr = vr / np.linalg.norm(vr, axis=0, keepdims=True)
-    if vl is not None:
-        vl = vl / np.linalg.norm(vl, axis=0, keepdims=True)
-    return GevpSolution(alpha=alpha, beta=beta, cls=cls, right=vr, left=vl, backend_id=driver)
+    return GevpSolution(alpha=alpha, beta=beta, cls=cls, right=vr, backend_id=driver)

@@ -3,11 +3,10 @@
 Everything downstream (rank analysis, deflation, eigenvector recovery) is
 built on the routines here: column-pivoted rank-revealing QR with a
 normwise rank rule; the complete orthogonal (URV) decomposition built on
-it, whose V also holds a basis of the right null space; triangular solves
-and the test for a numerically singular triangle; and the eigensolver of
-the final pencil (:func:`generalized_eig`). A pivoted QR keeps LAPACK's
-Householder reflectors and forms its Q factor on first use, since rank
-decisions read only R.
+it, whose V also holds a basis of the right null space; triangular solves;
+and the eigensolver of the final pencil (:func:`generalized_eig`). A
+pivoted QR keeps LAPACK's Householder reflectors and forms its Q factor on
+first use, since rank decisions read only R.
 
 This module is also the one place that talks to LAPACK and OpenBLAS
 directly. Every LAPACK routine of the package runs through one table of
@@ -256,19 +255,6 @@ def solve_triangular(r, b, trans="N"):
     return x
 
 
-def singular_diag(d):
-    """Mask of triangular systems that are numerically singular.
-
-    ``d`` holds the diagonals along its last axis; a system counts as
-    singular when its smallest diagonal entry is zero or the ratio of the
-    largest to the smallest reaches 1/eps.
-    """
-    d = np.abs(d)
-    dmin = d.min(axis=-1, initial=np.inf)
-    dmax = d.max(axis=-1, initial=0.0)
-    return (dmin == 0.0) | (dmax * EPS >= dmin)
-
-
 # ---------------------------------------------------------------------------
 # LAPACKE and OpenBLAS entry points
 # ---------------------------------------------------------------------------
@@ -406,17 +392,18 @@ def openblas_controls():
     return tuple(controls)
 
 
-def generalized_eig(a, b, want_left=True):
-    """All eigenvalues and eigenvectors of the pair (a, b), in homogeneous form.
+def generalized_eig(a, b):
+    """All eigenvalues and right eigenvectors of the pair (a, b), in
+    homogeneous form.
 
     Runs LAPACK's blocked multishift QZ driver ``zggev3`` (``zgghd3`` then
     ``zlaqz0``, multishift QZ with aggressive early deflation) from the
     :func:`lapack` table, and without one ``scipy.linalg.eig`` (``zggev``,
-    which is all scipy wraps).
-    Returns ``(ab, vl, vr, driver)``: ``ab`` stacks alpha over beta, ``vl``
-    is None unless ``want_left``, the eigenvectors are unnormalized, and
-    ``driver`` names the routine that ran. A nonzero ``info`` from LAPACK
-    raises :class:`GevpError`.
+    which is all scipy wraps). No left eigenvectors are computed
+    (``jobvl = 'N'``).
+    Returns ``(ab, vr, driver)``: ``ab`` stacks alpha over beta, the
+    eigenvectors are unnormalized, and ``driver`` names the routine that
+    ran. A nonzero ``info`` from LAPACK raises :class:`GevpError`.
     """
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n, n):
@@ -426,23 +413,20 @@ def generalized_eig(a, b, want_left=True):
         import scipy.linalg as sla
 
         try:
-            out = sla.eig(a, b, left=want_left, right=True, homogeneous_eigvals=True,
-                          check_finite=False)
+            ab, vr = sla.eig(a, b, right=True, homogeneous_eigvals=True, check_finite=False)
         except (sla.LinAlgError, np.linalg.LinAlgError) as exc:  # pragma: no cover
             raise GevpError(f"QZ backend failed: {exc}") from exc
-        ab, vl, vr = out if want_left else (out[0], None, out[1])
-        return ab, vl, vr, "lapack.zggev (scipy.linalg.eig)"
+        return ab, vr, "lapack.zggev (scipy.linalg.eig)"
     a = np.array(a, dtype=np.complex128, order="F")
     b = np.array(b, dtype=np.complex128, order="F")
     ab = np.empty((2, n), dtype=np.complex128)
     vr = np.empty((n, n), dtype=np.complex128, order="F")
-    vl = np.empty((n, n) if want_left else (1, 1), dtype=np.complex128, order="F")
+    vl = np.empty((1, 1), dtype=np.complex128, order="F")  # not referenced
     ld = max(n, 1)
-    info = lib.zggev3("V" if want_left else "N", "V", n, a, ld, b, ld, ab[0], ab[1],
-                      vl, ld if want_left else 1, vr, ld)
+    info = lib.zggev3("N", "V", n, a, ld, b, ld, ab[0], ab[1], vl, 1, vr, ld)
     if info != 0:
         raise GevpError(f"QZ backend failed: LAPACKE_zggev3 returned info={info}")
-    return ab, vl if want_left else None, vr, "lapack.zggev3"
+    return ab, vr, "lapack.zggev3"
 
 
 @contextlib.contextmanager

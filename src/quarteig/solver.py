@@ -2,8 +2,9 @@
 
 Order: balance (weighted by the parameter scaling's gamma) -> parameter
 scale -> rank analysis -> (reverse if only A is singular) -> deflate (or,
-with deflation off, linearize) -> QZ -> lift/recover eigenvectors ->
-descale -> diagnostics.
+with deflation off, linearize) -> QZ (right vectors only) -> lift the right
+vectors and recover the quartic's right and left eigenvectors -> descale ->
+diagnostics.
 Backward errors in the report are always evaluated against the original,
 unscaled coefficients.
 
@@ -100,40 +101,20 @@ class SolveResult:
     blas_threads: int | None = None  # read back during the solve; None if not controllable
 
 
-def _lift_all(gs, d, flags):
-    """Lift every backend eigenvector to the full linearization.
-
-    Without deflation (or when it deflated nothing, so the transforms are
-    the identity) the backend's unit vectors are already full-size.
-    Otherwise right vectors go through one product with Q (unitary, so they
-    stay unit), and the left vectors of the finite eigenvalues through one
-    batched :func:`eigvec.lift_left`. Returns ``(zfull, wfull, lifted)``,
-    where ``lifted`` marks the columns of ``wfull`` that hold a left vector
-    (``wfull`` is None without left vectors).
-    """
-    if d is None or d.size == d.full_size:
-        return gs.right, gs.left, np.full(len(gs), gs.left is not None)
-    zfull = d.q[:, : d.size] @ gs.right
-    lifted = np.zeros(len(gs), dtype=bool)
-    idx = np.flatnonzero(gs.cls == EIG_FINITE)
-    if gs.left is None or not idx.size:
-        return zfull, None, lifted
-    wfull = np.zeros((d.full_size, len(gs)), dtype=np.complex128)
-    wfull[:, idx], ok = eigvec.lift_left(gs.left[:, idx], gs.alpha[idx], gs.beta[idx], d)
-    flags.extend(f"lift_left_failed_index_{i}" for i in idx[~ok])
-    lifted[idx[ok]] = True
-    return zfull, wfull, lifted
-
-
-def _recover_all(gs, zfull, wfull, lifted, ctx, qw, config, flags):
+def _recover_all(gs, zfull, ctx, qw, config, flags):
     """Quartic eigenvectors for every backend eigenpair.
 
-    Returns ``(methods, x, has_right, y, has_left)``: one column of the
-    n x m arrays ``x`` and ``y`` per pair, zero where its mask is unset.
+    ``zfull`` holds the backend's right vectors lifted to the full
+    linearization. Right vectors are recovered from its blocks, left
+    vectors (with ``config.want_left``) by :func:`eigvec.recover_left` from
+    the right ones, for QZ's zero and infinite pairs at exactly (0, 1) and
+    (1, 0), where P is E and A. Returns ``(methods, x, has_right, y,
+    has_left)``: one column of the n x m arrays ``x`` and ``y`` per pair,
+    zero where its mask is unset.
     """
     n, m = qw.n, len(gs)
     x, y = np.zeros((2, n, m), dtype=np.complex128)
-    has_right, has_left = np.zeros((2, m), dtype=bool)
+    has_right = np.zeros(m, dtype=bool)
     methods = np.full(m, "unset", dtype=object)
     fin, zero, inf = (np.flatnonzero(gs.cls == c) for c in (EIG_FINITE, EIG_ZERO, EIG_INFINITE))
     if fin.size and config.eigvec_mode == "least_squares":
@@ -146,17 +127,16 @@ def _recover_all(gs, zfull, wfull, lifted, ctx, qw, config, flags):
         if ok.any():
             x[:, fin[ok]] = np.column_stack(list(compress(xs, ok)))
         flags.extend(f"recover_right_degenerate_index_{i}" for i in fin[~ok])
-    # for lambda = 0 (infinite) the largest block of w is its last (first) one
-    if lifted.any():
-        y[:, lifted], has_left[lifted] = eigvec.recover_left(wfull[:, lifted])
-        flags.extend(f"recover_left_degenerate_index_{i}"
-                     for i in fin[lifted[fin] & ~has_left[fin]])
     if zero.size:
         x[:, zero], has_right[zero] = eigvec.recover_right_zero(zfull[:, zero], qw)
     x[:, inf], has_right[inf] = unit_columns(zfull[:n, inf])
     for idx, name in ((zero, "zero_class"), (inf, "inf_class")):
         methods[idx] = np.where(has_right[idx], f"{name}_z1", f"{name}_degenerate")
-    return methods, x, has_right, y, has_left
+    if config.want_left:
+        finite = gs.cls == EIG_FINITE
+        y = eigvec.recover_left(qw, np.where(finite, gs.alpha, gs.cls == EIG_INFINITE),
+                                np.where(finite, gs.beta, gs.cls == EIG_ZERO), x)
+    return methods, x, has_right, y, np.full(m, config.want_left)
 
 
 def _deflated_pairs(d, rp_w, want_left):
@@ -226,14 +206,15 @@ def _solve(q0, config, name):
             sl = second_level(rp_w)
         d = deflate(rp_w, sl)
         flags.extend(d.flags)
-        gs = gevp.solve_gevp(d.pencil, want_left=config.want_left)
+        gs = gevp.solve_gevp(d.pencil)
     else:
-        gs = gevp.solve_gevp(linearize(rp_w.q), want_left=config.want_left)
+        gs = gevp.solve_gevp(linearize(rp_w.q))
 
     ctx = eigvec.build_context(rp_w) if np.any(gs.cls == EIG_FINITE) else None
-    zfull, wfull, lifted = _lift_all(gs, d, flags)
-    parts = [(gs.alpha, gs.beta, gs.cls,
-              *_recover_all(gs, zfull, wfull, lifted, ctx, rp_w.q, config, flags))]
+    # right vectors of the deflated pencil lift with one product with Q
+    # (unitary, so they stay unit); without deflation Q is the identity
+    zfull = gs.right if d is None or d.size == d.full_size else d.q[:, : d.size] @ gs.right
+    parts = [(gs.alpha, gs.beta, gs.cls, *_recover_all(gs, zfull, ctx, rp_w.q, config, flags))]
     if d is not None:
         parts += _deflated_pairs(d, rp_w, config.want_left)
     alpha, beta, cls, *rest = (np.concatenate(f, axis=-1) for f in zip(*parts))

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from quarteig import QuarticPencil
-from quarteig.deflate import analyze_ranks, deflate, second_level
+import quarteig.eigvec
+from quarteig import QuarticPencil, SolveConfig, solve_pencil
+from quarteig.deflate import analyze_ranks, deflate
 from quarteig.eigvec import (
     build_context,
-    lift_left,
     nullspace_vectors,
     recover_left,
     recover_right_many,
@@ -38,11 +38,6 @@ def build_z(q, lam, x):
     shift = lam * q.a + q.b
     z = np.concatenate([lam * x, lam**2 * (shift @ x), lam * (shift @ x), -(q.e @ x)])
     return z / np.linalg.norm(z)
-
-
-def build_w(lam, y):
-    w = np.concatenate([lam**3 * y, lam**2 * y, lam * y, y])
-    return w / np.linalg.norm(w)
 
 
 def recover_one(z, eig, ctx):
@@ -178,73 +173,80 @@ class TestRecoverRightZero:
             recover_right_zero(zs[:11], q)
 
 
-def recover_left_one(w):
-    """recover_left on a one-column batch."""
-    ys, ok = recover_left(np.asarray(w)[:, None])
-    assert ok[0]
-    return ys[:, 0]
+def diagonal_quartic():
+    """P(lambda) = diag(lambda^4 - 1, lambda^4 - 16, lambda^4 - 81)."""
+    n = 3
+    zero = np.zeros((n, n))
+    return QuarticPencil.from_matrices(np.eye(n), zero, zero, zero, -np.diag([1.0, 16.0, 81.0]))
+
+
+def left_etas(q, spec, y):
+    return np.array([eta(spec.lam[j], y[:, j], q, left=True) for j in range(len(spec))])
 
 
 class TestRecoverLeft:
-    def test_exact_blocks(self):
-        rng = np.random.default_rng(7)
-        y = unit(rand_complex(rng, (4,)))
-        w = build_w(2.0, y)
-        got = recover_left_one(w)
-        assert aligned_distance(got, y) <= 1e-13
-
-    def test_lambda_one_any_block(self):
-        rng = np.random.default_rng(8)
-        y = unit(rand_complex(rng, (3,)))
-        w = build_w(1.0, y)
-        got = recover_left_one(w)
-        assert aligned_distance(got, y) <= 1e-13
-
-    def test_noisy_choice_near_best(self):
+    def test_inverse_iteration_from_the_right_vector(self):
+        # the left pair of q is the right pair of the conjugate-transposed
+        # quartic; the start is q's right vector, perturbed
         rng = np.random.default_rng(9)
-        n = 4
-        lam = 3.0
-        q, x = quartic_with_eigenpair(rng, n, lam)
-        # left eigenpair of the same problem: modify instead a row so that
-        # y* P(lam) = 0 exactly; easiest is to use the transposed problem
-        qt = QuarticPencil.from_matrices(*(m.conj().T for m in q.coeffs))
-        y = x  # (lam, x) right pair of q^T  =>  left pair of q with y = conj..
-        # build from the left display directly
-        w = build_w(lam, y)
-        w = unit(w + 1e-8 * rand_complex(rng, (4 * n,)))
-        got = recover_left_one(w)
-        # returned residual no worse than the best single block's, up to slack
-        blocks = [w[:n], w[n : 2 * n], w[2 * n : 3 * n], w[3 * n :]]
-        vals = [eta(lam, unit(b), qt, left=True) for b in blocks]
-        got_val = eta(lam, got, qt, left=True)
-        assert got_val <= min(vals) * (1 + 1e-6)
+        n, lam = 4, 1.5 - 0.5j
+        qt, y = quartic_with_eigenpair(rng, n, np.conj(lam))
+        q = QuarticPencil.from_matrices(*(m.conj().T for m in qt.coeffs))
+        x = unit(eigvec_from_lambda(q, lam) + 1e-6 * rand_complex(rng, (n,)))
+        e = from_lambda(lam)
+        got = recover_left(q, e.alpha, e.beta, x[:, None])
+        assert aligned_distance(got[:, 0], y) <= 1e-12
+        assert eta(lam, got[:, 0], q, left=True) <= 1e-15
 
-    def test_all_zero_rejected(self):
+    def test_exactly_singular_pencil_gives_its_null_vector(self):
+        # at the roots 1 and 2, P is exactly singular and the stacked solve
+        # fails; the pair at 3 + 1e-9 in the same stack still takes its step
+        q = diagonal_quartic()
+        e = from_lambda([1.0, 2.0, 3.0 + 1e-9])
+        got = recover_left(q, e.alpha, e.beta, np.eye(3, dtype=complex))
+        assert np.allclose(np.abs(got), np.eye(3), rtol=0.0, atol=1e-12)
+        assert np.array_equal(np.abs(got[:, :2]), np.eye(3)[:, :2])
+
+    def test_pairs_without_a_right_vector_take_singular_vectors(self):
+        # the same roots without right vectors; identical pairs at 1 take
+        # successive singular vectors, cycling through the one null vector
+        q = diagonal_quartic()
+        e = from_lambda([2.0, 1.0, 1.0])
+        got = recover_left(q, e.alpha, e.beta, np.zeros((3, 3)))
+        assert np.array_equal(np.abs(got), np.eye(3)[:, [1, 0, 0]])
+
+    def test_zero_and_infinite_pairs_take_null_vectors_of_e_and_a(self):
         rng = np.random.default_rng(10)
-        ws = np.zeros((8, 3), dtype=complex)
-        ws[:, 0] = build_w(2.0, unit(rand_complex(rng, (2,))))
-        ws[:, 2] = build_w(0.5, unit(rand_complex(rng, (2,))))
-        ys, ok = recover_left(ws)
-        assert ok.tolist() == [True, False, True]
-        assert np.array_equal(ys[:, 1], np.zeros(2))
-        # the batch picks each column's block as a one-column call does
-        for j in (0, 2):
-            assert np.array_equal(ys[:, j], recover_left_one(ws[:, j]))
+        n = 5
+        a, e = rand_complex(rng, (n, n)), rand_complex(rng, (n, n))
+        a[:, 0] = 0.0
+        e[:, :2] = e[:, 2:4] @ rand_complex(rng, (2, 2))  # rank 3
+        q = QuarticPencil.from_matrices(a, *(rand_complex(rng, (n, n)) for _ in range(3)), e)
+        x = rand_complex(rng, (n, 4))  # not read for these pairs
+        got = recover_left(q, np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.0, 1.0, 1.0, 0.0]), x)
+        assert np.linalg.norm(got.conj().T[:3] @ e) <= 10 * n * EPS * np.linalg.norm(e)
+        assert np.linalg.norm(got[:, 3].conj() @ a) <= 10 * n * EPS * np.linalg.norm(a)
+        # two null vectors of E, the third pair cycles back to the first
+        assert abs(np.vdot(got[:, 0], got[:, 1])) <= 1e-12
+        assert np.array_equal(got[:, 2], got[:, 0])
 
-    def test_per_column_block_choice(self):
-        rng = np.random.default_rng(11)
-        n = 3
-        lams = [4.0, 0.25, 1.0 + 1.0j, -0.1]
-        ys = [unit(rand_complex(rng, (n,))) for _ in lams]
-        ws = np.column_stack([build_w(lam, y) for lam, y in zip(lams, ys)])
-        got, ok = recover_left(ws)
-        assert ok.all()
-        for j, y in enumerate(ys):
-            assert aligned_distance(got[:, j], y) <= 1e-13
+    def test_chunks_do_not_change_the_vectors(self, monkeypatch):
+        q = random_regular_quartic(np.random.default_rng(11), 12)
+        sol = solve_pencil(q, SolveConfig(scale=False, balance=False, want_left=False)).solution
+        assert len(sol) > quarteig.eigvec.LEFT_CHUNK
+        whole = recover_left(q, sol.alpha, sol.beta, sol.x)
+        monkeypatch.setattr(quarteig.eigvec, "LEFT_CHUNK", 5)
+        assert np.allclose(recover_left(q, sol.alpha, sol.beta, sol.x), whole,
+                           rtol=0.0, atol=1e-13)
+        assert np.max(left_etas(q, sol, whole)) <= 1e-14
 
     def test_shape_rejected(self):
+        q = diagonal_quartic()
+        e = from_lambda([1.0, 2.0])
         with pytest.raises(ValueError):
-            recover_left(np.ones((7, 2)))
+            recover_left(q, e.alpha, e.beta, np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            recover_left(q, e.alpha, e.beta[:1], np.ones((3, 2)))
 
 
 class TestRecoverRightLS:
@@ -311,140 +313,28 @@ class TestRecoverRightLS:
 
 
 class TestLift:
-    def _planted(self, seed=13):
+    def test_planted_lift_residuals(self):
         from problems import gen_planted
 
-        b = gen_planted(2, 1, 0, seed=seed)
-        q = b.pencil
+        q = gen_planted(2, 1, 0, seed=13).pencil
         lin = linearize(q)
         d = deflate(analyze_ranks(q))
-        return q, lin, d
-
-    def test_no_deflation_is_plain_q(self):
-        rng = np.random.default_rng(14)
-        q = random_regular_quartic(rng, 3)
-        d = deflate(analyze_ranks(q))
-        assert d.size == 12
-        assert np.array_equal(d.q, np.eye(12))
-        w_til = rand_complex(rng, (12, 2))
-        e = from_lambda([0.5, 2.0])
-        w, ok = lift_left(w_til, e.alpha, e.beta, d)
-        assert ok.all()
-        ref = d.p.conj().T @ w_til
-        assert np.linalg.norm(w - ref / np.linalg.norm(ref, axis=0)) <= 1e-13
-
-    def test_planted_lift_residuals(self):
-        q, lin, d = self._planted()
         gs = solve_gevp(d.pencil)
         ctx = context(q)
         finite = np.flatnonzero(gs.cls == EIG_FINITE)
-        ws, ok = lift_left(gs.left[:, finite], gs.alpha[finite], gs.beta[finite], d)
-        assert ok.all()
-        ys, ok = recover_left(ws)
-        assert ok.all()
-        for col, i in enumerate(finite):
+        xs = np.zeros((q.n, len(gs)), dtype=complex)
+        for i in finite:
             alpha, beta = gs.alpha[i], gs.beta[i]
             z = unit(d.q[:, : d.size] @ gs.right[:, i])
             # residual on the full linearization
             res = np.linalg.norm((beta * lin.aa - alpha * lin.bb) @ z)
             scale = abs(alpha) * np.linalg.norm(lin.bb) + beta * np.linalg.norm(lin.aa)
             assert res <= 1e3 * 8 * EPS * scale
-            x, _, val = recover_one(z, pair(gs, i), ctx)
+            xs[:, i], _, val = recover_one(z, pair(gs, i), ctx)
             assert val <= 1e-10
-            res_l = np.linalg.norm(ws[:, col].conj() @ (beta * lin.aa - alpha * lin.bb))
-            assert res_l <= 1e3 * 8 * EPS * scale
-            assert eta(gs.lam[i], ys[:, col], q, left=True) <= 1e-10
-
-    def test_padding_length(self):
-        q, lin, d = self._planted()
-        e = from_lambda(1.0)
-        w, ok = lift_left(np.ones((d.size, 1), dtype=complex), e.alpha, e.beta, d)
-        assert w.shape == (8, 1) and ok[0]
-        with pytest.raises(ValueError):
-            lift_left(np.ones((d.size + 1, 1)), e.alpha, e.beta, d)
-        with pytest.raises(ValueError):
-            lift_left(np.ones((d.size, 2)), e.alpha, e.beta, d)
-
-    def test_zero_left_vector_rejected(self):
-        q, lin, d = self._planted()
-        w_til = np.zeros((d.size, 2), dtype=complex)
-        w_til[:, 1] = 1.0
-        e = from_lambda([1.0, 1.0])
-        w, ok = lift_left(w_til, e.alpha, e.beta, d)
-        assert ok.tolist() == [False, True]
-        assert np.array_equal(w[:, 0], np.zeros(d.full_size))
-
-    @pytest.mark.parametrize("kind", ["planted", "mirror", "mirror_wide", "jordan"])
-    def test_matches_dense_coupling_solve(self, kind):
-        from problems import gen_jordan_chain, gen_mirror_like, gen_planted
-
-        b = {
-            "planted": lambda: gen_planted(6, 2, 1, seed=40),
-            "mirror": lambda: gen_mirror_like(1),
-            "mirror_wide": lambda: gen_mirror_like(2, n=9, rank=1, second_level_zeros=3),
-            "jordan": lambda: gen_jordan_chain(5, 3, "zero", seed=51),
-        }[kind]()
-        q = b.pencil
-        rp = analyze_ranks(q)
-        d = deflate(rp, second_level(rp))
-        m = d.size
-        assert m < d.full_size
-        blocks = [s for s in d.steps if s.deflated]
-        if kind != "planted":  # staircases of four blocks, zero and infinite
-            assert len(blocks) == 4
-            assert any(s.zeros for s in blocks) and any(s.infs for s in blocks)
-        gs = solve_gevp(d.pencil)
-        finite = np.flatnonzero(gs.cls == EIG_FINITE)
-        assert finite.size
-        ws, ok = lift_left(gs.left[:, finite], gs.alpha[finite], gs.beta[finite], d)
-        assert ok.all()
+        ys = recover_left(q, gs.alpha[finite], gs.beta[finite], xs[:, finite])
         for col, i in enumerate(finite):
-            w_til = gs.left[:, i]
-            alpha, beta = gs.alpha[i], gs.beta[i]
-            x = beta * d.work_a[:m, m:] - alpha * d.work_b[:m, m:]
-            y = beta * d.work_a[m:, m:] - alpha * d.work_b[m:, m:]
-            w2 = np.linalg.solve(y.conj().T, -x.conj().T @ w_til)
-            ref = unit(d.p.conj().T @ np.concatenate([w_til, w2]))
-            assert np.linalg.norm(ws[:, col] - ref) <= 1e-10 * np.linalg.norm(ref)
-            # the block substitution repeats the dense per-pair solve
-            assert np.linalg.norm(ws[:, col] - ref) <= 1e-12 * np.linalg.norm(ref)
-
-    def test_zero_shift_masked_on_its_block(self):
-        # alpha = 0 makes the zero-step blocks -alpha*Wb_ii singular, and
-        # beta = 0 the infinite-step blocks beta*Wa_ii
-        from problems import gen_mirror_like
-
-        q = gen_mirror_like(1).pencil
-        rp = analyze_ranks(q)
-        d = deflate(rp, second_level(rp))
-        rng = np.random.default_rng(41)
-        e = from_lambda([0.5, 0.0, np.inf, 2.0])
-        w, ok = lift_left(rand_complex(rng, (d.size, 4)), e.alpha, e.beta, d)
-        assert ok.tolist() == [True, False, False, True]
-        assert np.array_equal(w[:, 1:3], np.zeros((d.full_size, 2)))
-
-    def test_singular_trailing_pencil_masked(self):
-        import dataclasses
-
-        from quarteig.solver import _lift_all
-
-        q, lin, d = self._planted()
-        m = d.size
-        wa = d.work_a.copy()
-        wb = d.work_b.copy()
-        # a shared zero column makes beta*Wa22 - alpha*Wb22 exactly singular
-        wa[m:, m] = 0.0
-        wb[m:, m] = 0.0
-        broken = dataclasses.replace(d, work_a=wa, work_b=wb)
-        gs = solve_gevp(d.pencil)
-        finite = np.flatnonzero(gs.cls == EIG_FINITE)
-        _, ok = lift_left(gs.left[:, finite], gs.alpha[finite], gs.beta[finite], broken)
-        assert not ok.any()
-        flags = []
-        _, wfull, lifted = _lift_all(gs, broken, flags)
-        assert flags == [f"lift_left_failed_index_{i}" for i in finite]
-        assert not lifted.any()
-        assert np.array_equal(wfull, np.zeros_like(wfull))
+            assert eta(gs.lam[i], ys[:, col], q, left=True) <= 1e-14
 
 
 class TestNullspaceVectors:

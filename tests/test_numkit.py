@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import quarteig.numkit
-from quarteig.numkit import EPS, rrqr, safe_norm, singular_diag, unit_columns, urv
+from quarteig.numkit import EPS, rrqr, safe_norm, unit_columns, urv
 from oracles import haar_unitary, rand_complex, well_conditioned
 
 
@@ -156,23 +156,6 @@ class TestURV:
         f = urv(m)
         n = f.v.shape[0]
         assert np.linalg.norm(f.v.conj().T @ f.v - np.eye(n)) <= 10 * n * EPS
-
-
-class TestSingularDiag:
-    def test_zero_entry_and_the_one_over_eps_ratio(self):
-        d = np.array([
-            [2.0, 0.0, 1.0],  # a zero on the diagonal
-            [1.0, -3.0j, 2.0 + 1.0j],  # well conditioned; moduli count
-            [1.0, 1.01 * EPS, -1.0],  # largest/smallest just below 1/eps
-            [1.0, EPS, 1.0],  # exactly 1/eps
-            [1.0j, 0.99 * EPS, 1.0],  # above it
-        ])
-        assert singular_diag(d).tolist() == [True, False, False, True, True]
-        # one diagonal, as lift_left passes it, and an empty one
-        assert singular_diag(np.array([3.0, 0.0])) and not singular_diag(np.array([3.0, 1.0]))
-        assert not singular_diag(np.zeros(0))
-        # equal huge entries are well conditioned: the test must not overflow
-        assert not singular_diag(np.array([1e300, 1e300]))
 
 
 class TestUnitColumns:

@@ -42,12 +42,15 @@ def test_bordered_deflates_the_boundary_infinities(N):
 @pytest.mark.parametrize("variant,N", CASES)
 def test_every_pair_is_a_small_backward_error(variant, N, deflate):
     # max eta (right/left) measured with deflation and the zggev3 driver on
-    # x86-64 OpenBLAS: clamped 3.4e-15/5.6e-15 (N 32), 3.9e-15/6.0e-15 (48),
-    # 6.9e-15/6.6e-15 (64); bordered 9.8e-15/8.6e-15 (32), 6.4e-15/3.0e-15
-    # (48), 6.6e-15/1.7e-15 (64). Balancing the raw coefficients unweighted
-    # gave up to 2.9e-11/4.6e-11 (clamped, N 64).
+    # x86-64 OpenBLAS: clamped 3.4e-15/1.9e-15 (N 32), 3.9e-15/2.2e-15 (48),
+    # 6.9e-15/3.1e-15 (64); bordered 9.8e-15/5.2e-18 (32), 6.4e-15/3.0e-19
+    # (48), 6.6e-15/2.1e-20 (64). Balancing the raw coefficients unweighted
+    # gave up to 2.8e-11/1.9e-11 (clamped, N 64). Max omega_left, with or
+    # without deflation, is 1.1e-12 to 5.3e-11; QZ's left vectors, lifted
+    # through the deflation, gave 6.8e-9 to 1.4e-8.
     res = solve(variant, N, deflate=deflate)
     sol = res.solution
     assert len(sol) == 4 * sol.x.shape[0] and sol.has_right.all() and sol.has_left.all()
     assert np.max(sol.eta_right) <= 1e-13
     assert np.max(sol.eta_left) <= 1e-13
+    assert np.nanmax(sol.omega_left) <= 1e-10

@@ -1,22 +1,20 @@
 """Vector handling of the solve pipeline: unit norms, no left vectors in a
-right-only solve, one batched lift per solve, and per-pair flags instead of
-exceptions."""
+right-only solve and one for every pair otherwise, independent left vectors
+for repeated eigenvalues, and the linearization built only where read."""
 
+import functools
 import warnings
 
 import numpy as np
 import pytest
-from oracles import random_regular_quartic
+from oracles import haar_unitary, rand_complex, random_regular_quartic
 
 import quarteig.deflate
-import quarteig.eigvec
-import quarteig.numkit
 import quarteig.pencil
 import quarteig.solver
 from quarteig import QuarticPencil, SolveConfig, solve_pencil
-from quarteig.pencil import EIG_FINITE
+from quarteig.pencil import EIG_FINITE, EIG_INFINITE, EIG_ZERO
 from problems import gen_jordan_chain, gen_mirror_like, gen_planted
-from support import from_lambda
 
 PROBLEMS = {
     "planted": lambda: gen_planted(8, 3, 2, seed=50).pencil,
@@ -78,62 +76,68 @@ def test_recovery_methods_are_pinned(config):
         assert set(methods.tolist()) == expected, kind
 
 
-@pytest.mark.parametrize("kind", ["planted", "mirror"])
-def test_one_lift_and_no_triangular_solve_per_eigenvalue(kind, monkeypatch):
-    table = quarteig.numkit.lapack()
-    if table is None:
-        pytest.skip("no loaded OpenBLAS exports LAPACKE")
-    calls = {"lift_left": 0, "solve_triangular": 0, "qz": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(quarteig.eigvec, "lift_left",
-                        counted("lift_left", quarteig.eigvec.lift_left))
-    # every QZ and triangular solve runs in the LAPACKE table
-    monkeypatch.setattr(table, "ztrtrs", counted("solve_triangular", table.ztrtrs))
-    monkeypatch.setattr(table, "zggev3", counted("qz", table.zggev3))
-    res = solve_pencil(PROBLEMS[kind]())
-    d = res.deflation
-    assert d.size < d.full_size
-    blocks = sum(1 for s in d.steps if s.deflated)
-    finite = int(np.sum(res.solution.cls == EIG_FINITE))
-    # one lift; the eigensolve of the deflated pencil is the only QZ
-    assert calls["lift_left"] == 1 and calls["qz"] == 1
-    assert 1 <= calls["solve_triangular"] <= blocks < finite
-    # the lift's triangular solves do not grow with the eigenvalue count
-    rng = np.random.default_rng(53)
-    for k in (1, finite):
-        calls["solve_triangular"] = 0
-        e = from_lambda(rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        ws = rng.standard_normal((d.size, k)) + 1j * rng.standard_normal((d.size, k))
-        _, ok = quarteig.eigvec.lift_left(ws, e.alpha, e.beta, d)
-        assert ok.all()
-        assert calls["solve_triangular"] == blocks
+def kron_quartic(rotation_seed=None):
+    """kron(I2, P5) for a random complex n = 5 quartic P5: every eigenvalue
+    is semisimple and double. With a seed, the coefficients are multiplied
+    by Haar unitaries U (left) and V (right) drawn from it."""
+    rng = np.random.default_rng(1)
+    mats = [np.kron(np.eye(2), rand_complex(rng, (5, 5))) for _ in range(5)]
+    if rotation_seed is not None:
+        rng = np.random.default_rng(rotation_seed)
+        u, v = haar_unitary(rng, 10), haar_unitary(rng, 10)
+        mats = [u @ m @ v for m in mats]
+    return QuarticPencil.from_matrices(*mats)
 
 
-def test_degenerate_left_vector_is_flagged(monkeypatch):
-    lift = quarteig.eigvec.lift_left
+REPEATED = {
+    "kron": kron_quartic,
+    # seeds 10 and 11 left twin vectors at 1 - |cos| = 0.037 and 0.019
+    # before the twins were orthogonalized
+    **{f"kron_rotated_{seed}": functools.partial(kron_quartic, seed) for seed in (2, 10, 11)},
+    # (lambda - 1)(lambda - 2)(lambda - 3)(lambda - 4) I5: multiplicity five
+    "roots_1234": lambda: QuarticPencil.from_matrices(
+        *(c * np.eye(5) for c in (1.0, -10.0, 35.0, -50.0, 24.0))),
+}
 
-    def zero_first_column(ws, alpha, beta, d):
-        w, ok = lift(ws, alpha, beta, d)
-        w[:, 0] = 0.0
-        return w, ok
 
-    monkeypatch.setattr(quarteig.eigvec, "lift_left", zero_first_column)
-    res = solve_pencil(PROBLEMS["planted"]())
-    bad = [f for f in res.flags if f.startswith("recover_left_degenerate_index_")]
-    assert len(bad) == 1
-    i = int(bad[0].rsplit("_", 1)[1])
-    sol = res.solution
-    assert sol.cls[i] == EIG_FINITE
-    assert not sol.has_left[i] and np.isnan(sol.eta_left[i])
-    assert sol.has_right[i] and np.isfinite(sol.eta_right[i])
-    assert np.sum(~sol.has_left) == 1
+@pytest.mark.parametrize("kind", sorted(REPEATED))
+def test_repeated_eigenvalues_keep_independent_left_vectors(kind):
+    sol = solve_pencil(REPEATED[kind]()).solution
+    assert (sol.cls == EIG_FINITE).all() and sol.has_left.all()
+    assert np.max(sol.eta_left) <= 1e-14
+    lam = sol.lam
+    twins = np.abs(lam[:, None] - lam[None, :]) <= 1e-6 * np.abs(lam)[:, None]
+    np.fill_diagonal(twins, False)
+    assert twins.any()
+    assert np.min(1.0 - np.abs(sol.y.conj().T @ sol.y)[twins]) >= 0.05
+
+
+def test_defective_eigenvalue_keeps_its_left_vector():
+    # P = U (lambda I - J)(lambda^3 I + lambda^2 R2 + lambda R1 + R0) V with a
+    # Jordan block at 2 of coupling 1e-3 in J: QZ splits the eigenvalue 2 by
+    # about 3e-9, well within the twin distance, but it has one left vector,
+    # so orthogonalizing the second would leave no eigenvector
+    rng = np.random.default_rng(5)
+    n = 4
+    jordan = np.diag([2.0, 2.0, -1.0, 0.5]).astype(complex)
+    jordan[0, 1] = 1e-3
+    r2, r1, r0 = (rand_complex(rng, (n, n)) for _ in range(3))
+    u, v = haar_unitary(rng, n), haar_unitary(rng, n)
+    factors = [np.eye(n), r2 - jordan, r1 - jordan @ r2, r0 - jordan @ r1, -jordan @ r0]
+    sol = solve_pencil(QuarticPencil.from_matrices(*(u @ c @ v for c in factors))).solution
+    twins = np.flatnonzero(np.abs(sol.lam - 2.0) <= 1e-6)
+    assert twins.size == 2 and sol.has_left[twins].all()
+    assert np.max(sol.eta_left[twins]) <= 1e-14
+    assert 1.0 - abs(np.vdot(*sol.y[:, twins].T)) <= 1e-8
+
+
+def test_undeflated_zero_and_infinite_pairs_get_independent_left_vectors():
+    sol = solve_pencil(PROBLEMS["planted"](), CONFIGS["deflate_off"]).solution
+    for cls, count in ((EIG_ZERO, 3), (EIG_INFINITE, 2)):
+        idx = np.flatnonzero(sol.cls == cls)
+        assert idx.size == count and sol.has_left[idx].all()
+        assert np.max(sol.eta_left[idx]) <= 1e-14
+        assert np.linalg.svd(sol.y[:, idx], compute_uv=False).min() >= 0.5
 
 
 @pytest.mark.parametrize("kind, config, built", [
@@ -156,12 +160,15 @@ def test_linearization_built_only_where_read(kind, config, built, monkeypatch):
 
 
 def test_huge_coefficients_solve_without_warning():
-    # unscaled entries near 1e300 put the diagonal of a lifting block past
-    # 1e292, where max/min > 1/eps was once tested as max >= min/eps, which
-    # overflows
+    # unscaled entries near 1e300 raise no overflow warning anywhere in the
+    # solve. QZ finds 22 infinite pairs besides the deflated ones, and each
+    # gets a left vector too
     q = gen_planted(8, 2, 3, seed=1).pencil
     huge = QuarticPencil(*(1e300 * c for c in q.coeffs))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = solve_pencil(huge, SolveConfig(scale=False, balance=False))
-    assert len(res.solution) == 4 * q.n
+    sol = res.solution
+    assert len(sol) == 4 * q.n
+    assert np.sum((sol.cls == EIG_INFINITE) & (sol.methods != "deflated_nullspace")) == 22
+    assert sol.has_left.all() and np.isfinite(sol.eta_left).all()

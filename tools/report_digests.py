@@ -1,6 +1,6 @@
 """SHA-256 digests of the report JSON of a fixed set of solves.
 
-    PYTHONPATH=src python tools/report_digests.py [--seeds 3 4]
+    PYTHONPATH=src python tools/report_digests.py [--seeds 3 4] [--strip KEY [KEY ...]]
 
 Prints one line ``key sha256`` per problem: for each seed, problems 0-7 of
 the ``regular_dense`` and ``singular_deflate`` benchmark workloads and 0-59
@@ -23,6 +23,13 @@ is checked against its parent commit by::
 
 and the report's independence of the process by running it twice under
 different ``PYTHONHASHSEED`` values and comparing the outputs with ``cmp``.
+
+A change meant to alter only some keys of each eigenpair (a new key, or a
+recomputed error) is checked the same way with those keys stripped: with
+``--strip KEY ...`` each named key is removed from every eigenpair and
+from ``summary`` before the report is hashed, so both runs take, say,
+``--strip eta_left omega_left``. The rest of the report, flags included,
+is hashed as it is.
 """
 
 from __future__ import annotations
@@ -64,10 +71,16 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[3, 4],
                     help="workload seeds (default: 3 4)")
+    ap.add_argument("--strip", nargs="+", default=[], metavar="KEY",
+                    help="keys removed from every eigenpair and from summary before hashing")
     args = ap.parse_args(argv)
     for key, coeffs, config in problems(args.seeds):
         res = solve_pencil(QuarticPencil.from_matrices(*coeffs), config, name=key)
-        digest = hashlib.sha256(report_json(build_report(res)).encode("utf-8")).hexdigest()
+        report = build_report(res)
+        for part in (*report["eigenpairs"], report["summary"]):
+            for name in args.strip:
+                part.pop(name, None)
+        digest = hashlib.sha256(report_json(report).encode("utf-8")).hexdigest()
         print(key, digest)
 
 
