@@ -4,7 +4,7 @@ The decision tree branches on the numerical ranks of the extreme
 coefficients A and E:
 
 * both regular: nothing is deflated and the linearization, formed here
-  and only here, reaches QZ unchanged (identity transforms); the backend
+  and only here, reaches QZ unchanged (no transform is built); the backend
   (LAPACK zggev3) starts with its own QR of the lambda coefficient, so a
   triangularization here would be repeated work.
 * exactly one singular: a structured transformation exposes n - r_E zero
@@ -21,15 +21,15 @@ coefficients A and E:
   infinite chain is deflated on the reversed pencil with the first block
   sizes known from the ranks of A and Phi.
 
-All transformations are accumulated by the returned :class:`DeflationResult`
-as explicit unitary-times-permutation factors P, Q so that P @ AA0 @ Q and
-P @ BB0 @ Q are block upper triangular with the deflated part trailing; Q
-lifts the right eigenvectors of the deflated pencil back to the full
-linearization (left eigenvectors are taken from the quartic itself, so no
-step needs P afterwards). Every step that deflates k eigenvalues puts a
-k x k diagonal block on top of the trailing staircase, with exact zeros to
-its left and, in AA after a zero step or in BB after an infinite step, on
-the block itself; its ``steps`` record the sizes and sides.
+The steps apply a unitary equivalence P (AA0, BB0) Q whose images are
+block upper triangular with the deflated part trailing. The returned
+:class:`DeflationResult` keeps only Q, which lifts the right eigenvectors
+of the deflated pencil to the full linearization; left eigenvectors come
+from the quartic itself, so P is never stored. Every step that deflates k
+eigenvalues puts a k x k diagonal block on top of the trailing staircase,
+with exact zeros to its left and, in AA after a zero step or in BB after an
+infinite step, on the block itself; its ``steps`` record the sizes and
+sides.
 
 Every stage takes the :class:`RankProfile` of the working quartic, which
 carries the quartic itself, so the factors cannot belong to another one.
@@ -134,20 +134,19 @@ class DeflationStep:
 
 @dataclass
 class DeflationResult:
-    """Deflated regular pencil plus the accumulated equivalence transforms.
+    """Deflated regular pencil plus the accumulated right transform.
 
     Starts from the images work_a = P AA Q and work_b = P BB Q of a first
-    step (P and Q unitary), which it owns and updates in place. The steps
+    step (P and Q unitary). It owns the work matrices and Q and updates them
+    in place; P acts on the work matrices' rows and is not stored. The steps
     describe the working quartic; the counts are their sums for the input,
-    whose reversal was deflated when ``reversed`` is set. ``size ==
-    full_size`` means nothing was deflated and the transforms are the
-    identity: the work matrices are the linearization itself.
+    whose reversal was deflated when ``reversed`` is set. ``q`` is None when
+    nothing was deflated: the work matrices are the linearization itself.
     """
 
     work_a: np.ndarray
     work_b: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
+    q: np.ndarray | None
     steps: list = field(default_factory=list)
     reversed: bool = False
     a_regular: bool | None = None
@@ -176,16 +175,21 @@ class DeflationResult:
         m = self.size
         return LinearPencil(aa=self.work_a[:m, :m], bb=self.work_b[:m, :m])
 
+    def lift(self, v):
+        """Q v: right vectors of the deflated pencil, as columns of v, lifted
+        to the full linearization (unit ones stay unit)."""
+        return v if self.q is None else self.q[:, : self.size] @ v
+
     def left(self, l, start=0):
         """Multiply the active rows from ``start`` on by l from the left."""
         m = self.size
-        for w in (self.work_a, self.work_b, self.p):
+        for w in (self.work_a, self.work_b):
             w[start:m, :] = l @ w[start:m, :]
 
     def permute_rows(self, order):
         """Reorder the active rows: new row i is old row ``order[i]``."""
         m = self.size
-        for w in (self.work_a, self.work_b, self.p):
+        for w in (self.work_a, self.work_b):
             w[:m, :] = w[order, :]
 
     def right(self, r):
@@ -229,38 +233,24 @@ def _blocks(n):
     return np.eye(n, dtype=np.complex128), np.zeros((n, n), dtype=np.complex128)
 
 
-def _block_diag(x, y):
-    """The square block diagonal matrix with diagonal blocks x and y."""
-    k = x.shape[0]
-    out = np.zeros((k + y.shape[0],) * 2, dtype=np.complex128)
-    out[:k, :k] = x
-    out[k:, k:] = y
-    return out
-
-
-def _q_k(rp: RankProfile):
-    """diag(I, Q_E), the right factor of the structured first step."""
-    eye, zero = _blocks(rp.n)
-    return np.block([[eye, zero], [zero, rp.qr_e.q]])
-
-
-def _first_step(rp: RankProfile, q_k, u, top_a, top_b) -> DeflationResult:
+def _first_step(rp: RankProfile, top_a, top_b) -> DeflationResult:
     """The structured first step, shared by both decision trees.
 
-    P = diag(u*, q_k*) and Q = diag(I, q_k) transform the linearization,
-    with ``q_k`` from :func:`_q_k`; ``top_a`` and ``top_b`` are the top 2n
-    rows of its images, which depend on the 2n x 2n unitary ``u``. The
-    bottom 2n rows, the same in both trees, are assembled here with their
-    identity and zero blocks exact, and the first block of n - r_E zeros is
+    Q = diag(I_3n, Q_E) and a unitary P = diag(U*, I_n, Q_E*) transform the
+    linearization; ``top_a`` and ``top_b`` are the top 2n rows of its
+    images, which depend on the 2n x 2n unitary U of each tree. The bottom
+    2n rows, the same in both trees, are assembled here with their identity
+    and zero blocks exact, and the first block of n - r_E zeros is
     truncated.
     """
     n = rp.n
     eye, zero = _blocks(n)
+    q = np.eye(4 * n, dtype=np.complex128)
+    q[3 * n :, 3 * n :] = rp.qr_e.q
     wa = np.vstack([top_a, np.block([[zero, -eye, zero, zero],
                                      [rp.qr_e.r_hat_unpermuted(pad=True), zero, zero, zero]])])
     wb = np.vstack([top_b, np.block([[zero, zero, -eye, zero], [zero, zero, zero, -eye]])])
-    d = DeflationResult(wa, wb, _block_diag(u.conj().T, q_k.conj().T),
-                        _block_diag(np.eye(2 * n, dtype=np.complex128), q_k))
+    d = DeflationResult(wa, wb, q)
     d.truncate(
         n - rp.r_e,
         kind="zero_block_1",
@@ -278,8 +268,7 @@ def _step1_zero(rp: RankProfile) -> DeflationResult:
     qe_h = rp.qr_e.q.conj().T
     top_a = np.block([[q.b, zero, -eye, zero], [qe_h @ q.d, zero, zero, -eye]])
     top_b = np.block([[-q.a, zero, zero, zero], [-(qe_h @ q.c), -qe_h, zero, zero]])
-    q_k = _q_k(rp)
-    return _first_step(rp, q_k, q_k, top_a, top_b)
+    return _first_step(rp, top_a, top_b)
 
 
 def _step2_zero(d: DeflationResult, rp: RankProfile, sl: SecondLevel):
@@ -322,11 +311,10 @@ def _case_both_full(rp: RankProfile) -> DeflationResult:
     q, n = rp.q, rp.n
     eye, zero = _blocks(n)
     qa_h = rp.qr_a.q.conj().T
-    q_m = np.block([[zero, rp.qr_a.q], [eye, zero]])
     top_a = np.block([[q.d, zero, zero, -rp.qr_e.q], [qa_h @ q.b, zero, -qa_h, zero]])
     top_b = np.block([[-q.c, -eye, zero, zero],
                       [-rp.qr_a.r_hat_unpermuted(pad=True), zero, zero, zero]])
-    d = _first_step(rp, _q_k(rp), q_m, top_a, top_b)
+    d = _first_step(rp, top_a, top_b)
     # infinite block: the rows holding Q_A2* (exactly zero on the lambda side)
     m = d.size
     rows = np.arange(n + rp.r_a, 2 * n)
@@ -375,11 +363,12 @@ def _generic_layer(d: DeflationResult, on, tol, known=None, kind=None):
     return m - rank
 
 
-def deflate(rp: RankProfile, sl: SecondLevel | None = None) -> DeflationResult:
+def deflate(rp: RankProfile) -> DeflationResult:
     """Run the full deflation decision tree on the 4n linearization of
     ``rp.q``.
 
-    Every rank decision uses the rank tolerance of ``rp``. The structured
+    Every rank decision uses the rank tolerance of ``rp``; a singular A or E
+    brings in the :func:`second_level` matrices of ``rp``. The structured
     first steps build their images from the coefficients; only a regular
     quartic has its linearization formed. A quartic with only A singular is
     deflated through its reversal (``rp.swapped()``), whose E is the
@@ -400,13 +389,11 @@ def deflate(rp: RankProfile, sl: SecondLevel | None = None) -> DeflationResult:
         # upper triangular with diagonal (-I, -I, -I, E), so both are regular
         # exactly when A and E are
         lin = linearize(rp.q)
-        eye = np.eye(4 * n, dtype=np.complex128)
-        d = DeflationResult(lin.aa, lin.bb, eye, eye.copy(), a_regular=True, b_regular=True)
+        d = DeflationResult(lin.aa, lin.bb, None, a_regular=True, b_regular=True)
         d.steps.append(DeflationStep(kind="regular", deflated=0, rank=rp.r_a,
                                      evidence=dict(rp.qr_a.truncation_log)))
     else:
-        if sl is None:
-            sl = second_level(rp)
+        sl = second_level(rp)
         if rp.r_a < n and sl.r_phi == n and sl.r_psi == n:
             d = _case_both_full(rp)
         else:

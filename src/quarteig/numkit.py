@@ -234,21 +234,18 @@ def urv(m, tol=None) -> URVFactors:
 # ---------------------------------------------------------------------------
 
 
-def solve_triangular(r, b, trans="N"):
-    """Solve op(r) x = b for an upper triangular r (LAPACK ztrtrs).
-
-    ``trans`` is "N", "T" or "C" (r, its transpose or its conjugate
-    transpose). A zero on the diagonal raises ``numpy.linalg.LinAlgError``.
-    """
+def solve_triangular(r, b):
+    """Solve r x = b for an upper triangular r (LAPACK ztrtrs). A zero on the
+    diagonal raises ``numpy.linalg.LinAlgError``."""
     r = np.asfortranarray(r, dtype=np.complex128)
     x = np.array(b, dtype=np.complex128, order="F")
     lib = lapack()
     if lib is None:
         import scipy.linalg as sla
 
-        return sla.solve_triangular(r, x, trans=trans, overwrite_b=True, check_finite=False)
+        return sla.solve_triangular(r, x, overwrite_b=True, check_finite=False)
     n = r.shape[0]
-    info = lib.ztrtrs("U", trans, "N", n, 1 if x.ndim == 1 else x.shape[1], r, max(n, 1),
+    info = lib.ztrtrs("U", "N", "N", n, 1 if x.ndim == 1 else x.shape[1], r, max(n, 1),
                       x, max(n, 1))
     if info:
         raise np.linalg.LinAlgError(f"singular triangular matrix: zero at diagonal {info}")

@@ -3,8 +3,8 @@
 Order: balance (weighted by the parameter scaling's gamma) -> parameter
 scale -> rank analysis -> (reverse if only A is singular) -> deflate (or,
 with deflation off, linearize) -> QZ (right vectors only) -> lift the right
-vectors and recover the quartic's right and left eigenvectors -> descale ->
-diagnostics.
+vectors with deflation's right transform, if anything was deflated, and
+recover the quartic's right and left eigenvectors -> descale -> diagnostics.
 Backward errors in the report are always evaluated against the original,
 unscaled coefficients.
 
@@ -24,7 +24,9 @@ from itertools import compress
 import numpy as np
 
 from . import __version__, diagnostics, eigvec, gevp, probio, scaling
-from .deflate import analyze_ranks, deflate, second_level
+from .deflate import analyze_ranks, deflate
+# deflate forms the second level itself; looked up by bench/tracer.py only (ROADMAP item 1)
+from .deflate import second_level  # noqa: F401
 from .numkit import blas_threads, unit_columns
 from .pencil import (
     CLASS_NAMES,
@@ -199,21 +201,15 @@ def _solve(q0, config, name):
 
     rp_w = rp.swapped() if config.deflate and rp.r_a < n and rp.r_e == n else rp
 
-    d = None
-    if config.deflate:
-        sl = None
-        if rp_w.r_a < n or rp_w.r_e < n:
-            sl = second_level(rp_w)
-        d = deflate(rp_w, sl)
+    d = deflate(rp_w) if config.deflate else None
+    if d is None:
+        gs = gevp.solve_gevp(linearize(rp_w.q))
+    else:
         flags.extend(d.flags)
         gs = gevp.solve_gevp(d.pencil)
-    else:
-        gs = gevp.solve_gevp(linearize(rp_w.q))
 
     ctx = eigvec.build_context(rp_w) if np.any(gs.cls == EIG_FINITE) else None
-    # right vectors of the deflated pencil lift with one product with Q
-    # (unitary, so they stay unit); without deflation Q is the identity
-    zfull = gs.right if d is None or d.size == d.full_size else d.q[:, : d.size] @ gs.right
+    zfull = gs.right if d is None else d.lift(gs.right)
     parts = [(gs.alpha, gs.beta, gs.cls, *_recover_all(gs, zfull, ctx, rp_w.q, config, flags))]
     if d is not None:
         parts += _deflated_pairs(d, rp_w, config.want_left)

@@ -99,6 +99,18 @@ def pencil_det_roots(aa, bb, drop_tol=1e-10):
     return np.roots(desc[k:]), k
 
 
+def equivalence_left_factor(aa, bb, q, wa, wb):
+    """The least-squares P with P [AA Q, BB Q] = [WA, WB].
+
+    Unique when [AA, BB] has full row rank, as it has for a regular pencil;
+    with a unitary Q the equivalence (WA, WB) = P (AA, BB) Q holds when P is
+    unitary and the residual of its fit is small.
+    """
+    m = np.hstack([aa @ q, bb @ q])
+    w = np.hstack([wa, wb])
+    return np.linalg.lstsq(m.conj().T, w.conj().T, rcond=None)[0].conj().T
+
+
 def dense_gevp(aa, bb):
     """Reference dense generalized eigensolve: homogeneous (alpha, beta)."""
     ab = sla.eig(np.asarray(aa), np.asarray(bb), right=False, homogeneous_eigvals=True)

@@ -4,11 +4,13 @@
 ``far_apart_norms`` quartics beyond the reach of parameter scaling;
 ``from_lambda`` and ``solution`` turn affine eigenvalues and vectors into
 the package's arrays, the input that the batched eigenvector and
-diagnostics routines take.
+diagnostics routines take; ``assert_equivalent`` checks a deflation's
+work matrices against the pencil it started from.
 """
 
 import numpy as np
 
+from oracles import equivalence_left_factor
 from quarteig.pencil import EigenSolution, QuarticPencil, Spectrum, classify
 
 # the critical point of plane Poiseuille flow (Orszag, J. Fluid Mech. 50, 1971)
@@ -63,6 +65,20 @@ def solution(spec, rights, lefts, **errors):
         stacked.append((x, np.array([v is not None for v in vectors], dtype=bool).reshape(m)))
     return EigenSolution(spec.alpha, spec.beta, spec.cls, np.full(m, "given", dtype=object),
                          *stacked[0], *stacked[1], **errors)
+
+
+def assert_equivalent(aa0, bb0, red, tol):
+    """(red.work_a, red.work_b) = P (aa0, bb0) Q for unitary P and Q: Q (the
+    identity where none was built) and the oracle's fit P are within tol of
+    unitary, and the fit's residual is within tol relative to each
+    coefficient. Returns P."""
+    q = np.eye(len(aa0)) if red.q is None else red.q
+    p = equivalence_left_factor(aa0, bb0, q, red.work_a, red.work_b)
+    for w0, w in ((aa0, red.work_a), (bb0, red.work_b)):
+        assert np.linalg.norm(p @ w0 @ q - w) <= tol * np.linalg.norm(w0)
+    for u in (p, q):
+        assert np.linalg.norm(u.conj().T @ u - np.eye(len(u))) <= tol
+    return p
 
 
 def cheb(N):

@@ -10,12 +10,14 @@ from quarteig.numkit import EPS, rrqr
 from quarteig.pencil import LinearPencil, linearize, reverse
 from oracles import (
     classify_dense,
+    equivalence_left_factor,
     haar_unitary,
     match_values,
     rand_complex,
     random_regular_quartic,
 )
 from problems import gen_jordan_chain, gen_mirror_like, gen_planted
+from support import assert_equivalent
 
 
 def dense_counts(q):
@@ -26,17 +28,36 @@ def dense_counts(q):
     return {c: int(np.sum(cls == c)) for c in ("zero", "finite", "infinite")}, lam[cls == "finite"]
 
 
-def run_deflate(q, with_sl=True):
+def run_deflate(q):
     """Deflate as solve_pencil does: a quartic with only A singular is
     deflated through ``analyze_ranks(q).swapped()``, and the result counts
-    in q's orientation. Returns ``(lin, rp_w, sl, d)`` with the
-    linearization and rank profile of the working quartic ``rp_w.q``."""
+    in q's orientation. Returns ``(lin, rp_w, d)`` with the linearization
+    and rank profile of the working quartic ``rp_w.q``."""
     rp = analyze_ranks(q)
     rp_w = rp.swapped() if rp.r_a < q.n and rp.r_e == q.n else rp
-    sl = None
-    if with_sl and (rp.r_a < q.n or rp.r_e < q.n):
-        sl = second_level(rp_w)
-    return linearize(rp_w.q), rp_w, sl, deflate(rp_w, sl)
+    return linearize(rp_w.q), rp_w, deflate(rp_w)
+
+
+class TestEquivalenceOracle:
+    def test_recovers_a_random_unitary_p(self):
+        rng = np.random.default_rng(80)
+        aa, bb = rand_complex(rng, (8, 8)), rand_complex(rng, (8, 8))
+        p, q = haar_unitary(rng, 8), haar_unitary(rng, 8)
+        got = equivalence_left_factor(aa, bb, q, p @ aa @ q, p @ bb @ q)
+        assert np.linalg.norm(got - p) <= 1e-13
+
+    def test_perturbed_image_is_caught(self):
+        # 8 equations per unknown row of P: a fit cannot absorb an error in wa
+        rng = np.random.default_rng(81)
+        aa, bb = rand_complex(rng, (8, 8)), rand_complex(rng, (8, 8))
+        p, q = haar_unitary(rng, 8), haar_unitary(rng, 8)
+        red = DeflationResult(p @ aa @ q, p @ bb @ q, q)
+        assert_equivalent(aa, bb, red, 1e-13)
+        red.work_a[3, 5] += 1e-8
+        got = equivalence_left_factor(aa, bb, q, red.work_a, red.work_b)
+        assert np.linalg.norm(got @ aa @ q - red.work_a) >= 1e-9
+        with pytest.raises(AssertionError):
+            assert_equivalent(aa, bb, red, 1e-13)
 
 
 class TestAnalyzeRanks:
@@ -121,11 +142,13 @@ class TestDeflateCases:
             rand_complex(rng, (n, n)),
             haar_unitary(rng, n),
         )
-        lin, rp, sl, d = run_deflate(q)
+        lin, rp, d = run_deflate(q)
         assert d.size == 4 * n
         assert d.zeros_deflated == 0 and d.infs_deflated == 0
         assert np.array_equal(d.pencil.aa, lin.aa) and np.array_equal(d.pencil.bb, lin.bb)
-        assert np.array_equal(d.p, np.eye(4 * n)) and np.array_equal(d.q, np.eye(4 * n))
+        # no transform is built, and lifting leaves the vectors as they are
+        v = rand_complex(rng, (4 * n, 2))
+        assert d.q is None and d.lift(v) is v
         assert [s.kind for s in d.steps] == ["regular"]
         assert d.a_regular and d.b_regular
 
@@ -152,7 +175,7 @@ class TestDeflateCases:
             rand_complex(rng, (n, n)),
             np.diag([1.0, 0.0]),
         )
-        lin, rp, sl, d = run_deflate(q)
+        lin, rp, d = run_deflate(q)
         assert d.zeros_deflated == 1 and d.infs_deflated == 0
         assert d.size == 3 * n + rp.r_e == 7
         lam_defl = sla.eig(d.pencil.aa, d.pencil.bb, right=False)
@@ -162,7 +185,7 @@ class TestDeflateCases:
 
     def test_mirror_nine_plus_nine(self):
         b = gen_mirror_like(seed=0)
-        lin, rp, sl, d = run_deflate(b.pencil)
+        lin, rp, d = run_deflate(b.pencil)
         assert rp.r_a == 2 and rp.r_e == 2
         assert d.zeros_deflated == 9
         assert d.infs_deflated == 9
@@ -173,13 +196,8 @@ class TestDeflateCases:
         for seed, (ke, ka) in ((6, (1, 0)), (7, (1, 1)), (8, (2, 2)), (9, (0, 0))):
             b = gen_planted(4, ke, ka, seed=seed)
             q = b.pencil
-            lin, rp, sl, d = run_deflate(q)
-            n4 = 4 * q.n
-            tol = 1e2 * n4 * EPS
-            assert np.linalg.norm(d.p @ lin.aa @ d.q - d.work_a) <= tol * np.linalg.norm(lin.aa)
-            assert np.linalg.norm(d.p @ lin.bb @ d.q - d.work_b) <= tol * np.linalg.norm(lin.bb)
-            assert np.linalg.norm(d.p.conj().T @ d.p - np.eye(n4)) <= tol
-            assert np.linalg.norm(d.q.conj().T @ d.q - np.eye(n4)) <= tol
+            lin, rp, d = run_deflate(q)
+            assert_equivalent(lin.aa, lin.bb, d, 1e2 * 4 * q.n * EPS)
             # block upper triangular: vanished bottom-left in the work matrices
             m = d.size
             assert np.linalg.norm(d.work_a[m:, :m]) == 0.0
@@ -188,10 +206,9 @@ class TestDeflateCases:
     def test_case_both_full_transforms(self):
         # the row permutation of the infinite block is applied by index
         b = gen_planted(10, 3, 2, seed=60)
-        lin, rp, sl, d = run_deflate(b.pencil)
+        lin, rp, d = run_deflate(b.pencil)
         assert [s.kind for s in d.steps] == ["zero_block_1", "inf_block_1"]
-        for w0, w in ((lin.aa, d.work_a), (lin.bb, d.work_b)):
-            assert np.linalg.norm(d.p @ w0 @ d.q - w) <= 1e-13 * np.linalg.norm(w0)
+        assert_equivalent(lin.aa, lin.bb, d, 1e-13)
         # exact zeros below each deflated block, and on its diagonal in the
         # coefficient that vanishes there
         top = d.full_size
@@ -203,21 +220,29 @@ class TestDeflateCases:
             top = lo
         assert top == d.size
 
-    def test_rank_only_factors_form_no_q(self):
-        # a regular problem reads only the ranks of A and E; the both-full
-        # case only the ranks of Phi and Psi
+    def test_rank_only_factors_form_no_q(self, monkeypatch):
+        # a regular problem reads only the ranks of A and E, and forms no
+        # second level; the both-full case reads only the ranks of the Phi
+        # and Psi that deflate forms itself
+        made = []
+
+        def recorded(rp):
+            made.append(second_level(rp))
+            return made[-1]
+
+        monkeypatch.setattr(quarteig.deflate, "second_level", recorded)
         q = random_regular_quartic(np.random.default_rng(61), 5)
-        _, rp, _, d = run_deflate(q)
-        assert d.size == d.full_size
+        _, rp, d = run_deflate(q)
+        assert d.size == d.full_size and not made
         assert rp.qr_a._q is None and rp.qr_e._q is None
-        _, rp, sl, d = run_deflate(gen_planted(10, 3, 2, seed=60).pencil)
+        _, rp, d = run_deflate(gen_planted(10, 3, 2, seed=60).pencil)
         assert [s.kind for s in d.steps] == ["zero_block_1", "inf_block_1"]
-        assert sl.qr_phi._q is None and sl.qr_psi._q is None
+        assert len(made) == 1 and made[0].qr_phi._q is None and made[0].qr_psi._q is None
 
     def test_spectral_conservation_planted(self):
         for seed, n, ke, ka in ((10, 3, 1, 0), (11, 4, 2, 1), (12, 5, 1, 2), (13, 8, 3, 3)):
             b = gen_planted(n, ke, ka, seed=seed)
-            lin, rp, sl, d = run_deflate(b.pencil)
+            lin, rp, d = run_deflate(b.pencil)
             counts, lam_full_finite = dense_counts(b.pencil)
             assert d.zeros_deflated == counts["zero"]
             assert d.infs_deflated == counts["infinite"]
@@ -228,7 +253,7 @@ class TestDeflateCases:
     def test_planted_lower_bounds(self):
         for seed in range(5):
             b = gen_planted(6, 2, 1, seed=100 + seed)
-            _, _, _, d = run_deflate(b.pencil)
+            _, _, d = run_deflate(b.pencil)
             assert d.zeros_deflated >= 2
             assert d.infs_deflated >= 1
 
@@ -236,14 +261,14 @@ class TestDeflateCases:
         for seed, (ke, ka) in ((20, (1, 0)), (21, (0, 2)), (22, (2, 1))):
             b = gen_planted(4, ke, ka, seed=seed)
             q = b.pencil
-            _, _, _, d_fwd = run_deflate(q)
-            _, _, _, d_rev = run_deflate(reverse(q))
+            _, _, d_fwd = run_deflate(q)
+            _, _, d_rev = run_deflate(reverse(q))
             assert d_fwd.zeros_deflated == d_rev.infs_deflated
             assert d_fwd.infs_deflated == d_rev.zeros_deflated
 
     def test_jordan_chain_multi_step(self):
         b = gen_jordan_chain(3, 3, "zero", seed=5)
-        _, _, _, d = run_deflate(b.pencil)
+        _, _, d = run_deflate(b.pencil)
         assert d.zeros_deflated == 3
         assert d.infs_deflated == 1
         kinds = [s.kind for s in d.steps if s.deflated > 0]
@@ -263,8 +288,8 @@ def staircase_layer(p, known_block=None, red=None):
     """One generic staircase layer for the zero eigenvalue of pencil p (or
     of the active pencil of ``red``); returns (red, deflated)."""
     if red is None:
-        eye = np.eye(p.size, dtype=np.complex128)
-        red = DeflationResult(p.aa.astype(complex), p.bb.astype(complex), eye, eye.copy())
+        red = DeflationResult(p.aa.astype(complex), p.bb.astype(complex),
+                              np.eye(p.size, dtype=np.complex128))
     return red, _generic_layer(red, "zero", None, known=known_block)
 
 
@@ -320,14 +345,14 @@ class TestStaircaseStep:
         p = LinearPencil(aa=aa, bb=haar_unitary(rng, 2))
         red, k = staircase_layer(p)
         assert k == 1
-        assert red.p.shape == (2, 2) and red.q.shape == (2, 2)
-        assert np.linalg.norm(red.p.conj().T @ red.p - np.eye(2)) < 50 * EPS
+        assert red.q.shape == (2, 2)
+        assert assert_equivalent(p.aa, p.bb, red, 50 * EPS).shape == (2, 2)
 
 
 class TestBudgetAndChains:
     def test_infinity_chain_steps(self):
         b = gen_jordan_chain(3, 3, "infinity", seed=8)
-        _, _, _, d = run_deflate(b.pencil)
+        _, _, d = run_deflate(b.pencil)
         assert d.infs_deflated == 3
         assert d.zeros_deflated == 1
         kinds = [s.kind for s in d.steps if s.infs > 0]
@@ -351,7 +376,7 @@ class TestDeflationResultContract:
     @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
     def test_result_agrees_with_its_parts(self, case):
         q = CONTRACT_CASES[case]()
-        lin, rp_w, _, d = run_deflate(q)
+        lin, rp_w, d = run_deflate(q)
         assert d.reversed == (case in ("only_a_singular", "jordan_infinity_4"))
         # the working quartic is q, or its reversal taken from the profile
         want = reverse(q) if d.reversed else q
@@ -368,6 +393,10 @@ class TestDeflationResultContract:
             zeros, infs = infs, zeros
         assert (d.zeros_deflated, d.infs_deflated) == (zeros, infs)
         assert m + zeros + infs == d.full_size == 4 * q.n
-        tol = 100 * 4 * q.n * EPS
-        for w0, w in ((lin.aa, d.work_a), (lin.bb, d.work_b)):
-            assert np.linalg.norm(d.p @ w0 @ d.q - w) <= tol * np.linalg.norm(w0)
+        assert_equivalent(lin.aa, lin.bb, d, 100 * 4 * q.n * EPS)
+        # lifting applies the active columns of Q, which only deflation builds
+        v = rand_complex(np.random.default_rng(82), (m, 3))
+        if case == "regular":
+            assert d.q is None and d.lift(v) is v
+        else:
+            assert m < d.full_size and np.array_equal(d.lift(v), d.q[:, :m] @ v)

@@ -325,7 +325,7 @@ class TestLift:
         xs = np.zeros((q.n, len(gs)), dtype=complex)
         for i in finite:
             alpha, beta = gs.alpha[i], gs.beta[i]
-            z = unit(d.q[:, : d.size] @ gs.right[:, i])
+            z = unit(d.lift(gs.right[:, i]))
             # residual on the full linearization
             res = np.linalg.norm((beta * lin.aa - alpha * lin.bb) @ z)
             scale = abs(alpha) * np.linalg.norm(lin.bb) + beta * np.linalg.norm(lin.aa)
@@ -431,7 +431,7 @@ class TestBatchRecovery:
         gs = solve_gevp(d.pencil)
         ctx = context(q)
         finite = np.flatnonzero(gs.cls == EIG_FINITE)
-        zs = d.q[:, : d.size] @ gs.right[:, finite]
+        zs = d.lift(gs.right[:, finite])
         batch = recover_right_many(zs, gs.alpha[finite], gs.beta[finite], ctx)
         for col, i in enumerate(finite):
             x_ref, method_ref, val_ref = recover_one(zs[:, col], pair(gs, i), ctx)

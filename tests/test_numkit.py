@@ -248,15 +248,16 @@ class TestLapackeTable:
     bit (with OpenBLAS 0.3.30 in scipy and 0.3.31 in numpy), and so does the
     scipy fallback."""
 
-    @pytest.mark.parametrize("trans", ["N", "T", "C"])
+    # the package solves with r itself only (trans "N")
+    @pytest.mark.parametrize("trans", ["N"])
     def test_triangular_solve_matches_scipy(self, backend, trans):
         import scipy.linalg as sla
 
         rng = np.random.default_rng(73)
-        # Fortran order, in which scipy runs ztrtrs on r itself for every trans
+        # Fortran order, in which scipy runs ztrtrs on r itself
         r = np.asfortranarray(np.triu(rand_complex(rng, (9, 9))) + 3 * np.eye(9))
         for b in (rand_complex(rng, (9, 4)), rand_complex(rng, (9, 1))[:, 0]):
-            x = quarteig.numkit.solve_triangular(r, b, trans=trans)
+            x = quarteig.numkit.solve_triangular(r, b)
             assert np.array_equal(x, sla.solve_triangular(r, b, trans=trans))
 
     def test_triangular_solve_with_zero_diagonal_raises(self, backend):
