@@ -8,8 +8,8 @@ coefficients A and E:
   (LAPACK zggev3) starts with its own QR of the lambda coefficient, so a
   triangularization here would be repeated work.
 * exactly one singular: a structured transformation exposes n - r_E zero
-  rows built from the factors of E (a quartic with only A singular is
-  deflated through its reversal, ``analyze_ranks(q).swapped()``); a
+  rows built from the factors of E (with only A singular, deflate works on
+  the reversal, ``rp.swapped()``, and its result keeps that profile); a
   second-level matrix Psi = [Q_E2* D; R_E Pi_E^T] decides whether another
   zero block exists, in which case a permutation, a second rank-revealing
   factorization and a complete orthogonal decomposition deflate it. Longer
@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DeflationError
 from .numkit import PivotedQR, rrqr, safe_norm, urv
 from .pencil import LinearPencil, QuarticPencil, linearize, reverse
 
@@ -139,19 +138,24 @@ class DeflationResult:
     Starts from the images work_a = P AA Q and work_b = P BB Q of a first
     step (P and Q unitary). It owns the work matrices and Q and updates them
     in place; P acts on the work matrices' rows and is not stored. The steps
-    describe the working quartic; the counts are their sums for the input,
-    whose reversal was deflated when ``reversed`` is set. ``q`` is None when
-    nothing was deflated: the work matrices are the linearization itself.
+    describe the working quartic, whose profile ``rp`` is the one deflated:
+    the input's or, when ``reversed``, its reversal's. The counts are the
+    steps' sums for the input. ``q`` is None when nothing was deflated: the
+    work matrices are the linearization itself.
     """
 
     work_a: np.ndarray
     work_b: np.ndarray
     q: np.ndarray | None
     steps: list = field(default_factory=list)
-    reversed: bool = False
+    rp: RankProfile | None = None
     a_regular: bool | None = None
     b_regular: bool | None = None
     flags: list = field(default_factory=list)
+
+    @property
+    def reversed(self):
+        return self.rp is not None and self.rp.reversed
 
     @property
     def full_size(self):
@@ -372,16 +376,13 @@ def deflate(rp: RankProfile) -> DeflationResult:
     first steps build their images from the coefficients; only a regular
     quartic has its linearization formed. A quartic with only A singular is
     deflated through its reversal (``rp.swapped()``), whose E is the
-    singular one, so that profile raises :class:`DeflationError` here.
+    singular one. The result keeps the profile it deflated as ``rp``.
     """
     n = rp.n
     tol = rp.tol
 
     if rp.r_a < n and rp.r_e == n:
-        raise DeflationError(
-            "only A is singular: deflate the reversed quartic, rp.swapped(), "
-            "whose E is the singular coefficient"
-        )
+        rp = rp.swapped()
 
     if rp.r_a == n and rp.r_e == n:
         # nothing to deflate; BB is block lower triangular with diagonal
@@ -419,5 +420,5 @@ def deflate(rp: RankProfile) -> DeflationResult:
             d.flags.append("deflated_pencil_bb_rank_deficient")
         if not d.a_regular:
             d.flags.append("deflated_pencil_aa_rank_deficient")
-    d.reversed = rp.reversed
+    d.rp = rp
     return d

@@ -18,7 +18,6 @@ P(alpha, beta) for its smallest singular values.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from . import diagnostics
 from .deflate import RankProfile
 from .numkit import (
     EPS,
-    PivotedQR,
     complete_orthogonal,
     safe_norm,
     solve_triangular,
@@ -34,44 +32,29 @@ from .numkit import (
 )
 from .pencil import QuarticPencil, affine
 
-# the deleted shifted solves and left-vector lift, still looked up by
-# bench/tracer.py (ROADMAP item 1)
-tri_hess_reduce = shifted_hess_solve = shifted_hess_solve_many = lift_left = None
+# the deleted shifted solves, left-vector lift and recovery context, still
+# looked up by bench/tracer.py (ROADMAP item 1)
+tri_hess_reduce = shifted_hess_solve = shifted_hess_solve_many = lift_left = build_context = None
 
 # eigenvalues per stack of n x n matrices in recover_left, which bounds its memory
 LEFT_CHUNK = 32
 
 
-@dataclass
-class RecoveryContext:
-    """Per-problem factorizations reused across all eigenvalue recoveries."""
-
-    q: QuarticPencil
-    qr_e: PivotedQR | None  # rank-revealing QR of E; None unless it has full rank
-
-
-def build_context(rp: RankProfile) -> RecoveryContext:
-    """The context of ``rp.q``: the rank-revealing QR of E from rank
-    analysis is kept for the E solve when it finds full rank."""
-    return RecoveryContext(q=rp.q, qr_e=rp.qr_e if rp.r_e == rp.n else None)
-
-
-def recover_right_many(zs, alpha, beta, ctx: RecoveryContext):
-    """Smallest-residual recovery of quartic right eigenvectors.
+def recover_right_many(zs, alpha, beta, rp: RankProfile):
+    """Smallest-residual recovery of right eigenvectors of the quartic ``rp.q``.
 
     ``zs`` holds one lifted 4n-vector per column; ``alpha`` and ``beta`` the
     matching finite nonzero eigenvalues in homogeneous form. The candidates
-    are z1 and, when ``ctx`` holds a full-rank QR of E, the E solve
-    E^-1 (-z4); each is normalized and the one with the smaller residual
-    ||P(lambda) x|| wins, which is the smaller backward error, since both
-    candidates of an eigenvalue share its denominator. The solve and the
+    are z1 and, when the rank-revealing QR of E in ``rp`` finds full rank,
+    the E solve E^-1 (-z4); each is normalized and the one with the smaller
+    residual ||P(lambda) x|| wins, which is the smaller backward error, since
+    both candidates of an eigenvalue share its denominator. The solve and the
     residual evaluations are vectorized across the batch. Returns a list of
     ``(x, method, residual)`` with unit-norm x, the winner's name (``z1``
     or ``z4_esolve``) and its residual norm; a column where no candidate is
     nonzero and finite comes back as ``(None, 'degenerate', inf)``.
     """
-    q = ctx.q
-    n = q.n
+    q, n = rp.q, rp.n
     zs = np.asarray(zs, dtype=np.complex128)
     alpha = np.asarray(alpha, dtype=np.complex128)
     beta = np.asarray(beta, dtype=np.float64)
@@ -82,7 +65,7 @@ def recover_right_many(zs, alpha, beta, ctx: RecoveryContext):
         raise ValueError("batch shapes are inconsistent")
     if np.any(alpha == 0.0) or np.any(beta == 0.0):
         raise ValueError("recover_right_many requires finite nonzero eigenvalues")
-    f = ctx.qr_e
+    f = rp.qr_e if rp.r_e == n else None
     names = ("z1",) if f is None else ("z1", "z4_esolve")
     cands = np.empty((len(names), n, nj), dtype=np.complex128)
     cands[0] = zs[:n, :]
@@ -119,7 +102,7 @@ def recover_right_zero(zs, q: QuarticPencil):
     return unit_columns(zs[: q.n], q.n * EPS * np.linalg.norm(zs, axis=0))
 
 
-def recover_right_ls(zs, alpha, beta, ctx: RecoveryContext):
+def recover_right_ls(zs, alpha, beta, q: QuarticPencil):
     """Least-squares recovery min || [lambda I; E] x - [z1; -z4] || per column.
 
     ``zs`` holds one lifted 4n-vector per column, ``alpha`` and ``beta`` the
@@ -128,7 +111,6 @@ def recover_right_ls(zs, alpha, beta, ctx: RecoveryContext):
     a regularizer. For |lambda|>1 the system is scaled by 1/lambda to keep
     the stack balanced. Returns unit vectors as the columns of an array.
     """
-    q = ctx.q
     n = q.n
     u_e, sig, vh_e = np.linalg.svd(q.e)  # E is square: n values
     lam = affine(alpha, beta)

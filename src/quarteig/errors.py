@@ -13,10 +13,6 @@ class ScalingError(QuarteigError):
     """Coefficient norms out of parameter scaling's floating-point range."""
 
 
-class DeflationError(QuarteigError):
-    """Deflation could not complete consistently."""
-
-
 class BundleError(QuarteigError):
     """Base class for problem-bundle I/O failures."""
 

@@ -37,7 +37,9 @@ Eig = namedtuple("Eig", "alpha beta cls")
 
 @dataclass(frozen=True)
 class QuarticPencil:
-    """Coefficients of lambda^4 a + lambda^3 b + lambda^2 c + lambda d + e."""
+    """Coefficients of lambda^4 a + lambda^3 b + lambda^2 c + lambda d + e:
+    2-d arrays of one square shape, at least 1x1, checked on construction
+    (:meth:`from_matrices` also promotes them and rejects NaN and Inf)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -45,16 +47,17 @@ class QuarticPencil:
     d: np.ndarray
     e: np.ndarray
 
+    def __post_init__(self):
+        shapes = [m.shape if isinstance(m, np.ndarray) else type(m).__name__
+                  for m in self.coeffs]
+        n = shapes[0][0] if isinstance(shapes[0], tuple) and shapes[0] else 0
+        if n == 0 or any(s != (n, n) for s in shapes):
+            raise ValueError(f"coefficients must be square, equally sized and at least 1x1, "
+                             f"got {shapes}")
+
     @classmethod
     def from_matrices(cls, a, b, c, d, e):
-        mats = [as_matrix(m) for m in (a, b, c, d, e)]
-        n = mats[0].shape[0]
-        if n == 0 or any(m.shape != (n, n) for m in mats):
-            raise ValueError(
-                f"coefficients must be square, equally sized and at least 1x1, "
-                f"got {[x.shape for x in mats]}"
-            )
-        return cls(*mats)
+        return cls(*(as_matrix(m) for m in (a, b, c, d, e)))
 
     @property
     def n(self):

@@ -59,10 +59,11 @@ def read_bundle(path) -> ProblemBundle:
             mats.append(as_matrix(read_mtx(fp)))
         except (OSError, ValueError) as exc:
             raise MalformedMatrixError(name, fp, str(exc)) from exc
-    shapes = [m.shape for m in mats]
-    n = shapes[0][0]
-    if n == 0 or any(s != (n, n) for s in shapes):
-        raise DimensionMismatchError(shapes)
+    # promoted and scanned for NaN/Inf above; the constructor checks shapes
+    try:
+        pencil = QuarticPencil(*mats)
+    except ValueError:
+        raise DimensionMismatchError([m.shape for m in mats]) from None
     expected = None
     ep = os.path.join(path, "expected.json")
     if os.path.exists(ep):
@@ -72,10 +73,9 @@ def read_bundle(path) -> ProblemBundle:
         # unreadable (a directory, no permission), bad JSON or not UTF-8
         except (OSError, ValueError) as exc:
             raise BundleError(f"failed to read {ep}: {exc}") from exc
-    # each coefficient was checked once above; from_matrices would check it again
     return ProblemBundle(
         name=os.path.basename(os.path.normpath(path)),
-        pencil=QuarticPencil(*mats),
+        pencil=pencil,
         expected=expected,
     )
 

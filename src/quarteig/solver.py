@@ -1,10 +1,9 @@
 """End-to-end solve pipeline.
 
 Order: balance (weighted by the parameter scaling's gamma) -> parameter
-scale -> rank analysis -> (reverse if only A is singular) -> deflate (or,
-with deflation off, linearize) -> QZ (right vectors only) -> lift the right
-vectors with deflation's right transform, if anything was deflated, and
-recover the quartic's right and left eigenvectors -> descale -> diagnostics.
+scale -> rank analysis -> deflate, through the reversal if only A is
+singular (or, with deflation off, linearize) -> QZ (right vectors only) ->
+lift and recover the right and left eigenvectors -> descale -> diagnostics.
 Backward errors in the report are always evaluated against the original,
 unscaled coefficients.
 
@@ -103,8 +102,8 @@ class SolveResult:
     blas_threads: int | None = None  # read back during the solve; None if not controllable
 
 
-def _recover_all(gs, zfull, ctx, qw, config, flags):
-    """Quartic eigenvectors for every backend eigenpair.
+def _recover_all(gs, zfull, rp_w, config, flags):
+    """Eigenvectors of the working quartic ``rp_w.q`` for every QZ pair.
 
     ``zfull`` holds the backend's right vectors lifted to the full
     linearization. Right vectors are recovered from its blocks, left
@@ -114,16 +113,16 @@ def _recover_all(gs, zfull, ctx, qw, config, flags):
     has_left)``: one column of the n x m arrays ``x`` and ``y`` per pair,
     zero where its mask is unset.
     """
-    n, m = qw.n, len(gs)
+    qw, n, m = rp_w.q, rp_w.n, len(gs)
     x, y = np.zeros((2, n, m), dtype=np.complex128)
     has_right = np.zeros(m, dtype=bool)
     methods = np.full(m, "unset", dtype=object)
     fin, zero, inf = (np.flatnonzero(gs.cls == c) for c in (EIG_FINITE, EIG_ZERO, EIG_INFINITE))
     if fin.size and config.eigvec_mode == "least_squares":
-        x[:, fin] = eigvec.recover_right_ls(zfull[:, fin], gs.alpha[fin], gs.beta[fin], ctx)
+        x[:, fin] = eigvec.recover_right_ls(zfull[:, fin], gs.alpha[fin], gs.beta[fin], qw)
         has_right[fin], methods[fin] = True, "least_squares"
     elif fin.size:
-        batch = eigvec.recover_right_many(zfull[:, fin], gs.alpha[fin], gs.beta[fin], ctx)
+        batch = eigvec.recover_right_many(zfull[:, fin], gs.alpha[fin], gs.beta[fin], rp_w)
         xs, methods[fin], _ = zip(*batch)
         ok = has_right[fin] = methods[fin] != "degenerate"
         if ok.any():
@@ -141,14 +140,14 @@ def _recover_all(gs, zfull, ctx, qw, config, flags):
     return methods, x, has_right, y, np.full(m, config.want_left)
 
 
-def _deflated_pairs(d, rp_w, want_left):
+def _deflated_pairs(d, want_left):
     """The zero and infinite pairs that deflation removed before QZ.
 
-    Their vectors cycle through orthonormal bases of the null spaces of the
-    working problem's E and A. Returns one tuple of arrays per class, in
-    the field order of :class:`EigenSolution`.
+    Their vectors cycle through orthonormal bases of the null spaces of E
+    and A of the working problem, the one deflated (``d.rp``). Returns one
+    tuple of arrays per class, in the field order of :class:`EigenSolution`.
     """
-    n = rp_w.n
+    rp_w, n = d.rp, d.rp.n
     parts = []
     for which, cls, alpha, beta in (("zero_class", EIG_ZERO, 0.0, 1.0),
                                     ("inf_class", EIG_INFINITE, 1.0, 0.0)):
@@ -198,21 +197,18 @@ def _solve(q0, config, name):
     flags.extend(rec.flags)
 
     rp = analyze_ranks(qs, config.tol)
-
-    rp_w = rp.swapped() if config.deflate and rp.r_a < n and rp.r_e == n else rp
-
-    d = deflate(rp_w) if config.deflate else None
+    d = deflate(rp) if config.deflate else None
+    rp_w = rp if d is None else d.rp
     if d is None:
         gs = gevp.solve_gevp(linearize(rp_w.q))
     else:
         flags.extend(d.flags)
         gs = gevp.solve_gevp(d.pencil)
 
-    ctx = eigvec.build_context(rp_w) if np.any(gs.cls == EIG_FINITE) else None
     zfull = gs.right if d is None else d.lift(gs.right)
-    parts = [(gs.alpha, gs.beta, gs.cls, *_recover_all(gs, zfull, ctx, rp_w.q, config, flags))]
+    parts = [(gs.alpha, gs.beta, gs.cls, *_recover_all(gs, zfull, rp_w, config, flags))]
     if d is not None:
-        parts += _deflated_pairs(d, rp_w, config.want_left)
+        parts += _deflated_pairs(d, config.want_left)
     alpha, beta, cls, *rest = (np.concatenate(f, axis=-1) for f in zip(*parts))
     if rp_w.reversed:
         alpha, beta, cls = reciprocal(alpha, beta, cls)

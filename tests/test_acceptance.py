@@ -248,7 +248,7 @@ def test_criterion_7_reversal_duality():
         test_criterion_4_planted_deflation_counts()
     checked = 0
     for bundle, d_fwd in PLANTED:
-        # through the solver, which reverses a quartic with only A singular
+        # through the solver, whose deflation reverses a quartic with only A singular
         q_rev = reverse(bundle.pencil)
         d_rev = qe.solve_pencil(q_rev, qe.SolveConfig(want_left=False)).deflation
         assert d_rev.zeros_deflated == d_fwd.infs_deflated, bundle.name

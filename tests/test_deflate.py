@@ -5,7 +5,6 @@ import scipy.linalg as sla
 import quarteig.deflate
 from quarteig import QuarticPencil
 from quarteig.deflate import DeflationResult, _generic_layer, analyze_ranks, deflate, second_level
-from quarteig.errors import DeflationError
 from quarteig.numkit import EPS, rrqr
 from quarteig.pencil import LinearPencil, linearize, reverse
 from oracles import (
@@ -30,12 +29,11 @@ def dense_counts(q):
 
 def run_deflate(q):
     """Deflate as solve_pencil does: a quartic with only A singular is
-    deflated through ``analyze_ranks(q).swapped()``, and the result counts
-    in q's orientation. Returns ``(lin, rp_w, d)`` with the linearization
-    and rank profile of the working quartic ``rp_w.q``."""
-    rp = analyze_ranks(q)
-    rp_w = rp.swapped() if rp.r_a < q.n and rp.r_e == q.n else rp
-    return linearize(rp_w.q), rp_w, deflate(rp_w)
+    deflated through its reversal, and the result counts in q's
+    orientation. Returns ``(lin, d.rp, d)`` with the linearization and rank
+    profile of the working quartic ``d.rp.q``."""
+    d = deflate(analyze_ranks(q))
+    return linearize(d.rp.q), d.rp, d
 
 
 class TestEquivalenceOracle:
@@ -275,13 +273,19 @@ class TestDeflateCases:
         assert kinds[:2] == ["zero_block_1", "zero_block_2"]
         assert "staircase_zero" in kinds
 
-    def test_only_a_singular_rejected(self):
-        # the reversal happens once, in the solver; deflate() asks for it
+    def test_only_a_singular_deflates_the_reversal(self):
+        # deflate() takes the reversal itself and keeps the profile it deflated
         q = gen_planted(4, 0, 2, seed=21).pencil
         rp = analyze_ranks(q)
         assert rp.r_a < q.n and rp.r_e == q.n
-        with pytest.raises(DeflationError, match="reverse"):
-            deflate(rp)
+        d, d_rev = deflate(rp), deflate(rp.swapped())
+        assert d.reversed
+        assert all(x is y for x, y in zip(d.rp.q.coeffs, reverse(q).coeffs))
+        assert ([(s.kind, s.deflated, s.evidence) for s in d.steps]
+                == [(s.kind, s.deflated, s.evidence) for s in d_rev.steps])
+        assert (d.size, d.zeros_deflated, d.infs_deflated) == (
+            d_rev.size, d_rev.zeros_deflated, d_rev.infs_deflated)
+        assert (d.zeros_deflated, d.infs_deflated) == (0, 2)
 
 
 def staircase_layer(p, known_block=None, red=None):

@@ -190,3 +190,10 @@ class TestValidation:
         z = np.zeros((0, 0))
         with pytest.raises(ValueError, match="at least 1x1"):
             QuarticPencil.from_matrices(z, z, z, z, z)
+
+    def test_constructor_checks_shapes(self):
+        # five 1-d arrays, lists, and a 2x2 E with 3x3 A-D
+        eye3 = np.eye(3, dtype=np.complex128)
+        for coeffs in ([np.ones(3)] * 5, [[[1.0]]] * 5, [eye3] * 4 + [np.eye(2)]):
+            with pytest.raises(ValueError, match="square, equally sized"):
+                QuarticPencil(*coeffs)

@@ -172,3 +172,37 @@ def test_huge_coefficients_solve_without_warning():
     assert len(sol) == 4 * q.n
     assert np.sum((sol.cls == EIG_INFINITE) & (sol.methods != "deflated_nullspace")) == 22
     assert sol.has_left.all() and np.isfinite(sol.eta_left).all()
+
+
+def random_quartic(seed, n=8):
+    """Five independent random complex n x n coefficients."""
+    rng = np.random.default_rng(seed)
+    return QuarticPencil.from_matrices(*(rand_complex(rng, (n, n)) for _ in range(5)))
+
+
+DUALITY_PROBLEMS = {
+    **{f"random_{s}": functools.partial(random_quartic, s) for s in range(1, 21)},
+    **{f"planted_{s}": lambda s=s: gen_planted(10, 2, 2, seed=s).pencil for s in (1, 2)},
+    **{f"mirror_{s}": lambda s=s: gen_mirror_like(s, n=12).pencil for s in (1, 2)},
+    # only A singular: both P and P^T are solved through the reversal
+    "only_a_6": lambda: gen_planted(6, 0, 2, seed=21).pencil,
+    "only_a_8": lambda: gen_planted(8, 0, 3, seed=4).pencil,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DUALITY_PROBLEMS))
+def test_left_vectors_are_right_vectors_of_the_transpose(kind):
+    # y* P(lambda) = 0 exactly when P(lambda)^T conj(y) = 0: every finite
+    # left vector of P is, up to phase, the conjugated right vector of P^T
+    # at the nearest eigenvalue
+    q = DUALITY_PROBLEMS[kind]()
+    res = solve_pencil(q)
+    res_t = solve_pencil(QuarticPencil(*(c.T for c in q.coeffs)))
+    assert res.deflation.reversed == res_t.deflation.reversed == kind.startswith("only_a")
+    sol, sol_t = res.solution, res_t.solution
+    fin, fin_t = (np.flatnonzero(s.cls == EIG_FINITE) for s in (sol, sol_t))
+    assert fin.size == fin_t.size > 0 and sol.has_left[fin].all()
+    near = fin_t[np.argmin(np.abs(sol.lam[fin, None] - sol_t.lam[None, fin_t]), axis=1)]
+    assert np.unique(near).size == fin.size
+    overlap = np.abs(np.sum(sol.y[:, fin] * sol_t.x[:, near], axis=0))
+    assert np.max(1.0 - overlap) <= 1e-12
