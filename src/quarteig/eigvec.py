@@ -5,14 +5,20 @@ related to the quartic eigenvector x by
 
     z = (lambda x, lambda^2 (lambda A + B) x, lambda (lambda A + B) x, -E x),
 
-so x is recovered from z1, or from E^{-1} z4 through the rank-revealing QR
-of E that rank analysis made, offered only when that QR finds E of full
-rank; of the candidates that exist the one with the smaller residual wins.
-QZ computes right vectors only. The left vector y of a pair comes from the
-quartic itself: one step of inverse iteration, P(alpha, beta)* y = x,
-started from the pair's right vector (Peters and Wilkinson, SIAM Review 21
-(1979)), and where that cannot run, the left singular vectors of
-P(alpha, beta) for its smallest singular values.
+so the x of a finite nonzero eigenvalue is recovered from z1, or from
+E^{-1} z4 through the rank-revealing QR of E that rank analysis made,
+offered only when that QR finds E of full rank; of the candidates that
+exist the one with the smaller residual wins. QZ computes right vectors
+only. The left vector y of such a pair comes from the quartic itself: one
+step of inverse iteration, P(alpha, beta)* y = x, started from the pair's
+right vector (Peters and Wilkinson, SIAM Review 21 (1979)), and where that
+cannot run, the left singular vectors of P(alpha, beta) for its smallest
+singular values.
+
+The eigenvectors of lambda = 0 (infinity) are the null vectors of E (A),
+P's value there. Every zero and infinite pair, found by QZ or removed by
+deflation, takes both its vectors from the rank-revealing QR of that
+coefficient (:func:`nullspace_vectors`).
 """
 
 from __future__ import annotations
@@ -32,9 +38,10 @@ from .numkit import (
 )
 from .pencil import QuarticPencil, affine
 
-# the deleted shifted solves, left-vector lift and recovery context, still
-# looked up by bench/tracer.py (ROADMAP item 1)
-tri_hess_reduce = shifted_hess_solve = shifted_hess_solve_many = lift_left = build_context = None
+# the deleted shifted solves, left-vector lift, recovery context and z1 zero
+# recovery, still looked up by bench/tracer.py (ROADMAP item 1)
+tri_hess_reduce = shifted_hess_solve = shifted_hess_solve_many = lift_left = None
+build_context = recover_right_zero = None
 
 # eigenvalues per stack of n x n matrices in recover_left, which bounds its memory
 LEFT_CHUNK = 32
@@ -90,18 +97,6 @@ def recover_right_many(zs, alpha, beta, rp: RankProfile):
             for j, (m, r) in enumerate(zip(method.tolist(), res[sel, cols].tolist()))]
 
 
-def recover_right_zero(zs, q: QuarticPencil):
-    """Right eigenvectors for lambda = 0: the first blocks of the columns of zs.
-
-    Returns ``(x, ok)`` with unit columns; ``ok`` is False, and the column
-    zero, where the first block is negligible (n*eps relative to the column).
-    """
-    zs = np.asarray(zs)
-    if zs.ndim != 2 or zs.shape[0] != 4 * q.n:
-        raise ValueError(f"expected 4n-vectors as columns with n={q.n}, got shape {zs.shape}")
-    return unit_columns(zs[: q.n], q.n * EPS * np.linalg.norm(zs, axis=0))
-
-
 def recover_right_ls(zs, alpha, beta, q: QuarticPencil):
     """Least-squares recovery min || [lambda I; E] x - [z1; -z4] || per column.
 
@@ -127,14 +122,15 @@ def recover_left(q: QuarticPencil, alpha, beta, x):
     """Left eigenvectors y, y* P(alpha, beta) ~ 0, one unit column per pair.
 
     ``alpha`` and ``beta`` hold the homogeneous eigenvalues and column j of
-    ``x`` the right eigenvector of pair j, zero where there is none. A pair
-    with a right vector and alpha, beta both nonzero takes one step of
-    inverse iteration from it: P(alpha, beta)* y = x, formed and solved for
-    ``LEFT_CHUNK`` pairs at a time; the vectors of a repeated eigenvalue
-    are then separated by :func:`_separate_twins`. The other pairs, and
-    those whose solve is exactly singular or not finite, take the left
-    singular vectors of P(alpha, beta) for its smallest singular values,
-    which for alpha = 0 (beta = 0) are those of E (A). Pairs with an
+    ``x`` the right eigenvector of pair j, zero where there is none (the
+    solver passes its finite pairs; zero and infinite ones take their
+    vectors from :func:`nullspace_vectors`). A pair with a right vector and
+    alpha, beta both nonzero takes one step of inverse iteration from it:
+    P(alpha, beta)* y = x, formed and solved for ``LEFT_CHUNK`` pairs at a
+    time; the vectors of a repeated eigenvalue are then separated by
+    :func:`_separate_twins`. The other pairs, and those whose solve is
+    exactly singular or not finite, take the left singular vectors of
+    P(alpha, beta) for its smallest singular values. Pairs with an
     identical (alpha, beta) take successive ones, cycling through those of
     singular values at most n*eps times the largest (at least the smallest
     one), as a defective eigenvalue has fewer left vectors than pairs.
@@ -199,21 +195,25 @@ def _separate_twins(y, alpha, beta, idx, pencil_h):
             y[:, i] = v / v_norm
 
 
-def nullspace_vectors(rp: RankProfile, which, side="right"):
-    """Orthonormal eigenvector basis for the deflated zero/infinite classes.
+def nullspace_vectors(rp: RankProfile, which, count):
+    """Right and left eigenvectors ``(x, y)`` of ``count`` pairs of a class.
 
-    Zero-class right vectors span null(E), the leading columns of the V of
-    its URV decomposition (:func:`numkit.complete_orthogonal`); the infinite
-    class analogously spans null(A). Left vectors are the trailing columns
-    of Q_E (resp. Q_A).
+    The zero class (``which='zero_class'``) takes its right vectors from
+    null(E), the leading columns of the V of its URV decomposition
+    (:func:`numkit.complete_orthogonal`), and its left vectors from the
+    trailing columns of Q_E; the infinite class (``'inf_class'``) takes
+    those of A. Pairs cycle through the basis when there are more of them
+    than its dimension, as a defective eigenvalue has fewer vectors than
+    pairs. A QR that finds full rank is cut at rank n - 1, the direction
+    of its smallest trailing |r_kk|, so every pair gets a vector. Returns
+    two n x ``count`` arrays of unit columns.
     """
     if which not in ("zero_class", "inf_class"):
         raise ValueError(f"unknown class {which!r}")
     f = rp.qr_e if which == "zero_class" else rp.qr_a
     n = f.rows
-    k = n - f.rank
-    if k == 0:
-        return np.zeros((n, 0), dtype=np.complex128)
-    if side == "left":
-        return f.q[:, f.rank :].copy()
-    return complete_orthogonal(f).v[:, :k]
+    if count == 0:
+        return np.zeros((2, n, 0), dtype=np.complex128)
+    rank = min(f.rank, n - 1)
+    cycle = np.arange(count) % (n - rank)
+    return complete_orthogonal(f, rank).v[:, cycle], f.q[:, rank + cycle]

@@ -209,15 +209,17 @@ class URVFactors:
     rank: int
 
 
-def complete_orthogonal(f: PivotedQR) -> URVFactors:
-    """The URV decomposition of the matrix m factored by ``f``.
+def complete_orthogonal(f: PivotedQR, rank=None) -> URVFactors:
+    """The URV decomposition of the matrix m factored by ``f``, truncated
+    at ``rank`` (None: ``f.rank``).
 
-    m = Q [Rhat; 0] Pi^T; factor (Rhat Pi^T)* = Z [R2; 0] and flip the
-    column blocks of Z so the core lands in the trailing columns (with rank
-    0, Z is the identity and the core is empty).
+    m = Q [Rhat; 0] Pi^T with Rhat the leading ``rank`` rows of R; factor
+    (Rhat Pi^T)* = Z [R2; 0] and flip the column blocks of Z so the core
+    lands in the trailing columns (with rank 0, Z is the identity and the
+    core is empty).
     """
-    rho = f.rank
-    w = f.r_hat[:, f.inv_perm].conj().T  # cols x rho
+    rho = f.rank if rank is None else rank
+    w = f.r[:rho, f.inv_perm].conj().T  # cols x rho
     z, _ = np.linalg.qr(w, mode="complete")
     order = np.concatenate([np.arange(rho, f.cols), np.arange(rho)])
     return URVFactors(v=z[:, order], rank=rho)

@@ -8,9 +8,9 @@ Backward errors in the report are always evaluated against the original,
 unscaled coefficients.
 
 Every stage takes and returns the solution as arrays, one per field (see
-:class:`~quarteig.pencil.EigenSolution`): QZ's pairs are classified,
-recovered, extended by the deflated pairs, mapped back and diagnosed as
-whole arrays, and :func:`build_report` reads them off in modulus order.
+:class:`~quarteig.pencil.EigenSolution`): QZ's pairs are classified and
+extended by the deflated pairs, then recovered, mapped back and diagnosed
+as whole arrays, and :func:`build_report` reads them off in modulus order.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import __version__, diagnostics, eigvec, gevp, probio, scaling
 from .deflate import analyze_ranks, deflate
 # deflate forms the second level itself; looked up by bench/tracer.py only (ROADMAP item 1)
 from .deflate import second_level  # noqa: F401
-from .numkit import blas_threads, unit_columns
+from .numkit import blas_threads
 from .pencil import (
     CLASS_NAMES,
     EIG_FINITE,
@@ -102,25 +102,32 @@ class SolveResult:
     blas_threads: int | None = None  # read back during the solve; None if not controllable
 
 
-def _recover_all(gs, zfull, rp_w, config, flags):
-    """Eigenvectors of the working quartic ``rp_w.q`` for every QZ pair.
+def _recover_all(gs, zfull, d, rp_w, config, flags):
+    """The whole spectrum of the working quartic ``rp_w.q`` with its vectors.
 
-    ``zfull`` holds the backend's right vectors lifted to the full
-    linearization. Right vectors are recovered from its blocks, left
-    vectors (with ``config.want_left``) by :func:`eigvec.recover_left` from
-    the right ones, for QZ's zero and infinite pairs at exactly (0, 1) and
-    (1, 0), where P is E and A. Returns ``(methods, x, has_right, y,
-    has_left)``: one column of the n x m arrays ``x`` and ``y`` per pair,
-    zero where its mask is unset.
+    The spectrum is QZ's pairs, then the zeros and the infinities that the
+    deflation ``d`` (None when off) removed, counted from its steps. Right
+    vectors of QZ's finite pairs are recovered from the blocks of ``zfull``,
+    the backend's right vectors lifted to the full linearization, and their
+    left vectors (with ``config.want_left``) by :func:`eigvec.recover_left`
+    from the right ones. Every zero and infinite pair, found by QZ or
+    deflated, takes both vectors from :func:`eigvec.nullspace_vectors`.
+    Returns the fields of :class:`EigenSolution` in order, with one column
+    of the n x m arrays ``x`` and ``y`` per pair, zero where its mask is
+    unset.
     """
-    qw, n, m = rp_w.q, rp_w.n, len(gs)
+    counts = [0, 0] if d is None else [sum(s.zeros for s in d.steps), sum(s.infs for s in d.steps)]
+    alpha = np.concatenate([gs.alpha, np.zeros(counts[0]), np.ones(counts[1])])
+    beta = np.concatenate([gs.beta, np.ones(counts[0]), np.zeros(counts[1])])
+    cls = np.concatenate([gs.cls, np.repeat(np.int8([EIG_ZERO, EIG_INFINITE]), counts)])
+    qw, n, m = rp_w.q, rp_w.n, len(cls)
     x, y = np.zeros((2, n, m), dtype=np.complex128)
-    has_right = np.zeros(m, dtype=bool)
-    methods = np.full(m, "unset", dtype=object)
-    fin, zero, inf = (np.flatnonzero(gs.cls == c) for c in (EIG_FINITE, EIG_ZERO, EIG_INFINITE))
+    has_right = np.ones(m, dtype=bool)
+    methods = np.full(m, "deflated_nullspace", dtype=object)
+    fin = np.flatnonzero(gs.cls == EIG_FINITE)
     if fin.size and config.eigvec_mode == "least_squares":
         x[:, fin] = eigvec.recover_right_ls(zfull[:, fin], gs.alpha[fin], gs.beta[fin], qw)
-        has_right[fin], methods[fin] = True, "least_squares"
+        methods[fin] = "least_squares"
     elif fin.size:
         batch = eigvec.recover_right_many(zfull[:, fin], gs.alpha[fin], gs.beta[fin], rp_w)
         xs, methods[fin], _ = zip(*batch)
@@ -128,43 +135,15 @@ def _recover_all(gs, zfull, rp_w, config, flags):
         if ok.any():
             x[:, fin[ok]] = np.column_stack(list(compress(xs, ok)))
         flags.extend(f"recover_right_degenerate_index_{i}" for i in fin[~ok])
-    if zero.size:
-        x[:, zero], has_right[zero] = eigvec.recover_right_zero(zfull[:, zero], qw)
-    x[:, inf], has_right[inf] = unit_columns(zfull[:n, inf])
-    for idx, name in ((zero, "zero_class"), (inf, "inf_class")):
-        methods[idx] = np.where(has_right[idx], f"{name}_z1", f"{name}_degenerate")
+    for c, which in ((EIG_ZERO, "zero_class"), (EIG_INFINITE, "inf_class")):
+        idx = np.flatnonzero(cls == c)
+        x[:, idx], y[:, idx] = eigvec.nullspace_vectors(rp_w, which, idx.size)
+        methods[idx[idx < len(gs)]] = f"{which}_nullspace"
     if config.want_left:
-        finite = gs.cls == EIG_FINITE
-        y = eigvec.recover_left(qw, np.where(finite, gs.alpha, gs.cls == EIG_INFINITE),
-                                np.where(finite, gs.beta, gs.cls == EIG_ZERO), x)
-    return methods, x, has_right, y, np.full(m, config.want_left)
-
-
-def _deflated_pairs(d, want_left):
-    """The zero and infinite pairs that deflation removed before QZ.
-
-    Their vectors cycle through orthonormal bases of the null spaces of E
-    and A of the working problem, the one deflated (``d.rp``). Returns one
-    tuple of arrays per class, in the field order of :class:`EigenSolution`.
-    """
-    rp_w, n = d.rp, d.rp.n
-    parts = []
-    for which, cls, alpha, beta in (("zero_class", EIG_ZERO, 0.0, 1.0),
-                                    ("inf_class", EIG_INFINITE, 1.0, 0.0)):
-        # the working problem's count, as its steps deflated it
-        count = sum(s.zeros if cls == EIG_ZERO else s.infs for s in d.steps)
-        vectors = []
-        for side in ("right", "left"):
-            # a right-only solve gives no pair a left vector
-            basis = (eigvec.nullspace_vectors(rp_w, which, side) if side == "right" or want_left
-                     else np.zeros((n, 0)))
-            k = basis.shape[1]
-            vectors += [basis[:, np.arange(count) % k] if k else np.zeros((n, count)),
-                        np.full(count, k > 0)]
-        parts.append((np.full(count, alpha, dtype=np.complex128), np.full(count, beta),
-                      np.full(count, cls, dtype=np.int8),
-                      np.full(count, "deflated_nullspace", dtype=object), *vectors))
-    return parts
+        y[:, fin] = eigvec.recover_left(qw, gs.alpha[fin], gs.beta[fin], x[:, fin])
+    else:  # a right-only solve gives no pair a left vector
+        y[:] = 0.0
+    return alpha, beta, cls, methods, x, has_right, y, np.full(m, config.want_left)
 
 
 def solve_pencil(q0: QuarticPencil, config: SolveConfig = SolveConfig(), name="problem") -> SolveResult:
@@ -173,8 +152,12 @@ def solve_pencil(q0: QuarticPencil, config: SolveConfig = SolveConfig(), name="p
     Runs with the BLAS at ``config.threads`` threads and records the count
     read back during the solve in ``blas_threads``. Where no BLAS thread
     count can be set, that is None and the result carries the flag
-    ``blas_threads_not_set``.
+    ``blas_threads_not_set``. A coefficient with a NaN or Inf entry raises
+    ``ValueError`` naming it before any work.
     """
+    for key, c in zip("abcde", q0.coeffs):
+        if not np.isfinite(c).all():
+            raise ValueError(f"coefficient {key} contains NaN or Inf entries")
     with blas_threads(config.threads) as count:
         res = _solve(q0, config, name)
     res.blas_threads = count
@@ -206,10 +189,7 @@ def _solve(q0, config, name):
         gs = gevp.solve_gevp(d.pencil)
 
     zfull = gs.right if d is None else d.lift(gs.right)
-    parts = [(gs.alpha, gs.beta, gs.cls, *_recover_all(gs, zfull, rp_w, config, flags))]
-    if d is not None:
-        parts += _deflated_pairs(d, config.want_left)
-    alpha, beta, cls, *rest = (np.concatenate(f, axis=-1) for f in zip(*parts))
+    alpha, beta, cls, *rest = _recover_all(gs, zfull, d, rp_w, config, flags)
     if rp_w.reversed:
         alpha, beta, cls = reciprocal(alpha, beta, cls)
     sol = scaling.descale(EigenSolution(alpha, beta, cls, *rest), rec)

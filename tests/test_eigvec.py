@@ -9,7 +9,6 @@ from quarteig.eigvec import (
     recover_left,
     recover_right_many,
     recover_right_ls,
-    recover_right_zero,
 )
 from quarteig.gevp import solve_gevp
 from quarteig.numkit import EPS
@@ -132,44 +131,6 @@ class TestRecoverRight:
             assert res.solution.has_right.all()
             assert "z4_esolve" not in res.solution.methods
         assert context(singular_e.pencil).r_e < singular_e.pencil.n
-
-
-class TestRecoverRightZero:
-    def test_exact_block_structure(self):
-        rng = np.random.default_rng(4)
-        n = 4
-        q = random_regular_quartic(rng, n)
-        x = unit(rand_complex(rng, (n,)))
-        z = np.concatenate([x, np.zeros(n, dtype=complex), q.b @ x, q.d @ x])
-        got, ok = recover_right_zero(z[:, None], q)
-        assert ok.tolist() == [True]
-        assert aligned_distance(got[:, 0], x) <= 1e-13
-
-    def test_null_vector_residual(self):
-        rng = np.random.default_rng(5)
-        n = 4
-        e = rand_complex(rng, (n, n))
-        e[:, 2] = 0.0
-        q = QuarticPencil.from_matrices(
-            *(rand_complex(rng, (n, n)) for _ in range(4)), e
-        )
-        x = np.zeros(n, dtype=complex)
-        x[2] = 1.0
-        z = np.concatenate([x, np.zeros(n, dtype=complex), q.b @ x, q.d @ x])
-        got, _ = recover_right_zero(z[:, None], q)
-        val = eta(0.0, got[:, 0], q)
-        assert val <= 10 * n * EPS
-
-    def test_degenerate_flagged(self):
-        rng = np.random.default_rng(6)
-        q = random_regular_quartic(rng, 3)
-        z = np.concatenate([np.zeros(3, dtype=complex), rand_complex(rng, (9,))])
-        zs = np.column_stack([z, rand_complex(rng, (12,))])
-        got, ok = recover_right_zero(zs, q)
-        assert ok.tolist() == [False, True]
-        assert np.array_equal(got[:, 0], np.zeros(3))
-        with pytest.raises(ValueError):
-            recover_right_zero(zs[:11], q)
 
 
 def diagonal_quartic():
@@ -342,13 +303,13 @@ class TestNullspaceVectors:
         e[:, [2, 4]] = 0.0
         q = QuarticPencil.from_matrices(np.eye(n), np.eye(n), np.eye(n), np.eye(n), e)
         rp = analyze_ranks(q)
-        basis = nullspace_vectors(rp, "zero_class", "right")
-        assert basis.shape == (n, 2)
+        x, y = nullspace_vectors(rp, "zero_class", 2)
+        assert x.shape == y.shape == (n, 2)
         target = np.zeros((n, 2))
         target[2, 0] = 1.0
         target[4, 1] = 1.0
-        assert principal_angle(basis, target) <= 1e-12
-        assert np.linalg.norm(e @ basis) == 0.0
+        assert principal_angle(x, target) <= 1e-12
+        assert np.linalg.norm(e @ x) == 0.0
 
     def test_rank_one_a_nullspace(self):
         rng = np.random.default_rng(16)
@@ -358,20 +319,29 @@ class TestNullspaceVectors:
             a, *(rand_complex(rng, (n, n)) for _ in range(4))
         )
         rp = analyze_ranks(q)
-        basis = nullspace_vectors(rp, "inf_class", "right")
-        assert basis.shape == (n, 3)
-        assert np.linalg.norm(a @ basis) <= 10 * n * EPS * np.linalg.norm(a)
+        x, y = nullspace_vectors(rp, "inf_class", 3)
+        assert x.shape == y.shape == (n, 3)
+        assert np.linalg.norm(a @ x) <= 10 * n * EPS * np.linalg.norm(a)
         # compare with the SVD nullspace
         _, _, vh = np.linalg.svd(a)
-        assert principal_angle(basis, vh[1:].conj().T) <= 1e-12
-        left = nullspace_vectors(rp, "inf_class", "left")
-        assert np.linalg.norm(left.conj().T @ a) <= 10 * n * EPS * np.linalg.norm(a)
+        assert principal_angle(x, vh[1:].conj().T) <= 1e-12
+        assert np.linalg.norm(y.conj().T @ a) <= 10 * n * EPS * np.linalg.norm(a)
 
     def test_full_rank_empty(self):
+        # no pair, no vector; a QR of full rank is cut at n - 1, so every
+        # pair of the class takes the direction of the smallest |r_kk|
         rng = np.random.default_rng(17)
-        q = random_regular_quartic(rng, 3)
+        n = 3
+        q = random_regular_quartic(rng, n)
         rp = analyze_ranks(q)
-        assert nullspace_vectors(rp, "zero_class").shape == (3, 0)
+        assert rp.r_e == n
+        assert all(b.shape == (n, 0) for b in nullspace_vectors(rp, "zero_class", 0))
+        x, y = nullspace_vectors(rp, "zero_class", 2)
+        assert np.array_equal(x[:, 0], x[:, 1]) and np.array_equal(y[:, 0], y[:, 1])
+        r_nn = abs(rp.qr_e.r[-1, -1])
+        tol = r_nn * (1 + 10 * n * EPS)
+        assert np.linalg.norm(q.e @ x[:, 0]) <= tol
+        assert np.linalg.norm(y[:, 0].conj() @ q.e) <= tol
 
     def test_zero_coefficient_gives_identity(self):
         n = 3
@@ -379,18 +349,19 @@ class TestNullspaceVectors:
         q = QuarticPencil.from_matrices(eye, eye, eye, eye, np.zeros((n, n)))
         rp = analyze_ranks(q)
         assert rp.r_e == 0
-        assert np.array_equal(nullspace_vectors(rp, "zero_class"), np.eye(n))
+        assert np.array_equal(nullspace_vectors(rp, "zero_class", n)[0], np.eye(n))
 
     def test_orthonormal(self):
+        # nullity 3 and 5 pairs: the last two cycle back to the first two
         rng = np.random.default_rng(18)
         n = 6
         e = rand_complex(rng, (n, n))
         e[:, :3] = 0.0
         q = QuarticPencil.from_matrices(np.eye(n), np.eye(n), np.eye(n), np.eye(n), e)
         rp = analyze_ranks(q)
-        for side in ("right", "left"):
-            b = nullspace_vectors(rp, "zero_class", side)
-            assert np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1])) <= 10 * n * EPS
+        for b in nullspace_vectors(rp, "zero_class", 5):
+            assert np.linalg.norm(b[:, :3].conj().T @ b[:, :3] - np.eye(3)) <= 10 * n * EPS
+            assert np.array_equal(b[:, 3:], b[:, :2])
 
 
 class TestRoundTripInvariant:

@@ -50,14 +50,14 @@ def test_returned_vectors_are_unit(kind, config):
 
 # the recovery labels of each pair: a finite pair's winning candidate (z1 or
 # the E solve, which needs E of full rank, so never on planted or mirror-like
-# problems), the class of an undeflated zero or infinite pair, or the
-# deflated null space
+# problems), the null space of a zero or infinite pair that QZ found, by
+# its class, or the deflated null space
 METHODS = {
     "default": {"planted": {"deflated_nullspace", "z1"},
                 "mirror": {"deflated_nullspace", "z1"},
                 "regular": {"z1", "z4_esolve"}},
-    "deflate_off": {"planted": {"inf_class_z1", "z1", "zero_class_z1"},
-                    "mirror": {"inf_class_z1", "z1", "zero_class_z1"},
+    "deflate_off": {"planted": {"inf_class_nullspace", "z1", "zero_class_nullspace"},
+                    "mirror": {"inf_class_nullspace", "z1", "zero_class_nullspace"},
                     "regular": {"z1", "z4_esolve"}},
     "right_only": {"planted": {"deflated_nullspace", "z1"},
                    "mirror": {"deflated_nullspace", "z1"},
@@ -138,6 +138,46 @@ def test_undeflated_zero_and_infinite_pairs_get_independent_left_vectors():
         assert idx.size == count and sol.has_left[idx].all()
         assert np.max(sol.eta_left[idx]) <= 1e-14
         assert np.linalg.svd(sol.y[:, idx], compute_uv=False).min() >= 0.5
+
+
+def test_undeflated_zero_and_infinite_pairs_take_the_null_basis():
+    # with B and D large, the first block of QZ's vectors of lambda = 0 and
+    # infinity is small against the rest and loses its accuracy; the null
+    # bases of E and A keep it, and only finite pairs are flagged
+    q = gen_planted(8, 2, 3, seed=1).pencil
+    res = solve_pencil(QuarticPencil(q.a, 1e4 * q.b, q.c, 1e4 * q.d, q.e), CONFIGS["deflate_off"])
+    sol = res.solution
+    zero_inf = np.flatnonzero(sol.cls != EIG_FINITE)
+    assert zero_inf.size == 5 and sol.has_right[zero_inf].all()
+    assert np.max(sol.eta_right[zero_inf]) <= 1e-15
+    above = [int(f.rsplit("_", 1)[1]) for f in res.flags if f.startswith("backward_error_above")]
+    assert above and np.all(sol.cls[above] == EIG_FINITE)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_zero_pair_of_a_full_rank_e(seed):
+    # E of full rank to the QR but sigma_min = 1e-12: QZ finds lambda = 0,
+    # whose vectors come from the QR cut at rank n - 1
+    rng = np.random.default_rng(seed)
+    n = 6
+    a, b, c, d, e = (rand_complex(rng, (n, n)) for _ in range(5))
+    u, sig, vh = np.linalg.svd(e)
+    sig[-1] = 1e-12
+    q = QuarticPencil.from_matrices(a, b, c, 1e4 * d, (u * sig) @ vh)
+    assert quarteig.deflate.analyze_ranks(q).r_e == n
+    sol = solve_pencil(q, SolveConfig(scale=False, balance=False)).solution
+    zero = np.flatnonzero(sol.cls == EIG_ZERO)
+    assert zero.size == 1 and sol.has_right[zero].all() and sol.has_left[zero].all()
+    assert np.max(sol.eta_right[zero]) <= 1e-11 and np.max(sol.eta_left[zero]) <= 1e-11
+
+
+@pytest.mark.parametrize("config", ["default", "no_scaling"])
+def test_non_finite_coefficient_is_named(config):
+    # the plain constructor scans no entries: the solve rejects them first
+    coeffs = [(k + 1) * np.eye(3, dtype=complex) for k in range(5)]
+    coeffs[2][0, 1] = np.nan
+    with pytest.raises(ValueError, match="coefficient c contains NaN or Inf"):
+        solve_pencil(QuarticPencil(*coeffs), CONFIGS[config])
 
 
 @pytest.mark.parametrize("kind, config, built", [
