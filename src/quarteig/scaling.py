@@ -1,10 +1,15 @@
 """Parameter scaling and two-sided diagonal balancing.
 
 Parameter scaling substitutes lambda = gamma*nu and multiplies the whole
-polynomial by theta so the coefficient norms are equilibrated:
+polynomial by theta so the coefficient norms are equilibrated. With A_k
+the coefficient of lambda^k (A = A_4, ..., E = A_0) and lo, hi the lowest
+and highest degrees with A_k nonzero (0 and 4 when A and E are):
 
-    gamma = (||E||_F / ||A||_F)^(1/4)
-    theta = 4 / (||E||_F + gamma ||D||_F + gamma^2 ||C||_F + gamma^3 ||B||_F)
+    gamma = (||A_lo||_F / ||A_hi||_F)^(1/(hi-lo))
+    theta = (hi-lo) / (sum over lo <= k < hi of gamma^k ||A_k||_F)
+
+With ``--scale off``, or fewer than two nonzero A_k, gamma = 1 and theta
+is the power of two that puts the largest norm in [0.5, 1).
 
 Balancing applies diagonal Dl (.) Dr with power-of-two entries chosen to
 equilibrate the row/column sums of S = |A|+|B|+|C|+|D|+|E|; powers of
@@ -26,6 +31,9 @@ from .numkit import safe_norm, unit_columns
 from .pencil import EigenSolution, QuarticPencil, normalize
 
 
+BALANCE_ITERS = 5  # balance's row and column passes
+
+
 @dataclass(frozen=True)
 class ScalingRecord:
     """Applied scaling: lambda = gamma*nu, polynomial times theta, Dl (.) Dr."""
@@ -34,57 +42,44 @@ class ScalingRecord:
     theta: float = 1.0
     dl: np.ndarray | None = None
     dr: np.ndarray | None = None
-    flags: tuple = ()
-
-    @property
-    def is_identity(self):
-        return (
-            self.gamma == 1.0
-            and self.theta == 1.0
-            and self.dl is None
-            and self.dr is None
-        )
 
 
-def _factors(q: QuarticPencil):
-    """(gamma, theta) of the module docstring, or None when A or E is zero.
+def _factors(q: QuarticPencil, equilibrate: bool):
+    """(gamma, theta) of the module docstring.
 
     The Frobenius norms are taken by :func:`numkit.safe_norm`, so they
     neither overflow nor underflow at any coefficient scale. Raises
-    :class:`ScalingError` when gamma or theta leaves the floating-point range:
-    the norms are too far apart when gamma does or theta is 0, too small
-    (subnormal coefficients, say) when theta overflows.
+    :class:`ScalingError` when a factor leaves the floating-point range: the
+    norms are too far apart when gamma or gamma^hi theta does or theta is 0,
+    too small (subnormal coefficients, say) when theta overflows.
     """
-    na = safe_norm(q.a)
-    ne = safe_norm(q.e)
-    if na == 0.0 or ne == 0.0:
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma = float((ne / na) ** 0.25)
-        theta = float(4.0 / (ne + gamma * safe_norm(q.d) + gamma**2 * safe_norm(q.c)
-                             + gamma**3 * safe_norm(q.b)))
-    if not (0.0 < gamma < np.inf and 0.0 < theta < np.inf):
+    norms = [safe_norm(m) for m in reversed(q.coeffs)]  # norms[k] = ||A_k||_F
+    deg = [k for k, nk in enumerate(norms) if nk > 0.0]
+    if not equilibrate or len(deg) < 2:
+        e = min(max(int(np.frexp(max(norms))[1]), -1021), 1022)  # theta stays normal
+        return 1.0, 2.0**-e
+    lo, hi, total = deg[0], deg[-1], 0.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gamma = (norms[lo] / norms[hi]) ** (1.0 / (hi - lo))  # numpy floats overflow to inf
+        for k in range(lo, hi):
+            total += gamma**k * norms[k]
+        gamma, theta = float(gamma), float((hi - lo) / total)
+        top = np.float64(gamma) ** hi * theta  # so gamma^k theta is finite for k <= hi
+    if not (0.0 < gamma < np.inf and 0.0 < theta < np.inf and top < np.inf):
         cause = "too small" if 0.0 < gamma < np.inf and theta == np.inf else "too far apart"
-        raise ScalingError(
-            f"coefficient norms {cause} for parameter scaling: ||E||_F/||A||_F = "
-            f"{ne:.3g}/{na:.3g} gives gamma = {gamma:.3g}, theta = {theta:.3g}"
-        )
+        raise ScalingError(f"coefficient norms {cause} for parameter scaling: ||{'EDCBA'[lo]}||_F"
+                           f"/||{'EDCBA'[hi]}||_F = {norms[lo]:.3g}/{norms[hi]:.3g} gives "
+                           f"gamma = {gamma:.3g}, theta = {theta:.3g}")
     return gamma, theta
 
 
-def param_scale(q: QuarticPencil):
-    """Fan-Lin-Van Dooren style parameter scaling of the coefficients."""
-    factors = _factors(q)
-    if factors is None:
-        return q, ScalingRecord(flags=("scale_skipped_zero_extreme_coefficient",))
-    gamma, theta = factors
-    scaled = QuarticPencil(
-        a=gamma**4 * theta * q.a,
-        b=gamma**3 * theta * q.b,
-        c=gamma**2 * theta * q.c,
-        d=gamma * theta * q.d,
-        e=theta * q.e,
-    )
+def param_scale(q: QuarticPencil, equilibrate: bool = True):
+    """Fan-Lin-Van Dooren style parameter scaling of the coefficients;
+    ``equilibrate`` off scales by the power of two theta alone."""
+    gamma, theta = _factors(q, equilibrate)
+    # a zero coefficient stays as it is: gamma^k may overflow above degree hi
+    scaled = QuarticPencil(*(gamma**k * theta * m if m.any() else m
+                             for k, m in zip(range(4, -1, -1), q.coeffs)))
     return scaled, ScalingRecord(gamma=gamma, theta=theta)
 
 
@@ -97,24 +92,23 @@ def _spread(s):
     return float(vals.max() / vals.min())
 
 
-def balance(q: QuarticPencil, max_iter: int = 5, weighted: bool = False):
+def balance(q: QuarticPencil, weighted: bool = False):
     """Two-sided power-of-two equilibration of S = |A|+...+|E|.
 
     ``weighted`` puts gamma^(4-k) over the largest such weight on the k-th
-    term, with the gamma of :func:`param_scale` on ``q`` (1 if A or E is 0).
-    Alternates row and column passes that scale each row (column) sum
-    toward the geometric mean of the nonzero sums; the iterate with the
-    smallest spread (the start included) is returned, so the spread never
-    increases.
+    term, with the gamma of :func:`param_scale` on ``q``. Alternates row
+    and column passes that scale each row (column) sum toward the geometric
+    mean of the nonzero sums; the iterate with the smallest spread (the
+    start included) is returned, so the spread never increases.
     """
     n = q.n
-    gamma, _ = (weighted and _factors(q)) or (1.0, 1.0)
+    gamma = _factors(q, weighted)[0]
     w = [gamma ** (4 - k) if gamma <= 1.0 else gamma**-k for k in range(5)]
     s0 = sum(wk * np.abs(m) for wk, m in zip(w, q.coeffs))
     dl = np.ones(n)
     dr = np.ones(n)
     best = (_spread(s0), dl.copy(), dr.copy())
-    for _ in range(max_iter):
+    for _ in range(BALANCE_ITERS):
         s = dl[:, None] * s0 * dr[None, :]
         for axis, vec in ((1, dl), (0, dr)):
             agg = s.sum(axis=axis)
@@ -155,7 +149,7 @@ def descale(sol: EigenSolution, rec: ScalingRecord) -> EigenSolution:
     right vectors are rescaled by Dr and left vectors by Dl, then
     renormalized.
     """
-    if rec.is_identity:
+    if rec.gamma == 1.0 and rec.dl is None and rec.dr is None:
         return sol
     alpha, beta = sol.alpha, sol.beta
     if rec.gamma != 1.0:

@@ -170,14 +170,10 @@ def _solve(q0, config, name):
     flags = []
     n = q0.n
 
-    qb, rec_bal = (
-        scaling.balance(q0, weighted=config.scale)
-        if config.balance
-        else (q0, scaling.ScalingRecord())
-    )
-    qs, rec_scale = scaling.param_scale(qb) if config.scale else (qb, scaling.ScalingRecord())
+    qb, rec_bal = (scaling.balance(q0, weighted=config.scale) if config.balance
+                   else (q0, scaling.ScalingRecord()))
+    qs, rec_scale = scaling.param_scale(qb, config.scale)
     rec = dataclasses.replace(rec_scale, dl=rec_bal.dl, dr=rec_bal.dr)
-    flags.extend(rec.flags)
 
     rp = analyze_ranks(qs, config.tol)
     d = deflate(rp) if config.deflate else None

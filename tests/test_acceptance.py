@@ -192,7 +192,7 @@ def test_criterion_5_residual_property_suite():
             # the deflated quartic, balanced and scaled as the solve did it
             cfg = res.config
             qw = qe.scaling.balance(q0, weighted=cfg.scale)[0] if cfg.balance else q0
-            qw = qe.scaling.param_scale(qw)[0] if cfg.scale else qw
+            qw = qe.scaling.param_scale(qw, cfg.scale)[0]
             lin = linearize(reverse(qw) if d.reversed else qw)
             assert_equivalent(lin.aa, lin.bb, d, 1e2 * d.full_size * EPS)
     assert pairs_checked > 0

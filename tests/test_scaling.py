@@ -32,12 +32,27 @@ class TestParamScale:
         assert rec.gamma == pytest.approx(1.0)
         assert rec.theta == pytest.approx(4.0)
 
-    def test_zero_extreme_skips_with_flag(self):
-        q = scalar_quartic(0.0, 1.0, 1.0, 1.0, 1.0)
+    def test_zero_extremes_scale_between_nonzero_ones(self):
+        # A = 0: gamma is taken of E and B, the highest nonzero degree, 3
+        q = scalar_quartic(0.0, 8.0, 0.0, 0.0, 1.0)
         scaled, rec = param_scale(q)
-        assert rec.gamma == 1.0 and rec.theta == 1.0
-        assert any("skip" in f for f in rec.flags)
-        assert np.array_equal(scaled.a, q.a)
+        assert rec.gamma == pytest.approx(0.5, rel=1e-15)
+        assert rec.theta == pytest.approx(3.0, rel=1e-15)
+        assert scaled.b[0, 0] == pytest.approx(scaled.e[0, 0], rel=1e-15)
+        assert scaled.a[0, 0] == 0.0
+
+    @pytest.mark.parametrize("s", [1e-300, 2.0**-40, 1.0, 1e16, 1e300])
+    def test_scale_off_is_a_power_of_two(self, s):
+        rng = np.random.default_rng(7)
+        mats = [s * rand_complex(rng, (3, 3), f) for f in (1e3, 1.0, 1e-2, 1.0, 1e-5)]
+        q = QuarticPencil.from_matrices(*mats)
+        scaled, rec = param_scale(q, equilibrate=False)
+        assert rec.gamma == 1.0
+        mant, _ = np.frexp(rec.theta)
+        assert mant == 0.5
+        for m0, m in zip(q.coeffs, scaled.coeffs):
+            assert np.array_equal(m, rec.theta * m0)  # exact: a power of two
+        assert 0.5 <= max(np.linalg.norm(m) for m in scaled.coeffs) < 1.0
 
     def test_scaled_norms_equilibrated(self):
         rng = np.random.default_rng(0)
@@ -204,11 +219,6 @@ class TestExtremeCoefficientScales:
         ref = solve_pencil(QuarticPencil.from_matrices(*mats)).solution
         res = solve_pencil(QuarticPencil.from_matrices(*(s * m for m in mats)),
                            SolveConfig(**config))
-        if "scale" in config:
-            # unscaled, the linearization's unit blocks dwarf the coefficients
-            # (or are dwarfed by them): a wrong spectrum, which must be flagged
-            assert any(f.startswith("backward_error_above_tolerance_index_") for f in res.flags)
-            return
         sol = res.solution
         assert res.summary.counts == {"zero": 0, "finite": 16, "infinite": 0}
         assert not res.flags

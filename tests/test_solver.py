@@ -200,9 +200,10 @@ def test_linearization_built_only_where_read(kind, config, built, monkeypatch):
 
 
 def test_huge_coefficients_solve_without_warning():
-    # unscaled entries near 1e300 raise no overflow warning anywhere in the
-    # solve. QZ finds 22 infinite pairs besides the deflated ones, and each
-    # gets a left vector too
+    # entries near 1e300 raise no overflow warning anywhere in the solve.
+    # Unequilibrated, the coefficients are still brought to unit size by a
+    # power of two, so QZ finds no infinite pair besides the 3 deflated
+    # ones, and every pair gets a left vector
     q = gen_planted(8, 2, 3, seed=1).pencil
     huge = QuarticPencil(*(1e300 * c for c in q.coeffs))
     with warnings.catch_warnings():
@@ -210,7 +211,9 @@ def test_huge_coefficients_solve_without_warning():
         res = solve_pencil(huge, SolveConfig(scale=False, balance=False))
     sol = res.solution
     assert len(sol) == 4 * q.n
-    assert np.sum((sol.cls == EIG_INFINITE) & (sol.methods != "deflated_nullspace")) == 22
+    assert np.sum((sol.cls == EIG_INFINITE) & (sol.methods != "deflated_nullspace")) == 0
+    assert res.summary.counts == {"zero": 2, "finite": 27, "infinite": 3}
+    assert not res.flags
     assert sol.has_left.all() and np.isfinite(sol.eta_left).all()
 
 
