@@ -115,7 +115,7 @@ def recover_right_ls(zs, alpha, beta, q: QuarticPencil):
     r1 = np.where(big, 1.0, lam)
     sig = sig[:, None]
     u = (np.conj(r1) * t1 + sig * t2) / (np.abs(r1) ** 2 + sig**2)
-    return unit_columns(vh_e.conj().T @ u)[0]
+    return unit_columns(vh_e.conj().T @ u)
 
 
 def recover_left(q: QuarticPencil, alpha, beta, x):

@@ -45,14 +45,14 @@ def as_matrix(m) -> np.ndarray:
     return a.astype(np.complex128, copy=False)
 
 
-def unit_columns(z, floor=0.0):
-    """Columns of z scaled to unit 2-norm, and the mask of those whose norm
-    is finite and exceeds ``floor``; the others come back zero."""
+def unit_columns(z):
+    """Columns of z scaled to unit 2-norm; those whose norm is zero or not
+    finite come back zero."""
     z = np.asarray(z)
     with np.errstate(over="ignore", invalid="ignore"):
         nrm = np.linalg.norm(z, axis=0)
-    ok = np.isfinite(nrm) & (nrm > floor)
-    return np.divide(z, nrm, out=np.zeros(z.shape, dtype=np.complex128), where=ok), ok
+    ok = np.isfinite(nrm) & (nrm > 0.0)
+    return np.divide(z, nrm, out=np.zeros(z.shape, dtype=np.complex128), where=ok)
 
 
 def safe_norm(m, axis=None):

@@ -1,13 +1,13 @@
 """Problem ingestion and report serialization.
 
 A problem bundle is a directory with the five coefficient files ``A.mtx`` ..
-``E.mtx`` in Matrix Market format and an optional ``expected.json`` holding
-verifiable ground-truth claims (class counts, known eigenvalues) that the
-solver itself never reads. The Matrix Market reader and writer are this
-module's own (:func:`read_mtx`, :func:`mtx_bytes`): the reader takes the
-``array`` and ``coordinate`` formats with every field and symmetry, and the
-writer writes what ``scipy.io.mmwrite(target, m, precision=17)`` writes for
-a dense matrix.
+``E.mtx`` in Matrix Market format; any other file in it is ignored. The
+Matrix Market reader and writer are this module's own (:func:`read_mtx`,
+:func:`mtx_bytes`): the reader takes the ``array`` and ``coordinate``
+formats with every field and symmetry, since bundles may come from other
+programs, and the writer writes every matrix in the ``general`` array
+layout, the bytes of ``scipy.io.mmwrite(target, m, precision=17)`` for a
+dense matrix without symmetry.
 
 Reports become text only through :func:`report_json` and :func:`report_csv`.
 Every file the package writes (bundles, reports, ``compare``'s merged CSV)
@@ -29,7 +29,6 @@ import numpy as np
 
 from .diagnostics import ERRORS
 from .errors import (
-    BundleError,
     DimensionMismatchError,
     MalformedMatrixError,
     MissingCoefficientError,
@@ -44,11 +43,16 @@ COEFF_NAMES = ("A", "B", "C", "D", "E")
 class ProblemBundle:
     name: str
     pencil: QuarticPencil
-    expected: dict | None = None
 
 
 def read_bundle(path) -> ProblemBundle:
-    """Load a coefficient quintuple (plus optional expected.json)."""
+    """Load the coefficient quintuple ``A.mtx`` .. ``E.mtx`` of a directory.
+
+    A missing file is a ``MissingCoefficientError``; one that cannot be
+    read, parsed or held in memory, or holds NaN/Inf, a
+    ``MalformedMatrixError``; shapes that do not agree a
+    ``DimensionMismatchError``.
+    """
     path = os.fspath(path)
     mats = []
     for name in COEFF_NAMES:
@@ -57,41 +61,27 @@ def read_bundle(path) -> ProblemBundle:
             raise MissingCoefficientError(name, fp)
         try:
             mats.append(as_matrix(read_mtx(fp)))
-        except (OSError, ValueError) as exc:
+        # MemoryError: a size line whose dense array cannot be allocated
+        except (OSError, ValueError, MemoryError) as exc:
             raise MalformedMatrixError(name, fp, str(exc)) from exc
     # promoted and scanned for NaN/Inf above; the constructor checks shapes
     try:
         pencil = QuarticPencil(*mats)
     except ValueError:
         raise DimensionMismatchError([m.shape for m in mats]) from None
-    expected = None
-    ep = os.path.join(path, "expected.json")
-    if os.path.exists(ep):
-        try:
-            with open(ep, encoding="utf-8") as fh:
-                expected = json.load(fh)
-        # unreadable (a directory, no permission), bad JSON or not UTF-8
-        except (OSError, ValueError) as exc:
-            raise BundleError(f"failed to read {ep}: {exc}") from exc
-    return ProblemBundle(
-        name=os.path.basename(os.path.normpath(path)),
-        pencil=pencil,
-        expected=expected,
-    )
+    return ProblemBundle(name=os.path.basename(os.path.normpath(path)), pencil=pencil)
 
 
 def write_bundle(bundle: ProblemBundle, path):
-    """Write the quintuple (and expected.json when present) to a directory.
+    """Write the quintuple to a directory as ``A.mtx`` .. ``E.mtx``.
 
-    Each file is written atomically by :func:`write_file`; one whose bytes
-    would not change is left in place with a fresh mtime.
+    Each file holds :func:`mtx_bytes` of its coefficient and is written
+    atomically by :func:`write_file`; one whose bytes would not change is
+    left in place with a fresh mtime.
     """
     path = os.fspath(path)
     for name, m in zip(COEFF_NAMES, bundle.pencil.coeffs):
         write_file(os.path.join(path, f"{name}.mtx"), mtx_bytes(m))
-    if bundle.expected is not None:
-        text = json.dumps(bundle.expected, indent=1, sort_keys=True)
-        write_file(os.path.join(path, "expected.json"), text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -193,39 +183,14 @@ def read_mtx(path) -> np.ndarray:
     return out
 
 
-def _mm_symmetry(a):
-    """The symmetry ``scipy.io.mmwrite`` detects in a finite dense array.
-
-    Symmetric comes before skew-symmetric, and both before Hermitian (for
-    complex arrays only). mmwrite's scan leaves out the Hermitian test of
-    the first nonzero diagonal entry when every entry before it (column by
-    column, on and below the diagonal) fits skew symmetry; so does this.
-    """
-    rows, cols = a.shape
-    if rows != cols:
-        return "general"
-    if np.all(a == a.T):
-        return "symmetric"
-    skew = a == -a.T
-    if np.all(skew):
-        return "skew-symmetric"
-    if a.dtype.kind != "c":
-        return "general"
-    herm = a == a.T.conj()
-    first = np.flatnonzero(np.diagonal(a))[:1]
-    if first.size and not np.tril(~skew, -1)[:, : first[0]].any():
-        herm[first[0], first[0]] = True
-    return "hermitian" if herm.all() else "general"
-
-
 def mtx_bytes(m) -> bytes:
-    """A dense matrix in the Matrix Market array format.
+    """A dense matrix in the Matrix Market ``general`` array layout.
 
-    The bytes are those of ``scipy.io.mmwrite(target, m, precision=17)``
-    for a float (``real``) or complex (``complex``) array: the symmetry
-    detected from the values (only the entries on and below the diagonal
-    are written for a symmetry, below it for skew symmetry), column-major
-    order and 17 significant digits.
+    A float array is written as ``real``, a complex one as ``complex``,
+    column-major with 17 significant digits, so :func:`read_mtx` returns it
+    bit for bit (but -0.0 as 0.0). The bytes are those of ``scipy.io.mmwrite(target, m,
+    precision=17, symmetry="general")``; for a matrix without symmetry,
+    those of the plain ``mmwrite(target, m, precision=17)``.
     """
     a = np.asarray(m)
     if a.ndim != 2:
@@ -233,18 +198,12 @@ def mtx_bytes(m) -> bytes:
     field = {"f": "real", "c": "complex"}.get(a.dtype.kind)
     if field is None:
         raise ValueError(f"cannot write a matrix of dtype {a.dtype}")
-    symmetry = _mm_symmetry(a)
-    rows, cols = a.shape
-    if symmetry == "general":
-        vals = a.T.ravel()
-    else:  # column by column on and below the diagonal, below it if skew
-        j, i = np.triu_indices(rows, 1 if symmetry == "skew-symmetric" else 0)
-        vals = a[i, j]
+    vals = a.T.ravel().tolist()
     if field == "complex":
-        lines = [f"{z.real:.16e} {z.imag:.16e}\n" for z in vals.tolist()]
+        lines = [f"{z.real:.16e} {z.imag:.16e}\n" for z in vals]
     else:
-        lines = [f"{x:.16e}\n" for x in vals.tolist()]
-    head = f"%%MatrixMarket matrix array {field} {symmetry}\n%\n{rows} {cols}\n"
+        lines = [f"{x:.16e}\n" for x in vals]
+    head = f"%%MatrixMarket matrix array {field} general\n%\n{a.shape[0]} {a.shape[1]}\n"
     return (head + "".join(lines)).encode("ascii")
 
 

@@ -137,7 +137,7 @@ def _remap(v, has, diag):
     if diag is None or not has.any():
         return v
     out = v.copy()
-    out[:, has] = unit_columns(diag[:, None] * v[:, has])[0]
+    out[:, has] = unit_columns(diag[:, None] * v[:, has])
     return out
 
 

@@ -88,14 +88,17 @@ class TestSolveCommand:
             assert err["type"] == "MalformedMatrixError"
             assert "C" in err["message"]
 
-    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"])
-    def test_malformed_expected_json_is_bundle_error(self, unit_bundle, capsys, content):
-        (unit_bundle / "expected.json").write_bytes(content)
-        assert main(["solve", str(unit_bundle)]) == EXIT_BUNDLE
-        err = json.loads(capsys.readouterr().out)["error"]
-        assert err["code"] == EXIT_BUNDLE
-        assert err["type"] == "BundleError"
-        assert "expected.json" in err["message"]
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}", None],
+                             ids=["not_json", "not_utf8", "directory"])
+    def test_expected_json_is_not_read(self, unit_bundle, capsys, content):
+        assert main(["solve", str(unit_bundle)]) == EXIT_OK
+        clean = capsys.readouterr().out
+        if content is None:
+            (unit_bundle / "expected.json").mkdir()
+        else:
+            (unit_bundle / "expected.json").write_bytes(content)
+        assert main(["solve", str(unit_bundle)]) == EXIT_OK
+        assert capsys.readouterr().out == clean
 
     def test_empty_coefficients_are_bundle_error(self, tmp_path, capsys):
         import numpy as np
@@ -179,14 +182,6 @@ class TestSolveCommand:
         assert outs[0] == outs[1]
         err = json.loads(outs[0])["error"]
         assert err["message"] == f"[Errno 21] Is a directory: {str(target)!r}"
-
-    def test_expected_json_directory_is_bundle_error(self, unit_bundle, capsys):
-        (unit_bundle / "expected.json").mkdir()
-        assert main(["solve", str(unit_bundle)]) == EXIT_BUNDLE
-        err = json.loads(capsys.readouterr().out)["error"]
-        assert err["code"] == EXIT_BUNDLE
-        assert err["type"] == "BundleError"
-        assert "expected.json" in err["message"]
 
     def test_csv_format(self, unit_bundle, tmp_path):
         out = tmp_path / "r"

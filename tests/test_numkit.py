@@ -162,10 +162,9 @@ class TestUnitColumns:
     def test_zero_and_non_finite_columns_come_back_zero_and_unmarked(self):
         z = np.array([[3.0, 0.0, 1e300, np.inf, np.nan],
                       [4.0j, 0.0, 1e300, 1.0, 1.0]])
-        u, ok = unit_columns(z)
+        u = unit_columns(z)
         # a zero column, a norm that overflows, an inf entry and a NaN entry
-        assert ok.tolist() == [True, False, False, False, False]
-        assert np.array_equal(u[:, ~ok], np.zeros((2, 4)))
+        assert np.array_equal(u[:, 1:], np.zeros((2, 4)))
         assert np.linalg.norm(u[:, 0] - [0.6, 0.8j]) <= 2 * EPS
 
 
