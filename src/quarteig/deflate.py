@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkit import PivotedQR, rrqr, safe_norm, urv
-from .pencil import LinearPencil, QuarticPencil, linearize, reverse
+from .pencil import LinearPencil, QuarticPencil, linearize, place_blocks, reverse
 
 
 @dataclass
@@ -120,7 +120,7 @@ def second_level(rp: RankProfile) -> SecondLevel:
 
 @dataclass
 class DeflationStep:
-    """One truncation; a report lists these fields in this order (``dataclasses.asdict``)."""
+    """One truncation; a report lists these fields in this order (:meth:`as_dict`)."""
 
     kind: str
     deflated: int
@@ -129,6 +129,15 @@ class DeflationStep:
     rank: int | None = None
     evidence: dict = field(default_factory=dict)
     dropped: float = 0.0
+
+    def as_dict(self):
+        """The fields as a dict, sharing no mutable value with the step: the
+        ``evidence`` dict and its lists (``diag``) are copies."""
+        return {"kind": self.kind, "deflated": self.deflated, "zeros": self.zeros,
+                "infs": self.infs, "rank": self.rank,
+                "evidence": {k: list(v) if isinstance(v, list) else v
+                             for k, v in self.evidence.items()},
+                "dropped": self.dropped}
 
 
 @dataclass
@@ -233,27 +242,22 @@ class DeflationResult:
         )
 
 
-def _blocks(n):
-    return np.eye(n, dtype=np.complex128), np.zeros((n, n), dtype=np.complex128)
-
-
 def _first_step(rp: RankProfile, top_a, top_b) -> DeflationResult:
     """The structured first step, shared by both decision trees.
 
     Q = diag(I_3n, Q_E) and a unitary P = diag(U*, I_n, Q_E*) transform the
-    linearization; ``top_a`` and ``top_b`` are the top 2n rows of its
-    images, which depend on the 2n x 2n unitary U of each tree. The bottom
-    2n rows, the same in both trees, are assembled here with their identity
-    and zero blocks exact, and the first block of n - r_E zeros is
-    truncated.
+    linearization; ``top_a`` and ``top_b`` are the top two block rows of its
+    images (grid rows for :func:`pencil.place_blocks`), which depend on the
+    2n x 2n unitary U of each tree. The bottom two block rows, the same in
+    both trees, are added here with their identity and zero blocks exact,
+    and the first block of n - r_E zeros is truncated.
     """
     n = rp.n
-    eye, zero = _blocks(n)
     q = np.eye(4 * n, dtype=np.complex128)
     q[3 * n :, 3 * n :] = rp.qr_e.q
-    wa = np.vstack([top_a, np.block([[zero, -eye, zero, zero],
-                                     [rp.qr_e.r_hat_unpermuted(pad=True), zero, zero, zero]])])
-    wb = np.vstack([top_b, np.block([[zero, zero, -eye, zero], [zero, zero, zero, -eye]])])
+    wa = place_blocks([*top_a, [0, -1, 0, 0],
+                       [rp.qr_e.r_hat_unpermuted(pad=True), 0, 0, 0]], n)
+    wb = place_blocks([*top_b, [0, 0, -1, 0], [0, 0, 0, -1]], n)
     d = DeflationResult(wa, wb, q)
     d.truncate(
         n - rp.r_e,
@@ -267,12 +271,10 @@ def _first_step(rp: RankProfile, top_a, top_b) -> DeflationResult:
 
 def _step1_zero(rp: RankProfile) -> DeflationResult:
     """E singular: expose and truncate the first block of n - r_E zeros."""
-    q, n = rp.q, rp.n
-    eye, zero = _blocks(n)
+    q = rp.q
     qe_h = rp.qr_e.q.conj().T
-    top_a = np.block([[q.b, zero, -eye, zero], [qe_h @ q.d, zero, zero, -eye]])
-    top_b = np.block([[-q.a, zero, zero, zero], [-(qe_h @ q.c), -qe_h, zero, zero]])
-    return _first_step(rp, top_a, top_b)
+    return _first_step(rp, [[q.b, 0, -1, 0], [qe_h @ q.d, 0, 0, -1]],
+                       [[-q.a, 0, 0, 0], [-(qe_h @ q.c), -qe_h, 0, 0]])
 
 
 def _step2_zero(d: DeflationResult, rp: RankProfile, sl: SecondLevel):
@@ -313,12 +315,9 @@ def _step2_zero(d: DeflationResult, rp: RankProfile, sl: SecondLevel):
 def _case_both_full(rp: RankProfile) -> DeflationResult:
     """Both A and E singular, Phi and Psi regular: one block each for 0/inf."""
     q, n = rp.q, rp.n
-    eye, zero = _blocks(n)
     qa_h = rp.qr_a.q.conj().T
-    top_a = np.block([[q.d, zero, zero, -rp.qr_e.q], [qa_h @ q.b, zero, -qa_h, zero]])
-    top_b = np.block([[-q.c, -eye, zero, zero],
-                      [-rp.qr_a.r_hat_unpermuted(pad=True), zero, zero, zero]])
-    d = _first_step(rp, top_a, top_b)
+    d = _first_step(rp, [[q.d, 0, 0, -rp.qr_e.q], [qa_h @ q.b, 0, -qa_h, 0]],
+                    [[-q.c, -1, 0, 0], [-rp.qr_a.r_hat_unpermuted(pad=True), 0, 0, 0]])
     # infinite block: the rows holding Q_A2* (exactly zero on the lambda side)
     m = d.size
     rows = np.arange(n + rp.r_a, 2 * n)

@@ -37,7 +37,9 @@ class CoefficientNorms:
 
     def __init__(self, q: QuarticPencil):
         self.q = q
-        self.two = np.array([np.linalg.norm(m, 2) for m in q.coeffs])  # (A, ..., E)
+        # (A, ..., E): the largest singular values from one batched SVD, the
+        # bits of np.linalg.norm(m, 2) per coefficient
+        self.two = np.linalg.svd(np.stack(q.coeffs), compute_uv=False).max(axis=1)
         self._abs = None
 
     @property

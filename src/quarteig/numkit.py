@@ -40,7 +40,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise ValueError("matrix contains NaN/Inf entries")
     return a.astype(np.complex128, copy=False)
 
@@ -178,12 +178,12 @@ def rrqr(m, tol=None) -> PivotedQR:
         hh_scalars = np.empty(min(rows, cols), dtype=np.complex128)
         lib.zgeqp3(rows, cols, qr, rows, jpvt, hh_scalars)
         q, r, perm, reflectors = None, np.triu(qr), jpvt - 1, (qr, hh_scalars)
-    diag_abs = np.abs(np.diag(r))
+    diag_abs = np.abs(r.diagonal())
     tau = tol if tol is not None else max(rows, cols, 1) * EPS
     threshold = tau * float(safe_norm(a))
-    rank = int(np.sum(diag_abs > threshold))
+    rank = int(np.count_nonzero(diag_abs > threshold))
     log = {"tau": tau, "threshold": threshold, "rank": rank,
-           "diag": [float(d) for d in diag_abs]}
+           "diag": diag_abs.tolist()}
     return PivotedQR(r=r, perm=perm.astype(np.intp), rank=rank, truncation_log=log,
                      reflectors=reflectors, _q=q)
 

@@ -187,27 +187,32 @@ class EigenSolution(Spectrum):
 # ---------------------------------------------------------------------------
 
 
+def place_blocks(grid, n) -> np.ndarray:
+    """The complex matrix of a grid (a list of rows) of n x n blocks, each an
+    array, ``0`` (a zero block) or ``-1`` (-I, the bits of ``-np.eye``).
+
+    Equal to ``np.block`` of the same blocks, with less overhead at small n.
+    """
+    out = np.zeros((n * len(grid), n * len(grid[0])), dtype=np.complex128)
+    special = {0: None, -1: -np.eye(n, dtype=np.complex128)}
+    for i, row in enumerate(grid):
+        for j, b in enumerate(row):
+            b = b if isinstance(b, np.ndarray) else special[b]
+            if b is not None:
+                out[i * n : (i + 1) * n, j * n : (j + 1) * n] = b
+    return out
+
+
 def linearize(q: QuarticPencil) -> LinearPencil:
     """4n x 4n strong linearization built on the grade-2 companion blocks."""
-    n = q.n
-    eye = np.eye(n, dtype=np.complex128)
-    zero = np.zeros((n, n), dtype=np.complex128)
-    aa = np.block(
-        [
-            [q.b, zero, -eye, zero],
-            [q.d, zero, zero, -eye],
-            [zero, -eye, zero, zero],
-            [q.e, zero, zero, zero],
-        ]
-    )
-    bb = np.block(
-        [
-            [-q.a, zero, zero, zero],
-            [-q.c, -eye, zero, zero],
-            [zero, zero, -eye, zero],
-            [zero, zero, zero, -eye],
-        ]
-    )
+    aa = place_blocks([[q.b, 0, -1, 0],
+                       [q.d, 0, 0, -1],
+                       [0, -1, 0, 0],
+                       [q.e, 0, 0, 0]], q.n)
+    bb = place_blocks([[-q.a, 0, 0, 0],
+                       [-q.c, -1, 0, 0],
+                       [0, 0, -1, 0],
+                       [0, 0, 0, -1]], q.n)
     return LinearPencil(aa=aa, bb=bb)
 
 

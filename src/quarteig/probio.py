@@ -22,8 +22,10 @@ import csv
 import io
 import json
 import os
+import re
 import stat
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -97,11 +99,18 @@ _MM_MIRROR = {"general": None, "symmetric": lambda v: v,
               "skew-symmetric": np.negative, "hermitian": np.conj}
 
 
+# a comment line with the line break before it, and any blank lines in
+# between, in text whose line breaks are all "\n" (a literal "\n" to start
+# with is what the regex engine scans for fastest)
+_MM_COMMENT = re.compile(r"\n\s*%.*")
+
+
 def _parse(tokens, dtype):
-    """``tokens.astype(dtype)``, with an integer out of the dtype's range
-    a ``ValueError``, as an unparsable number is."""
+    """The number tokens (a list of str) as an array of dtype, with an
+    integer out of the dtype's range a ``ValueError``, as an unparsable
+    number is."""
     try:
-        return tokens.astype(dtype)
+        return np.array(tokens, dtype=dtype)
     except OverflowError as exc:
         raise ValueError(f"number out of range: {exc}") from exc
 
@@ -114,10 +123,13 @@ def read_mtx(path) -> np.ndarray:
     ``general``, ``symmetric``, ``skew-symmetric`` and ``hermitian``; the
     result equals ``scipy.io.mmread(path)`` (densified with ``toarray``
     for the coordinate format, so repeated coordinates are summed) bit for
-    bit and in dtype. Entries may be spread over lines in any way. Raises
+    bit and in dtype. Entries may be spread over lines in any way, and
+    comment lines may stand anywhere after the header. Raises
     ``ValueError`` on a malformed header or size line, an entry count that
-    does not match the size line, an unparsable number, a size, integer or
-    index beyond int64, or an index out of range.
+    does not match the size line, an unparsable number, a number with a
+    ``_`` digit separator (which Python's number syntax allows and Matrix
+    Market does not), a size, integer or index beyond int64, or an index
+    out of range.
     """
     with open(path, "rb") as fh:
         lines = fh.read().decode("latin-1").splitlines()
@@ -130,9 +142,14 @@ def read_mtx(path) -> np.ndarray:
             or (field == "pattern" and (fmt == "array" or symmetry == "skew-symmetric"))
             or (symmetry == "hermitian" and field != "complex")):
         raise ValueError(f"unsupported Matrix Market type: {fmt} {field} {symmetry}")
-    # the size line is the first line after the header that is not a comment
-    body = (ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%"))
-    size = next(body, "").split()
+    # splitlines splits at every kind of line break; joined again with "\n",
+    # the text has one kind. The size line is the first line after the
+    # header that is not blank or a comment
+    text = _MM_COMMENT.sub("", "\n" + "\n".join(lines[1:]))
+    if "_" in text:
+        raise ValueError("a number with a '_' digit separator")
+    size, _, body = text.lstrip().partition("\n")
+    size = size.split()
     try:
         dims = [int(t) for t in size]
     except ValueError:
@@ -153,26 +170,26 @@ def read_mtx(path) -> np.ndarray:
     else:
         count = dims[2]
         width += 2
-    tokens = np.array(" ".join(body).split())
+    tokens = body.split()
     if len(tokens) != count * width:
         raise ValueError(f"expected {count} entries of {width} numbers each, "
                          f"found {len(tokens)} numbers")
-    tokens = tokens.reshape(count, width)
     if fmt == "array":
         j, i = (np.divmod(np.arange(count), rows) if mirror is None
                 else np.triu_indices(rows, skip))
     else:
-        i, j = _parse(tokens[:, 0], np.int64) - 1, _parse(tokens[:, 1], np.int64) - 1
+        i = _parse(tokens[0::width], np.int64) - 1
+        j = _parse(tokens[1::width], np.int64) - 1
         if count and (min(i.min(), j.min()) < 0 or i.max() >= rows or j.max() >= cols):
             raise ValueError("entry index out of range")
-        tokens = tokens[:, 2:]
     if field == "pattern":
         vals = np.ones(count, dtype=dtype)
     elif field == "complex":
         vals = np.empty(count, dtype=dtype)
-        vals.real, vals.imag = tokens[:, 0].astype(np.float64), tokens[:, 1].astype(np.float64)
+        vals.real = _parse(tokens[width - 2::width], np.float64)
+        vals.imag = _parse(tokens[width - 1::width], np.float64)
     else:
-        vals = _parse(tokens[:, 0], dtype)
+        vals = _parse(tokens[width - 1::width], dtype)
     # as mmread: every entry is added to zero (so -0.0 reads as 0.0) in file
     # order, the mirrored ones last (repeated coordinates are summed)
     out = np.zeros((rows, cols), dtype=dtype)
@@ -275,17 +292,65 @@ def csv_text(rows) -> str:
     return buf.getvalue()
 
 
+# One eigenpair object of report_json, laid out as json.dumps(report,
+# indent=1) lays it out inside the "eigenpairs" list, and one row of
+# report_csv; the slots take build_report's pair values in key order
+_PAIR_JSON = ('  {\n   "index": %d,\n   "alpha": [\n    %s,\n    %s\n   ],\n'
+              '   "beta": %s,\n   "lambda": %s,\n   "class": %s,\n'
+              + "".join(f'   "{e}": %s,\n' for e in ERRORS)
+              + '   "method": %s\n  }')
+_LAMBDA_JSON = "[\n    %s,\n    %s\n   ]"
+_PAIR_CSV = "%d,%r,%r,%r,%s" + ",%s" * len(ERRORS) + "\n"
+_INF = float("inf")
+
+
+def _json_number(x, _repr=float.__repr__):
+    """A float or None as ``json.dumps`` writes it."""
+    if x is None:
+        return "null"
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return _repr(x)
+
+
 def report_json(report: dict) -> str:
-    """The JSON text of a solve report."""
-    return json.dumps(report, indent=1) + "\n"
+    """The JSON text of a solve report: ``json.dumps(report, indent=1)`` and
+    a newline.
+
+    The eigenpair objects, most of the text, are formatted from one
+    template, which takes the keys that :func:`~quarteig.solver.build_report`
+    writes and no others; the rest of the report goes through
+    ``json.dumps``.
+    """
+    num, string = _json_number, encode_basestring_ascii
+    pairs = ",\n".join(
+        _PAIR_JSON % (p["index"], num(p["alpha"][0]), num(p["alpha"][1]), num(p["beta"]),
+                      "null" if p["lambda"] is None
+                      else _LAMBDA_JSON % (num(p["lambda"][0]), num(p["lambda"][1])),
+                      string(p["class"]), *[num(p[e]) for e in ERRORS], string(p["method"]))
+        for p in report["eigenpairs"])
+    out = json.dumps({**report, "eigenpairs": []}, indent=1)
+    if pairs:
+        # the only line that starts with one space and this key: strings in
+        # JSON hold no newline, and nested keys are indented further
+        out = out.replace('\n "eigenpairs": []', '\n "eigenpairs": [\n' + pairs + "\n ]", 1)
+    return out + "\n"
 
 
 def report_csv(report: dict) -> str:
     """The per-eigenpair CSV companion of a solve report, columns ``CSV_COLUMNS``
-    (an error that is null in the JSON is an empty cell)."""
-    rows = ([p["index"], *p["alpha"], p["beta"], p["class"], *(p[e] for e in ERRORS)]
-            for p in report["eigenpairs"])
-    return csv_text([CSV_COLUMNS, *rows])
+    (an error that is null in the JSON is an empty cell): the text that
+    ``csv.writer`` writes for these rows, floats by ``repr`` (a class name
+    needs no quoting)."""
+    rows = "".join(
+        _PAIR_CSV % (p["index"], *p["alpha"], p["beta"], p["class"],
+                     *["" if p[e] is None else repr(p[e]) for e in ERRORS])
+        for p in report["eigenpairs"])
+    return csv_text([CSV_COLUMNS]) + rows
 
 
 def report_base(path) -> str:

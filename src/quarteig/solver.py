@@ -249,7 +249,7 @@ def build_report(res: SolveResult) -> dict:
             "reversed": bool(d.reversed),
             "a_regular": d.a_regular,
             "b_regular": d.b_regular,
-            "steps": [dataclasses.asdict(s) for s in d.steps],
+            "steps": [s.as_dict() for s in d.steps],
             "flags": list(d.flags),
         }
     return {

@@ -246,6 +246,19 @@ class TestSpectralNorm:
             # largest singular value from the eigenvalues of m* m
             assert val == pytest.approx(np.sqrt(np.linalg.eigvalsh(m.conj().T @ m).max()))
 
+    @pytest.mark.parametrize("n", [1, 4, 10, 40])
+    def test_batched_svd_equals_norm_per_coefficient(self, n):
+        # the one batched SVD gives the bits of np.linalg.norm(m, 2) per
+        # coefficient, a zero column and a zero coefficient included
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            mats = [rand_complex(rng, (n, n)) for _ in range(5)]
+            mats[1][:, 0] = 0.0
+            mats[3] = np.zeros((n, n))
+            q = QuarticPencil.from_matrices(*mats)
+            two = CoefficientNorms(q).two
+            assert two.tobytes() == np.array([np.linalg.norm(m, 2) for m in q.coeffs]).tobytes()
+
 
 class TestBatchDiagnostics:
     def test_matches_scalar_definitions(self):

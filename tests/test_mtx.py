@@ -3,7 +3,10 @@
 Every file here is written by ``scipy.io.mmwrite`` or by hand; the reader
 must return what ``scipy.io.mmread`` returns (densified), bit for bit and in
 the same dtype, and the writer must produce mmwrite's bytes for the
-``general`` layout, the only one it writes.
+``general`` layout, the only one it writes. Where the reader's rules differ
+from mmread's (comment lines between entries, an entry split over lines, a
+fraction in an integer field, a ``_`` digit separator), explicit values or
+errors pin them.
 """
 
 import io
@@ -100,6 +103,44 @@ class TestReader:
         assert_same(got, dense_mmread(path))
         assert got[0, 0] == 4.0 + 99.998j
 
+    @pytest.mark.parametrize("text", [
+        # CRLF line endings, the comment line included
+        "%%MatrixMarket matrix coordinate real general\r\n% c\r\n2 2 2\r\n"
+        "1 1 1.5\r\n2 2 -3e1\r\n",
+        # tabs between the numbers
+        "%%MatrixMarket matrix coordinate real general\n2\t2\t2\n1\t1\t1.5\n2 \t2\t-3e1\n",
+    ])
+    def test_line_endings_and_separators(self, tmp_path, text):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(text.encode("ascii"))
+        got = read_mtx(path)
+        assert_same(got, np.array([[1.5, 0.0], [0.0, -30.0]]))
+        assert_same(got, dense_mmread(path))
+
+    def test_comment_lines_anywhere_after_the_header(self, tmp_path):
+        # between the entries, indented, and after the last one (mmread
+        # rejects these files)
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.5\n"
+                        "% between\n  % indented\n\n2 2 -3e1\n% after the last entry\n")
+        assert_same(read_mtx(path), np.array([[1.5, 0.0], [0.0, -30.0]]))
+
+    def test_entry_split_over_lines(self, tmp_path):
+        # entries are read as a stream of numbers (mmread rejects this file)
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate complex general\n2 2 2\n"
+                        "1 1\n1.5\n-2\n2 2 0.25 0\n")
+        assert_same(read_mtx(path), np.array([[1.5 - 2j, 0], [0, 0.25]]))
+
+    def test_integer_field_takes_no_fraction(self, tmp_path):
+        # mmread reads 3.0 as 3; an integer field holds integers only
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix array integer general\n1 2\n-4\n3.0\n")
+        with pytest.raises(ValueError):
+            read_mtx(path)
+        path.write_text("%%MatrixMarket matrix array integer general\n1 2\n-4\n3\n")
+        assert_same(read_mtx(path), np.array([[-4, 3]], dtype=np.int64))
+
     def test_pencil_read_equals_mmread(self, tmp_path):
         rng = np.random.default_rng(81)
         m = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
@@ -178,6 +219,9 @@ MALFORMED = {
     "size_beyond_int64": "%%MatrixMarket matrix array real general\n99999999999999999999999 0\n",
     "index_beyond_int64": ("%%MatrixMarket matrix coordinate real general\n1 1 1\n"
                            "99999999999999999999999 1 1\n"),
+    # Python's digit separators: float("1_0") and int("1_0") are 10
+    "digit_separator": "%%MatrixMarket matrix array real general\n1 1\n1_0\n",
+    "digit_separator_in_size": "%%MatrixMarket matrix array real general\n1_0 1\n" + "1\n" * 10,
 }
 
 
@@ -190,7 +234,8 @@ class TestMalformed:
             read_mtx(path)
 
     @pytest.mark.parametrize("case", ["short_header", "too_few_entries", "wrong_entry_count",
-                                      "integer_beyond_int64", "index_beyond_int64"])
+                                      "integer_beyond_int64", "index_beyond_int64",
+                                      "digit_separator"])
     def test_bundle_error_and_cli_exit_3(self, unit_bundle, capsys, case):
         (unit_bundle / "D.mtx").write_text(MALFORMED[case])
         with pytest.raises(MalformedMatrixError) as exc:

@@ -12,6 +12,7 @@ from quarteig.pencil import (
     classify,
     linearize,
     normalize,
+    place_blocks,
     reciprocal,
     reverse,
 )
@@ -69,6 +70,21 @@ class TestLinearize:
         assert np.array_equal(lin.aa[n : 2 * n, n : 2 * n], np.zeros((n, n)))
         assert np.array_equal(lin.bb[2 * n : 3 * n, 2 * n : 3 * n], -eye)
         assert np.array_equal(lin.bb[:n, :n], -q.a)
+
+    def test_blocks_equal_np_block(self):
+        # bit for bit, the signed zeros of -I and of negated blocks included
+        rng = np.random.default_rng(4)
+        n = 3
+        q = QuarticPencil.from_matrices(*[rand_complex(rng, (n, n)) for _ in range(5)])
+        eye, zero = np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
+        aa = np.block([[q.b, zero, -eye, zero], [q.d, zero, zero, -eye],
+                       [zero, -eye, zero, zero], [q.e, zero, zero, zero]])
+        bb = np.block([[-q.a, zero, zero, zero], [-q.c, -eye, zero, zero],
+                       [zero, zero, -eye, zero], [zero, zero, zero, -eye]])
+        lin = linearize(q)
+        assert lin.aa.tobytes() == aa.tobytes() and lin.bb.tobytes() == bb.tobytes()
+        assert place_blocks([[q.a, -1], [0, q.b]], n).tobytes() == np.block(
+            [[q.a, -eye], [zero, q.b]]).tobytes()
 
     def test_strong_linearization_vs_det_oracle(self):
         for seed, n in ((10, 2), (11, 4), (12, 6)):

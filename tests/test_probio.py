@@ -1,4 +1,7 @@
+import copy
+import csv
 import dataclasses
+import io
 import json
 import os
 import stat
@@ -10,7 +13,17 @@ from scipy.io import mmwrite
 
 import quarteig.pencil
 import quarteig.probio
-from quarteig import ProblemBundle, QuarticPencil, read_bundle, write_bundle, write_report
+from quarteig import (
+    ProblemBundle,
+    QuarticPencil,
+    SolveConfig,
+    build_report,
+    read_bundle,
+    solve_pencil,
+    write_bundle,
+    write_report,
+)
+from quarteig.diagnostics import ERRORS
 from quarteig.errors import (
     DimensionMismatchError,
     MalformedMatrixError,
@@ -18,7 +31,7 @@ from quarteig.errors import (
 )
 from quarteig.numkit import as_matrix
 from quarteig.pencil import linearize
-from quarteig.probio import write_file
+from quarteig.probio import CSV_COLUMNS, report_csv, report_json, write_file
 from oracles import classify_dense, rand_complex
 from problems import gen_jordan_chain, gen_mirror_like, gen_planted, grade_rows
 
@@ -272,6 +285,71 @@ class TestWriteReport:
         write_report(rep, str(p1))
         write_report(rep, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# a deflated report under a non-ASCII name, one with --deflate off, a
+# right-only one (eta_left null) and one solved through the reversal
+REPORT_CASES = {
+    "deflated": (lambda: gen_mirror_like(1, n=12).pencil, SolveConfig(), "spiegel-ähnlich λ"),
+    "deflate_off": (lambda: gen_planted(6, 1, 1, seed=7).pencil, SolveConfig(deflate=False), "p"),
+    "right_only": (lambda: gen_planted(6, 1, 1, seed=7).pencil, SolveConfig(want_left=False), "p"),
+    "reversed": (lambda: gen_planted(6, 0, 2, seed=21).pencil, SolveConfig(), "only_a"),
+}
+
+
+def case_result(case):
+    make, config, name = REPORT_CASES[case]
+    return solve_pencil(make(), config, name=name)
+
+
+def generic_text(rep):
+    """The report through the generic encoders: json.dumps and csv.writer."""
+    buf = io.StringIO()
+    rows = ([p["index"], *p["alpha"], p["beta"], p["class"], *(p[e] for e in ERRORS)]
+            for p in rep["eigenpairs"])
+    csv.writer(buf, lineterminator="\n").writerows([CSV_COLUMNS, *rows])
+    return json.dumps(rep, indent=1) + "\n", buf.getvalue()
+
+
+class TestReportText:
+    @pytest.mark.parametrize("case", list(REPORT_CASES))
+    def test_equals_the_generic_encoders(self, case):
+        rep = build_report(case_result(case))
+        if case == "deflate_off":
+            assert rep["deflation"] is None
+        else:
+            assert rep["deflation"]["steps"]
+        if case == "right_only":
+            assert all(p["eta_left"] is None for p in rep["eigenpairs"])
+        if case == "reversed":
+            assert rep["deflation"]["reversed"] is True
+        assert (report_json(rep), report_csv(rep)) == generic_text(rep)
+
+    def test_special_values_equal_the_generic_encoders(self):
+        # values no solve writes today: every float kind json.dumps spells
+        # out, a null lambda on a pair that is not infinite, and escapes in
+        # a method
+        rep = build_report(case_result("deflated"))
+        pairs = rep["eigenpairs"]
+        pairs[0].update(alpha=[float("nan"), float("inf")], beta=float("-inf"))
+        pairs[1].update(alpha=[-0.0, 5e-324], beta=1.7976931348623157e308, eta_right=None)
+        pairs[2].update({"lambda": None, "method": 'q"\\\n\tä€'})
+        assert (report_json(rep), report_csv(rep)) == generic_text(rep)
+
+    def test_report_shares_nothing_with_the_result(self):
+        res = case_result("deflated")
+        steps = [dataclasses.asdict(s) for s in res.deflation.steps]
+        rep = build_report(res)
+        expected = copy.deepcopy(rep)
+        assert rep["deflation"]["steps"] == steps
+        step = rep["deflation"]["steps"][0]
+        step["evidence"]["diag"][0] = -1.0
+        step["evidence"]["diag"].append(2.0)
+        step["evidence"]["tau"] = 0.5
+        step["kind"] = "edited"
+        rep["eigenpairs"][0]["alpha"][0] = 7.0
+        assert [dataclasses.asdict(s) for s in res.deflation.steps] == steps
+        assert build_report(res) == expected
 
 
 class TestWriteFile:
