@@ -7,19 +7,19 @@ coefficients A and E:
   and only here, reaches QZ unchanged (no transform is built); the backend
   (LAPACK zggev3) starts with its own QR of the lambda coefficient, so a
   triangularization here would be repeated work.
-* exactly one singular: a structured transformation exposes n - r_E zero
-  rows built from the factors of E (with only A singular, deflate works on
-  the reversal, ``rp.swapped()``, and its result keeps that profile); a
-  second-level matrix Psi = [Q_E2* D; R_E Pi_E^T] decides whether another
-  zero block exists, in which case a permutation, a second rank-revealing
-  factorization and a complete orthogonal decomposition deflate it. Longer
-  chains continue generically.
-* both singular: with the second-level matrices Phi and Psi both regular, a
-  single structured transformation followed by one column compression
-  removes the zero and the infinite block in one pass; otherwise zeros are
-  chased first (structured two-step plus generic continuation) and the
-  infinite chain is deflated on the reversed pencil with the first block
-  sizes known from the ranks of A and Phi.
+* otherwise one path, on a quartic whose E is singular (with only A
+  singular, deflate works on the reversal, ``rp.swapped()``, and its result
+  keeps that profile). A structured first step built from the factors of
+  A and E exposes n - r_E zero rows of AA (R_E's truncated rows), cut off
+  at once, and, with A singular, n - r_A zero rows of BB (R_A's). The
+  second-level matrices Psi = [Q_E2* D; R_E Pi_E^T] and
+  Phi = [Q_A2* B; R_A Pi_A^T] decide whether another zero or infinite
+  block exists. With Psi deficient, a permutation, Psi's rank-revealing
+  factorization and a complete orthogonal decomposition deflate the second
+  zero block. With A singular, a complete orthogonal decomposition of the
+  rows exposed in BB deflates the first infinite block. Longer zero chains
+  continue with generic staircase layers; with Phi deficient, so does the
+  infinite chain, on the reversed pencil, its first layer sized by Phi.
 
 The steps apply a unitary equivalence P (AA0, BB0) Q whose images are
 block upper triangular with the deflated part trailing. The returned
@@ -242,23 +242,27 @@ class DeflationResult:
         )
 
 
-def _first_step(rp: RankProfile, top_a, top_b) -> DeflationResult:
-    """The structured first step, shared by both decision trees.
-
-    Q = diag(I_3n, Q_E) and a unitary P = diag(U*, I_n, Q_E*) transform the
-    linearization; ``top_a`` and ``top_b`` are the top two block rows of its
-    images (grid rows for :func:`pencil.place_blocks`), which depend on the
-    2n x 2n unitary U of each tree. The bottom two block rows, the same in
-    both trees, are added here with their identity and zero blocks exact,
-    and the first block of n - r_E zeros is truncated.
-    """
-    n = rp.n
-    q = np.eye(4 * n, dtype=np.complex128)
-    q[3 * n :, 3 * n :] = rp.qr_e.q
-    wa = place_blocks([*top_a, [0, -1, 0, 0],
+def _step1_zero(rp: RankProfile) -> DeflationResult:
+    """The structured first step: P = diag(Q_A*, Q_E*, I_n, Q_E*) and
+    Q = diag(I_3n, Q_E) transform the linearization, whose images are built
+    from the coefficients with their identity and zero blocks exact. R_E's
+    truncated rows of AA are cut off as the first block of n - r_E zeros.
+    With A singular, R_A's are exact zero rows of BB in block row 1, left
+    for :func:`_inf_block_1`; with A regular, Q_A* is not applied."""
+    q, n = rp.q, rp.n
+    qe_h = rp.qr_e.q.conj().T
+    if rp.r_a < n:
+        qa_h = rp.qr_a.q.conj().T
+        top_a, top_b = [qa_h @ q.b, 0, -qa_h, 0], [-rp.qr_a.r_hat_unpermuted(pad=True), 0, 0, 0]
+    else:
+        top_a, top_b = [q.b, 0, -1, 0], [-q.a, 0, 0, 0]
+    wa = place_blocks([top_a, [qe_h @ q.d, 0, 0, -1], [0, -1, 0, 0],
                        [rp.qr_e.r_hat_unpermuted(pad=True), 0, 0, 0]], n)
-    wb = place_blocks([*top_b, [0, 0, -1, 0], [0, 0, 0, -1]], n)
-    d = DeflationResult(wa, wb, q)
+    wb = place_blocks([top_b, [-(qe_h @ q.c), -qe_h, 0, 0], [0, 0, -1, 0],
+                       [0, 0, 0, -1]], n)
+    q_right = np.eye(4 * n, dtype=np.complex128)
+    q_right[3 * n :, 3 * n :] = rp.qr_e.q
+    d = DeflationResult(wa, wb, q_right)
     d.truncate(
         n - rp.r_e,
         kind="zero_block_1",
@@ -267,14 +271,6 @@ def _first_step(rp: RankProfile, top_a, top_b) -> DeflationResult:
         evidence=dict(rp.qr_e.truncation_log),
     )
     return d
-
-
-def _step1_zero(rp: RankProfile) -> DeflationResult:
-    """E singular: expose and truncate the first block of n - r_E zeros."""
-    q = rp.q
-    qe_h = rp.qr_e.q.conj().T
-    return _first_step(rp, [[q.b, 0, -1, 0], [qe_h @ q.d, 0, 0, -1]],
-                       [[-q.a, 0, 0, 0], [-(qe_h @ q.c), -qe_h, 0, 0]])
 
 
 def _step2_zero(d: DeflationResult, rp: RankProfile, sl: SecondLevel):
@@ -312,17 +308,15 @@ def _step2_zero(d: DeflationResult, rp: RankProfile, sl: SecondLevel):
     )
 
 
-def _case_both_full(rp: RankProfile) -> DeflationResult:
-    """Both A and E singular, Phi and Psi regular: one block each for 0/inf."""
-    q, n = rp.q, rp.n
-    qa_h = rp.qr_a.q.conj().T
-    d = _first_step(rp, [[q.d, 0, 0, -rp.qr_e.q], [qa_h @ q.b, 0, -qa_h, 0]],
-                    [[-q.c, -1, 0, 0], [-rp.qr_a.r_hat_unpermuted(pad=True), 0, 0, 0]])
-    # infinite block: the rows holding Q_A2* (exactly zero on the lambda side)
+def _inf_block_1(d: DeflationResult, rp: RankProfile):
+    """A singular: deflate the first block of n - r_A infinite eigenvalues
+    from rows r_A..n of block row 1, exact zeros in BB since
+    :func:`_step1_zero`. It runs ahead of any staircase layer, whose left
+    transform would mix these rows with others."""
+    n = rp.n
     m = d.size
-    rows = np.arange(n + rp.r_a, 2 * n)
-    trailing = d.work_a[rows, :m]
-    cod = urv(trailing, rp.tol)
+    rows = np.arange(rp.r_a, n)
+    cod = urv(d.work_a[rows, :m], rp.tol)
     if cod.rank < n - rp.r_a:
         d.flags.append("inf_block_trailing_rank_deficient")
     d.right(cod.v)
@@ -334,36 +328,39 @@ def _case_both_full(rp: RankProfile) -> DeflationResult:
         rank=rp.r_a,
         evidence=dict(rp.qr_a.truncation_log),
     )
-    return d
 
 
-def _generic_layer(d: DeflationResult, on, tol, known=None, kind=None):
+def _generic_layer(d: DeflationResult, on, tol, sized_by=None, kind=None):
     """One staircase reduction layer for the zero (on='zero') or infinite
-    (on='inf') eigenvalue of the active pencil. Returns the deflated count."""
+    (on='inf') eigenvalue of the active pencil. Returns the deflated count:
+    the null columns of the active constant term's pivoted QR or, given, of
+    ``sized_by`` (Phi's, for ``inf_block_2``), whose rank and log the step
+    records."""
     m = d.size
     if m == 0:
         return 0
     const = d.work_a if on == "zero" else d.work_b
     f = rrqr(const[:m, :m], tol)
-    rank = m - known if known is not None else f.rank
-    if rank >= m:
+    sizer = f if sized_by is None else sized_by
+    k = sizer.cols - sizer.rank
+    if k <= 0:
         return 0
     d.left(f.q.conj().T)
     other = d.work_b if on == "zero" else d.work_a
-    trailing = other[rank:m, :m]
+    trailing = other[m - k : m, :m]
     cod = urv(trailing, tol)
-    if cod.rank < m - rank:
+    if cod.rank < k:
         d.flags.append(f"staircase_{on}_trailing_rank_deficient")
         return 0
     d.right(cod.v)
     d.truncate(
-        m - rank,
+        k,
         kind=kind or f"staircase_{on}",
         side=on,
-        rank=rank,
-        evidence=dict(f.truncation_log),
+        rank=sizer.rank,
+        evidence=dict(sizer.truncation_log),
     )
-    return m - rank
+    return k
 
 
 def deflate(rp: RankProfile) -> DeflationResult:
@@ -394,24 +391,19 @@ def deflate(rp: RankProfile) -> DeflationResult:
                                      evidence=dict(rp.qr_a.truncation_log)))
     else:
         sl = second_level(rp)
-        if rp.r_a < n and sl.r_phi == n and sl.r_psi == n:
-            d = _case_both_full(rp)
-        else:
-            d = _step1_zero(rp)
-            if sl.r_psi < n:
-                _step2_zero(d, rp, sl)
-                while _generic_layer(d, "zero", tol):
-                    pass
-            if rp.r_a < n:
-                # infinite chain on the reversed pencil; the first block sizes
-                # are known from the ranks of A and Phi
-                _generic_layer(d, "inf", tol, known=n - rp.r_a,
-                               kind="inf_block_1")
-                if sl.r_phi < n:
-                    _generic_layer(d, "inf", tol, known=n - sl.r_phi,
-                                   kind="inf_block_2")
-                    while _generic_layer(d, "inf", tol):
-                        pass
+        d = _step1_zero(rp)
+        if sl.r_psi < n:
+            _step2_zero(d, rp, sl)
+        if rp.r_a < n:
+            _inf_block_1(d, rp)
+        if sl.r_psi < n:
+            while _generic_layer(d, "zero", tol):
+                pass
+        if rp.r_a < n and sl.r_phi < n:
+            # the rest of the infinite chain, on the reversed pencil
+            _generic_layer(d, "inf", tol, sized_by=sl.qr_phi, kind="inf_block_2")
+            while _generic_layer(d, "inf", tol):
+                pass
         m = d.size
         d.a_regular = bool(rrqr(d.work_a[:m, :m], tol).rank == m)
         d.b_regular = bool(rrqr(d.work_b[:m, :m], tol).rank == m)

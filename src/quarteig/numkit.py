@@ -5,8 +5,8 @@ built on the routines here: column-pivoted rank-revealing QR with a
 normwise rank rule; the complete orthogonal (URV) decomposition built on
 it, whose V also holds a basis of the right null space; triangular solves;
 and the eigensolver of the final pencil (:func:`generalized_eig`). A
-pivoted QR keeps LAPACK's Householder reflectors and forms its Q factor on
-first use, since rank decisions read only R.
+pivoted QR keeps LAPACK's packed output and forms its Q and R factors on
+first use, since rank decisions read only R's diagonal.
 
 This module is also the one place that talks to LAPACK and OpenBLAS
 directly. Every LAPACK routine of the package runs through one table of
@@ -86,34 +86,40 @@ def safe_norm(m, axis=None):
 class PivotedQR:
     """Column-pivoted QR with a numerical-rank decision.
 
-    ``r`` is the full untruncated triangular factor and ``q`` the unitary one
-    (m[:, perm] = q @ r); ``rank`` and ``truncation_log`` record how the
-    diagonal was cut. ``q`` is formed from zgeqp3's Householder reflectors
-    on first access, so a caller that reads only the rank never forms it
-    (on the scipy fallback of :func:`lapack` it is formed at once).
+    ``packed`` is zgeqp3's output: R on and above the diagonal, Householder
+    reflectors below (m[:, perm] = q @ r). ``rank`` and ``truncation_log``
+    record how its diagonal was cut. The factors ``r`` and ``q`` are formed
+    on first access (on the scipy fallback of :func:`lapack`, ``packed`` is
+    R and q is formed at once).
     """
 
-    r: np.ndarray
+    packed: np.ndarray
     perm: np.ndarray
     rank: int
     truncation_log: dict = field(default_factory=dict)
-    reflectors: tuple | None = field(default=None, repr=False)  # (qr, tau); None once q is formed
+    hh_scalars: np.ndarray | None = field(default=None, repr=False)
     _q: np.ndarray | None = field(default=None, repr=False)
+    _r: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def q(self):
         if self._q is None:
-            self._q = _form_q(*self.reflectors)
-            self.reflectors = None
+            self._q = _form_q(self.packed, self.hh_scalars)
         return self._q
 
     @property
+    def r(self):
+        if self._r is None:
+            self._r = np.triu(self.packed)
+        return self._r
+
+    @property
     def rows(self):
-        return self.r.shape[0]
+        return self.packed.shape[0]
 
     @property
     def cols(self):
-        return self.r.shape[1]
+        return self.packed.shape[1]
 
     @property
     def q2(self):
@@ -164,28 +170,28 @@ def rrqr(m, tol=None) -> PivotedQR:
     a = as_matrix(m)
     rows, cols = a.shape
     lib = lapack()
-    reflectors = None
+    q = hh_scalars = None
     if rows == 0 or cols == 0:
-        q, r, perm = (np.eye(rows, dtype=np.complex128),
-                      np.zeros((rows, cols), dtype=np.complex128), np.arange(cols))
+        q, packed, perm = (np.eye(rows, dtype=np.complex128),
+                           np.zeros((rows, cols), dtype=np.complex128), np.arange(cols))
     elif lib is None:
         import scipy.linalg as sla
 
-        q, r, perm = sla.qr(a, pivoting=True, check_finite=False)
+        q, packed, perm = sla.qr(a, pivoting=True, check_finite=False)
     else:
         qr = np.array(a, order="F")
         jpvt = np.zeros(cols, dtype=lib.int)
         hh_scalars = np.empty(min(rows, cols), dtype=np.complex128)
         lib.zgeqp3(rows, cols, qr, rows, jpvt, hh_scalars)
-        q, r, perm, reflectors = None, np.triu(qr), jpvt - 1, (qr, hh_scalars)
-    diag_abs = np.abs(r.diagonal())
+        packed, perm = qr, jpvt - 1
+    diag_abs = np.abs(packed.diagonal())
     tau = tol if tol is not None else max(rows, cols, 1) * EPS
     threshold = tau * float(safe_norm(a))
     rank = int(np.count_nonzero(diag_abs > threshold))
     log = {"tau": tau, "threshold": threshold, "rank": rank,
            "diag": diag_abs.tolist()}
-    return PivotedQR(r=r, perm=perm.astype(np.intp), rank=rank, truncation_log=log,
-                     reflectors=reflectors, _q=q)
+    return PivotedQR(packed=packed, perm=perm.astype(np.intp), rank=rank,
+                     truncation_log=log, hh_scalars=hh_scalars, _q=q)
 
 
 # ---------------------------------------------------------------------------

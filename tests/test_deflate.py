@@ -27,6 +27,23 @@ def dense_counts(q):
     return {c: int(np.sum(cls == c)) for c in ("zero", "finite", "infinite")}, lam[cls == "finite"]
 
 
+def assert_staircase(lin, rp, d):
+    """``d`` is a unitary equivalence of ``lin`` to 1e-13 with exact zeros
+    below each deflated block and on its diagonal in the coefficient that
+    vanishes there; its first infinite block records A's rank decision."""
+    assert_equivalent(lin.aa, lin.bb, d, 1e-13)
+    top = d.full_size
+    for step in d.steps:
+        lo = top - step.deflated
+        assert not d.work_a[lo:top, :lo].any() and not d.work_b[lo:top, :lo].any()
+        vanishing = d.work_a if step.zeros else d.work_b
+        assert not vanishing[lo:top, lo:top].any()
+        top = lo
+        if step.kind == "inf_block_1":
+            assert step.rank == rp.r_a and step.evidence == rp.qr_a.truncation_log
+    assert top == d.size
+
+
 def run_deflate(q):
     """Deflate as solve_pencil does: a quartic with only A singular is
     deflated through its reversal, and the result counts in q's
@@ -206,17 +223,38 @@ class TestDeflateCases:
         b = gen_planted(10, 3, 2, seed=60)
         lin, rp, d = run_deflate(b.pencil)
         assert [s.kind for s in d.steps] == ["zero_block_1", "inf_block_1"]
-        assert_equivalent(lin.aa, lin.bb, d, 1e-13)
-        # exact zeros below each deflated block, and on its diagonal in the
-        # coefficient that vanishes there
-        top = d.full_size
-        for step in d.steps:
-            lo = top - step.deflated
-            assert not d.work_a[lo:top, :lo].any() and not d.work_b[lo:top, :lo].any()
-            vanishing = d.work_a if step.zeros else d.work_b
-            assert not vanishing[lo:top, lo:top].any()
-            top = lo
-        assert top == d.size
+        assert_staircase(lin, rp, d)
+
+    @pytest.mark.parametrize("case", ["mirror_like", *(f"jordan_{at}_{length}"
+                                                       for at in ("zero", "infinity")
+                                                       for length in (2, 3))])
+    def test_chained_cases_take_the_structured_first_infinite_block(self, case):
+        # A and E singular with Phi or Psi deficient: the first infinite
+        # block is read off Q_A* as in the single-pass case, and is sized by A
+        lin, rp, d = run_deflate(CONTRACT_CASES[case]())
+        assert rp.r_a < rp.n and rp.r_e < rp.n and not d.reversed
+        assert [s.kind for s in d.steps].count("inf_block_1") == 1
+        assert_staircase(lin, rp, d)
+
+    def test_phi_deficient_psi_regular(self):
+        # A's zero columns 0 and 1, the first shared by B, make Phi
+        # deficient; E's zero column 2 is not shared by D, so Psi is regular
+        rng = np.random.default_rng(90)
+        a, b, c, dd, e = (rand_complex(rng, (5, 5)) for _ in range(5))
+        a[:, [0, 1]] = 0.0
+        b[:, 0] = 0.0
+        e[:, 2] = 0.0
+        q = QuarticPencil.from_matrices(a, b, c, dd, e)
+        lin, rp, d = run_deflate(q)
+        sl = second_level(rp)
+        assert (rp.r_a, rp.r_e, sl.r_phi, sl.r_psi) == (3, 4, 4, 5)
+        assert [s.kind for s in d.steps] == ["zero_block_1", "inf_block_1", "inf_block_2"]
+        step = d.steps[2]
+        assert step.rank == sl.r_phi and step.evidence == sl.qr_phi.truncation_log
+        assert_staircase(lin, rp, d)
+        counts, _ = dense_counts(q)
+        assert counts == {"zero": 1, "finite": 16, "infinite": 3}
+        assert (d.zeros_deflated, d.infs_deflated) == (1, 3)
 
     def test_rank_only_factors_form_no_q(self, monkeypatch):
         # a regular problem reads only the ranks of A and E, and forms no
@@ -288,13 +326,13 @@ class TestDeflateCases:
         assert (d.zeros_deflated, d.infs_deflated) == (0, 2)
 
 
-def staircase_layer(p, known_block=None, red=None):
+def staircase_layer(p, sized_by=None, red=None):
     """One generic staircase layer for the zero eigenvalue of pencil p (or
     of the active pencil of ``red``); returns (red, deflated)."""
     if red is None:
         red = DeflationResult(p.aa.astype(complex), p.bb.astype(complex),
                               np.eye(p.size, dtype=np.complex128))
-    return red, _generic_layer(red, "zero", None, known=known_block)
+    return red, _generic_layer(red, "zero", None, sized_by=sized_by)
 
 
 class TestStaircaseStep:
@@ -339,9 +377,14 @@ class TestStaircaseStep:
         aa = haar_unitary(rng, k + r)
         # infinities of aa - lambda*bb are zeros of the reversed pencil
         reversed_pencil = LinearPencil(aa=bb, bb=aa)
-        red, deflated = staircase_layer(reversed_pencil, known_block=k)
+        # the block size comes from another factorization with k null
+        # columns, whose rank and log the step records
+        sizer = rrqr(np.zeros((k, k)))
+        red, deflated = staircase_layer(reversed_pencil, sized_by=sizer)
         assert deflated == k
         assert red.size == r
+        step = red.steps[0]
+        assert step.rank == sizer.rank == 0 and step.evidence == sizer.truncation_log
 
     def test_transform_shapes(self):
         rng = np.random.default_rng(26)

@@ -103,6 +103,26 @@ class TestRRQR:
         assert np.array_equal(f.q, q_ref)
         assert np.array_equal(f.r, r_ref) and np.array_equal(f.perm, p_ref)
 
+    @pytest.mark.parametrize("shape", [(6, 6), (9, 5), (4, 7)])
+    def test_lazy_r_is_the_triangle_of_the_packed_output(self, shape):
+        import scipy.linalg as sla
+
+        rng = np.random.default_rng(28)
+        m = rand_complex(rng, shape)
+        m[:, -1] = m[:, 0]  # a rank deficiency for the log to record
+        f = rrqr(m)
+        assert f._r is None  # nothing formed until r is read
+        assert np.array_equal(f.r, np.triu(f.packed))
+        # the rank and its log read the packed diagonal, which is R's
+        _, r_ref, _ = sla.qr(m, pivoting=True)
+        diag = np.abs(r_ref.diagonal())
+        tau = max(shape) * EPS
+        threshold = tau * np.linalg.norm(m)
+        rank = int(np.count_nonzero(diag > threshold))
+        assert f.truncation_log == {"tau": tau, "threshold": threshold, "rank": rank,
+                                    "diag": diag.tolist()}
+        assert f.rank == rank == np.linalg.matrix_rank(m)
+
 
 def compressed(m, f):
     """m rebuilt from its column-compressed form (0 | m v_2) v*, with the
