@@ -14,12 +14,14 @@ coefficients A and E:
   at once, and, with A singular, n - r_A zero rows of BB (R_A's). The
   second-level matrices Psi = [Q_E2* D; R_E Pi_E^T] and
   Phi = [Q_A2* B; R_A Pi_A^T] decide whether another zero or infinite
-  block exists. With Psi deficient, a permutation, Psi's rank-revealing
-  factorization and a complete orthogonal decomposition deflate the second
-  zero block. With A singular, a complete orthogonal decomposition of the
-  rows exposed in BB deflates the first infinite block. Longer zero chains
-  continue with generic staircase layers; with Phi deficient, so does the
-  infinite chain, on the reversed pencil, its first layer sized by Phi.
+  block exists (Phi only with A singular). Each further structured block
+  moves a set of rows last, multiplies them by a unitary from the factors,
+  compresses their trailing rows in the other coefficient with one complete
+  orthogonal decomposition and cuts those off: with Psi deficient the
+  second zero block, from Q_Psi; with A singular the first infinite block
+  (the rows exposed in BB) and, with Phi deficient, the second, from Q_A
+  and Q_Phi. Longer chains continue with generic staircase layers, the
+  infinite one on the reversed pencil. Block rows are numbered from 0.
 
 The steps apply a unitary equivalence P (AA0, BB0) Q whose images are
 block upper triangular with the deflated part trailing. The returned
@@ -87,16 +89,17 @@ def analyze_ranks(q: QuarticPencil, tol=None) -> RankProfile:
 
 @dataclass
 class SecondLevel:
-    """Second-level block matrices deciding multi-block 0/inf structure."""
+    """Second-level block matrices deciding multi-block 0/inf structure;
+    Phi and its factorization are None where A is regular."""
 
-    phi: np.ndarray
+    phi: np.ndarray | None
     psi: np.ndarray
-    qr_phi: PivotedQR
+    qr_phi: PivotedQR | None
     qr_psi: PivotedQR
 
     @property
     def r_phi(self):
-        return self.qr_phi.rank
+        return None if self.qr_phi is None else self.qr_phi.rank
 
     @property
     def r_psi(self):
@@ -104,18 +107,17 @@ class SecondLevel:
 
 
 def second_level(rp: RankProfile) -> SecondLevel:
-    """Assemble Phi = [Q_A2* B; R_A Pi_A^T] and Psi = [Q_E2* D; R_E Pi_E^T]."""
+    """Assemble Psi = [Q_E2* D; R_E Pi_E^T] and, with A singular,
+    Phi = [Q_A2* B; R_A Pi_A^T]."""
     q, n = rp.q, rp.n
     if rp.r_a == n and rp.r_e == n:
         raise ValueError("second_level is only defined when A or E is rank deficient")
-    phi = np.vstack([rp.qr_a.q2.conj().T @ q.b, rp.qr_a.r_hat_unpermuted()])
+    phi = qr_phi = None
+    if rp.r_a < n:
+        phi = np.vstack([rp.qr_a.q2.conj().T @ q.b, rp.qr_a.r_hat_unpermuted()])
+        qr_phi = rrqr(phi, rp.tol)
     psi = np.vstack([rp.qr_e.q2.conj().T @ q.d, rp.qr_e.r_hat_unpermuted()])
-    return SecondLevel(
-        phi=phi,
-        psi=psi,
-        qr_phi=rrqr(phi, rp.tol),
-        qr_psi=rrqr(psi, rp.tol),
-    )
+    return SecondLevel(phi=phi, psi=psi, qr_phi=qr_phi, qr_psi=rrqr(psi, rp.tol))
 
 
 @dataclass
@@ -247,8 +249,8 @@ def _step1_zero(rp: RankProfile) -> DeflationResult:
     Q = diag(I_3n, Q_E) transform the linearization, whose images are built
     from the coefficients with their identity and zero blocks exact. R_E's
     truncated rows of AA are cut off as the first block of n - r_E zeros.
-    With A singular, R_A's are exact zero rows of BB in block row 1, left
-    for :func:`_inf_block_1`; with A regular, Q_A* is not applied."""
+    With A singular, R_A's are exact zero rows of BB in block row 0, left
+    for :func:`_inf_blocks`; with A regular, Q_A* is not applied."""
     q, n = rp.q, rp.n
     qe_h = rp.qr_e.q.conj().T
     if rp.r_a < n:
@@ -273,93 +275,87 @@ def _step1_zero(rp: RankProfile) -> DeflationResult:
     return d
 
 
-def _step2_zero(d: DeflationResult, rp: RankProfile, sl: SecondLevel):
-    """Second zero block from the rank deficiency of Psi."""
-    n = rp.n
-    r_e = rp.r_e
-    r2 = sl.r_psi
-    m = d.size
-    assert m == 3 * n + r_e
-    order = np.concatenate(
-        [
-            np.arange(0, n + r_e),
-            np.arange(2 * n, 3 * n),
-            np.arange(n + r_e, 2 * n),
-            np.arange(3 * n, 3 * n + r_e),
-        ]
-    )
-    d.permute_rows(order)
-    d.left(sl.qr_psi.q.conj().T, start=2 * n + r_e)
-    # the bottom n rows of the constant term are Q_psi* Psi = R Pi^T exactly
-    psi_rows = sl.qr_psi.r_hat_unpermuted(pad=True)
-    d.work_a[2 * n + r_e : 3 * n + r_e, :n] = psi_rows
-    d.work_a[2 * n + r_e : 3 * n + r_e, n:m] = 0.0
-    trailing = d.work_b[2 * n + r_e + r2 : m, :m]
-    cod = urv(trailing, rp.tol)
-    if cod.rank < n - r2:
-        d.flags.append("zero_chain_trailing_rank_deficient")
-    d.right(cod.v)
-    d.truncate(
-        n - r2,
-        kind="zero_block_2",
-        side="zero",
-        rank=r2,
-        evidence=dict(sl.qr_psi.truncation_log),
-    )
-
-
-def _inf_block_1(d: DeflationResult, rp: RankProfile):
-    """A singular: deflate the first block of n - r_A infinite eigenvalues
-    from rows r_A..n of block row 1, exact zeros in BB since
-    :func:`_step1_zero`. It runs ahead of any staircase layer, whose left
-    transform would mix these rows with others."""
-    n = rp.n
-    m = d.size
-    rows = np.arange(rp.r_a, n)
-    cod = urv(d.work_a[rows, :m], rp.tol)
-    if cod.rank < n - rp.r_a:
-        d.flags.append("inf_block_trailing_rank_deficient")
-    d.right(cod.v)
+def _structured_block(d: DeflationResult, rows, w, f: PivotedQR, kind, flag, tol, exact=None):
+    """Deflate the block that ``f`` sizes: move ``rows`` last and multiply
+    them by the unitary w* (None: the identity), which leaves their trailing
+    f.cols - f.rank rows zero in the constant term (AA for a zero block, BB
+    for an infinite one); compress those rows of the other term with one URV
+    and cut them off, recording f's rank and log (and ``flag`` where they
+    are rank deficient). ``exact`` replaces the moved rows of the constant
+    term: their leading columns, and zeros after."""
+    side = kind.split("_")[0]
+    const, other = (d.work_a, d.work_b) if side == "zero" else (d.work_b, d.work_a)
+    m, k, start = d.size, f.cols - f.rank, d.size - len(rows)
     d.permute_rows(np.concatenate([np.delete(np.arange(m), rows), rows]))
-    d.truncate(
-        n - rp.r_a,
-        kind="inf_block_1",
-        side="inf",
-        rank=rp.r_a,
-        evidence=dict(rp.qr_a.truncation_log),
-    )
+    if w is not None:
+        d.left(w.conj().T, start=start)
+    if exact is not None:
+        const[start:m, :m] = 0.0
+        const[start:m, : exact.shape[1]] = exact
+    cod = urv(other[m - k : m, :m], tol)
+    if cod.rank < k:
+        d.flags.append(flag)
+    d.right(cod.v)
+    d.truncate(k, kind=kind, side=side, rank=f.rank, evidence=dict(f.truncation_log))
 
 
-def _generic_layer(d: DeflationResult, on, tol, sized_by=None, kind=None):
+def _step2_zero(d: DeflationResult, rp: RankProfile, sl: SecondLevel):
+    """Second zero block: the rows of Psi, block row 1 past its first r_E
+    and block row 3, become R_Psi Pi^T exactly under Q_Psi*."""
+    n, r_e = rp.n, rp.r_e
+    assert d.size == 3 * n + r_e
+    rows = np.concatenate([np.arange(n + r_e, 2 * n), np.arange(3 * n, 3 * n + r_e)])
+    _structured_block(d, rows, sl.qr_psi.q, sl.qr_psi, "zero_block_2",
+                      "zero_chain_trailing_rank_deficient", rp.tol,
+                      exact=sl.qr_psi.r_hat_unpermuted(pad=True))
+
+
+def _inf_blocks(d: DeflationResult, rp: RankProfile, sl: SecondLevel):
+    """A singular: the first two infinite blocks, cut before any staircase
+    layer mixes the rows they are read from.
+
+    The first is rows r_A..n of block row 0, exact zeros in BB since
+    :func:`_step1_zero`. Then the left null rows of the active BB are
+    u = [a; Q_A2 d] over R_A's rows and block row 2, for [d; a] in the
+    trailing n - r_Phi columns of Q_Phi: u* BB = d* Q_A2* [B, 0, -I, 0] are
+    the rows the first block compressed. W = [[0; Q_A1], M Q_Phi] with
+    M = [[0, I]; [Q_A2, 0]] is unitary; its trailing columns give the second."""
+    n, r_a = rp.n, rp.r_a
+    _structured_block(d, np.arange(r_a, n), None, rp.qr_a, "inf_block_1",
+                      "inf_block_trailing_rank_deficient", rp.tol)
+    if sl.r_phi == n:
+        return
+    qa, qphi = rp.qr_a.q, sl.qr_phi.q
+    w = np.block([[np.zeros((r_a, r_a)), qphi[n - r_a :]],
+                  [qa[:, :r_a], qa[:, r_a:] @ qphi[: n - r_a]]])
+    # block row 2 follows R_A's rows and block row 1, of which _step2_zero
+    # keeps the first r_E rows here
+    start = r_a + (rp.r_e if sl.r_psi < n else n)
+    rows = np.concatenate([np.arange(r_a), np.arange(start, start + n)])
+    _structured_block(d, rows, w, sl.qr_phi, "inf_block_2",
+                      "inf_chain_trailing_rank_deficient", rp.tol)
+
+
+def _generic_layer(d: DeflationResult, on, tol):
     """One staircase reduction layer for the zero (on='zero') or infinite
     (on='inf') eigenvalue of the active pencil. Returns the deflated count:
-    the null columns of the active constant term's pivoted QR or, given, of
-    ``sized_by`` (Phi's, for ``inf_block_2``), whose rank and log the step
-    records."""
+    the null columns of the active constant term's pivoted QR."""
     m = d.size
     if m == 0:
         return 0
     const = d.work_a if on == "zero" else d.work_b
     f = rrqr(const[:m, :m], tol)
-    sizer = f if sized_by is None else sized_by
-    k = sizer.cols - sizer.rank
+    k = f.cols - f.rank
     if k <= 0:
         return 0
     d.left(f.q.conj().T)
     other = d.work_b if on == "zero" else d.work_a
-    trailing = other[m - k : m, :m]
-    cod = urv(trailing, tol)
+    cod = urv(other[m - k : m, :m], tol)
     if cod.rank < k:
         d.flags.append(f"staircase_{on}_trailing_rank_deficient")
         return 0
     d.right(cod.v)
-    d.truncate(
-        k,
-        kind=kind or f"staircase_{on}",
-        side=on,
-        rank=sizer.rank,
-        evidence=dict(sizer.truncation_log),
-    )
+    d.truncate(k, kind=f"staircase_{on}", side=on, rank=f.rank, evidence=dict(f.truncation_log))
     return k
 
 
@@ -395,13 +391,12 @@ def deflate(rp: RankProfile) -> DeflationResult:
         if sl.r_psi < n:
             _step2_zero(d, rp, sl)
         if rp.r_a < n:
-            _inf_block_1(d, rp)
+            _inf_blocks(d, rp, sl)
         if sl.r_psi < n:
             while _generic_layer(d, "zero", tol):
                 pass
         if rp.r_a < n and sl.r_phi < n:
             # the rest of the infinite chain, on the reversed pencil
-            _generic_layer(d, "inf", tol, sized_by=sl.qr_phi, kind="inf_block_2")
             while _generic_layer(d, "inf", tol):
                 pass
         m = d.size

@@ -103,12 +103,17 @@ def classify(alpha, beta, dim):
     """Normalize homogeneous pairs and classify them as zero/finite/infinite.
 
     Thresholds: beta <= dim*eps => infinite; |alpha| <= dim*eps with
-    beta > 1/2 => zero. Returns ``(alpha, beta, cls)`` arrays.
+    beta > 1/2 => zero. Those pairs are stored at the value their class
+    states, (0, 1) or (alpha/|alpha|, 0), so their backward errors and
+    vectors are taken there. Returns ``(alpha, beta, cls)`` arrays.
     """
     alpha, beta = normalize(alpha, beta)
     thr = max(dim, 1) * EPS
-    zero = (np.hypot(alpha.real, alpha.imag) <= thr) & (beta > 0.5)
-    cls = np.where(beta <= thr, EIG_INFINITE, np.where(zero, EIG_ZERO, EIG_FINITE))
+    mod = np.hypot(alpha.real, alpha.imag)
+    inf, zero = beta <= thr, (mod <= thr) & (beta > 0.5)
+    alpha[inf] /= mod[inf]
+    alpha[zero], beta[inf], beta[zero] = 0.0, 0.0, 1.0
+    cls = np.where(inf, EIG_INFINITE, np.where(zero, EIG_ZERO, EIG_FINITE))
     return alpha, beta, cls.astype(np.int8)
 
 

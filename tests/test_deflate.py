@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 import quarteig.deflate
-from quarteig import QuarticPencil
+from quarteig import QuarticPencil, SolveConfig, solve_pencil
 from quarteig.deflate import DeflationResult, _generic_layer, analyze_ranks, deflate, second_level
 from quarteig.numkit import EPS, rrqr
 from quarteig.pencil import LinearPencil, linearize, reverse
@@ -30,7 +30,8 @@ def dense_counts(q):
 def assert_staircase(lin, rp, d):
     """``d`` is a unitary equivalence of ``lin`` to 1e-13 with exact zeros
     below each deflated block and on its diagonal in the coefficient that
-    vanishes there; its first infinite block records A's rank decision."""
+    vanishes there; its first two infinite blocks record the rank decisions
+    of A and Phi."""
     assert_equivalent(lin.aa, lin.bb, d, 1e-13)
     top = d.full_size
     for step in d.steps:
@@ -41,6 +42,9 @@ def assert_staircase(lin, rp, d):
         top = lo
         if step.kind == "inf_block_1":
             assert step.rank == rp.r_a and step.evidence == rp.qr_a.truncation_log
+        if step.kind == "inf_block_2":
+            f = second_level(rp).qr_phi
+            assert step.rank == f.rank and step.evidence == f.truncation_log
     assert top == d.size
 
 
@@ -114,6 +118,9 @@ class TestSecondLevel:
         sl = second_level(rp)
         assert rp.r_e == 0
         assert sl.r_psi == n  # psi rows reduce to D = I
+        # A is regular: no Phi is formed, and no Q_A for its rows
+        assert sl.phi is None and sl.qr_phi is None and sl.r_phi is None
+        assert rp.qr_a._q is None
 
     def test_zero_e_zero_d(self):
         n = 4
@@ -249,12 +256,44 @@ class TestDeflateCases:
         sl = second_level(rp)
         assert (rp.r_a, rp.r_e, sl.r_phi, sl.r_psi) == (3, 4, 4, 5)
         assert [s.kind for s in d.steps] == ["zero_block_1", "inf_block_1", "inf_block_2"]
-        step = d.steps[2]
-        assert step.rank == sl.r_phi and step.evidence == sl.qr_phi.truncation_log
         assert_staircase(lin, rp, d)
         counts, _ = dense_counts(q)
         assert counts == {"zero": 1, "finite": 16, "infinite": 3}
         assert (d.zeros_deflated, d.infs_deflated) == (1, 3)
+
+    def test_second_infinite_block_precedes_the_zero_staircase(self):
+        # lambda^3 and lambda on two coordinates, random scalar quartics on
+        # four, rotated: zero and infinite chains of 3. Both second blocks
+        # are cut before any staircase layer mixes the rows they are read from
+        rng = np.random.default_rng(91)
+        coeffs = np.zeros((5, 6), dtype=complex)
+        coeffs[1, 0] = coeffs[3, 1] = 1.0
+        coeffs[:, 2:] = rand_complex(rng, (5, 4))
+        u, v = haar_unitary(rng, 6), haar_unitary(rng, 6)
+        q = QuarticPencil.from_matrices(*(u @ np.diag(c) @ v for c in coeffs))
+        lin, rp, d = run_deflate(q)
+        assert [s.kind for s in d.steps] == ["zero_block_1", "zero_block_2", "inf_block_1",
+                                             "inf_block_2", "staircase_zero", "staircase_inf"]
+        assert (d.zeros_deflated, d.size, d.infs_deflated) == (4, 16, 4)
+        assert_staircase(lin, rp, d)
+        sol = solve_pencil(q, SolveConfig()).solution
+        assert np.bincount(sol.cls, minlength=3).tolist() == [4, 16, 4]
+
+    def test_second_infinite_block_factors_nothing_new(self, monkeypatch):
+        # inf_block_2 is read off Q_A and Q_Phi: it takes no QR of the
+        # active pencil
+        made = []
+
+        def recorded(*args, **kwargs):
+            made.append(rrqr(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(quarteig.deflate, "rrqr", recorded)
+        _, _, d = run_deflate(gen_mirror_like(seed=0).pencil)
+        assert [s.kind for s in d.steps] == ["zero_block_1", "zero_block_2", "inf_block_1",
+                                             "inf_block_2"]
+        # A, E, Phi, Psi, one staircase probe per chain, a_regular, b_regular
+        assert len(made) == 8
 
     def test_rank_only_factors_form_no_q(self, monkeypatch):
         # a regular problem reads only the ranks of A and E, and forms no
@@ -326,13 +365,13 @@ class TestDeflateCases:
         assert (d.zeros_deflated, d.infs_deflated) == (0, 2)
 
 
-def staircase_layer(p, sized_by=None, red=None):
+def staircase_layer(p, red=None):
     """One generic staircase layer for the zero eigenvalue of pencil p (or
     of the active pencil of ``red``); returns (red, deflated)."""
     if red is None:
         red = DeflationResult(p.aa.astype(complex), p.bb.astype(complex),
                               np.eye(p.size, dtype=np.complex128))
-    return red, _generic_layer(red, "zero", None, sized_by=sized_by)
+    return red, _generic_layer(red, "zero", None)
 
 
 class TestStaircaseStep:
@@ -377,14 +416,12 @@ class TestStaircaseStep:
         aa = haar_unitary(rng, k + r)
         # infinities of aa - lambda*bb are zeros of the reversed pencil
         reversed_pencil = LinearPencil(aa=bb, bb=aa)
-        # the block size comes from another factorization with k null
-        # columns, whose rank and log the step records
-        sizer = rrqr(np.zeros((k, k)))
-        red, deflated = staircase_layer(reversed_pencil, sized_by=sizer)
+        # the layer sizes the block by its own QR of the constant term
+        red, deflated = staircase_layer(reversed_pencil)
         assert deflated == k
         assert red.size == r
         step = red.steps[0]
-        assert step.rank == sizer.rank == 0 and step.evidence == sizer.truncation_log
+        assert step.rank == r and step.evidence == rrqr(bb).truncation_log
 
     def test_transform_shapes(self):
         rng = np.random.default_rng(26)
@@ -399,7 +436,8 @@ class TestStaircaseStep:
 class TestBudgetAndChains:
     def test_infinity_chain_steps(self):
         b = gen_jordan_chain(3, 3, "infinity", seed=8)
-        _, _, d = run_deflate(b.pencil)
+        lin, rp, d = run_deflate(b.pencil)
+        assert_staircase(lin, rp, d)
         assert d.infs_deflated == 3
         assert d.zeros_deflated == 1
         kinds = [s.kind for s in d.steps if s.infs > 0]

@@ -70,6 +70,20 @@ class TestEta:
             assert eta_right <= 1e-12
             assert indep <= 2 * max(eta_right, EPS)
 
+    def test_qz_found_infinite_pair_is_taken_at_infinity(self):
+        # det P = -2 lambda^2: 2 zeros and 6 infinities, one of which QZ
+        # finds with beta ~ 1e-17; A = 0 makes every vector exact at infinity
+        z = np.zeros((2, 2))
+        q = QuarticPencil.from_matrices(z, [[2, 0], [0, 0]], [[0, 1], [0, 0]], z,
+                                        [[0, 0], [2, 0]])
+        res = solve_pencil(q, SolveConfig())
+        sol = res.solution
+        assert np.bincount(sol.cls, minlength=3).tolist() == [2, 0, 6]
+        assert "inf_class_nullspace" in sol.methods.tolist()
+        assert (sol.beta[sol.cls == EIG_INFINITE] == 0.0).all()
+        assert np.nanmax(sol.eta_right) == 0.0 and np.nanmax(sol.eta_left) == 0.0
+        assert not [f for f in res.flags if f.startswith("backward_error_above_tolerance")]
+
     def test_invariant_under_vector_scaling(self):
         rng = np.random.default_rng(2)
         q = random_regular_quartic(rng, 4)

@@ -140,6 +140,13 @@ class TestClassification:
         _, _, cls = classify([1.0, 1e-20, 1.0], [1e-20, 1.0, 1.0], 4)
         assert cls.tolist() == [EIG_INFINITE, EIG_ZERO, EIG_FINITE]
 
+    def test_classified_pairs_take_the_value_of_their_class(self):
+        # a zero pair is stored at (0, 1), an infinite one at (alpha/|alpha|, 0)
+        alpha, beta, cls = classify([1e-20j, 0.6 - 0.8j, 0.0, 1.0], [1.0, 1e-20, 1.0, 1.0], 4)
+        assert cls.tolist() == [EIG_ZERO, EIG_INFINITE, EIG_ZERO, EIG_FINITE]
+        assert alpha[[0, 2]].tolist() == [0.0, 0.0] and beta[[0, 2]].tolist() == [1.0, 1.0]
+        assert beta[1] == 0.0 and abs(alpha[1] - (0.6 - 0.8j)) <= 1e-16
+
     def test_normalization(self):
         alpha, beta, _ = classify([3.0 + 4.0j], [5.0], 4)
         assert abs(abs(alpha[0]) ** 2 + beta[0] ** 2 - 1.0) < 1e-15
