@@ -7,21 +7,20 @@ coefficients A and E:
   and only here, reaches QZ unchanged (no transform is built); the backend
   (LAPACK zggev3) starts with its own QR of the lambda coefficient, so a
   triangularization here would be repeated work.
-* otherwise one path, on a quartic whose E is singular (with only A
-  singular, deflate works on the reversal, ``rp.swapped()``, and its result
-  keeps that profile). A structured first step built from the factors of
-  A and E exposes n - r_E zero rows of AA (R_E's truncated rows), cut off
-  at once, and, with A singular, n - r_A zero rows of BB (R_A's). The
-  second-level matrices Psi = [Q_E2* D; R_E Pi_E^T] and
-  Phi = [Q_A2* B; R_A Pi_A^T] decide whether another zero or infinite
-  block exists (Phi only with A singular). Each further structured block
-  moves a set of rows last, multiplies them by a unitary from the factors,
-  compresses their trailing rows in the other coefficient with one complete
-  orthogonal decomposition and cuts those off: with Psi deficient the
-  second zero block, from Q_Psi; with A singular the first infinite block
-  (the rows exposed in BB) and, with Phi deficient, the second, from Q_A
-  and Q_Phi. Longer chains continue with generic staircase layers, the
-  infinite one on the reversed pencil. Block rows are numbered from 0.
+* otherwise one path. A structured first step built from the factors of
+  A and E exposes, with E singular, n - r_E zero rows of AA (R_E's
+  truncated rows), cut off at once, and, with A singular, n - r_A zero rows
+  of BB (R_A's). The second-level matrices Psi = [Q_E2* D; R_E Pi_E^T]
+  (only with E singular) and Phi = [Q_A2* B; R_A Pi_A^T] (only with A
+  singular) decide whether another zero or infinite block exists. Each
+  further structured block moves a set of rows last, multiplies them by a
+  unitary from the factors, compresses their trailing rows in the other
+  coefficient with one complete orthogonal decomposition and cuts those
+  off: with Psi deficient the second zero block, from Q_Psi; with A
+  singular the first infinite block (the rows exposed in BB) and, with Phi
+  deficient, the second, from Q_A and Q_Phi. Longer chains continue with
+  generic staircase layers (Van Dooren, LAA 27 (1979)), the infinite one on
+  BB as the zero one on AA. Block rows are numbered from 0.
 
 The steps apply a unitary equivalence P (AA0, BB0) Q whose images are
 block upper triangular with the deflated part trailing. The returned
@@ -45,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import PivotedQR, rrqr, safe_norm, urv
-from .pencil import LinearPencil, QuarticPencil, linearize, place_blocks, reverse
+from .numkit import EPS, PivotedQR, rrqr, safe_norm, urv
+from .pencil import LinearPencil, QuarticPencil, linearize, place_blocks
 
 
 @dataclass
@@ -55,15 +54,13 @@ class RankProfile:
     coefficients A and E.
 
     ``tol`` is the rank tolerance of :func:`numkit.rrqr` for every rank
-    decision of the deflation (None: max(shape)*eps). ``reversed`` marks
-    the profile of a reversal, made by :meth:`swapped`.
+    decision of the deflation (None: max(shape)*eps).
     """
 
     q: QuarticPencil
     qr_a: PivotedQR
     qr_e: PivotedQR
     tol: float | None
-    reversed: bool = False
 
     @property
     def r_a(self):
@@ -77,10 +74,6 @@ class RankProfile:
     def n(self):
         return self.q.n
 
-    def swapped(self):
-        """Profile of ``reverse(q)``, whose A and E trade places."""
-        return RankProfile(reverse(self.q), self.qr_e, self.qr_a, self.tol, not self.reversed)
-
 
 def analyze_ranks(q: QuarticPencil, tol=None) -> RankProfile:
     """Rank-revealing QR of A and E."""
@@ -90,12 +83,12 @@ def analyze_ranks(q: QuarticPencil, tol=None) -> RankProfile:
 @dataclass
 class SecondLevel:
     """Second-level block matrices deciding multi-block 0/inf structure;
-    Phi and its factorization are None where A is regular."""
+    Phi (Psi) and its factorization are None where A (E) is regular."""
 
     phi: np.ndarray | None
-    psi: np.ndarray
+    psi: np.ndarray | None
     qr_phi: PivotedQR | None
-    qr_psi: PivotedQR
+    qr_psi: PivotedQR | None
 
     @property
     def r_phi(self):
@@ -103,21 +96,23 @@ class SecondLevel:
 
     @property
     def r_psi(self):
-        return self.qr_psi.rank
+        return None if self.qr_psi is None else self.qr_psi.rank
 
 
 def second_level(rp: RankProfile) -> SecondLevel:
-    """Assemble Psi = [Q_E2* D; R_E Pi_E^T] and, with A singular,
-    Phi = [Q_A2* B; R_A Pi_A^T]."""
+    """Assemble, with E singular, Psi = [Q_E2* D; R_E Pi_E^T] and, with A
+    singular, Phi = [Q_A2* B; R_A Pi_A^T]."""
     q, n = rp.q, rp.n
     if rp.r_a == n and rp.r_e == n:
         raise ValueError("second_level is only defined when A or E is rank deficient")
-    phi = qr_phi = None
+    phi = qr_phi = psi = qr_psi = None
     if rp.r_a < n:
         phi = np.vstack([rp.qr_a.q2.conj().T @ q.b, rp.qr_a.r_hat_unpermuted()])
         qr_phi = rrqr(phi, rp.tol)
-    psi = np.vstack([rp.qr_e.q2.conj().T @ q.d, rp.qr_e.r_hat_unpermuted()])
-    return SecondLevel(phi=phi, psi=psi, qr_phi=qr_phi, qr_psi=rrqr(psi, rp.tol))
+    if rp.r_e < n:
+        psi = np.vstack([rp.qr_e.q2.conj().T @ q.d, rp.qr_e.r_hat_unpermuted()])
+        qr_psi = rrqr(psi, rp.tol)
+    return SecondLevel(phi=phi, psi=psi, qr_phi=qr_phi, qr_psi=qr_psi)
 
 
 @dataclass
@@ -148,10 +143,8 @@ class DeflationResult:
 
     Starts from the images work_a = P AA Q and work_b = P BB Q of a first
     step (P and Q unitary). It owns the work matrices and Q and updates them
-    in place; P acts on the work matrices' rows and is not stored. The steps
-    describe the working quartic, whose profile ``rp`` is the one deflated:
-    the input's or, when ``reversed``, its reversal's. The counts are the
-    steps' sums for the input. ``q`` is None when nothing was deflated: the
+    in place; P acts on the work matrices' rows and is not stored. The
+    counts are the steps' sums. ``q`` is None when nothing was deflated: the
     work matrices are the linearization itself.
     """
 
@@ -159,14 +152,9 @@ class DeflationResult:
     work_b: np.ndarray
     q: np.ndarray | None
     steps: list = field(default_factory=list)
-    rp: RankProfile | None = None
     a_regular: bool | None = None
     b_regular: bool | None = None
     flags: list = field(default_factory=list)
-
-    @property
-    def reversed(self):
-        return self.rp is not None and self.rp.reversed
 
     @property
     def full_size(self):
@@ -178,11 +166,11 @@ class DeflationResult:
 
     @property
     def zeros_deflated(self):
-        return sum(s.infs if self.reversed else s.zeros for s in self.steps)
+        return sum(s.zeros for s in self.steps)
 
     @property
     def infs_deflated(self):
-        return sum(s.zeros if self.reversed else s.infs for s in self.steps)
+        return sum(s.infs for s in self.steps)
 
     @property
     def pencil(self):
@@ -247,31 +235,31 @@ class DeflationResult:
 def _step1_zero(rp: RankProfile) -> DeflationResult:
     """The structured first step: P = diag(Q_A*, Q_E*, I_n, Q_E*) and
     Q = diag(I_3n, Q_E) transform the linearization, whose images are built
-    from the coefficients with their identity and zero blocks exact. R_E's
-    truncated rows of AA are cut off as the first block of n - r_E zeros.
-    With A singular, R_A's are exact zero rows of BB in block row 0, left
-    for :func:`_inf_blocks`; with A regular, Q_A* is not applied."""
+    from the coefficients with their identity and zero blocks exact. With E
+    singular, R_E's truncated rows of AA are cut off as the first block of
+    n - r_E zeros. With A singular, R_A's are exact zero rows of BB in block
+    row 0, left for :func:`_inf_blocks`. Q_A* (Q_E* and Q_E) is applied
+    only where A (E) is singular."""
     q, n = rp.q, rp.n
-    qe_h = rp.qr_e.q.conj().T
     if rp.r_a < n:
         qa_h = rp.qr_a.q.conj().T
         top_a, top_b = [qa_h @ q.b, 0, -qa_h, 0], [-rp.qr_a.r_hat_unpermuted(pad=True), 0, 0, 0]
     else:
         top_a, top_b = [q.b, 0, -1, 0], [-q.a, 0, 0, 0]
-    wa = place_blocks([top_a, [qe_h @ q.d, 0, 0, -1], [0, -1, 0, 0],
-                       [rp.qr_e.r_hat_unpermuted(pad=True), 0, 0, 0]], n)
-    wb = place_blocks([top_b, [-(qe_h @ q.c), -qe_h, 0, 0], [0, 0, -1, 0],
-                       [0, 0, 0, -1]], n)
     q_right = np.eye(4 * n, dtype=np.complex128)
-    q_right[3 * n :, 3 * n :] = rp.qr_e.q
+    if rp.r_e < n:
+        qe_h = rp.qr_e.q.conj().T
+        mid_a, mid_b = [qe_h @ q.d, 0, 0, -1], [-(qe_h @ q.c), -qe_h, 0, 0]
+        low_a = [rp.qr_e.r_hat_unpermuted(pad=True), 0, 0, 0]
+        q_right[3 * n :, 3 * n :] = rp.qr_e.q
+    else:
+        mid_a, mid_b, low_a = [q.d, 0, 0, -1], [-q.c, -1, 0, 0], [q.e, 0, 0, 0]
+    wa = place_blocks([top_a, mid_a, [0, -1, 0, 0], low_a], n)
+    wb = place_blocks([top_b, mid_b, [0, 0, -1, 0], [0, 0, 0, -1]], n)
     d = DeflationResult(wa, wb, q_right)
-    d.truncate(
-        n - rp.r_e,
-        kind="zero_block_1",
-        side="zero",
-        rank=rp.r_e,
-        evidence=dict(rp.qr_e.truncation_log),
-    )
+    if rp.r_e < n:
+        d.truncate(n - rp.r_e, kind="zero_block_1", side="zero", rank=rp.r_e,
+                   evidence=dict(rp.qr_e.truncation_log))
     return d
 
 
@@ -329,8 +317,8 @@ def _inf_blocks(d: DeflationResult, rp: RankProfile, sl: SecondLevel):
     w = np.block([[np.zeros((r_a, r_a)), qphi[n - r_a :]],
                   [qa[:, :r_a], qa[:, r_a:] @ qphi[: n - r_a]]])
     # block row 2 follows R_A's rows and block row 1, of which _step2_zero
-    # keeps the first r_E rows here
-    start = r_a + (rp.r_e if sl.r_psi < n else n)
+    # keeps the first r_E rows here (all n where it did not run)
+    start = r_a + (n if sl.r_psi in (None, n) else rp.r_e)
     rows = np.concatenate([np.arange(r_a), np.arange(start, start + n)])
     _structured_block(d, rows, w, sl.qr_phi, "inf_block_2",
                       "inf_chain_trailing_rank_deficient", rp.tol)
@@ -339,12 +327,18 @@ def _inf_blocks(d: DeflationResult, rp: RankProfile, sl: SecondLevel):
 def _generic_layer(d: DeflationResult, on, tol):
     """One staircase reduction layer for the zero (on='zero') or infinite
     (on='inf') eigenvalue of the active pencil. Returns the deflated count:
-    the null columns of the active constant term's pivoted QR."""
+    the null columns of the active constant term's pivoted QR.
+
+    Its threshold is never below (tol or full_size*eps) times the norm of
+    the whole work matrix: the roundoff of the earlier steps does not shrink
+    with the active block, and a relative rule alone cannot judge a 1x1
+    block singular."""
     m = d.size
     if m == 0:
         return 0
     const = d.work_a if on == "zero" else d.work_b
-    f = rrqr(const[:m, :m], tol)
+    floor = (tol or d.full_size * EPS) * float(safe_norm(const))
+    f = rrqr(const[:m, :m], tol, floor=floor)
     k = f.cols - f.rank
     if k <= 0:
         return 0
@@ -366,15 +360,12 @@ def deflate(rp: RankProfile) -> DeflationResult:
     Every rank decision uses the rank tolerance of ``rp``; a singular A or E
     brings in the :func:`second_level` matrices of ``rp``. The structured
     first steps build their images from the coefficients; only a regular
-    quartic has its linearization formed. A quartic with only A singular is
-    deflated through its reversal (``rp.swapped()``), whose E is the
-    singular one. The result keeps the profile it deflated as ``rp``.
+    quartic has its linearization formed. Every singular quartic takes one
+    path: E's zero chain is deflated as zero blocks and A's infinite chain
+    as infinite blocks, each only where that coefficient is singular.
     """
     n = rp.n
     tol = rp.tol
-
-    if rp.r_a < n and rp.r_e == n:
-        rp = rp.swapped()
 
     if rp.r_a == n and rp.r_e == n:
         # nothing to deflate; BB is block lower triangular with diagonal
@@ -385,26 +376,25 @@ def deflate(rp: RankProfile) -> DeflationResult:
         d = DeflationResult(lin.aa, lin.bb, None, a_regular=True, b_regular=True)
         d.steps.append(DeflationStep(kind="regular", deflated=0, rank=rp.r_a,
                                      evidence=dict(rp.qr_a.truncation_log)))
-    else:
-        sl = second_level(rp)
-        d = _step1_zero(rp)
-        if sl.r_psi < n:
-            _step2_zero(d, rp, sl)
-        if rp.r_a < n:
-            _inf_blocks(d, rp, sl)
-        if sl.r_psi < n:
-            while _generic_layer(d, "zero", tol):
-                pass
-        if rp.r_a < n and sl.r_phi < n:
-            # the rest of the infinite chain, on the reversed pencil
-            while _generic_layer(d, "inf", tol):
-                pass
-        m = d.size
-        d.a_regular = bool(rrqr(d.work_a[:m, :m], tol).rank == m)
-        d.b_regular = bool(rrqr(d.work_b[:m, :m], tol).rank == m)
-        if not d.b_regular:
-            d.flags.append("deflated_pencil_bb_rank_deficient")
-        if not d.a_regular:
-            d.flags.append("deflated_pencil_aa_rank_deficient")
-    d.rp = rp
+        return d
+    sl = second_level(rp)
+    zero_chain = sl.r_psi not in (None, n)
+    d = _step1_zero(rp)
+    if zero_chain:
+        _step2_zero(d, rp, sl)
+    if rp.r_a < n:
+        _inf_blocks(d, rp, sl)
+    if zero_chain:
+        while _generic_layer(d, "zero", tol):
+            pass
+    if rp.r_a < n and sl.r_phi < n:
+        while _generic_layer(d, "inf", tol):
+            pass
+    m = d.size
+    d.a_regular = bool(rrqr(d.work_a[:m, :m], tol).rank == m)
+    d.b_regular = bool(rrqr(d.work_b[:m, :m], tol).rank == m)
+    if not d.b_regular:
+        d.flags.append("deflated_pencil_bb_rank_deficient")
+    if not d.a_regular:
+        d.flags.append("deflated_pencil_aa_rank_deficient")
     return d

@@ -159,13 +159,14 @@ def _form_q(qr, tau):
     return q
 
 
-def rrqr(m, tol=None) -> PivotedQR:
+def rrqr(m, tol=None, floor=0.0) -> PivotedQR:
     """Rank-revealing QR with Businger-Golub column pivoting.
 
     The numerical rank counts the diagonal entries with
-    |r_kk| > tau * ||m||_F, where tau is ``tol`` or, when None,
-    max(shape)*eps. ``truncation_log`` records tau, the threshold, the rank
-    and |diag(r)|.
+    |r_kk| > max(tau * ||m||_F, floor), where tau is ``tol`` or, when None,
+    max(shape)*eps; the absolute ``floor`` lets a caller refer the rule to
+    a larger matrix that m was cut from. ``truncation_log`` records tau,
+    the threshold used, the rank and |diag(r)|.
     """
     a = as_matrix(m)
     rows, cols = a.shape
@@ -186,7 +187,7 @@ def rrqr(m, tol=None) -> PivotedQR:
         packed, perm = qr, jpvt - 1
     diag_abs = np.abs(packed.diagonal())
     tau = tol if tol is not None else max(rows, cols, 1) * EPS
-    threshold = tau * float(safe_norm(a))
+    threshold = max(tau * float(safe_norm(a)), floor)
     rank = int(np.count_nonzero(diag_abs > threshold))
     log = {"tau": tau, "threshold": threshold, "rank": rank,
            "diag": diag_abs.tolist()}

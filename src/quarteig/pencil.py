@@ -13,8 +13,8 @@ eigenvalues with multiplicity, infinities included. Block placement is exact
 Eigenvalues travel through the pipeline as arrays, one per field
 (:class:`Spectrum`, :class:`EigenSolution`): homogeneous pairs (alpha, beta)
 normalized to |alpha|^2 + beta^2 = 1 with beta real >= 0, class codes, and
-eigenvectors as the columns of n x 4n arrays with masks. :func:`classify`,
-:func:`reciprocal` and :func:`affine` act on whole arrays.
+eigenvectors as the columns of n x 4n arrays with masks. :func:`classify`
+and :func:`affine` act on whole arrays.
 """
 
 from __future__ import annotations
@@ -117,12 +117,6 @@ def classify(alpha, beta, dim):
     return alpha, beta, cls.astype(np.int8)
 
 
-def reciprocal(alpha, beta, cls):
-    """The reciprocal eigenvalues (beta, alpha); zero and infinite classes swap."""
-    alpha, beta = normalize(beta, alpha)
-    return alpha, beta, (EIG_INFINITE - cls).astype(np.int8)
-
-
 def affine(alpha, beta):
     """lambda = alpha/beta, inf where beta is zero."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -220,7 +214,3 @@ def linearize(q: QuarticPencil) -> LinearPencil:
                        [0, 0, 0, -1]], q.n)
     return LinearPencil(aa=aa, bb=bb)
 
-
-def reverse(q: QuarticPencil) -> QuarticPencil:
-    """Coefficient reversal: eigenvalues map to reciprocals (0 <-> inf)."""
-    return QuarticPencil(a=q.e, b=q.d, c=q.c, d=q.b, e=q.a)

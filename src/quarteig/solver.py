@@ -1,9 +1,9 @@
 """End-to-end solve pipeline.
 
 Order: balance (weighted by the parameter scaling's gamma) -> parameter
-scale -> rank analysis -> deflate, through the reversal if only A is
-singular (or, with deflation off, linearize) -> QZ (right vectors only) ->
-lift and recover the right and left eigenvectors -> descale -> diagnostics.
+scale -> rank analysis -> deflate (or, with deflation off, linearize) ->
+QZ (right vectors only) -> lift and recover the right and left
+eigenvectors -> descale -> diagnostics.
 Backward errors in the report are always evaluated against the original,
 unscaled coefficients.
 
@@ -35,7 +35,6 @@ from .pencil import (
     EigenSolution,
     QuarticPencil,
     linearize,
-    reciprocal,
 )
 
 
@@ -102,8 +101,8 @@ class SolveResult:
     blas_threads: int | None = None  # read back during the solve; None if not controllable
 
 
-def _recover_all(gs, zfull, d, rp_w, config, flags):
-    """The whole spectrum of the working quartic ``rp_w.q`` with its vectors.
+def _recover_all(gs, zfull, d, rp, config, flags):
+    """The whole spectrum of the scaled quartic ``rp.q`` with its vectors.
 
     The spectrum is QZ's pairs, then the zeros and the infinities that the
     deflation ``d`` (None when off) removed, counted from its steps. Right
@@ -116,20 +115,20 @@ def _recover_all(gs, zfull, d, rp_w, config, flags):
     of the n x m arrays ``x`` and ``y`` per pair, zero where its mask is
     unset.
     """
-    counts = [0, 0] if d is None else [sum(s.zeros for s in d.steps), sum(s.infs for s in d.steps)]
+    counts = [0, 0] if d is None else [d.zeros_deflated, d.infs_deflated]
     alpha = np.concatenate([gs.alpha, np.zeros(counts[0]), np.ones(counts[1])])
     beta = np.concatenate([gs.beta, np.ones(counts[0]), np.zeros(counts[1])])
     cls = np.concatenate([gs.cls, np.repeat(np.int8([EIG_ZERO, EIG_INFINITE]), counts)])
-    qw, n, m = rp_w.q, rp_w.n, len(cls)
+    q, n, m = rp.q, rp.n, len(cls)
     x, y = np.zeros((2, n, m), dtype=np.complex128)
     has_right = np.ones(m, dtype=bool)
     methods = np.full(m, "deflated_nullspace", dtype=object)
     fin = np.flatnonzero(gs.cls == EIG_FINITE)
     if fin.size and config.eigvec_mode == "least_squares":
-        x[:, fin] = eigvec.recover_right_ls(zfull[:, fin], gs.alpha[fin], gs.beta[fin], qw)
+        x[:, fin] = eigvec.recover_right_ls(zfull[:, fin], gs.alpha[fin], gs.beta[fin], q)
         methods[fin] = "least_squares"
     elif fin.size:
-        batch = eigvec.recover_right_many(zfull[:, fin], gs.alpha[fin], gs.beta[fin], rp_w)
+        batch = eigvec.recover_right_many(zfull[:, fin], gs.alpha[fin], gs.beta[fin], rp)
         xs, methods[fin], _ = zip(*batch)
         ok = has_right[fin] = methods[fin] != "degenerate"
         if ok.any():
@@ -137,10 +136,10 @@ def _recover_all(gs, zfull, d, rp_w, config, flags):
         flags.extend(f"recover_right_degenerate_index_{i}" for i in fin[~ok])
     for c, which in ((EIG_ZERO, "zero_class"), (EIG_INFINITE, "inf_class")):
         idx = np.flatnonzero(cls == c)
-        x[:, idx], y[:, idx] = eigvec.nullspace_vectors(rp_w, which, idx.size)
+        x[:, idx], y[:, idx] = eigvec.nullspace_vectors(rp, which, idx.size)
         methods[idx[idx < len(gs)]] = f"{which}_nullspace"
     if config.want_left:
-        y[:, fin] = eigvec.recover_left(qw, gs.alpha[fin], gs.beta[fin], x[:, fin])
+        y[:, fin] = eigvec.recover_left(q, gs.alpha[fin], gs.beta[fin], x[:, fin])
     else:  # a right-only solve gives no pair a left vector
         y[:] = 0.0
     return alpha, beta, cls, methods, x, has_right, y, np.full(m, config.want_left)
@@ -177,18 +176,14 @@ def _solve(q0, config, name):
 
     rp = analyze_ranks(qs, config.tol)
     d = deflate(rp) if config.deflate else None
-    rp_w = rp if d is None else d.rp
     if d is None:
-        gs = gevp.solve_gevp(linearize(rp_w.q))
+        gs = gevp.solve_gevp(linearize(qs))
     else:
         flags.extend(d.flags)
         gs = gevp.solve_gevp(d.pencil)
 
     zfull = gs.right if d is None else d.lift(gs.right)
-    alpha, beta, cls, *rest = _recover_all(gs, zfull, d, rp_w, config, flags)
-    if rp_w.reversed:
-        alpha, beta, cls = reciprocal(alpha, beta, cls)
-    sol = scaling.descale(EigenSolution(alpha, beta, cls, *rest), rec)
+    sol = scaling.descale(EigenSolution(*_recover_all(gs, zfull, d, rp, config, flags)), rec)
 
     norms0 = diagnostics.CoefficientNorms(q0)
     sol = dataclasses.replace(sol, **diagnostics.diagnostics_many(sol, q0, norms0))
@@ -246,7 +241,6 @@ def build_report(res: SolveResult) -> dict:
             "zeros": int(d.zeros_deflated),
             "infinities": int(d.infs_deflated),
             "size": int(d.size),
-            "reversed": bool(d.reversed),
             "a_regular": d.a_regular,
             "b_regular": d.b_regular,
             "steps": [s.as_dict() for s in d.steps],

@@ -1,11 +1,15 @@
 """Independent oracles used to pin expected values in the tests.
 
 Nothing here reuses the package's deflation/recovery/diagnostics paths:
-determinants go through evaluation-interpolation plus np.roots, reference
+determinants go through evaluation-interpolation plus np.roots (or, for
+real coefficients, exact rational arithmetic in :func:`exact_counts`), reference
 eigensolves call LAPACK directly on explicitly assembled matrices, subspace
 comparisons use principal angles from the SVD, and backward errors are
 evaluated with explicit powers of lambda.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg as sla
@@ -68,6 +72,61 @@ def det_poly_coeffs(mats):
     coeffs = np.fft.fft(vals) / npts
     coeffs /= radius ** np.arange(npts)
     return coeffs
+
+
+def _exact_det(m):
+    """Determinant of a square list of lists of Fractions (Gaussian
+    elimination on a copy)."""
+    m = [row[:] for row in m]
+    det = Fraction(1)
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            if f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def exact_counts(q):
+    """Exact ``{"zero", "finite", "infinite"}`` eigenvalue counts of a
+    quartic with real coefficients, or None where det P(lambda) vanishes
+    identically (a singular quartic).
+
+    Floats convert to Fractions exactly, so det P, a polynomial of degree
+    at most 4n, is known exactly from its Fraction determinants at the
+    4n + 1 integer points 0..4n (Newton forward differences, then the
+    monomial form). Its lowest nonzero degree is the number of zero
+    eigenvalues, and 4n minus its degree the number of infinite ones.
+    """
+    coeffs = [np.asarray(c) for c in q.coeffs]
+    if any(np.iscomplexobj(c) and np.any(c.imag) for c in coeffs):
+        raise ValueError("exact_counts takes real coefficients")
+    mats = [[[Fraction(float(v)) for v in row] for row in c.real.tolist()] for c in coeffs]
+    n, top = q.n, 4 * q.n
+    vals = [_exact_det([[sum(t ** (4 - k) * mats[k][i][j] for k in range(5)) for j in range(n)]
+                        for i in range(n)]) for t in range(top + 1)]
+    # Newton form on the nodes 0..4n: p(t) = sum_k c_k t (t - 1) ... (t - k + 1)
+    # with c_k the k-th forward difference at 0 over k!
+    c = []
+    for k in range(top + 1):
+        c.append(vals[0] / math.factorial(k))
+        vals = [b - a for a, b in zip(vals, vals[1:])]
+    poly = [c[top]]  # ascending powers, by Horner's rule in the Newton basis
+    for k in range(top - 1, -1, -1):
+        poly = [x - k * y for x, y in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
+        poly[0] += c[k]
+    nonzero = [i for i, v in enumerate(poly) if v]
+    if not nonzero:
+        return None
+    low, deg = nonzero[0], nonzero[-1]
+    return {"zero": low, "finite": deg - low, "infinite": top - deg}
 
 
 def quartic_det_roots(q, drop_tol=1e-10):

@@ -64,15 +64,18 @@ def gen_planted(n, zero_cols_e, zero_cols_a, seed) -> ProblemBundle:
     )
 
 
-def gen_jordan_chain(n, chain_len, at, seed) -> ProblemBundle:
+def gen_jordan_chain(n, chain_len, at, seed, complement=True) -> ProblemBundle:
     """Quartic with a planted chain of the given length at 0 or infinity.
 
     The designated coordinate carries the scalar monomial lambda^k (k =
     chain_len for a chain at zero, 4 - chain_len for a chain at infinity),
     which plants a single Kronecker block of that length at the requested
-    end (and the complementary block at the other end). The remaining
-    coordinates are random regular scalar quartics; the whole problem is
-    rotated by random unitaries.
+    end (and the complementary block at the other end). With ``complement``
+    False the coordinate carries lambda^k plus the monomial of the other
+    end (1 or lambda^4), which leaves only the requested chain and the
+    other end's coefficient regular. The remaining coordinates are random
+    regular scalar quartics; the whole problem is rotated by random
+    unitaries.
     """
     if at not in ("zero", "infinity"):
         raise ValueError(f"chain location must be 'zero' or 'infinity', got {at!r}")
@@ -82,6 +85,8 @@ def gen_jordan_chain(n, chain_len, at, seed) -> ProblemBundle:
     k = chain_len if at == "zero" else 4 - chain_len
     diags = np.zeros((5, n), dtype=np.complex128)  # rows: coeff of lambda^4..^0
     diags[4 - k, 0] = 1.0
+    if not complement:
+        diags[4 if at == "infinity" else 0, 0] += 1.0
     for j in range(1, n):
         mags = 0.5 + rng.random(5)
         phases = np.exp(2j * np.pi * rng.random(5))

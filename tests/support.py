@@ -1,7 +1,8 @@
 """Problem builders and small helpers shared by the tests.
 
 ``orr_sommerfeld`` builds an application quartic with numpy alone,
-``far_apart_norms`` quartics beyond the reach of parameter scaling;
+``far_apart_norms`` quartics beyond the reach of parameter scaling and
+``reverse`` the reversal of a quartic;
 ``from_lambda`` and ``solution`` turn affine eigenvalues and vectors into
 the package's arrays, the input that the batched eigenvector and
 diagnostics routines take; ``assert_equivalent`` checks a deflation's
@@ -23,6 +24,11 @@ def unit(v):
     """v normalized to unit 2-norm (a zero vector is returned as it is)."""
     nrm = np.linalg.norm(v)
     return v / nrm if nrm > 0 else v
+
+
+def reverse(q):
+    """Coefficient reversal: eigenvalues map to reciprocals (0 <-> inf)."""
+    return QuarticPencil(a=q.e, b=q.d, c=q.c, d=q.b, e=q.a)
 
 
 def far_apart_norms(case):

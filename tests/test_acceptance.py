@@ -16,10 +16,10 @@ import scipy.linalg as sla
 
 import quarteig as qe
 from quarteig.numkit import EPS
-from quarteig.pencil import linearize, reverse
+from quarteig.pencil import linearize
 from oracles import classify_dense, min_pairwise_gap, random_regular_quartic
 from problems import gen_mirror_like, gen_planted, grade_rows
-from support import assert_equivalent
+from support import assert_equivalent, reverse
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "nlevp")
 
@@ -193,7 +193,7 @@ def test_criterion_5_residual_property_suite():
             cfg = res.config
             qw = qe.scaling.balance(q0, weighted=cfg.scale)[0] if cfg.balance else q0
             qw = qe.scaling.param_scale(qw, cfg.scale)[0]
-            lin = linearize(reverse(qw) if d.reversed else qw)
+            lin = linearize(qw)
             assert_equivalent(lin.aa, lin.bb, d, 1e2 * d.full_size * EPS)
     assert pairs_checked > 0
     _report(
@@ -248,7 +248,7 @@ def test_criterion_7_reversal_duality():
         test_criterion_4_planted_deflation_counts()
     checked = 0
     for bundle, d_fwd in PLANTED:
-        # through the solver, whose deflation reverses a quartic with only A singular
+        # through the solver: the reversal's zero chains are the input's infinite ones
         q_rev = reverse(bundle.pencil)
         d_rev = qe.solve_pencil(q_rev, qe.SolveConfig(want_left=False)).deflation
         assert d_rev.zeros_deflated == d_fwd.infs_deflated, bundle.name

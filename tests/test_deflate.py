@@ -6,7 +6,7 @@ import quarteig.deflate
 from quarteig import QuarticPencil, SolveConfig, solve_pencil
 from quarteig.deflate import DeflationResult, _generic_layer, analyze_ranks, deflate, second_level
 from quarteig.numkit import EPS, rrqr
-from quarteig.pencil import LinearPencil, linearize, reverse
+from quarteig.pencil import LinearPencil, linearize
 from oracles import (
     classify_dense,
     equivalence_left_factor,
@@ -16,7 +16,7 @@ from oracles import (
     random_regular_quartic,
 )
 from problems import gen_jordan_chain, gen_mirror_like, gen_planted
-from support import assert_equivalent
+from support import assert_equivalent, reverse
 
 
 def dense_counts(q):
@@ -49,12 +49,10 @@ def assert_staircase(lin, rp, d):
 
 
 def run_deflate(q):
-    """Deflate as solve_pencil does: a quartic with only A singular is
-    deflated through its reversal, and the result counts in q's
-    orientation. Returns ``(lin, d.rp, d)`` with the linearization and rank
-    profile of the working quartic ``d.rp.q``."""
-    d = deflate(analyze_ranks(q))
-    return linearize(d.rp.q), d.rp, d
+    """Deflate as solve_pencil does. Returns ``(lin, rp, d)`` with the
+    linearization and rank profile of q."""
+    rp = analyze_ranks(q)
+    return linearize(q), rp, deflate(rp)
 
 
 class TestEquivalenceOracle:
@@ -239,7 +237,7 @@ class TestDeflateCases:
         # A and E singular with Phi or Psi deficient: the first infinite
         # block is read off Q_A* as in the single-pass case, and is sized by A
         lin, rp, d = run_deflate(CONTRACT_CASES[case]())
-        assert rp.r_a < rp.n and rp.r_e < rp.n and not d.reversed
+        assert rp.r_a < rp.n and rp.r_e < rp.n
         assert [s.kind for s in d.steps].count("inf_block_1") == 1
         assert_staircase(lin, rp, d)
 
@@ -350,19 +348,27 @@ class TestDeflateCases:
         assert kinds[:2] == ["zero_block_1", "zero_block_2"]
         assert "staircase_zero" in kinds
 
-    def test_only_a_singular_deflates_the_reversal(self):
-        # deflate() takes the reversal itself and keeps the profile it deflated
-        q = gen_planted(4, 0, 2, seed=21).pencil
-        rp = analyze_ranks(q)
-        assert rp.r_a < q.n and rp.r_e == q.n
-        d, d_rev = deflate(rp), deflate(rp.swapped())
-        assert d.reversed
-        assert all(x is y for x, y in zip(d.rp.q.coeffs, reverse(q).coeffs))
-        assert ([(s.kind, s.deflated, s.evidence) for s in d.steps]
-                == [(s.kind, s.deflated, s.evidence) for s in d_rev.steps])
-        assert (d.size, d.zeros_deflated, d.infs_deflated) == (
-            d_rev.size, d_rev.zeros_deflated, d_rev.infs_deflated)
-        assert (d.zeros_deflated, d.infs_deflated) == (0, 2)
+    def test_only_a_singular_deflates_infinite_blocks(self):
+        # E regular: no zero step, and A's chain of length L is deflated
+        # directly as infinite blocks, the first two structured
+        kinds = ["inf_block_1", "inf_block_2", "staircase_inf", "staircase_inf"]
+        cases = [(gen_planted(6, 0, 2, seed=21).pencil, 2, kinds[:1])]
+        cases += [(gen_jordan_chain(5, length, "infinity", seed=30 + length,
+                                    complement=False).pencil, length, kinds[:length])
+                  for length in range(1, 5)]
+        for q, infs, want in cases:
+            lin, rp, d = run_deflate(q)
+            assert rp.r_a < q.n and rp.r_e == q.n
+            assert [s.kind for s in d.steps] == want
+            assert (d.zeros_deflated, d.infs_deflated) == (0, infs)
+            assert_staircase(lin, rp, d)
+            # the dense oracle splits a chain of length L into L eigenvalues
+            # of modulus about eps^(-1/L), or finds it infinite
+            counts, lam = dense_counts(q)
+            assert counts["zero"] == 0
+            small = lam[np.abs(lam) < 1e3]
+            assert len(small) == 4 * q.n - infs
+            match_values(sla.eigvals(d.pencil.aa, d.pencil.bb), small, 1e-8)
 
 
 def staircase_layer(p, red=None):
@@ -461,21 +467,12 @@ class TestDeflationResultContract:
     @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
     def test_result_agrees_with_its_parts(self, case):
         q = CONTRACT_CASES[case]()
-        lin, rp_w, d = run_deflate(q)
-        assert d.reversed == (case in ("only_a_singular", "jordan_infinity_4"))
-        # the working quartic is q, or its reversal taken from the profile
-        want = reverse(q) if d.reversed else q
-        assert all(x is y for x, y in zip(rp_w.q.coeffs, want.coeffs))
-        assert all(x is y for x, y in zip(analyze_ranks(q).swapped().q.coeffs,
-                                          reverse(q).coeffs))
+        lin, _, d = run_deflate(q)
         m = d.size
         assert np.array_equal(d.pencil.aa, d.work_a[:m, :m])
         assert np.array_equal(d.pencil.bb, d.work_b[:m, :m])
         zeros = sum(s.zeros for s in d.steps)
         infs = sum(s.infs for s in d.steps)
-        # the steps describe the working quartic, the counts the input's
-        if d.reversed:
-            zeros, infs = infs, zeros
         assert (d.zeros_deflated, d.infs_deflated) == (zeros, infs)
         assert m + zeros + infs == d.full_size == 4 * q.n
         assert_equivalent(lin.aa, lin.bb, d, 100 * 4 * q.n * EPS)

@@ -71,12 +71,15 @@ class TestEta:
             assert indep <= 2 * max(eta_right, EPS)
 
     def test_qz_found_infinite_pair_is_taken_at_infinity(self):
-        # det P = -2 lambda^2: 2 zeros and 6 infinities, one of which QZ
-        # finds with beta ~ 1e-17; A = 0 makes every vector exact at infinity
+        # det P = -2 lambda^2: 2 zeros and 6 infinities, all 8 deflated by
+        # default; with deflation off QZ finds them itself, and A = 0 makes
+        # every vector exact at infinity
         z = np.zeros((2, 2))
         q = QuarticPencil.from_matrices(z, [[2, 0], [0, 0]], [[0, 1], [0, 0]], z,
                                         [[0, 0], [2, 0]])
-        res = solve_pencil(q, SolveConfig())
+        d = solve_pencil(q, SolveConfig()).deflation
+        assert (d.size, d.zeros_deflated, d.infs_deflated) == (0, 2, 6)
+        res = solve_pencil(q, SolveConfig(deflate=False))
         sol = res.solution
         assert np.bincount(sol.cls, minlength=3).tolist() == [2, 0, 6]
         assert "inf_class_nullspace" in sol.methods.tolist()

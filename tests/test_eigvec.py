@@ -124,9 +124,9 @@ class TestRecoverRight:
         from problems import gen_planted
 
         singular_e = gen_planted(5, 2, 1, seed=34)
-        # the second has only A singular and is solved reversed, whose E is A
+        # the second has only E singular
         for b, config in ((singular_e, SolveConfig()), (singular_e, SolveConfig(deflate=False)),
-                          (gen_planted(5, 0, 2, seed=35), SolveConfig())):
+                          (gen_planted(5, 2, 0, seed=35), SolveConfig())):
             res = solve_bundle(b, config)
             assert res.solution.has_right.all()
             assert "z4_esolve" not in res.solution.methods

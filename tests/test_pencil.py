@@ -13,8 +13,6 @@ from quarteig.pencil import (
     linearize,
     normalize,
     place_blocks,
-    reciprocal,
-    reverse,
 )
 from oracles import (
     classify_dense,
@@ -23,7 +21,7 @@ from oracles import (
     rand_complex,
     random_regular_quartic,
 )
-from support import from_lambda
+from support import reverse
 
 
 def scalar_quartic(a, b, c, d, e):
@@ -158,12 +156,6 @@ class TestClassification:
         alpha, beta = normalize(1.0, 1.0j)
         assert beta > 0.0
         assert abs(alpha / beta - 1.0 / 1.0j) < 1e-12
-
-    def test_reciprocal(self):
-        s = from_lambda([0.0, np.inf, 2.0])
-        alpha, beta, cls = reciprocal(s.alpha, s.beta, s.cls)
-        assert cls.tolist() == [EIG_INFINITE, EIG_ZERO, EIG_FINITE]
-        assert abs(affine(alpha, beta)[2] - 0.5) < 1e-15
 
     def test_invalid_pair(self):
         with pytest.raises(ValueError):

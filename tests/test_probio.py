@@ -288,12 +288,12 @@ class TestWriteReport:
 
 
 # a deflated report under a non-ASCII name, one with --deflate off, a
-# right-only one (eta_left null) and one solved through the reversal
+# right-only one (eta_left null) and one with only A singular
 REPORT_CASES = {
     "deflated": (lambda: gen_mirror_like(1, n=12).pencil, SolveConfig(), "spiegel-ähnlich λ"),
     "deflate_off": (lambda: gen_planted(6, 1, 1, seed=7).pencil, SolveConfig(deflate=False), "p"),
     "right_only": (lambda: gen_planted(6, 1, 1, seed=7).pencil, SolveConfig(want_left=False), "p"),
-    "reversed": (lambda: gen_planted(6, 0, 2, seed=21).pencil, SolveConfig(), "only_a"),
+    "only_a": (lambda: gen_planted(6, 0, 2, seed=21).pencil, SolveConfig(), "only_a"),
 }
 
 
@@ -321,8 +321,8 @@ class TestReportText:
             assert rep["deflation"]["steps"]
         if case == "right_only":
             assert all(p["eta_left"] is None for p in rep["eigenpairs"])
-        if case == "reversed":
-            assert rep["deflation"]["reversed"] is True
+        if case == "only_a":
+            assert [s["kind"] for s in rep["deflation"]["steps"]] == ["inf_block_1"]
         assert (report_json(rep), report_csv(rep)) == generic_text(rep)
 
     def test_special_values_equal_the_generic_encoders(self):
