@@ -45,13 +45,8 @@ def _onoff(value):
     raise argparse.ArgumentTypeError(f"expected 'on' or 'off', got {value!r}")
 
 
-def _config_parser(tp):
-    """The parser of a ``compare --config`` value for a field of type ``tp``."""
-    tp = next(t for t in typing.get_args(tp) or (tp,) if t is not type(None))
-    return _onoff if tp is bool else tp
-
-
-_CONFIG_PARSERS = {name: _config_parser(tp) for name, tp in
+# the parser of a ``compare --config`` value, by the type of its field
+_CONFIG_PARSERS = {name: _onoff if tp is bool else tp for name, tp in
                    typing.get_type_hints(SolveConfig).items() if name in OPTIONS}
 
 
@@ -79,7 +74,6 @@ def build_parser():
     add_common(sp)
     sp.add_argument("--scale", type=_onoff, default=True, metavar="{on,off}")
     sp.add_argument("--balance", type=_onoff, default=True, metavar="{on,off}")
-    sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--deflate", type=_onoff, default=True, metavar="{on,off}")
     sp.add_argument(
         "--eigvec-mode", choices=("min_residual", "least_squares"), default="min_residual"

@@ -51,16 +51,12 @@ from .pencil import LinearPencil, QuarticPencil, linearize, place_blocks
 @dataclass
 class RankProfile:
     """The quartic ``q`` with rank-revealing factorizations of its extreme
-    coefficients A and E.
-
-    ``tol`` is the rank tolerance of :func:`numkit.rrqr` for every rank
-    decision of the deflation (None: max(shape)*eps).
-    """
+    coefficients A and E, by :func:`numkit.rrqr`'s rule, as is every rank
+    decision of the deflation."""
 
     q: QuarticPencil
     qr_a: PivotedQR
     qr_e: PivotedQR
-    tol: float | None
 
     @property
     def r_a(self):
@@ -75,9 +71,9 @@ class RankProfile:
         return self.q.n
 
 
-def analyze_ranks(q: QuarticPencil, tol=None) -> RankProfile:
+def analyze_ranks(q: QuarticPencil) -> RankProfile:
     """Rank-revealing QR of A and E."""
-    return RankProfile(q=q, qr_a=rrqr(q.a, tol), qr_e=rrqr(q.e, tol), tol=tol)
+    return RankProfile(q=q, qr_a=rrqr(q.a), qr_e=rrqr(q.e))
 
 
 @dataclass
@@ -108,10 +104,10 @@ def second_level(rp: RankProfile) -> SecondLevel:
     phi = qr_phi = psi = qr_psi = None
     if rp.r_a < n:
         phi = np.vstack([rp.qr_a.q2.conj().T @ q.b, rp.qr_a.r_hat_unpermuted()])
-        qr_phi = rrqr(phi, rp.tol)
+        qr_phi = rrqr(phi)
     if rp.r_e < n:
         psi = np.vstack([rp.qr_e.q2.conj().T @ q.d, rp.qr_e.r_hat_unpermuted()])
-        qr_psi = rrqr(psi, rp.tol)
+        qr_psi = rrqr(psi)
     return SecondLevel(phi=phi, psi=psi, qr_phi=qr_phi, qr_psi=qr_psi)
 
 
@@ -263,7 +259,7 @@ def _step1_zero(rp: RankProfile) -> DeflationResult:
     return d
 
 
-def _structured_block(d: DeflationResult, rows, w, f: PivotedQR, kind, flag, tol, exact=None):
+def _structured_block(d: DeflationResult, rows, w, f: PivotedQR, kind, flag, exact=None):
     """Deflate the block that ``f`` sizes: move ``rows`` last and multiply
     them by the unitary w* (None: the identity), which leaves their trailing
     f.cols - f.rank rows zero in the constant term (AA for a zero block, BB
@@ -280,7 +276,7 @@ def _structured_block(d: DeflationResult, rows, w, f: PivotedQR, kind, flag, tol
     if exact is not None:
         const[start:m, :m] = 0.0
         const[start:m, : exact.shape[1]] = exact
-    cod = urv(other[m - k : m, :m], tol)
+    cod = urv(other[m - k : m, :m])
     if cod.rank < k:
         d.flags.append(flag)
     d.right(cod.v)
@@ -294,7 +290,7 @@ def _step2_zero(d: DeflationResult, rp: RankProfile, sl: SecondLevel):
     assert d.size == 3 * n + r_e
     rows = np.concatenate([np.arange(n + r_e, 2 * n), np.arange(3 * n, 3 * n + r_e)])
     _structured_block(d, rows, sl.qr_psi.q, sl.qr_psi, "zero_block_2",
-                      "zero_chain_trailing_rank_deficient", rp.tol,
+                      "zero_chain_trailing_rank_deficient",
                       exact=sl.qr_psi.r_hat_unpermuted(pad=True))
 
 
@@ -310,7 +306,7 @@ def _inf_blocks(d: DeflationResult, rp: RankProfile, sl: SecondLevel):
     M = [[0, I]; [Q_A2, 0]] is unitary; its trailing columns give the second."""
     n, r_a = rp.n, rp.r_a
     _structured_block(d, np.arange(r_a, n), None, rp.qr_a, "inf_block_1",
-                      "inf_block_trailing_rank_deficient", rp.tol)
+                      "inf_block_trailing_rank_deficient")
     if sl.r_phi == n:
         return
     qa, qphi = rp.qr_a.q, sl.qr_phi.q
@@ -321,15 +317,15 @@ def _inf_blocks(d: DeflationResult, rp: RankProfile, sl: SecondLevel):
     start = r_a + (n if sl.r_psi in (None, n) else rp.r_e)
     rows = np.concatenate([np.arange(r_a), np.arange(start, start + n)])
     _structured_block(d, rows, w, sl.qr_phi, "inf_block_2",
-                      "inf_chain_trailing_rank_deficient", rp.tol)
+                      "inf_chain_trailing_rank_deficient")
 
 
-def _generic_layer(d: DeflationResult, on, tol):
+def _generic_layer(d: DeflationResult, on):
     """One staircase reduction layer for the zero (on='zero') or infinite
     (on='inf') eigenvalue of the active pencil. Returns the deflated count:
     the null columns of the active constant term's pivoted QR.
 
-    Its threshold is never below (tol or full_size*eps) times the norm of
+    Its threshold is never below full_size*eps (4n*eps) times the norm of
     the whole work matrix: the roundoff of the earlier steps does not shrink
     with the active block, and a relative rule alone cannot judge a 1x1
     block singular."""
@@ -337,14 +333,14 @@ def _generic_layer(d: DeflationResult, on, tol):
     if m == 0:
         return 0
     const = d.work_a if on == "zero" else d.work_b
-    floor = (tol or d.full_size * EPS) * float(safe_norm(const))
-    f = rrqr(const[:m, :m], tol, floor=floor)
+    floor = d.full_size * EPS * float(safe_norm(const))
+    f = rrqr(const[:m, :m], floor=floor)
     k = f.cols - f.rank
     if k <= 0:
         return 0
     d.left(f.q.conj().T)
     other = d.work_b if on == "zero" else d.work_a
-    cod = urv(other[m - k : m, :m], tol)
+    cod = urv(other[m - k : m, :m])
     if cod.rank < k:
         d.flags.append(f"staircase_{on}_trailing_rank_deficient")
         return 0
@@ -357,7 +353,8 @@ def deflate(rp: RankProfile) -> DeflationResult:
     """Run the full deflation decision tree on the 4n linearization of
     ``rp.q``.
 
-    Every rank decision uses the rank tolerance of ``rp``; a singular A or E
+    Every rank decision follows :func:`numkit.rrqr`'s fixed rule, the
+    staircase's with its floor (:func:`_generic_layer`); a singular A or E
     brings in the :func:`second_level` matrices of ``rp``. The structured
     first steps build their images from the coefficients; only a regular
     quartic has its linearization formed. Every singular quartic takes one
@@ -365,7 +362,6 @@ def deflate(rp: RankProfile) -> DeflationResult:
     as infinite blocks, each only where that coefficient is singular.
     """
     n = rp.n
-    tol = rp.tol
 
     if rp.r_a == n and rp.r_e == n:
         # nothing to deflate; BB is block lower triangular with diagonal
@@ -385,14 +381,14 @@ def deflate(rp: RankProfile) -> DeflationResult:
     if rp.r_a < n:
         _inf_blocks(d, rp, sl)
     if zero_chain:
-        while _generic_layer(d, "zero", tol):
+        while _generic_layer(d, "zero"):
             pass
     if rp.r_a < n and sl.r_phi < n:
-        while _generic_layer(d, "inf", tol):
+        while _generic_layer(d, "inf"):
             pass
     m = d.size
-    d.a_regular = bool(rrqr(d.work_a[:m, :m], tol).rank == m)
-    d.b_regular = bool(rrqr(d.work_b[:m, :m], tol).rank == m)
+    d.a_regular = bool(rrqr(d.work_a[:m, :m]).rank == m)
+    d.b_regular = bool(rrqr(d.work_b[:m, :m]).rank == m)
     if not d.b_regular:
         d.flags.append("deflated_pencil_bb_rank_deficient")
     if not d.a_regular:

@@ -159,14 +159,14 @@ def _form_q(qr, tau):
     return q
 
 
-def rrqr(m, tol=None, floor=0.0) -> PivotedQR:
+def rrqr(m, floor=0.0) -> PivotedQR:
     """Rank-revealing QR with Businger-Golub column pivoting.
 
     The numerical rank counts the diagonal entries with
-    |r_kk| > max(tau * ||m||_F, floor), where tau is ``tol`` or, when None,
-    max(shape)*eps; the absolute ``floor`` lets a caller refer the rule to
-    a larger matrix that m was cut from. ``truncation_log`` records tau,
-    the threshold used, the rank and |diag(r)|.
+    |r_kk| > max(tau * ||m||_F, floor), where tau is max(shape)*eps; the
+    absolute ``floor`` lets a caller refer the rule to a larger matrix that
+    m was cut from. ``truncation_log`` records tau, the threshold used, the
+    rank and |diag(r)|.
     """
     a = as_matrix(m)
     rows, cols = a.shape
@@ -186,7 +186,7 @@ def rrqr(m, tol=None, floor=0.0) -> PivotedQR:
         lib.zgeqp3(rows, cols, qr, rows, jpvt, hh_scalars)
         packed, perm = qr, jpvt - 1
     diag_abs = np.abs(packed.diagonal())
-    tau = tol if tol is not None else max(rows, cols, 1) * EPS
+    tau = max(rows, cols, 1) * EPS
     threshold = max(tau * float(safe_norm(a)), floor)
     rank = int(np.count_nonzero(diag_abs > threshold))
     log = {"tau": tau, "threshold": threshold, "rank": rank,
@@ -232,10 +232,10 @@ def complete_orthogonal(f: PivotedQR, rank=None) -> URVFactors:
     return URVFactors(v=z[:, order], rank=rho)
 
 
-def urv(m, tol=None) -> URVFactors:
+def urv(m) -> URVFactors:
     """Two-sided orthogonal reduction exposing row rank (the rank of
-    :func:`rrqr` with ``tol``)."""
-    return complete_orthogonal(rrqr(m, tol))
+    :func:`rrqr`)."""
+    return complete_orthogonal(rrqr(m))
 
 
 # ---------------------------------------------------------------------------

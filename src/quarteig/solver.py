@@ -16,7 +16,6 @@ as whole arrays, and :func:`build_report` reads them off in modulus order.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -54,7 +53,6 @@ class SolveConfig:
 
     scale: bool = True
     balance: bool = True
-    tol: float | None = None
     deflate: bool = True
     eigvec_mode: str = "min_residual"
     want_left: bool = True
@@ -64,9 +62,6 @@ class SolveConfig:
         for name in ("scale", "balance", "deflate", "want_left"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        if self.tol is not None and not (isinstance(self.tol, numbers.Real)
-                                         and 0.0 < self.tol < 1.0):
-            raise ValueError(f"tol must be None or a real number in (0, 1), got {self.tol!r}")
         if self.eigvec_mode not in ("min_residual", "least_squares"):
             raise ValueError(f"unknown eigvec mode {self.eigvec_mode!r}")
         if type(self.threads) is not int or self.threads < 1:
@@ -174,7 +169,7 @@ def _solve(q0, config, name):
     qs, rec_scale = scaling.param_scale(qb, config.scale)
     rec = dataclasses.replace(rec_scale, dl=rec_bal.dl, dr=rec_bal.dr)
 
-    rp = analyze_ranks(qs, config.tol)
+    rp = analyze_ranks(qs)
     d = deflate(rp) if config.deflate else None
     if d is None:
         gs = gevp.solve_gevp(linearize(qs))

@@ -2,7 +2,6 @@ import argparse
 import dataclasses
 import importlib
 import json
-import math
 import os
 import re
 
@@ -75,22 +74,20 @@ def test_one_version(unit_bundle):
 CONFIG_DEFAULTS = {
     "scale": True,
     "balance": True,
-    "tol": None,
     "deflate": True,
     "eigvec_mode": "min_residual",
     "want_left": True,
     "threads": 1,
 }
-REPORTED = ["scale", "balance", "tol", "deflate", "eigvec_mode"]
+REPORTED = ["scale", "balance", "deflate", "eigvec_mode"]
 SOLVE_OPTIONS = [
-    "-h", "--help", "--threads", "--scale", "--balance", "--tol", "--deflate",
+    "-h", "--help", "--threads", "--scale", "--balance", "--deflate",
     "--eigvec-mode", "--right-only", "--output", "--format",
 ]
 # one value per compare key, other than its default: the text and the parsed value
 COMPARE_VALUES = {
     "scale": ("off", False),
     "balance": ("off", False),
-    "tol": ("1e-10", 1e-10),
     "deflate": ("off", False),
     "eigvec_mode": ("least_squares", "least_squares"),
 }
@@ -126,25 +123,30 @@ def test_every_compare_key_reaches_the_report(unit_bundle, tmp_path):
         assert config == {**{r: CONFIG_DEFAULTS[r] for r in REPORTED}, key: value}
 
 
-@pytest.mark.parametrize("key", ["want_left", "threads", "right_only", "rank_strategy"])
+@pytest.mark.parametrize("key", ["want_left", "threads", "right_only", "rank_strategy", "tol"])
 def test_compare_rejects_other_keys(unit_bundle, capsys, key):
     assert main(["compare", str(unit_bundle), "--config", f"{key}=1", "--config", ""]) == EXIT_USAGE
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["message"] == f"unknown config key {key!r}"
 
 
+def test_tol_is_not_a_field():
+    # every rank decision has a fixed rule (numkit.rrqr); there is no tolerance to set
+    with pytest.raises(TypeError):
+        SolveConfig(tol=1e-3)
+
+
 def test_compare_rejects_a_repeated_key(unit_bundle, tmp_path, capsys):
     outd = tmp_path / "cmp"
     argv = ["compare", str(unit_bundle), "--output-dir", str(outd),
-            "--config", "tol=1e-3", "--config", "tol=1e-3,tol=1e-2"]
+            "--config", "scale=off", "--config", "scale=off,scale=on"]
     assert main(argv) == EXIT_USAGE
     err = json.loads(capsys.readouterr().out)["error"]
-    assert err["message"] == "duplicate config key 'tol'"
+    assert err["message"] == "duplicate config key 'scale'"
     assert not outd.exists()
 
 
 @pytest.mark.parametrize("field, value", [
-    ("tol", 0.0), ("tol", 1.0), ("tol", math.nan), ("tol", "1e-3"),
     ("eigvec_mode", "bogus"), ("threads", 0), ("threads", 1.5), ("threads", "2"),
     ("threads", True), ("scale", "off"), ("balance", 1), ("deflate", None),
     ("want_left", "on"),

@@ -248,7 +248,6 @@ class TestSolveCommand:
                 str(unit_bundle),
                 "--scale", "off",
                 "--balance", "off",
-                "--tol", "1e-10",
                 "--eigvec-mode", "least_squares",
                 "--right-only",
                 "--output", str(out),
@@ -257,7 +256,6 @@ class TestSolveCommand:
         assert code == EXIT_OK
         rep = json.loads(out.read_text())
         assert rep["config"]["scale"] is False
-        assert rep["config"]["tol"] == 1e-10
         assert all(p["eta_left"] is None for p in rep["eigenpairs"])
 
     def test_right_only_deflated_pairs_have_no_left_fields(self, mirror_bundle, tmp_path):
@@ -270,8 +268,11 @@ class TestSolveCommand:
         assert all(p["eta_right"] is not None for p in rep["eigenpairs"])
 
     def test_bad_tol_usage_error(self, unit_bundle, capsys):
-        code = main(["solve", str(unit_bundle), "--tol", "2.0"])
-        assert code == EXIT_USAGE
+        # tol is not an option: every rank decision has a fixed rule
+        assert main(["solve", str(unit_bundle), "--tol", "1e-3"]) == EXIT_USAGE
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == EXIT_USAGE and err["type"] == "usage"
+        assert "--tol" in err["message"]
 
 
 class TestCompareCommand:
@@ -360,7 +361,7 @@ class TestCompareCommand:
         assert main(["solve", str(unit_bundle), "--output", str(out)]) == EXIT_OK
         config = json.loads(out.read_text())["config"]
         assert config["scale"] is True and config["balance"] is True
-        assert config["deflate"] is True and config["tol"] is None
+        assert config["deflate"] is True
 
     def test_single_config_usage_error(self, unit_bundle, capsys):
         code = main(

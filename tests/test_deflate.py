@@ -377,7 +377,7 @@ def staircase_layer(p, red=None):
     if red is None:
         red = DeflationResult(p.aa.astype(complex), p.bb.astype(complex),
                               np.eye(p.size, dtype=np.complex128))
-    return red, _generic_layer(red, "zero", None)
+    return red, _generic_layer(red, "zero")
 
 
 class TestStaircaseStep:

@@ -17,16 +17,20 @@ class TestRRQR:
 
     def test_threshold_forces_truncation(self):
         m = np.diag([1.0, 1e-18]).astype(complex)
-        f = rrqr(m)  # tau = n*eps by default
+        f = rrqr(m)  # tau = n*eps
         assert f.rank == 1
 
-    def test_tol_sets_the_threshold(self):
+    def test_floor_raises_the_threshold(self):
         m = np.diag([1.0, 1e-6]).astype(complex)
         assert rrqr(m).rank == 2
-        f = rrqr(m, tol=1e-5)
+        f = rrqr(m, floor=1e-5)
         assert f.rank == 1
-        assert f.truncation_log == {"tau": 1e-5, "threshold": 1e-5 * safe_norm(m), "rank": 1,
+        assert f.truncation_log == {"tau": 2 * EPS, "threshold": 1e-5, "rank": 1,
                                     "diag": [1.0, 1e-6]}
+        # a floor below tau * ||m||_F leaves the relative threshold in force
+        relative = 2 * EPS * safe_norm(m)
+        f = rrqr(m, floor=relative / 2)
+        assert f.rank == 2 and f.truncation_log["threshold"] == relative
 
     def test_reconstruction_well_conditioned(self):
         rng = np.random.default_rng(1)

@@ -26,11 +26,12 @@ and the report's independence of the process by running it twice under
 different ``PYTHONHASHSEED`` values and comparing the outputs with ``cmp``.
 
 A change meant to alter only some keys of each eigenpair (a new key, or a
-recomputed error) is checked the same way with those keys stripped: with
-``--strip KEY ...`` each named key is removed from every eigenpair and
-from ``summary``, and each CSV column of that name from the CSV, before
-the report is hashed, so both runs take, say, ``--strip eta_left
-omega_left``. The stripped JSON is written by ``json.dumps(report,
+recomputed error) or of the report's ``config`` block (a removed option) is
+checked the same way with those keys stripped: with ``--strip KEY ...``
+each named key is removed from every eigenpair, from ``summary`` and from
+``config``, and each CSV column of that name from the CSV, before the
+report is hashed, so both runs take, say, ``--strip eta_left omega_left``
+or ``--strip tol``. The stripped JSON is written by ``json.dumps(report,
 indent=1)``, whose text ``report_json`` equals (``tests/test_probio.py``),
 since ``report_json``'s eigenpair template needs every key. The rest of the
 report, flags included, is hashed as it is.
@@ -78,7 +79,7 @@ def stripped(report, keys):
     """The report's JSON and CSV text without the named keys and columns."""
     rows = list(csv.reader(io.StringIO(report_csv(report))))
     keep = [k for k, name in enumerate(rows[0]) if name not in keys]
-    for part in (*report["eigenpairs"], report["summary"]):
+    for part in (*report["eigenpairs"], report["summary"], report["config"]):
         for name in keys:
             part.pop(name, None)
     return json.dumps(report, indent=1) + "\n" + csv_text([[r[k] for k in keep] for r in rows])
@@ -89,7 +90,8 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, nargs="+", default=[3, 4],
                     help="workload seeds (default: 3 4)")
     ap.add_argument("--strip", nargs="+", default=[], metavar="KEY",
-                    help="keys removed from every eigenpair, summary and the CSV before hashing")
+                    help="keys removed from every eigenpair, summary, config and the CSV "
+                         "before hashing")
     args = ap.parse_args(argv)
     for key, coeffs, config in problems(args.seeds):
         res = solve_pencil(QuarticPencil.from_matrices(*coeffs), config, name=key)
